@@ -7,7 +7,6 @@
 module Registry = Pp_workloads.Registry
 module Instrument = Pp_instrument.Instrument
 module Driver = Pp_instrument.Driver
-module Profile_io = Pp_core.Profile_io
 module Feasibility = Pp_analysis.Feasibility
 module Cost = Pp_analysis.Cost
 
@@ -27,12 +26,7 @@ let run () =
           ~mode:Instrument.Flow_hw prog
       in
       ignore (Driver.run session);
-      let saved =
-        Profile_io.of_profile
-          ~program_hash:(Profile_io.program_hash prog)
-          ~mode:(Instrument.mode_name Instrument.Flow_hw)
-          (Driver.path_profile session)
-      in
+      let saved = Driver.saved_profile session in
       Printf.printf "  -- %s --\n" name;
       match
         Cost.compute ~mode:Instrument.Flow_hw ~profile:saved prog

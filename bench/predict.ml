@@ -11,9 +11,6 @@ module Predict_run = Pp_run.Predict_run
 
 let budget = 300_000
 
-let modes =
-  Instrument.[ Edge_freq; Flow_freq; Flow_hw; Context_hw; Context_flow ]
-
 let run () =
   print_endline
     "== predict: static per-path bounds vs measured counters ==";
@@ -54,7 +51,7 @@ let run () =
                (Instrument.mode_name o.mode)
                (List.length o.rows) o.windows o.confirmed o.vacuous o.refuted
                (List.length o.anomalies) o.mean_slack o.trapped seconds))
-        modes)
+        Instrument.all_modes)
     Registry.all;
   Buffer.add_string json "\n]\n";
   let oc = open_out "BENCH_predict.json" in

@@ -56,14 +56,7 @@ let run_session ?sampling prog =
     | r -> (false, r.Interp.instructions)
     | exception Interp.Trap _ -> (true, budget)
   in
-  let saved =
-    Profile_io.of_profile
-      ~coverage:(Driver.coverage session)
-      ~program_hash:(Profile_io.program_hash prog)
-      ~mode:(Instrument.mode_name mode)
-      (Driver.path_profile session)
-  in
-  (saved, instructions, trapped)
+  (Driver.saved_profile session, instructions, trapped)
 
 let baseline_instructions prog =
   match Driver.run_baseline ~max_instructions:budget prog with

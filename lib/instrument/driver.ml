@@ -176,6 +176,20 @@ let path_profile session =
   let pic0, pic1 = Pp_machine.Counters.selection counters in
   { Profile.pic0; pic1; procs }
 
+let saved_profile session =
+  let feasible =
+    List.filter_map
+      (fun (info : Instrument.proc_info) ->
+        Option.map
+          (fun p -> (info.Instrument.proc, Ball_larus.num_feasible p))
+          info.Instrument.pruned)
+      session.manifest.Instrument.infos
+  in
+  Pp_core.Profile_io.of_profile ~feasible ~coverage:(coverage session)
+    ~program_hash:(Pp_core.Profile_io.program_hash session.original)
+    ~mode:(Instrument.mode_name session.manifest.Instrument.mode)
+    (path_profile session)
+
 let edge_profile session =
   List.filter_map
     (fun (info : Instrument.proc_info) ->

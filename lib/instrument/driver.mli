@@ -89,6 +89,12 @@ val cct : session -> Pp_vm.Runtime.record_data Cct.t
     saved shards so sampled profiles carry their scaling certificate. *)
 val coverage : session -> (string * (int * int)) list
 
+(** {!path_profile} as a mergeable shard, valid after {!run}: stamped
+    with the original program's hash and the session's mode, annotated
+    with its sampling {!coverage} and, for every procedure the [pruner]
+    certified, the feasible-path count ([[]] without a pruner). *)
+val saved_profile : session -> Pp_core.Profile_io.saved
+
 (** Reconstructed per-edge execution counts, valid after {!run} in
     [Edge_freq] mode: for each procedure, the plan and every CFG edge's
     count recovered from the chord counters. *)

@@ -54,6 +54,8 @@ let mode_name = function
   | Context_hw -> "context-hw"
   | Context_flow -> "context-flow"
 
+let all_modes = [ Edge_freq; Flow_freq; Flow_hw; Context_hw; Context_flow ]
+
 let table_global_name proc = "__ptab_" ^ proc
 
 let profiles_paths = function

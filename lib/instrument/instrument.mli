@@ -91,6 +91,9 @@ val run :
 
 val mode_name : mode -> string
 
+(** The five modes in the paper's order, edge profiling first. *)
+val all_modes : mode list
+
 (** {2 Instrumentation-state footprint}
 
     Everything a procedure's probes own, for the abstract-interpretation

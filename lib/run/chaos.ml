@@ -32,10 +32,7 @@ let shard_path dir k = Filename.concat dir (Printf.sprintf "shard-%d.pprof" k)
 let profile_once ?budget ?engine ~mode prog =
   let session = Driver.prepare ?max_instructions:budget ?engine ~mode prog in
   ignore (Driver.run session);
-  Profile_io.of_profile
-    ~program_hash:(Profile_io.program_hash prog)
-    ~mode:(Instrument.mode_name mode)
-    (Driver.path_profile session)
+  Driver.saved_profile session
 
 let run ~dir ?(mode = Instrument.Flow_hw) ?budget ?engine ?(jobs = 2)
     ?(retries = 3) ?(timeout = 10.0) ?sleep ~plan ~shards prog =

@@ -4,7 +4,6 @@ module Instrument = Pp_instrument.Instrument
 module Driver = Pp_instrument.Driver
 module Interp = Pp_vm.Interp
 module Event = Pp_machine.Event
-module Profile = Pp_core.Profile
 module Profile_io = Pp_core.Profile_io
 module Cct = Pp_core.Cct
 module Report = Pp_core.Report
@@ -15,15 +14,7 @@ let config_name = function
   | Base -> "base"
   | Mode m -> Instrument.mode_name m
 
-let all_configs =
-  [
-    Base;
-    Mode Instrument.Edge_freq;
-    Mode Instrument.Flow_freq;
-    Mode Instrument.Flow_hw;
-    Mode Instrument.Context_hw;
-    Mode Instrument.Context_flow;
-  ]
+let all_configs = Base :: List.map (fun m -> Mode m) Instrument.all_modes
 
 type task = { workload : string; config : config }
 
@@ -91,18 +82,13 @@ let measure_cell ?(budget = default_budget) ?engine task =
         match mode with
         | Instrument.Flow_freq | Instrument.Flow_hw
         | Instrument.Context_flow ->
-            let profile = Driver.path_profile session in
+            let saved = Driver.saved_profile session in
             let paths =
               List.fold_left
-                (fun acc (p : Profile.proc_profile) ->
-                  acc + List.length p.Profile.paths)
-                0 profile.Profile.procs
+                (fun acc (_, _, paths) -> acc + List.length paths)
+                0 saved.Profile_io.procs
             in
-            ( Printf.sprintf "%d executed paths" paths,
-              Some
-                (Profile_io.of_profile
-                   ~program_hash:(Profile_io.program_hash prog)
-                   ~mode:(Instrument.mode_name mode) profile) )
+            (Printf.sprintf "%d executed paths" paths, Some saved)
         | Instrument.Edge_freq ->
             let traversals =
               List.fold_left

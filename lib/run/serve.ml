@@ -484,7 +484,10 @@ let serve ?max_records ?spill_dir ?(snapshot_every = 0)
 (* ------------------------------------------------------------------ *)
 (* Drive mode: fork the clients ourselves — the self-contained e2e the
    CI gate runs.  Each thunk computes one shard in a forked child and
-   streams it in; the parent aggregates concurrently. *)
+   streams it in; the parent aggregates concurrently.  A child whose
+   thunk raises still connects, and closes without a hello: the
+   aggregator resolves that stream as rejected instead of waiting for
+   it. *)
 
 let drive ?max_records ?spill_dir ?snapshot_every ?snapshot
     ?snapshot_requested ?stop ?trace ~socket clients () =
@@ -498,13 +501,14 @@ let drive ?max_records ?spill_dir ?snapshot_every ?snapshot
         match Unix.fork () with
         | 0 ->
             let code =
-              match
-                let s = thunk () in
-                send_saved ~socket s
-              with
-              | Ok () -> 0
-              | Error _ -> 1
-              | exception _ -> 1
+              match thunk () with
+              | s -> (
+                  match send_saved ~socket s with
+                  | Ok () -> 0
+                  | Error _ | (exception _) -> 1)
+              | exception _ ->
+                  ignore (with_connection ~socket (fun _ -> Ok ()));
+                  1
             in
             Unix._exit code
         | pid -> pid)

@@ -134,7 +134,10 @@ val serve :
 (** Drive mode — the self-contained e2e: fork one child per thunk (each
     computes a shard and streams it in), aggregate concurrently in the
     parent, reap the children.  Returns the verdict and the count of
-    client processes that exited nonzero.
+    client processes that exited nonzero.  A thunk that raises still
+    resolves its stream (connect, then close without a hello), which the
+    aggregator counts as rejected, so the verdict is degraded rather
+    than the call hanging.
     @raise Invalid_argument on an empty client list. *)
 val drive :
   ?max_records:int ->

@@ -61,15 +61,6 @@ type report = {
   failures : (string * string) list;
 }
 
-let all_modes =
-  [
-    Instrument.Edge_freq;
-    Instrument.Flow_freq;
-    Instrument.Flow_hw;
-    Instrument.Context_hw;
-    Instrument.Context_flow;
-  ]
-
 let profiles_context = function
   | Instrument.Context_hw | Instrument.Context_flow -> true
   | Instrument.Edge_freq | Instrument.Flow_freq | Instrument.Flow_hw -> false
@@ -230,7 +221,7 @@ let measure_mode ?budget ?engine ~base prog mode =
     counters = counters_alist r;
   }
 
-let compute ?budget ?engine ?(jobs = 1) ?(modes = all_modes) ~program prog =
+let compute ?budget ?engine ?(jobs = 1) ?(modes = Instrument.all_modes) ~program prog =
   let base = measure_base ?budget ?engine prog in
   let outcomes =
     if jobs <= 1 then
@@ -383,19 +374,7 @@ let render r =
 
 (* {2 JSON} *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let json_escape = Pp_telemetry.Trace.json_escape
 
 let to_json r =
   let buf = Buffer.create 4096 in

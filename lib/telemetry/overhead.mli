@@ -57,9 +57,6 @@ type report = {
   failures : (string * string) list;  (** (mode name, reason) *)
 }
 
-(** Every instrumentation mode, in the order tables print them. *)
-val all_modes : Pp_instrument.Instrument.mode list
-
 (** [apportion ~total weights] splits [total] into integer shares
     proportional to [weights], summing exactly to [total]
     (largest-remainder rounding; ties broken by lower index).  When all
@@ -87,9 +84,9 @@ val measure_mode :
   mode_row
 
 (** Measure the baseline once, then every requested mode (default
-    {!all_modes}), fanning out over {!Pp_run.Pool} when [jobs > 1].  A
-    mode that traps or crashes lands in [failures] rather than aborting
-    the report.  Deterministic: the simulated machine makes the report
+    {!Pp_instrument.Instrument.all_modes}), fanning out over
+    {!Pp_run.Pool} when [jobs > 1].  A mode that traps or crashes lands
+    in [failures] rather than aborting the report.  Deterministic: the simulated machine makes the report
     byte-identical at any [jobs]. *)
 val compute :
   ?budget:int ->

@@ -17,6 +17,7 @@ module Constprop = Pp_analysis.Constprop
 module Feasibility = Pp_analysis.Feasibility
 module Registry = Pp_workloads.Registry
 module Workload = Pp_workloads.Workload
+module Pipeline = Pp_run.Pipeline
 module I = Instr
 
 (* ---- domain unit tests ---- *)
@@ -99,15 +100,6 @@ let test_congruence_algebra () =
 
 (* ---- zero false alarms ---- *)
 
-let all_modes =
-  [
-    Instrument.Edge_freq;
-    Instrument.Flow_freq;
-    Instrument.Flow_hw;
-    Instrument.Context_hw;
-    Instrument.Context_flow;
-  ]
-
 let prove ?(options = Instrument.default_options) ~mode prog =
   let instrumented, manifest =
     Instrument.run ~options ~pruner:Feasibility.pruner ~mode prog
@@ -151,7 +143,7 @@ let test_no_false_alarms_fixture () =
     (fun mode ->
       let _, _, diags = prove ~mode prog in
       check_clean ~what:(Instrument.mode_name mode) diags)
-    all_modes
+    Instrument.all_modes
 
 let test_no_false_alarms_options () =
   let prog = branchy_program () in
@@ -177,7 +169,7 @@ let test_no_false_alarms_options () =
           check_clean
             ~what:(name ^ "/" ^ Instrument.mode_name mode)
             diags)
-        all_modes)
+        Instrument.all_modes)
     variants
 
 let test_no_false_alarms_workloads () =
@@ -192,7 +184,7 @@ let test_no_false_alarms_workloads () =
           check_clean
             ~what:(wname ^ "/" ^ Instrument.mode_name mode)
             diags)
-        all_modes)
+        Instrument.all_modes)
     [ "compress_like"; "go_like"; "perl_like" ]
 
 (* ---- seeded violations ---- *)
@@ -207,65 +199,13 @@ let expect_flagged ~what diags =
             Alcotest.failf "%s: non-error diagnostic %S" what d.Diag.message)
         diags
 
-(* Shrink the victim procedure's counter table by one word: its last cell
-   is now out of bounds. *)
-let shrink_table prog (manifest : Instrument.manifest) =
-  let global =
-    List.find_map
-      (fun (info : Instrument.proc_info) ->
-        match info.Instrument.table with
-        | Instrument.Array_table { global; _ }
-        | Instrument.Edge_table { global; _ } ->
-            Some global
-        | _ -> None)
-      manifest.Instrument.infos
-    |> Option.get
-  in
-  let globals =
-    Array.to_list prog.Program.globals
-    |> List.map (fun (g : Program.global) ->
-           if g.Program.gname = global then
-             { g with Program.size_words = g.Program.size_words - 1 }
-           else g)
-  in
-  Program.make
-    ~procs:(Array.to_list prog.Program.procs)
-    ~globals ~main:prog.Program.main
-
-(* Copy the path location into original register 0: a taint leak. *)
-let leak_path ~original prog (manifest : Instrument.manifest) =
-  let i, loc =
-    List.mapi (fun i info -> (i, info)) manifest.Instrument.infos
-    |> List.find_map (fun (i, (info : Instrument.proc_info)) ->
-           match info.Instrument.path_loc with
-           | Some loc
-             when original.Program.procs.(i).Proc.niregs >= 1 ->
-               Some (i, loc)
-           | _ -> None)
-    |> Option.get
-  in
-  let p = prog.Program.procs.(i) in
-  let leak =
-    match loc with
-    | Pp_instrument.Path_instr.Path_reg r -> [ Instr.Imov (0, r) ]
-    | Pp_instrument.Path_instr.Path_slot off ->
-        [ Instr.Frameaddr (0, off); Instr.Load (0, 0, 0) ]
-  in
-  let blocks =
-    Array.map
-      (fun (b : Block.t) ->
-        if b.Block.label = p.Proc.entry then
-          { b with Block.instrs = b.Block.instrs @ leak }
-        else b)
-      p.Proc.blocks
-  in
-  let procs =
-    Array.to_list prog.Program.procs
-    |> List.mapi (fun j q -> if j = i then Proc.with_blocks p blocks else q)
-  in
-  Program.make ~procs
-    ~globals:(Array.to_list prog.Program.globals)
-    ~main:prog.Program.main
+(* The certifier's own seeded violations (what 'pp prove --inject' runs):
+   a counter table shrunk by one word, and the path location copied into
+   an original register. *)
+let mutate kind ~original instrumented manifest =
+  match Pipeline.inject kind ~original ~manifest instrumented with
+  | Ok mutant -> mutant
+  | Error msg -> Alcotest.failf "nothing to mutate: %s" msg
 
 (* Bump one path-register edge increment: commit sums now exceed the
    table. *)
@@ -314,7 +254,7 @@ let test_seeded_bounds () =
   let prog = branchy_program () in
   let instrumented, manifest, clean = prove ~mode:Instrument.Flow_hw prog in
   check_clean ~what:"pre-mutation" clean;
-  let mutant = shrink_table instrumented manifest in
+  let mutant = mutate Pipeline.Bounds ~original:prog instrumented manifest in
   expect_flagged ~what:"shrunk table"
     (Verifier.prove_program ~original:prog ~manifest mutant)
 
@@ -322,7 +262,7 @@ let test_seeded_taint () =
   let prog = branchy_program () in
   let instrumented, manifest, clean = prove ~mode:Instrument.Flow_hw prog in
   check_clean ~what:"pre-mutation" clean;
-  let mutant = leak_path ~original:prog instrumented manifest in
+  let mutant = mutate Pipeline.Taint ~original:prog instrumented manifest in
   expect_flagged ~what:"path leak"
     (Verifier.prove_program ~original:prog ~manifest mutant);
   (* the spilled variant leaks through a frame-slot load instead *)
@@ -333,7 +273,7 @@ let test_seeded_taint () =
     prove ~options ~mode:Instrument.Flow_hw prog
   in
   check_clean ~what:"pre-mutation (spilled)" clean;
-  let mutant = leak_path ~original:prog instrumented manifest in
+  let mutant = mutate Pipeline.Taint ~original:prog instrumented manifest in
   expect_flagged ~what:"spilled path leak"
     (Verifier.prove_program ~original:prog ~manifest mutant)
 
@@ -440,7 +380,7 @@ let test_oracle_all_modes () =
     (fun wname ->
       List.iter
         (fun mode -> oracle_run ~mode ~max_instructions:150_000 wname)
-        all_modes)
+        Instrument.all_modes)
     [ "compress_like"; "li_like" ]
 
 (* ---- differential: constprop vs the VM ---- *)

@@ -5,15 +5,6 @@
 module Instrument = Pp_instrument.Instrument
 module Verifier = Pp_analysis.Verifier
 
-let modes =
-  [
-    Instrument.Edge_freq;
-    Instrument.Flow_freq;
-    Instrument.Flow_hw;
-    Instrument.Context_hw;
-    Instrument.Context_flow;
-  ]
-
 let option_variants =
   [
     ("default", Instrument.default_options);
@@ -49,7 +40,7 @@ let check_workload w =
                 w.Pp_workloads.Workload.name
                 (String.concat "; "
                    (List.map Pp_ir.Diag.to_string diags)))
-        modes)
+        Instrument.all_modes)
     option_variants
 
 let suite =

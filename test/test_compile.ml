@@ -19,18 +19,9 @@ module W = Pp_workloads.Workload
 module Registry = Pp_workloads.Registry
 module Trace = Pp_telemetry.Trace
 
-let all_modes =
-  [
-    Instrument.Edge_freq;
-    Instrument.Flow_freq;
-    Instrument.Flow_hw;
-    Instrument.Context_hw;
-    Instrument.Context_flow;
-  ]
-
 type config = Base | Mode of Instrument.mode
 
-let all_configs = Base :: List.map (fun m -> Mode m) all_modes
+let all_configs = Base :: List.map (fun m -> Mode m) Instrument.all_modes
 
 let config_name = function
   | Base -> "base"
@@ -69,15 +60,10 @@ let render_edges session =
               (List.map (fun (_, c) -> string_of_int c) edges)))
        (Driver.edge_profile session))
 
-let render_mode_artifacts mode session prog =
+let render_mode_artifacts mode session =
   match mode with
   | Instrument.Flow_freq | Instrument.Flow_hw | Instrument.Context_flow ->
-      let saved =
-        Profile_io.of_profile
-          ~program_hash:(Profile_io.program_hash prog)
-          ~mode:(Instrument.mode_name mode)
-          (Driver.path_profile session)
-      in
+      let saved = Driver.saved_profile session in
       let cct =
         match mode with
         | Instrument.Context_flow ->
@@ -104,7 +90,7 @@ let observe ~budget ~kind ~config prog =
       match Driver.run s with
       | r ->
           Printf.sprintf "done %s\n%s" (render_result r)
-            (render_mode_artifacts mode s prog)
+            (render_mode_artifacts mode s)
       | exception Interp.Trap msg ->
           Printf.sprintf "trap %S %s" msg
             (render_result (Interp.collect_result s.Driver.vm)))

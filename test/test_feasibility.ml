@@ -243,20 +243,7 @@ let saved_profile () =
   let prog = Pp_minic.Compile.program ~name:"corr" correlated_src in
   let s = Driver.prepare ~pruner:Feasibility.pruner ~mode:Instrument.Flow_hw prog in
   ignore (Driver.run s);
-  let feasible =
-    List.filter_map
-      (fun (info : Instrument.proc_info) ->
-        match info.Instrument.pruned with
-        | Some pr ->
-            Some (info.Instrument.proc, Ball_larus.num_feasible pr)
-        | None -> None)
-      s.Driver.manifest.Instrument.infos
-  in
-  ( prog,
-    Profile_io.of_profile ~feasible
-      ~program_hash:(Profile_io.program_hash prog)
-      ~mode:(Instrument.mode_name Instrument.Flow_hw)
-      (Driver.path_profile s) )
+  (prog, Driver.saved_profile s)
 
 let test_profile_io_feasible_round_trip () =
   let _, saved = saved_profile () in
@@ -385,15 +372,6 @@ let test_cost_rejects_bad_annotation () =
    dynamically executed edge was proven never-executable.  This is the
    contract that makes pruning sound rather than merely plausible. *)
 
-let all_modes =
-  [
-    Instrument.Edge_freq;
-    Instrument.Flow_freq;
-    Instrument.Flow_hw;
-    Instrument.Context_hw;
-    Instrument.Context_flow;
-  ]
-
 let prop_pruning_sound =
   QCheck.Test.make
     ~name:"no observed path or edge is ever statically pruned" ~count:6
@@ -435,7 +413,7 @@ let prop_pruning_sound =
             | _ -> true
           in
           paths_sound && edges_sound)
-        all_modes)
+        Instrument.all_modes)
 
 let suite =
   [

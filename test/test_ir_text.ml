@@ -29,11 +29,7 @@ let test_roundtrip_workloads () =
         (fun mode ->
           let instrumented, _ = Pp_instrument.Instrument.run ~mode prog in
           roundtrip instrumented)
-        [
-          Pp_instrument.Instrument.Edge_freq;
-          Pp_instrument.Instrument.Flow_hw;
-          Pp_instrument.Instrument.Context_flow;
-        ])
+        Pp_instrument.Instrument.all_modes)
     [ "m88k_like"; "tomcatv_like"; "li_like" ]
 
 let test_parsed_program_runs () =

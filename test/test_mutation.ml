@@ -234,17 +234,7 @@ let prop_any_drop =
     ~count:80
     QCheck.(pair (int_range 0 1000) (int_range 0 4))
     (fun (idx, mode_idx) ->
-      let mode =
-        List.nth
-          [
-            Instrument.Edge_freq;
-            Instrument.Flow_freq;
-            Instrument.Flow_hw;
-            Instrument.Context_hw;
-            Instrument.Context_flow;
-          ]
-          mode_idx
-      in
+      let mode = List.nth Instrument.all_modes mode_idx in
       let select = function
         | Instr.Store _ | Instr.Prof _ | Instr.Hwzero | Instr.Hwread _
         | Instr.Hwwrite _ ->

@@ -6,9 +6,6 @@ module Engine = Pp_vm.Engine
 module Registry = Pp_workloads.Registry
 module Workload = Pp_workloads.Workload
 
-let all_modes =
-  Instrument.[ Edge_freq; Flow_freq; Flow_hw; Context_hw; Context_flow ]
-
 let budget = 300_000
 
 let workload name =
@@ -47,7 +44,7 @@ let test_soundness () =
                      (Engine.kind_name engine))
                 o)
             Engine.kinds)
-        all_modes)
+        Instrument.all_modes)
     Registry.all
 
 (* The two engines must also certify identically: same paths, same

@@ -166,13 +166,7 @@ let prop_modes_transparent =
                 Driver.prepare ~max_instructions:400_000_000 ~mode prog
               in
               outputs (Driver.run s) = outputs base)
-            [
-              Instrument.Edge_freq;
-              Instrument.Flow_freq;
-              Instrument.Flow_hw;
-              Instrument.Context_hw;
-              Instrument.Context_flow;
-            ])
+            Instrument.all_modes)
 
 let prop_strategies_agree =
   QCheck.Test.make
@@ -240,12 +234,7 @@ let prop_shard_profiles =
         (fun mode ->
           let s = Driver.prepare ~max_instructions:400_000_000 ~mode prog in
           ignore (Driver.run s);
-          let whole =
-            Profile_io.of_profile
-              ~program_hash:(Profile_io.program_hash prog)
-              ~mode:(Instrument.mode_name mode)
-              (Driver.path_profile s)
-          in
+          let whole = Driver.saved_profile s in
           (* Split every accumulator of every path into k parts; shards
              past the first drop paths they saw nothing of. *)
           let tables =
@@ -516,11 +505,7 @@ let observe_engine ~budget ~kind config prog =
         | (Instrument.Flow_freq | Instrument.Flow_hw
           | Instrument.Context_flow)
           when tag = "done" ->
-            Profile_io.to_string
-              (Profile_io.of_profile
-                 ~program_hash:(Profile_io.program_hash prog)
-                 ~mode:(Instrument.mode_name mode)
-                 (Driver.path_profile s))
+            Profile_io.to_string (Driver.saved_profile s)
         | _ -> ""
       in
       (tag, r, profile)
@@ -545,15 +530,7 @@ let prop_engines_agree =
         (fun config ->
           observe_engine ~budget ~kind:Engine.Interpreted config prog
           = observe_engine ~budget ~kind:Engine.Compiled config prog)
-        (None
-        :: List.map Option.some
-             [
-               Instrument.Edge_freq;
-               Instrument.Flow_freq;
-               Instrument.Flow_hw;
-               Instrument.Context_hw;
-               Instrument.Context_flow;
-             ]))
+        (None :: List.map Option.some Instrument.all_modes))
 
 let suite =
   [

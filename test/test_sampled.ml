@@ -57,11 +57,7 @@ let shard ?sampling ?(engine = Engine.default)
       ?sampling ~mode prog
   in
   ignore (Driver.run session);
-  Profile_io.of_profile
-    ~coverage:(Driver.coverage session)
-    ~program_hash:(Profile_io.program_hash prog)
-    ~mode:(Instrument.mode_name mode)
-    (Driver.path_profile session)
+  Driver.saved_profile session
 
 let shard_string ?sampling ?engine ?mode () =
   Profile_io.to_string (shard ?sampling ?engine ?mode ())
@@ -231,12 +227,7 @@ let test_forces_zero_threshold () =
   let with_default_opts = shard ~sampling:(Sampling.create ~duty:1.0 ~seed:0 ()) () in
   Alcotest.(check string) "options' array_threshold is overridden"
     (Profile_io.to_string with_default_opts)
-    (Profile_io.to_string
-       (Profile_io.of_profile
-          ~coverage:(Driver.coverage session)
-          ~program_hash:(Profile_io.program_hash prog)
-          ~mode:(Instrument.mode_name Instrument.Flow_hw)
-          (Driver.path_profile session)))
+    (Profile_io.to_string (Driver.saved_profile session))
 
 let suite =
   [

@@ -306,6 +306,24 @@ let test_e2e_rejects_incompatible () =
     (Some (merge_all_exn good))
     v.Serve.merged
 
+(* A drive client that fails before it sends must still resolve its
+   stream, or the aggregator waits for it forever. *)
+let test_drive_failed_client () =
+  let ok i () = shard i in
+  let v, failures =
+    Serve.drive ~socket:(temp_socket ())
+      [ ok 0; (fun () -> failwith "client died"); ok 1 ]
+      ()
+  in
+  Alcotest.(check int) "one client failed" 1 failures;
+  Alcotest.(check int) "the others accepted" 2 v.Serve.accepted;
+  Alcotest.(check int) "the failed stream rejected" 1 v.Serve.rejected;
+  Alcotest.(check bool) "degraded" true (Serve.degraded v);
+  Alcotest.(check (option saved_eq))
+    "the surviving streams merged"
+    (Some (merge_all_exn (shards 2)))
+    v.Serve.merged
+
 let test_degraded_predicate () =
   let base =
     {
@@ -351,6 +369,8 @@ let suite =
       test_e2e_salvages_corrupt_stream;
     Alcotest.test_case "e2e incompatible stream rejected, degraded" `Slow
       test_e2e_rejects_incompatible;
+    Alcotest.test_case "drive: a failed client resolves, degraded" `Slow
+      test_drive_failed_client;
     Alcotest.test_case "degraded verdict predicate" `Quick
       test_degraded_predicate;
   ]
