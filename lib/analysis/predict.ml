@@ -162,7 +162,7 @@ let fr_pic1 = -linkage_bytes + 16
 (* Mirrors Runtime.record_words. *)
 let record_words nsites = 2 + 3 + max 1 nsites
 
-(* Fetch micros of a stub's charge_fetches loop: [count] charges wrap
+(* Fetch micros of a stub's charge_fetches run: [count] charges wrap
    through the op's [slots] 4-byte code slots starting at [op_addr]. *)
 let stub_fetches ~geom_i ~op_addr ~slots emit ~certain ~count_lo ~count_hi =
   let line_of_slot i = Model.line_of geom_i (op_addr + (i mod slots * 4)) in

@@ -23,6 +23,15 @@ type t = {
   pseudo_end_of : int array;
   backedges : Digraph.edge list;
   is_backedge : bool array;  (* per cfg edge id *)
+  (* Step tables, per DAG vertex (a block's vertex is its label): the
+     targets of the vertex's real out-edges in out-edge order with their
+     Val, the Val of the first real ENTRY -> v and v -> EXIT edge (-1 =
+     none), and the backedges leaving v in edge-id order. *)
+  step_dst : int array array;
+  step_val : int array array;
+  entry_val : int array;
+  exit_val : int array;
+  back_from : Digraph.edge array array;
 }
 
 let unsupported fmt = Format.kasprintf (fun s -> raise (Unsupported s)) fmt
@@ -112,6 +121,34 @@ let build (cfg : Cfg.t) =
           acc := !acc + np.(e.dst))
         (Digraph.out_edges dag v))
     dag;
+  let nv = Digraph.num_vertices dag in
+  let real_out v =
+    List.filter
+      (fun (e : Digraph.edge) ->
+        match kinds.(e.id) with Real _ -> true | _ -> false)
+      (Digraph.out_edges dag v)
+    |> Array.of_list
+  in
+  let step_edges = Array.init nv real_out in
+  let step_dst =
+    Array.map (Array.map (fun (e : Digraph.edge) -> e.dst)) step_edges
+  in
+  let step_val =
+    Array.map (Array.map (fun (e : Digraph.edge) -> vals.(e.id))) step_edges
+  in
+  let first_val src dst =
+    let rec find i =
+      if i >= Array.length step_dst.(src) then -1
+      else if step_dst.(src).(i) = dst then step_val.(src).(i)
+      else find (i + 1)
+    in
+    find 0
+  in
+  let back_from =
+    Array.init nv (fun v ->
+        Array.of_list
+          (List.filter (fun (e : Digraph.edge) -> e.src = v) backedges))
+  in
   {
     cfg;
     dag;
@@ -123,6 +160,11 @@ let build (cfg : Cfg.t) =
     pseudo_end_of;
     backedges;
     is_backedge;
+    step_dst;
+    step_val;
+    entry_val = Array.init nv (fun v -> first_val cfg.entry v);
+    exit_val = Array.init nv (fun v -> first_val v cfg.exit);
+    back_from;
   }
 
 let cfg t = t.cfg
@@ -133,10 +175,18 @@ let backedges t = t.backedges
 let is_backedge t (e : Digraph.edge) =
   e.id < Array.length t.is_backedge && t.is_backedge.(e.id)
 
+let in_dag t v = v >= 0 && v < Array.length t.back_from
+
 let backedge_between t ~src ~dst =
-  List.find_opt
-    (fun (e : Digraph.edge) -> e.src = src && e.dst = dst)
-    t.backedges
+  if not (in_dag t src) then None
+  else
+    let from = t.back_from.(src) in
+    let rec find i =
+      if i >= Array.length from then None
+      else if from.(i).Digraph.dst = dst then Some from.(i)
+      else find (i + 1)
+    in
+    find 0
 
 let edge_val t (e : Digraph.edge) =
   if e.id >= Array.length t.is_backedge || t.dag_edge_of_cfg.(e.id) < 0 then
@@ -263,67 +313,62 @@ let index_of_sum p sum =
   done;
   !found
 
+(* {2 Steps} *)
+
+let step t ~src ~dst =
+  if not (in_dag t src) then -1
+  else
+    let dsts = t.step_dst.(src) in
+    let rec find i =
+      if i >= Array.length dsts then -1
+      else if dsts.(i) = dst then t.step_val.(src).(i)
+      else find (i + 1)
+    in
+    find 0
+
+let entry_step t source first =
+  match source with
+  | From_entry -> if in_dag t first then t.entry_val.(first) else -1
+  | After_backedge b ->
+      if is_backedge t b then
+        let ps = Digraph.edge t.dag t.pseudo_start_of.(b.id) in
+        if ps.dst = first then t.vals.(ps.id) else -1
+      else -1
+
+let exit_step t sink ~last =
+  match sink with
+  | To_exit -> if in_dag t last then t.exit_val.(last) else -1
+  | Into_backedge b ->
+      if is_backedge t b && b.src = last then t.vals.(t.pseudo_end_of.(b.id))
+      else -1
+
 let encode t path =
   let fail fmt =
     Format.kasprintf (fun s -> invalid_arg ("Ball_larus.encode: " ^ s)) fmt
   in
-  if path.blocks = [] then fail "empty path";
-  let first_block = List.hd path.blocks in
-  (* The first DAG step out of ENTRY: the real entry edge, or the pseudo
-     start edge of the backedge named by the source. *)
-  let first_edge =
-    let wanted (k : dag_edge_kind) =
-      match (path.source, k) with
-      | From_entry, Real _ -> true
-      | After_backedge b, Pseudo_start b' -> b.Digraph.id = b'.Digraph.id
-      | _ -> false
-    in
-    match
-      List.find_opt
-        (fun (e : Digraph.edge) ->
-          e.dst = first_block && wanted t.kinds.(e.id))
-        (Digraph.out_edges t.dag t.cfg.entry)
-    with
-    | Some e -> e
-    | None -> fail "no matching entry step to L%d" first_block
-  in
-  let step_between u w =
-    match
-      List.find_opt
-        (fun (e : Digraph.edge) ->
-          e.dst = w
-          && match t.kinds.(e.id) with Real _ -> true | _ -> false)
-        (Digraph.out_edges t.dag u)
-    with
-    | Some e -> e
-    | None -> fail "no CFG edge L%d -> L%d" u w
-  in
+  (* Steps are checked in path order, so the first missing one is named. *)
   let rec interior acc = function
-    | [] | [ _ ] -> List.rev acc
-    | u :: (w :: _ as rest) -> interior (step_between u w :: acc) rest
+    | u :: (w :: _ as rest) ->
+        let s = step t ~src:u ~dst:w in
+        if s < 0 then fail "no CFG edge L%d -> L%d" u w;
+        interior (acc + s) rest
+    | [ last ] -> (
+        let s = exit_step t path.sink ~last in
+        if s >= 0 then acc + s
+        else
+          match path.sink with
+          | To_exit -> fail "L%d does not return" last
+          | Into_backedge b when b.src <> last ->
+              fail "backedge source L%d does not end the path" b.src
+          | Into_backedge b -> fail "L%d -> L%d is not a backedge" b.src b.dst)
+    | [] -> fail "empty path"
   in
-  let last_block =
-    List.fold_left (fun _ b -> b) first_block path.blocks
-  in
-  let last_edge =
-    match path.sink with
-    | To_exit -> (
-        match
-          List.find_opt
-            (fun (e : Digraph.edge) ->
-              e.dst = t.cfg.exit
-              && match t.kinds.(e.id) with Real _ -> true | _ -> false)
-            (Digraph.out_edges t.dag last_block)
-        with
-        | Some e -> e
-        | None -> fail "L%d does not return" last_block)
-    | Into_backedge b ->
-        if b.Digraph.src <> last_block then
-          fail "backedge source L%d does not end the path" b.Digraph.src;
-        Digraph.edge t.dag t.pseudo_end_of.(b.Digraph.id)
-  in
-  let edges = (first_edge :: interior [] path.blocks) @ [ last_edge ] in
-  List.fold_left (fun acc (e : Digraph.edge) -> acc + t.vals.(e.id)) 0 edges
+  match path.blocks with
+  | [] -> fail "empty path"
+  | first :: _ ->
+      let s = entry_step t path.source first in
+      if s < 0 then fail "no matching entry step to L%d" first;
+      interior s path.blocks
 
 let pp_path ppf path =
   let pp_blocks ppf blocks =

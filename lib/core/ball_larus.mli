@@ -78,9 +78,34 @@ type path = {
     @raise Invalid_argument unless [0 <= sum < num_paths t]. *)
 val decode : t -> int -> path
 
-(** [encode t path] is the path sum; inverse of {!decode}.
-    @raise Invalid_argument if the path does not exist in the CFG. *)
+(** [encode t path] is the path sum; inverse of {!decode}.  It is the
+    sum of the path's {!entry_step}, its interior {!step}s and its
+    {!exit_step}.
+    @raise Invalid_argument naming the first missing step, in path
+    order, if the path does not exist in the CFG. *)
 val encode : t -> path -> int
+
+(** {2 Steps}
+
+    A path sum adds one value per step: entering the first block, each
+    block-to-block transition, and leaving the last block.  A runtime
+    observer can therefore accumulate a sum block by block instead of
+    encoding a finished path.  The lookups read tables built once by
+    {!build} and return [-1] when the step does not exist; when a CFG
+    has parallel edges between two blocks, the first in out-edge order
+    counts, as in {!encode}. *)
+
+(** The entry step to [first]: the real [ENTRY -> first] edge, or the
+    pseudo start edge of the source backedge, which must target
+    [first]. *)
+val entry_step : t -> source -> Pp_ir.Block.label -> int
+
+(** The real CFG edge [src -> dst]. *)
+val step : t -> src:Pp_ir.Block.label -> dst:Pp_ir.Block.label -> int
+
+(** The exit step from [last]: its real edge to EXIT, or the pseudo end
+    edge of the sink backedge, which must leave [last]. *)
+val exit_step : t -> sink -> last:Pp_ir.Block.label -> int
 
 val pp_path : Format.formatter -> path -> unit
 

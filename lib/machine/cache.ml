@@ -27,6 +27,7 @@ let create (g : Config.cache_geometry) =
   }
 
 let sets t = (t.set_mask + 1 : int)
+let line t addr = addr lsr t.line_shift
 
 let find t addr =
   let line = addr lsr t.line_shift in

@@ -30,6 +30,10 @@ val write_hot : t -> int -> bool
     One call per compiled block instead of one per probe. *)
 val read_many : t -> int array -> int -> int
 
+(** [line t addr] numbers the cache line holding [addr]: two addresses
+    share a line iff their [line]s are equal. *)
+val line : t -> int -> int
+
 (** [probe t addr] tests for presence without disturbing any state. *)
 val probe : t -> int -> bool
 

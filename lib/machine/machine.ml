@@ -42,6 +42,7 @@ let create config =
 
 let config t = t.config
 let counters t = t.counters
+let icache_probe t ~addr = Cache.probe t.icache addr
 let now t = t.cycles
 
 let spend t event n =
@@ -177,6 +178,34 @@ let store_hot t ~addr =
     t.cycles <- t.cycles + stall;
     badd tot ix_cycles stall;
     badd tot ix_sbstalls stall
+  end
+
+(* A run of [count] fetches inside a runtime stub of [slots] instruction
+   slots at [addr], wrapping like a loop inside it.  Nothing else touches
+   the icache during the run and nothing reads the clock, so it is
+   applied as bulk bumps plus one probe per change of line: a skipped
+   probe re-reads the line probed just before, which would hit and touch
+   a line that is already the most recent in its set — tags, relative
+   LRU order and the miss count match [count] calls of [fetch]. *)
+let fetch_run t ~addr ~slots ~count =
+  if count > 0 then begin
+    let tot = t.totals and ic = t.icache in
+    let nslots = max 1 slots in
+    let misses = ref 0 and last = ref (-1) in
+    for i = 0 to count - 1 do
+      let a = addr + (i mod nslots * 4) in
+      let line = Cache.line ic a in
+      if line <> !last then begin
+        last := line;
+        if not (Cache.read_hot ic a) then incr misses
+      end
+    done;
+    badd tot ix_insts count;
+    badd tot ix_icrefs count;
+    if !misses > 0 then badd tot ix_icmiss !misses;
+    let cy = count + (!misses * t.ic_pen) in
+    t.cycles <- t.cycles + cy;
+    badd tot ix_cycles cy
   end
 
 (* The whole-block fast form, for batched blocks whose events are only

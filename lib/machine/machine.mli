@@ -17,6 +17,10 @@ val counters : t -> Counters.t
 (** Current cycle count. *)
 val now : t -> int
 
+(** Whether the line holding code address [addr] is in the I-cache;
+    disturbs no state (see {!Cache.probe}). *)
+val icache_probe : t -> addr:int -> bool
+
 (** Fetch one instruction slot at a code address. *)
 val fetch : t -> addr:int -> unit
 
@@ -94,6 +98,15 @@ val block_step : t -> block_op array -> dyn:int array -> unit
     and cache state are bit-identical to the per-instruction calls. *)
 val block_bulk :
   t -> fetches:int -> leaders:int array -> dyn:int array -> nloads:int -> unit
+
+(** [fetch_run t ~addr ~slots ~count] is [count] instruction fetches at
+    [addr + (i mod max 1 slots) * 4] for [i = 0 .. count-1]: a runtime
+    stub's dynamic instruction charge, wrapping around inside the stub's
+    [slots]-slot footprint.  Counts are bumped in bulk and the icache is
+    probed once per change of line; counters, cycles and cache state are
+    bit-identical to the [count] separate {!fetch}es (see {!block_bulk}
+    for why the skipped repeat probes are exact). *)
+val fetch_run : t -> addr:int -> slots:int -> count:int -> unit
 
 (** A compiled block's terminator fetch.  [probe:false] elides the icache
     probe when the terminator shares its line with the block's last body

@@ -81,18 +81,32 @@ let apply_inject inj (c : Config.t) =
 
 (* Per-procedure structure the oracle navigates by: the Ball-Larus
    numbering (None = untracked), the original block count (labels below
-   it are original blocks) and the instrumented CFG's successor lists,
+   it are original blocks), the instrumented CFG's successor arrays,
    whose edge existence distinguishes an in-activation transition from
-   an equal-frame sibling call. *)
+   an equal-frame sibling call, and the per-path-sum statistics of the
+   procedure's closed windows. *)
 type pinfo = {
   bl : Ball_larus.t option;
   n_orig : int;
-  succ : Block.label list array;
+  succ : Block.label array array;
+  commits : (int, wstat) Hashtbl.t;
 }
 
+and wstat = {
+  mutable freq : int;
+  mutable tc : int;
+  mutable td : int;
+  mutable ti : int;
+  mutable ts : int;
+}
+
+(* A window accumulates its path sum step by step as its original blocks
+   are probed; [wsum] turns -1 at the first missing step, and the close
+   then re-encodes [brev] to word the anomaly. *)
 type window = {
   wsrc : Ball_larus.source;
   mutable brev : Block.label list;  (* original labels, reversed *)
+  mutable wsum : int;
   mutable wc : int;  (* cycles *)
   mutable wd : int;  (* combined D-cache misses *)
   mutable wi : int;  (* I-cache misses *)
@@ -107,18 +121,29 @@ type activation = {
   mutable win : window option;
 }
 
-type wstat = {
-  mutable freq : int;
-  mutable tc : int;
-  mutable td : int;
-  mutable ti : int;
-  mutable ts : int;
-}
+let untracked =
+  { bl = None; n_orig = 0; succ = [||]; commits = Hashtbl.create 1 }
 
-let fresh_window wsrc brev = { wsrc; brev; wc = 0; wd = 0; wi = 0; ws = 0 }
+let fresh_window wsrc =
+  { wsrc; brev = []; wsum = 0; wc = 0; wd = 0; wi = 0; ws = 0 }
+
+(* Append original block [label] to the window, adding its step. *)
+let extend bl w label =
+  let step =
+    match w.brev with
+    | [] -> Ball_larus.entry_step bl w.wsrc label
+    | prev :: _ -> Ball_larus.step bl ~src:prev ~dst:label
+  in
+  w.wsum <- (if w.wsum < 0 || step < 0 then -1 else w.wsum + step);
+  w.brev <- label :: w.brev
 
 let edge_exists info a b =
-  a >= 0 && a < Array.length info.succ && List.mem b info.succ.(a)
+  a >= 0
+  && a < Array.length info.succ
+  &&
+  let succ = info.succ.(a) in
+  let rec mem i = i < Array.length succ && (succ.(i) = b || mem (i + 1)) in
+  mem 0
 
 let ixc = Counters.ix Event.Cycles
 let ixd = Counters.ix Event.Dcache_misses
@@ -128,7 +153,6 @@ let ixb = Counters.ix Event.Store_buffer_stalls
 let ixf = Counters.ix Event.Fp_stalls
 
 type oracle = {
-  commits : (string * int, wstat) Hashtbl.t;
   mutable anomalies : string list;
   mutable stack : activation list;
   totals : int array;  (* the live counter array *)
@@ -160,41 +184,46 @@ let flush_delta o =
   o.li <- i;
   o.ls <- s
 
+let commit info w sum =
+  let st =
+    match Hashtbl.find_opt info.commits sum with
+    | Some st -> st
+    | None ->
+        let st = { freq = 0; tc = 0; td = 0; ti = 0; ts = 0 } in
+        Hashtbl.add info.commits sum st;
+        st
+  in
+  st.freq <- st.freq + 1;
+  st.tc <- st.tc + w.wc;
+  st.td <- st.td + w.wd;
+  st.ti <- st.ti + w.wi;
+  st.ts <- st.ts + w.ws
+
 let close o act sink =
   match act.win with
   | None -> ()
   | Some w -> (
       act.win <- None;
-      match act.info.bl with
-      | None -> ()
-      | Some bl -> (
-          match List.rev w.brev with
-          | [] ->
-              if w.wc <> 0 || w.wd <> 0 || w.wi <> 0 || w.ws <> 0 then
+      match (act.info.bl, w.brev) with
+      | None, _ -> ()
+      | Some _, [] ->
+          if w.wc <> 0 || w.wd <> 0 || w.wi <> 0 || w.ws <> 0 then
+            anomaly o
+              (Printf.sprintf "%s: counter deltas in a window with no blocks"
+                 act.aproc)
+      | Some bl, last :: _ -> (
+          let exit = Ball_larus.exit_step bl sink ~last in
+          if w.wsum >= 0 && exit >= 0 then commit act.info w (w.wsum + exit)
+          else
+            let path =
+              { Ball_larus.source = w.wsrc; blocks = List.rev w.brev; sink }
+            in
+            match Ball_larus.encode bl path with
+            | sum -> commit act.info w sum
+            | exception Invalid_argument msg ->
                 anomaly o
-                  (Printf.sprintf "%s: counter deltas in a window with no blocks"
-                     act.aproc)
-          | blocks -> (
-              let path = { Ball_larus.source = w.wsrc; blocks; sink } in
-              match Ball_larus.encode bl path with
-              | sum ->
-                  let st =
-                    match Hashtbl.find_opt o.commits (act.aproc, sum) with
-                    | Some st -> st
-                    | None ->
-                        let st = { freq = 0; tc = 0; td = 0; ti = 0; ts = 0 } in
-                        Hashtbl.add o.commits (act.aproc, sum) st;
-                        st
-                  in
-                  st.freq <- st.freq + 1;
-                  st.tc <- st.tc + w.wc;
-                  st.td <- st.td + w.wd;
-                  st.ti <- st.ti + w.wi;
-                  st.ts <- st.ts + w.ws
-              | exception Invalid_argument msg ->
-                  anomaly o
-                    (Format.asprintf "%s: unencodable measured window %a (%s)"
-                       act.aproc Ball_larus.pp_path path msg))))
+                  (Format.asprintf "%s: unencodable measured window %a (%s)"
+                     act.aproc Ball_larus.pp_path path msg)))
 
 let probe o ~proc ~label ~frame ~iregs:_ =
   flush_delta o;
@@ -216,18 +245,19 @@ let probe o ~proc ~label ~frame ~iregs:_ =
       (* In-activation transition. *)
       a.last <- label;
       if label < a.info.n_orig then (
-        match a.win with
-        | Some w -> (
-            match (w.brev, a.info.bl) with
-            | prev :: _, Some bl -> (
+        match (a.win, a.info.bl) with
+        | Some w, Some bl -> (
+            match w.brev with
+            | prev :: _ -> (
                 match Ball_larus.backedge_between bl ~src:prev ~dst:label with
                 | Some e ->
                     close o a (Ball_larus.Into_backedge e);
-                    a.win <-
-                      Some (fresh_window (Ball_larus.After_backedge e) [ label ])
-                | None -> w.brev <- label :: w.brev)
-            | _, _ -> w.brev <- label :: w.brev)
-        | None -> ())
+                    let next = fresh_window (Ball_larus.After_backedge e) in
+                    extend bl next label;
+                    a.win <- Some next
+                | None -> extend bl w label)
+            | [] -> extend bl w label)
+        | _ -> ())
   | _ ->
       (* New activation; an equal-frame top is a finished sibling. *)
       (match o.stack with
@@ -238,15 +268,15 @@ let probe o ~proc ~label ~frame ~iregs:_ =
       let info =
         match Hashtbl.find_opt o.pinfos proc with
         | Some i -> i
-        | None -> { bl = None; n_orig = 0; succ = [||] }
+        | None -> untracked
       in
       let win =
         match info.bl with
         | None -> None
-        | Some _ ->
-            Some
-              (fresh_window Ball_larus.From_entry
-                 (if label < info.n_orig then [ label ] else []))
+        | Some bl ->
+            let w = fresh_window Ball_larus.From_entry in
+            if label < info.n_orig then extend bl w label;
+            Some w
       in
       o.stack <- { aframe = frame; aproc = proc; info; last = label; win } :: o.stack
 
@@ -295,14 +325,15 @@ let worst a b =
   | Vacuous, _ | _, Vacuous -> Vacuous
   | Confirmed, Confirmed -> Confirmed
 
-let rows_of_commits t ~vacuous_slack commits =
+let rows_of_commits t ~vacuous_slack pinfos =
   List.concat_map
     (fun proc ->
       let measured =
-        Hashtbl.fold
-          (fun (p, sum) st acc -> if String.equal p proc then (sum, st) :: acc else acc)
-          commits []
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
+        match Hashtbl.find_opt pinfos proc with
+        | None -> []
+        | Some info ->
+            Hashtbl.fold (fun sum st acc -> (sum, st) :: acc) info.commits []
+            |> List.sort (fun (a, _) (b, _) -> compare a b)
       in
       if measured = [] then []
       else
@@ -387,14 +418,20 @@ let run ?options ?(config = Config.default) ?inject ?engine ?budget
         | Some op -> Proc.num_blocks op
         | None -> 0
       in
-      let succ = Array.map Block.successors ip.blocks in
+      let succ =
+        Array.map (fun b -> Array.of_list (Block.successors b)) ip.blocks
+      in
       Hashtbl.add pinfos ip.name
-        { bl = Predict.numbering t ip.name; n_orig; succ })
+        {
+          bl = Predict.numbering t ip.name;
+          n_orig;
+          succ;
+          commits = Hashtbl.create 64;
+        })
     session.instrumented.procs;
   let totals = Counters.raw_totals (Machine.counters (Interp.machine session.vm)) in
   let o =
     {
-      commits = Hashtbl.create 64;
       anomalies = [];
       stack = [];
       totals;
@@ -413,7 +450,7 @@ let run ?options ?(config = Config.default) ?inject ?engine ?budget
     | exception Interp.Trap _ -> true
   in
   finish o ~trapped;
-  let rows = rows_of_commits t ~vacuous_slack o.commits in
+  let rows = rows_of_commits t ~vacuous_slack pinfos in
   let count v = List.length (List.filter (fun r -> r.rverdict = v) rows) in
   let slacks =
     List.concat_map
@@ -439,7 +476,10 @@ let run ?options ?(config = Config.default) ?inject ?engine ?budget
     engine = Engine.kind session.engine;
     injected = Option.map inject_name inject;
     rows;
-    windows = Hashtbl.fold (fun _ st n -> n + st.freq) o.commits 0;
+    windows =
+      Hashtbl.fold
+        (fun _ info n -> Hashtbl.fold (fun _ st n -> n + st.freq) info.commits n)
+        pinfos 0;
     anomalies = List.rev o.anomalies;
     trapped;
     confirmed = count Confirmed;

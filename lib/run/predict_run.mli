@@ -22,10 +22,13 @@
       opens the next ([After_backedge]), mirroring where the
       instrumenter commits path sums.
 
-    A window's path is re-encoded with {!Pp_core.Ball_larus.encode};
-    any failure to encode is an {e anomaly} (a soundness bug), reported
-    and reflected in the exit code.  A trapped run discards open
-    windows and keeps the closed ones.
+    A window accumulates its Ball–Larus path sum step by step
+    ({!Pp_core.Ball_larus.entry_step}, {!Pp_core.Ball_larus.step},
+    {!Pp_core.Ball_larus.exit_step}) as its original blocks are probed.
+    A missing step is an {e anomaly} (a soundness bug): the window's
+    recorded path is re-encoded with {!Pp_core.Ball_larus.encode} to
+    word it, and it is reported and reflected in the exit code.  A
+    trapped run discards open windows and keeps the closed ones.
 
     {b Verdicts.}  For a path measured [freq] times with summed delta
     [m] on a metric, the certified interval is

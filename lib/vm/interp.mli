@@ -106,10 +106,12 @@ val sampling : t -> Sampling.t option
     Invoked on every block entry with the executing procedure, block
     label, the activation's frame base ([fp] plus linkage, i.e. the
     address [Frameaddr r, 0] would produce) and the {e live} integer
-    register array (do not mutate).  The abstract-interpretation
-    soundness oracle uses it to check VM-observed register values against
-    derived intervals.  Off by default: an un-probed run takes one [None]
-    branch per block and is otherwise unchanged. *)
+    register array (do not mutate).  Two oracles use it: the
+    abstract-interpretation soundness oracle checks VM-observed register
+    values against derived intervals, and the [pp predict] measurement
+    oracle ([Pp_run.Predict_run]) attributes counter deltas to
+    Ball–Larus path windows.  Off by default: an un-probed run takes one
+    [None] branch per block and is otherwise unchanged. *)
 val set_block_probe :
   t ->
   (proc:string -> label:Pp_ir.Block.label -> frame:int -> iregs:int array ->

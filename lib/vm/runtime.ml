@@ -76,16 +76,13 @@ let create ?(merge_call_sites = false) ~machine ~memory:_ ~prof_base () =
 
 let alloc t words = alloc_from t.cursor words
 
+(* Dynamic instruction charges execute within the stub's code footprint,
+   wrapping around like a loop inside it. *)
 let charge_fetches t ~op_addr ~slots ~count =
-  (* Dynamic instruction charges execute within the stub's code footprint,
-     wrapping around like a loop inside it. *)
-  let nslots = max 1 slots in
-  for i = 0 to count - 1 do
-    Machine.fetch t.machine ~addr:(op_addr + (i mod nslots * 4))
-  done
+  Machine.fetch_run t.machine ~addr:op_addr ~slots ~count
 
-let load t addr = Machine.load t.machine ~addr
-let store t addr = Machine.store t.machine ~addr
+let load t addr = Machine.load_hot t.machine ~addr
+let store t addr = Machine.store_hot t.machine ~addr
 
 let register_hash_table t ~table ~proc =
   let nbuckets = 4096 in

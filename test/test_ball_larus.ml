@@ -293,6 +293,113 @@ let prop_distinct_paths =
       done;
       !ok)
 
+(* Stepping a path through the step tables in path order, block by
+   block as the [pp predict] oracle does: [Ok sum], or [Error] with the
+   message [encode] gives for the first missing step. *)
+let step_through t (p : Ball_larus.path) =
+  let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
+  let rec go acc = function
+    | u :: (w :: _ as rest) ->
+        let s = Ball_larus.step t ~src:u ~dst:w in
+        if s < 0 then err "no CFG edge L%d -> L%d" u w else go (acc + s) rest
+    | [ last ] -> (
+        let s = Ball_larus.exit_step t p.sink ~last in
+        if s >= 0 then Ok (acc + s)
+        else
+          match p.sink with
+          | Ball_larus.To_exit -> err "L%d does not return" last
+          | Ball_larus.Into_backedge b when b.src <> last ->
+              err "backedge source L%d does not end the path" b.src
+          | Ball_larus.Into_backedge b ->
+              err "L%d -> L%d is not a backedge" b.src b.dst)
+    | [] -> err "empty path"
+  in
+  match p.blocks with
+  | [] -> err "empty path"
+  | first :: _ ->
+      let s = Ball_larus.entry_step t p.source first in
+      if s < 0 then err "no matching entry step to L%d" first
+      else go s p.blocks
+
+let encode_result t p =
+  let prefix = "Ball_larus.encode: " in
+  match Ball_larus.encode t p with
+  | sum -> Ok sum
+  | exception Invalid_argument msg
+    when String.length msg >= String.length prefix
+         && String.sub msg 0 (String.length prefix) = prefix ->
+      Error
+        (String.sub msg (String.length prefix)
+           (String.length msg - String.length prefix))
+
+let random_numbering seed n =
+  let proc =
+    if seed mod 2 = 0 then Fixtures.random_dag_proc ~seed ~n
+    else Fixtures.random_cyclic_proc ~seed ~n
+  in
+  Ball_larus.build (Cfg.of_proc proc)
+
+let prop_steps_sum_to_decoded =
+  QCheck.Test.make ~name:"step tables sum every decoded path to its sum"
+    ~count:60
+    QCheck.(pair (int_range 0 10_000) (int_range 2 10))
+    (fun (seed, n) ->
+      let t = random_numbering seed n in
+      let np = Ball_larus.num_paths t in
+      let stride = max 1 (np / 2000) in
+      let sum = ref 0 in
+      while !sum < np do
+        (match step_through t (Ball_larus.decode t !sum) with
+        | Ok s when s = !sum -> ()
+        | Ok s -> QCheck.Test.fail_reportf "sum %d stepped to %d" !sum s
+        | Error msg -> QCheck.Test.fail_reportf "sum %d: %s" !sum msg);
+        sum := !sum + stride
+      done;
+      true)
+
+(* One dropped, swapped or foreign block: the step tables and [encode]
+   must reject the same paths, naming the same first missing step. *)
+let prop_mutated_paths_fail_like_encode =
+  QCheck.Test.make
+    ~name:"mutated paths fail in the step tables exactly as in encode"
+    ~count:60
+    QCheck.(pair (int_range 0 10_000) (int_range 2 10))
+    (fun (seed, n) ->
+      let rng = Random.State.make [| seed; 41 |] in
+      let t = random_numbering seed n in
+      let nv = Pp_graph.Digraph.num_vertices (Ball_larus.cfg t).graph in
+      let np = Ball_larus.num_paths t in
+      let rejected = ref 0 in
+      for _ = 1 to 40 do
+        let p = Ball_larus.decode t (Random.State.int rng np) in
+        let blocks = Array.of_list p.blocks in
+        let len = Array.length blocks in
+        let i = Random.State.int rng len in
+        let mutated =
+          match Random.State.int rng 3 with
+          | 0 -> List.filteri (fun j _ -> j <> i) p.blocks
+          | 1 when len >= 2 ->
+              let j = if i + 1 < len then i + 1 else i - 1 in
+              let b = Array.copy blocks in
+              b.(i) <- blocks.(j);
+              b.(j) <- blocks.(i);
+              Array.to_list b
+          | _ ->
+              List.mapi
+                (fun j l -> if j = i then nv + Random.State.int rng 5 else l)
+                p.blocks
+        in
+        let p = { p with blocks = mutated } in
+        let stepped = step_through t p and encoded = encode_result t p in
+        if Result.is_error encoded then incr rejected;
+        if stepped <> encoded then
+          QCheck.Test.fail_reportf "%a: steps %s, encode %s" Ball_larus.pp_path
+            p
+            (match stepped with Ok s -> string_of_int s | Error m -> m)
+            (match encoded with Ok s -> string_of_int s | Error m -> m)
+      done;
+      !rejected > 0)
+
 (* A chain of k independent diamonds multiplies path counts: 2^k. *)
 let diamond_chain k =
   let open Pp_ir in
@@ -389,4 +496,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_cyclic_roundtrip;
     QCheck_alcotest.to_alcotest prop_placements_agree;
     QCheck_alcotest.to_alcotest prop_distinct_paths;
+    QCheck_alcotest.to_alcotest prop_steps_sum_to_decoded;
+    QCheck_alcotest.to_alcotest prop_mutated_paths_fail_like_encode;
   ]

@@ -454,6 +454,74 @@ let prop_read_many_equals_reads =
         QCheck.Test.fail_reportf "read_many diverged at assoc %d" assoc;
       true)
 
+(* A runtime stub charges [count] fetches wrapping inside its [slots]
+   slots as one [fetch_run]: it must match the separate fetches in every
+   counter, the clock and the icache contents, from a warmed cache, on
+   every geometry the runtime can meet — including 1-byte lines (every
+   slot its own line) and the halved-line geometry of
+   [pp predict --inject icache]. *)
+
+let fetch_run_geometries =
+  let g size_bytes line_bytes associativity =
+    { Config.size_bytes; line_bytes; associativity }
+  in
+  [|
+    g 512 32 1;
+    Config.default.Config.icache;
+    g 1024 16 4;
+    g 2048 32 8;
+    g 64 1 1;
+    g 128 1 4;
+    (Pp_run.Predict_run.apply_inject Pp_run.Predict_run.Icache_line
+       Config.default)
+      .Config.icache;
+  |]
+
+let prop_fetch_run_equals_fetches =
+  QCheck.Test.make ~count:300
+    ~name:"fetch_run == count separate fetches (all icache geometries)"
+    QCheck.(
+      quad (int_range 0 10_000)
+        (int_range 0 (Array.length fetch_run_geometries - 1))
+        (int_range 1 20) (int_range 0 60))
+    (fun (seed, gi, slots, count) ->
+      let rng = Random.State.make [| seed; 31 |] in
+      let config =
+        { Config.default with Config.icache = fetch_run_geometries.(gi) }
+      in
+      let slow = Machine.create config and fast = Machine.create config in
+      let span = 4096 in
+      let random_fetches () =
+        for _ = 1 to 40 do
+          let a = 4 * Random.State.int rng (span / 4) in
+          Machine.fetch slow ~addr:a;
+          Machine.fetch fast ~addr:a
+        done
+      in
+      random_fetches ();
+      let addr = 4 * Random.State.int rng (span / 4) in
+      for i = 0 to count - 1 do
+        Machine.fetch slow ~addr:(addr + (i mod slots * 4))
+      done;
+      Machine.fetch_run fast ~addr ~slots ~count;
+      let same_lines () =
+        let ok = ref true in
+        for a = 0 to (span / 4) + slots do
+          let a = 4 * a in
+          let held m = Machine.icache_probe m ~addr:a in
+          if held slow <> held fast then ok := false
+        done;
+        !ok
+      in
+      let after_run = snapshot slow = snapshot fast && same_lines () in
+      (* Later fetches expose any divergence in LRU order. *)
+      random_fetches ();
+      if not (after_run && snapshot slow = snapshot fast && same_lines ()) then
+        QCheck.Test.fail_reportf
+          "geometry %d, slots %d, count %d diverged:@.slow %s@.fast %s" gi slots
+          count (snapshot slow) (snapshot fast);
+      true)
+
 let contains ~needle msg =
   let n = String.length needle and m = String.length msg in
   let rec go i = i + n <= m && (String.sub msg i n = needle || go (i + 1)) in
@@ -520,4 +588,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_cache_miss_count_matches_reference;
     QCheck_alcotest.to_alcotest prop_batched_equals_slow;
     QCheck_alcotest.to_alcotest prop_read_many_equals_reads;
+    QCheck_alcotest.to_alcotest prop_fetch_run_equals_fetches;
   ]
