@@ -318,11 +318,12 @@ let fp_frame t ~nregs =
   Fp_unit.ensure t.fp ~nregs;
   Fp_unit.clear t.fp
 
-(* Static event totals of an ordered block, applied in one call: counters
-   are only read at block boundaries (the epilogue's budget check and
-   telemetry; PIC reads live in the precise tier), so the fixed per-event
-   bumps commute with the ordered probe walk below even though the clock
-   does not. *)
+(* Static event totals of an ordered block or segment, applied in one
+   call: counters are only read at block boundaries (the epilogue's
+   budget check and telemetry) and by observers (calls, runtime stubs,
+   PIC access), and the compiled tier flushes a segment before every
+   observer, so the fixed per-event bumps commute with the ordered probe
+   walk below even though the clock does not. *)
 let block_static t ~insts ~loads ~stores ~fpops =
   let tot = t.totals in
   badd tot ix_insts insts;

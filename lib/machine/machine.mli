@@ -77,9 +77,11 @@ type block_op =
   | Bfp_define of int
 
 (** [block_static t ~insts ~loads ~stores ~fpops] applies an ordered
-    block's fixed event-count bumps in one call.  Counters are only read
-    at block boundaries, so these bumps commute with the probe walk of
-    {!block_step} even though the clock does not. *)
+    block's (or segment's) fixed event-count bumps in one call.  Counters
+    are only read at block boundaries and by observers, which the
+    compiled tier runs only after flushing the segment before them, so
+    these bumps commute with the probe walk of {!block_step} even though
+    the clock does not. *)
 val block_static :
   t -> insts:int -> loads:int -> stores:int -> fpops:int -> unit
 

@@ -10,14 +10,18 @@
    replays the block's event sequence in original order (fetch runs
    fused, clock-sensitive events individual).
 
-   Blocks that can observe or perturb mid-block machine state — calls,
-   profiling pseudo-ops, PIC reads/writes — are compiled on a precise
-   tier instead: per-instruction closures that report events inline,
-   exactly like the interpreter.  A batched block that traps (division by
-   zero, memory fault, float conversion, unresolved symbol) replays the
-   machine events of the completed prefix plus the faulting instruction's
-   pre-trap events before re-raising, so counters, cycles and [Trap]
-   messages stay bit-identical to {!Interp.run}.
+   Instructions that observe or perturb mid-block machine state — calls,
+   profiling pseudo-ops, PIC reads/writes — are observers.  They split a
+   block into segments, maximal runs of batchable instructions, each
+   batched like a whole block and flushed before the next observer runs
+   on the precise tier (one closure reporting its events inline, exactly
+   like the interpreter), so counters are current whenever an observer
+   reads them.  A segment that traps (division by zero, memory fault,
+   float conversion, unresolved symbol) replays the machine events of its
+   completed prefix plus the faulting instruction's pre-trap events
+   before re-raising, so counters, cycles and [Trap] messages stay
+   bit-identical to {!Interp.run}.  Only a block whose register operands
+   fail the compile-time range check runs wholly on the precise tier.
 
    The compiler executes against the interpreter's own state ([Interp.t]
    images, memory, machine, runtime, hooks), which is what makes the two
@@ -115,11 +119,11 @@ let do_call st (cprocs : cproc array) ~callee_idx ~(fr : frame) ~args_a
   | I.Rint _, (Vfloat _ | Vvoid) | I.Rfloat _, (Vint _ | Vvoid) ->
       Interp.trap "call return kind mismatch"
 
-(* An instruction forces the precise tier when its execution can observe
-   or perturb machine state mid-block: calls (the callee fetches, loads
-   and stalls between this block's events), profiling pseudo-ops (the
-   runtime interleaves its own charged fetches/loads/stores and reads the
-   PICs), and direct PIC access. *)
+(* An observer runs on the precise tier, after the segment before it has
+   flushed its events: calls (the callee fetches, loads and stalls
+   between this block's events), profiling pseudo-ops (the runtime
+   interleaves its own charged fetches/loads/stores and reads the PICs),
+   and direct PIC access. *)
 let needs_precise = function
   | I.Call _ | I.Callind _ | I.Prof _ | I.Hwread _ | I.Hwzero | I.Hwwrite _
     ->
@@ -761,6 +765,185 @@ let fuse (fs : (frame -> unit) array) : frame -> unit =
   chain 0
 
 (* ------------------------------------------------------------------ *)
+(* Segments.                                                           *)
+
+(* How a segment's machine events are applied after its semantic
+   closures have run, chosen at compile time. *)
+type flush =
+  | Bulk of { leaders : int array; nloads : int }
+      (* only fetches and integer loads: one [Machine.block_bulk] *)
+  | Ordered of {
+      ops : Machine.block_op array;
+      loads : int;
+      stores : int;
+      fpops : int;
+    }
+      (* [Machine.block_static] for the fixed counts, then
+         [Machine.block_step] for probes, stalls and the clock *)
+
+(* A maximal run of batchable instructions, compiled for batched
+   execution.  [replay upto] reports the machine events of instructions
+   [0..upto] individually, after a trap at [upto]. *)
+type segment = {
+  body : frame -> unit;
+  insts : int;
+  dyn : int array;
+  flush : flush;
+  replay : int -> unit;
+}
+
+(* Batch a run of instructions holding no observer.  Indices are local
+   to the run: [trap_ix], [dyn] slots and fetch leaders all start at 0,
+   and the first fetch always probes — the instruction before the run,
+   if any, may have been a call or a runtime stub that touched the
+   icache. *)
+let batch_segment st ~line_bytes (code : I.t array) (addrs : int array) =
+  let mach = Interp.machine st in
+  let n = Array.length code in
+  let nmem =
+    Array.fold_left
+      (fun acc i ->
+        match i with
+        | I.Load _ | I.Store _ | I.Fload _ | I.Fstore _ -> acc + 1
+        | _ -> acc)
+      0 code
+  in
+  let dyn = Array.make (max nmem 1) 0 in
+  let slots = Array.make (max n 1) (-1) in
+  let ops_rev = ref [] in
+  let pend_count = ref 0 in
+  let pend_leaders_rev = ref [] in
+  (* [last_line] persists across fetch runs: only fetches touch the
+     icache inside a segment, so a line probed by an earlier run is still
+     the most recent in its set when a later run re-fetches it — each
+     distinct line is probed exactly once per segment execution. *)
+  let last_line = ref min_int in
+  let push_fetch addr =
+    let line = addr / line_bytes in
+    if line <> !last_line then pend_leaders_rev := addr :: !pend_leaders_rev;
+    last_line := line;
+    incr pend_count
+  in
+  let flush_fetches () =
+    if !pend_count > 0 then begin
+      ops_rev :=
+        Machine.Bfetch
+          {
+            count = !pend_count;
+            leaders = Array.of_list (List.rev !pend_leaders_rev);
+          }
+        :: !ops_rev;
+      pend_count := 0;
+      pend_leaders_rev := []
+    end
+  in
+  let emit op =
+    flush_fetches ();
+    ops_rev := op :: !ops_rev
+  in
+  let next_slot = ref 0 in
+  let sems =
+    Array.mapi
+      (fun k instr ->
+        push_fetch addrs.(k);
+        let slot =
+          match instr with
+          | I.Load _ | I.Store _ | I.Fload _ | I.Fstore _ ->
+              let s = !next_slot in
+              incr next_slot;
+              slots.(k) <- s;
+              s
+          | _ -> -1
+        in
+        (* Event ops of this instruction, in the interpreter's order. *)
+        (match instr with
+        | I.Fconst (fd, _) | I.Itof (fd, _) -> emit (Machine.Bfp_define fd)
+        | I.Fmov (fd, fs) ->
+            emit (Machine.Bfp_use fs);
+            emit (Machine.Bfp_define fd)
+        | I.Fbinop (op, fd, fs1, fs2) ->
+            emit
+              (Machine.Bfp_issue
+                 { cls = Interp.fp_class op; dst = fd; s1 = fs1; s2 = fs2 })
+        | I.Fcmp (_, _, fs1, fs2) ->
+            emit (Machine.Bfp_use fs1);
+            emit (Machine.Bfp_use fs2)
+        | I.Ftoi (_, fs) -> emit (Machine.Bfp_use fs)
+        | I.Load _ -> emit (Machine.Bload slot)
+        | I.Fload (fd, _, _) ->
+            emit (Machine.Bload slot);
+            emit (Machine.Bfp_define fd)
+        | I.Store _ -> emit (Machine.Bstore slot)
+        | I.Fstore (fs, _, _) ->
+            emit (Machine.Bfp_use fs);
+            emit (Machine.Bstore slot)
+        | I.Print_float f -> emit (Machine.Bfp_use f)
+        | _ -> ());
+        batch_sem st ~k ~slot ~dyn instr)
+      code
+  in
+  flush_fetches ();
+  let ops = Array.of_list (List.rev !ops_rev) in
+  let replay upto =
+    for j = 0 to upto do
+      Machine.fetch mach ~addr:addrs.(j);
+      replay_instr mach ~dyn ~slots ~faulting:(j = upto) j code.(j)
+    done
+  in
+  (* Segments whose events are only fetches and integer loads take the
+     bulk form: one [Machine.block_bulk] call instead of an op-list walk.
+     ([Fload] emits an FP define, so any segment on this path has [dyn]
+     slots 0..nmem-1 holding plain loads in order.) *)
+  let bulk_ok =
+    Array.for_all
+      (function Machine.Bfetch _ | Machine.Bload _ -> true | _ -> false)
+      ops
+  in
+  let flush =
+    if bulk_ok then
+      let leaders =
+        Array.concat
+          (List.filter_map
+             (function
+               | Machine.Bfetch { leaders; _ } -> Some leaders | _ -> None)
+             (Array.to_list ops))
+      in
+      Bulk { leaders; nloads = nmem }
+    else
+      let count p =
+        Array.fold_left (fun c op -> if p op then c + 1 else c) 0 ops
+      in
+      Ordered
+        {
+          ops;
+          loads = count (function Machine.Bload _ -> true | _ -> false);
+          stores = count (function Machine.Bstore _ -> true | _ -> false);
+          fpops = count (function Machine.Bfp_issue _ -> true | _ -> false);
+        }
+  in
+  { body = fuse sems; insts = n; dyn; flush; replay }
+
+(* A segment as one closure: semantics (replaying the completed prefix's
+   events on a trap), then its event flush. *)
+let segment_step mach { body; insts; dyn; flush; replay } : frame -> unit =
+  match flush with
+  | Bulk { leaders; nloads } ->
+      fun fr ->
+        (try body fr
+         with e ->
+           replay fr.trap_ix;
+           raise e);
+        Machine.block_bulk mach ~fetches:insts ~leaders ~dyn ~nloads
+  | Ordered { ops; loads; stores; fpops } ->
+      fun fr ->
+        (try body fr
+         with e ->
+           replay fr.trap_ix;
+           raise e);
+        Machine.block_static mach ~insts ~loads ~stores ~fpops;
+        Machine.block_step mach ops ~dyn
+
+(* ------------------------------------------------------------------ *)
 (* Block compilation.                                                  *)
 
 let compile_block st (cprocs : cproc array) (cp : cproc) label =
@@ -802,7 +985,7 @@ let compile_block st (cprocs : cproc array) (cp : cproc) label =
   in
   (* Batched sems access registers unchecked, so the batch tier also
      requires every operand index verified in range here; a block of an
-     invalid (unvalidated) program falls back to the bounds-checked
+     invalid (unvalidated) program runs wholly on the bounds-checked
      precise tier, which fails exactly like the interpreter. *)
   let regs_ok =
     Array.for_all
@@ -815,188 +998,100 @@ let compile_block st (cprocs : cproc array) (cp : cproc) label =
              (I.fdefs i @ I.fuses i))
       code
   in
-  if Array.exists needs_precise code || not regs_ok then begin
-    let steps =
-      Array.mapi
-        (fun k instr -> precise_step st cprocs ~pname ~addr:addrs.(k) instr)
-        code
+  let precise i = needs_precise i || not regs_ok in
+  let line_bytes =
+    (Machine.config mach).Pp_machine.Config.icache.Pp_machine.Config.line_bytes
+  in
+  (* The terminator's icache probe is elided when it shares a line with
+     the last body fetch and nothing in between touches the icache.  A
+     call's callee and a runtime stub fetch their own code, so a block
+     ending in one always probes. *)
+  let term_probe =
+    n = 0
+    || addrs.(n - 1) / line_bytes <> taddr / line_bytes
+    ||
+    match code.(n - 1) with
+    | I.Call _ | I.Callind _ | I.Prof _ -> true
+    | _ -> false
+  in
+  if Array.exists precise code then begin
+    (* Observers split the block into segments.  Each segment flushes its
+       events before the next observer runs precisely, so PICs, counter
+       totals and the clock are current when it reads them. *)
+    let pieces = ref [] and lo = ref 0 in
+    let close_segment hi =
+      if hi > !lo then
+        pieces :=
+          segment_step mach
+            (batch_segment st ~line_bytes
+               (Array.sub code !lo (hi - !lo))
+               (Array.sub addrs !lo (hi - !lo)))
+          :: !pieces
     in
-    let body = fuse steps in
+    Array.iteri
+      (fun k instr ->
+        if precise instr then begin
+          close_segment k;
+          pieces :=
+            precise_step st cprocs ~pname ~addr:addrs.(k) instr :: !pieces;
+          lo := k + 1
+        end)
+      code;
+    close_segment n;
+    let body = fuse (Array.of_list (List.rev !pieces)) in
     fun fr ->
       if h.Interp.hooks then
         Interp.block_entered st ~proc:pname ~label ~fp:fr.fp ~iregs:fr.iregs;
       body fr;
       if h.Interp.hooks || Array.unsafe_get tot ix_insts > maxi then
         Interp.block_epilogue st;
-      Machine.fetch_hot mach ~addr:taddr;
-      term_step fr
-  end
-  else begin
-    let nmem =
-      Array.fold_left
-        (fun acc i ->
-          match i with
-          | I.Load _ | I.Store _ | I.Fload _ | I.Fstore _ -> acc + 1
-          | _ -> acc)
-        0 code
-    in
-    let dyn = Array.make (max nmem 1) 0 in
-    let slots = Array.make (max n 1) (-1) in
-    let line_bytes =
-      (Machine.config mach).Pp_machine.Config.icache
-        .Pp_machine.Config.line_bytes
-    in
-    let ops_rev = ref [] in
-    let pend_count = ref 0 in
-    let pend_leaders_rev = ref [] in
-    (* [last_line] persists across fetch runs: only fetches touch the
-       icache, so a line probed by an earlier run of this block is still
-       the most recent in its set when a later run re-fetches it — each
-       distinct line is probed exactly once per block execution. *)
-    let last_line = ref min_int in
-    let push_fetch addr =
-      let line = addr / line_bytes in
-      if line <> !last_line then
-        pend_leaders_rev := addr :: !pend_leaders_rev;
-      last_line := line;
-      incr pend_count
-    in
-    let flush_fetches () =
-      if !pend_count > 0 then begin
-        ops_rev :=
-          Machine.Bfetch
-            {
-              count = !pend_count;
-              leaders = Array.of_list (List.rev !pend_leaders_rev);
-            }
-          :: !ops_rev;
-        pend_count := 0;
-        pend_leaders_rev := []
-      end
-    in
-    let emit op =
-      flush_fetches ();
-      ops_rev := op :: !ops_rev
-    in
-    let next_slot = ref 0 in
-    let sems =
-      Array.mapi
-        (fun k instr ->
-          push_fetch addrs.(k);
-          let slot =
-            match instr with
-            | I.Load _ | I.Store _ | I.Fload _ | I.Fstore _ ->
-                let s = !next_slot in
-                incr next_slot;
-                slots.(k) <- s;
-                s
-            | _ -> -1
-          in
-          (* Event ops of this instruction, in the interpreter's order. *)
-          (match instr with
-          | I.Fconst (fd, _) | I.Itof (fd, _) -> emit (Machine.Bfp_define fd)
-          | I.Fmov (fd, fs) ->
-              emit (Machine.Bfp_use fs);
-              emit (Machine.Bfp_define fd)
-          | I.Fbinop (op, fd, fs1, fs2) ->
-              emit
-                (Machine.Bfp_issue
-                   { cls = Interp.fp_class op; dst = fd; s1 = fs1; s2 = fs2 })
-          | I.Fcmp (_, _, fs1, fs2) ->
-              emit (Machine.Bfp_use fs1);
-              emit (Machine.Bfp_use fs2)
-          | I.Ftoi (_, fs) -> emit (Machine.Bfp_use fs)
-          | I.Load _ -> emit (Machine.Bload slot)
-          | I.Fload (fd, _, _) ->
-              emit (Machine.Bload slot);
-              emit (Machine.Bfp_define fd)
-          | I.Store _ -> emit (Machine.Bstore slot)
-          | I.Fstore (fs, _, _) ->
-              emit (Machine.Bfp_use fs);
-              emit (Machine.Bstore slot)
-          | I.Print_float f -> emit (Machine.Bfp_use f)
-          | _ -> ());
-          batch_sem st ~k ~slot ~dyn instr)
-        code
-    in
-    flush_fetches ();
-    let body = fuse sems in
-    let ops = Array.of_list (List.rev !ops_rev) in
-    let replay upto =
-      for j = 0 to upto do
-        Machine.fetch mach ~addr:addrs.(j);
-        replay_instr mach ~dyn ~slots ~faulting:(j = upto) j code.(j)
-      done
-    in
-    (* The terminator's icache probe is elided when it shares a line with
-       the last body fetch (nothing in between touches the icache). *)
-    let term_probe = n = 0 || addrs.(n - 1) / line_bytes <> taddr / line_bytes in
-    (* Blocks whose events are only fetches and integer loads take the
-       whole-block bulk form: one [Machine.block_bulk] call instead of an
-       op-list walk.  ([Fload] emits an FP define, so any block on this
-       path has [dyn] slots 0..nmem-1 holding plain loads in order.) *)
-    let bulk_ok =
-      Array.for_all
-        (function Machine.Bfetch _ | Machine.Bload _ -> true | _ -> false)
-        ops
-    in
-    if bulk_ok then begin
-      let leaders =
-        Array.concat
-          (List.filter_map
-             (function
-               | Machine.Bfetch { leaders; _ } -> Some leaders | _ -> None)
-             (Array.to_list ops))
-      in
-      let nloads = nmem in
-      if n = 0 then fun fr ->
-        if h.Interp.hooks then
-          Interp.block_entered st ~proc:pname ~label ~fp:fr.fp ~iregs:fr.iregs;
-        if h.Interp.hooks || Array.unsafe_get tot ix_insts > maxi then
-          Interp.block_epilogue st;
-        Machine.fetch_term mach ~addr:taddr ~probe:term_probe;
-        term_step fr
-      else fun fr ->
-        if h.Interp.hooks then
-          Interp.block_entered st ~proc:pname ~label ~fp:fr.fp ~iregs:fr.iregs;
-        (try body fr
-         with e ->
-           replay fr.trap_ix;
-           raise e);
-        Machine.block_bulk mach ~fetches:n ~leaders ~dyn ~nloads;
-        if h.Interp.hooks || Array.unsafe_get tot ix_insts > maxi then
-          Interp.block_epilogue st;
-        Machine.fetch_term mach ~addr:taddr ~probe:term_probe;
-        term_step fr
-    end
-    else begin
-      (* Fixed event counts of the block, applied in one [block_static]
-         call; the op walk then covers only probes, stalls and the clock. *)
-      let n_loads = ref 0 and n_stores = ref 0 and n_fpops = ref 0 in
-      Array.iter
-        (function
-          | Machine.Bload _ -> incr n_loads
-          | Machine.Bstore _ -> incr n_stores
-          | Machine.Bfp_issue _ -> incr n_fpops
-          | _ -> ())
-        ops;
-      let n_loads = !n_loads and n_stores = !n_stores and n_fpops = !n_fpops in
-      fun fr ->
-      if h.Interp.hooks then
-        Interp.block_entered st ~proc:pname ~label ~fp:fr.fp ~iregs:fr.iregs;
-      (try body fr
-       with e ->
-         replay fr.trap_ix;
-         raise e);
-      Machine.block_static mach ~insts:n ~loads:n_loads ~stores:n_stores
-        ~fpops:n_fpops;
-      Machine.block_step mach ops ~dyn;
-      if h.Interp.hooks || Array.unsafe_get tot ix_insts > maxi then
-        Interp.block_epilogue st;
       Machine.fetch_term mach ~addr:taddr ~probe:term_probe;
       term_step fr
-    end
   end
+  else
+    (* A block without observers is one segment, flushed inline. *)
+    let { body; insts; dyn; flush; replay } =
+      batch_segment st ~line_bytes code addrs
+    in
+    match flush with
+    | Bulk _ when n = 0 ->
+        fun fr ->
+          if h.Interp.hooks then
+            Interp.block_entered st ~proc:pname ~label ~fp:fr.fp
+              ~iregs:fr.iregs;
+          if h.Interp.hooks || Array.unsafe_get tot ix_insts > maxi then
+            Interp.block_epilogue st;
+          Machine.fetch_term mach ~addr:taddr ~probe:term_probe;
+          term_step fr
+    | Bulk { leaders; nloads } ->
+        fun fr ->
+          if h.Interp.hooks then
+            Interp.block_entered st ~proc:pname ~label ~fp:fr.fp
+              ~iregs:fr.iregs;
+          (try body fr
+           with e ->
+             replay fr.trap_ix;
+             raise e);
+          Machine.block_bulk mach ~fetches:insts ~leaders ~dyn ~nloads;
+          if h.Interp.hooks || Array.unsafe_get tot ix_insts > maxi then
+            Interp.block_epilogue st;
+          Machine.fetch_term mach ~addr:taddr ~probe:term_probe;
+          term_step fr
+    | Ordered { ops; loads; stores; fpops } ->
+        fun fr ->
+          if h.Interp.hooks then
+            Interp.block_entered st ~proc:pname ~label ~fp:fr.fp
+              ~iregs:fr.iregs;
+          (try body fr
+           with e ->
+             replay fr.trap_ix;
+             raise e);
+          Machine.block_static mach ~insts ~loads ~stores ~fpops;
+          Machine.block_step mach ops ~dyn;
+          if h.Interp.hooks || Array.unsafe_get tot ix_insts > maxi then
+            Interp.block_epilogue st;
+          Machine.fetch_term mach ~addr:taddr ~probe:term_probe;
+          term_step fr
 
 let compile_proc st cprocs (cp : cproc) =
   let nb = Array.length cp.image.Interp.code in

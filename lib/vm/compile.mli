@@ -5,9 +5,10 @@
     resolved to register-array slots at compile time, direct-threaded
     successor dispatch (a block's terminator tail-calls the next block's
     closure), and machine-model events batched per block through
-    {!Pp_machine.Machine.block_step}.  Blocks containing calls,
-    profiling pseudo-ops or PIC access run on a precise per-instruction
-    tier, and a trapping batched block replays the machine events of its
+    {!Pp_machine.Machine.block_step}.  Calls, profiling pseudo-ops and
+    PIC access split a block into batched segments and run on a precise
+    per-instruction tier; counters are flushed before every such
+    observer, and a trapping segment replays the machine events of its
     completed prefix before re-raising — so counters, cycles, output,
     profiles and {!Interp.Trap} behaviour are bit-identical to
     {!Interp.run} over the same state.

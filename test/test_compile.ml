@@ -18,6 +18,9 @@ module Event = Pp_machine.Event
 module W = Pp_workloads.Workload
 module Registry = Pp_workloads.Registry
 module Trace = Pp_telemetry.Trace
+module Config = Pp_machine.Config
+module Runtime = Pp_vm.Runtime
+open Pp_ir
 
 type config = Base | Mode of Instrument.mode
 
@@ -76,17 +79,26 @@ let render_mode_artifacts mode session =
   | Instrument.Context_hw ->
       Printf.sprintf "cct-nodes=%d" (Cct.num_nodes (Driver.cct session))
 
-let observe ~budget ~kind ~config prog =
+(* [machine] overrides the machine model; [setup] prepares the VM of a
+   base run before it executes (e.g. registers runtime tables for
+   hand-built profiling ops). *)
+let observe ?machine ?(setup = ignore) ~budget ~kind ~config prog =
   match config with
   | Base -> (
-      let eng = Engine.create ~kind ~max_instructions:budget prog in
+      let eng =
+        Engine.create ~kind ?config:machine ~max_instructions:budget prog
+      in
+      setup (Engine.vm eng);
       match Engine.run eng with
       | r -> "done " ^ render_result r
       | exception Interp.Trap msg ->
           Printf.sprintf "trap %S %s" msg
             (render_result (Interp.collect_result (Engine.vm eng))))
   | Mode mode -> (
-      let s = Driver.prepare ~max_instructions:budget ~engine:kind ~mode prog in
+      let s =
+        Driver.prepare ?config:machine ~max_instructions:budget ~engine:kind
+          ~mode prog
+      in
       match Driver.run s with
       | r ->
           Printf.sprintf "done %s\n%s" (render_result r)
@@ -227,8 +239,234 @@ let test_budget_sweep () =
         Alcotest.(check string)
           (Printf.sprintf "budget=%d/%s" budget (config_name config))
           reference compiled)
-      [ Base; Mode Instrument.Flow_hw ]
+      all_configs
   done
+
+(* {2 Observers inside batched blocks}
+
+   Calls, profiling pseudo-ops and PIC access split a block into batched
+   segments, and each segment flushes its machine events before the
+   observer runs precisely.  These hand-built programs put a trap, an
+   out-of-segment load and a shared I-cache line right next to an
+   observer, on a one-line I-cache where any fetch of another line evicts
+   the block's own. *)
+
+let one_line_icache line_bytes =
+  {
+    Config.default with
+    Config.icache =
+      { Config.size_bytes = line_bytes; line_bytes; associativity = 1 };
+  }
+
+let leaf_proc () =
+  let b =
+    Builder.create ~name:"leaf" ~iparams:1 ~fparams:0
+      ~returns:Proc.Returns_int
+  in
+  ignore (Builder.new_block b);
+  let r = Builder.new_ireg b in
+  Builder.emit b (Instr.Ibinop_imm (Instr.Mul, r, 0, 3));
+  (* Long enough that its return is fetched from another I-cache line
+     than any caller instruction. *)
+  for _ = 1 to 16 do
+    Builder.emit b (Instr.Ibinop_imm (Instr.Add, r, r, 1))
+  done;
+  Builder.terminate b (Block.Ret (Block.Ret_int r));
+  Builder.finish b
+
+(* [main] runs block 1 as a loop: [body b ~i ~g] emits its instructions
+   (updating the counter [i]; [g] holds the address of global [g]) and
+   returns the register the loop branches on. *)
+let loop_program ~start body =
+  let b =
+    Builder.create ~name:"main" ~iparams:0 ~fparams:0
+      ~returns:Proc.Returns_void
+  in
+  let entry = Builder.new_block b in
+  let loop = Builder.new_block b in
+  let exit = Builder.new_block b in
+  Builder.switch_to b entry;
+  let i = Builder.new_ireg b and g = Builder.new_ireg b in
+  Builder.emit b (Instr.Iconst (i, start));
+  Builder.emit b (Instr.Iconst_sym (g, "g"));
+  Builder.terminate b (Block.Jmp loop);
+  Builder.switch_to b loop;
+  let c = body b ~i ~g in
+  Builder.terminate b (Block.Br (c, loop, exit));
+  Builder.switch_to b exit;
+  Builder.emit b (Instr.Print_int i);
+  Builder.terminate b (Block.Ret Block.Ret_void);
+  Program.make
+    ~procs:[ Builder.finish b; leaf_proc () ]
+    ~globals:[ { Program.gname = "g"; size_words = 4; init = None } ]
+    ~main:"main"
+
+(* Both tiers, base run, on [machine]; hash table 0 belongs to [main]. *)
+let check_observer_case ~machine prog =
+  let setup vm =
+    Runtime.register_hash_table (Interp.runtime vm) ~table:0 ~proc:"main"
+  in
+  let reference =
+    observe ~machine ~setup ~budget:1_000_000 ~kind:Engine.Interpreted
+      ~config:Base prog
+  in
+  let compiled =
+    observe ~machine ~setup ~budget:1_000_000 ~kind:Engine.Compiled
+      ~config:Base prog
+  in
+  Alcotest.(check string) "engines agree" reference compiled;
+  reference
+
+(* Addresses of main's loop block (its body instructions and terminator)
+   and of leaf's return. *)
+let loop_addrs prog =
+  let vm = Interp.create prog in
+  let images = Interp.images vm in
+  let image = images.(Interp.main_index vm) in
+  let leaf = images.(1 - Interp.main_index vm) in
+  ( image.Interp.addrs.(1),
+    image.Interp.term_addr.(1),
+    leaf.Interp.term_addr.(0) )
+
+let same_line ~line_bytes a b = a / line_bytes = b / line_bytes
+
+let check_outcome ~prefix obs =
+  if not (String.starts_with ~prefix obs) then
+    Alcotest.failf "expected an outcome starting %S, got %S" prefix obs
+
+let emit = Builder.emit
+let reg = Builder.new_ireg
+
+(* [n] register-only instructions: moves what follows onto a later
+   I-cache line than the block's first fetch. *)
+let pad b n =
+  let r = reg b in
+  for k = 1 to n do
+    emit b (Instr.Iconst (r, k))
+  done
+
+(* A PIC read mid-block, then an integer division by zero in the segment
+   after it: the trap replays only that segment's events. *)
+let test_hwread_then_div () =
+  let prog =
+    loop_program ~start:3 (fun b ~i ~g ->
+        let x = reg b and h = reg b and y = reg b and q = reg b
+        and c = reg b in
+        let f0 = Builder.new_freg b and f1 = Builder.new_freg b in
+        emit b (Instr.Store (i, g, 0));
+        emit b (Instr.Load (x, g, 0));
+        emit b (Instr.Itof (f0, x));
+        emit b (Instr.Fbinop (Instr.Fmul, f1, f0, f0));
+        emit b (Instr.Hwread (h, 0));
+        emit b (Instr.Ibinop (Instr.Add, y, x, h));
+        emit b (Instr.Store (y, g, 8));
+        emit b (Instr.Ibinop (Instr.Div, q, y, i));
+        emit b (Instr.Store (q, g, 16));
+        emit b (Instr.Ibinop_imm (Instr.Sub, i, i, 1));
+        emit b (Instr.Icmp_imm (Instr.Gt, c, i, -3));
+        c)
+  in
+  check_outcome ~prefix:"trap \"integer division by zero\""
+    (check_observer_case ~machine:(one_line_icache 64) prog)
+
+(* A path commit (a runtime stub that reads the PICs and charges its own
+   fetches and memory traffic), then a load that leaves the data segment
+   on the fourth iteration. *)
+let test_commit_then_fault () =
+  let prog =
+    loop_program ~start:0 (fun b ~i ~g ->
+        let k = reg b and h = reg b and x = reg b and s = reg b
+        and a = reg b and v = reg b and c = reg b in
+        emit b (Instr.Ibinop_imm (Instr.And, k, i, 3));
+        emit b Instr.Hwzero;
+        emit b (Instr.Hwread (h, 0));
+        emit b (Instr.Load (x, g, 0));
+        emit b (Instr.Ibinop (Instr.Add, x, x, k));
+        emit b (Instr.Store (x, g, 0));
+        emit b
+          (Instr.Prof (Instr.Path_commit_hash_hw { table = 0; path_reg = k }));
+        emit b (Instr.Ibinop_imm (Instr.Div, s, i, 3));
+        emit b (Instr.Ibinop_imm (Instr.Shl, s, s, 40));
+        emit b (Instr.Ibinop (Instr.Add, a, g, s));
+        emit b (Instr.Load (v, a, 0));
+        emit b (Instr.Store (v, g, 8));
+        emit b (Instr.Ibinop_imm (Instr.Add, i, i, 1));
+        emit b (Instr.Icmp_imm (Instr.Lt, c, i, 10));
+        c)
+  in
+  check_outcome ~prefix:"trap \"load: "
+    (check_observer_case ~machine:(one_line_icache 64) prog)
+
+(* A call, then batched instructions on the call's own I-cache line up
+   to the terminator: the callee evicts that line, so the segment after
+   the call must probe it again, and the terminator may skip its probe. *)
+let test_call_then_shared_line () =
+  let line_bytes = 64 in
+  let prog =
+    loop_program ~start:0 (fun b ~i ~g ->
+        let x = reg b and y = reg b and z = reg b and c = reg b in
+        emit b (Instr.Load (x, g, 0));
+        pad b 13;
+        Builder.emit_call b ~callee:"leaf" ~args:[ x ] ~fargs:[]
+          ~ret:(Instr.Rint y);
+        emit b (Instr.Ibinop (Instr.Add, z, y, i));
+        emit b (Instr.Store (z, g, 0));
+        emit b (Instr.Ibinop_imm (Instr.Add, i, i, 1));
+        emit b (Instr.Icmp_imm (Instr.Lt, c, i, 6));
+        c)
+  in
+  let addrs, taddr, leaf_ret = loop_addrs prog in
+  Alcotest.(check bool) "the call's neighbours and terminator share a line"
+    true
+    (same_line ~line_bytes addrs.(13) addrs.(15)
+    && same_line ~line_bytes addrs.(Array.length addrs - 1) taddr
+    && (not (same_line ~line_bytes addrs.(0) taddr))
+    && not (same_line ~line_bytes addrs.(14) leaf_ret));
+  check_outcome ~prefix:"done "
+    (check_observer_case ~machine:(one_line_icache line_bytes) prog)
+
+(* A call as the last body instruction, on the terminator's line: the
+   callee evicts the line, so the terminator must probe it again. *)
+let test_call_last_on_term_line () =
+  let line_bytes = 64 in
+  let prog =
+    loop_program ~start:0 (fun b ~i ~g ->
+        let x = reg b and c = reg b in
+        pad b 12;
+        emit b (Instr.Ibinop_imm (Instr.Add, i, i, 1));
+        emit b (Instr.Icmp_imm (Instr.Lt, c, i, 6));
+        emit b (Instr.Load (x, g, 0));
+        Builder.emit_call b ~callee:"leaf" ~args:[ x ] ~fargs:[]
+          ~ret:Instr.Rnone;
+        c)
+  in
+  let addrs, taddr, leaf_ret = loop_addrs prog in
+  Alcotest.(check bool) "call shares the terminator's line" true
+    (same_line ~line_bytes addrs.(Array.length addrs - 1) taddr
+    && (not (same_line ~line_bytes addrs.(0) taddr))
+    && not (same_line ~line_bytes taddr leaf_ret));
+  check_outcome ~prefix:"done "
+    (check_observer_case ~machine:(one_line_icache line_bytes) prog)
+
+(* A path commit as the last body instruction, on the terminator's line. *)
+let test_commit_last_on_term_line () =
+  let line_bytes = 256 in
+  let prog =
+    loop_program ~start:0 (fun b ~i ~g ->
+        let k = reg b and x = reg b and c = reg b in
+        emit b (Instr.Load (x, g, 0));
+        emit b (Instr.Ibinop_imm (Instr.And, k, i, 1));
+        emit b (Instr.Ibinop_imm (Instr.Add, i, i, 1));
+        emit b (Instr.Icmp_imm (Instr.Lt, c, i, 6));
+        emit b
+          (Instr.Prof (Instr.Path_commit_hash { table = 0; path_reg = k }));
+        c)
+  in
+  let addrs, taddr, _ = loop_addrs prog in
+  Alcotest.(check bool) "commit shares the terminator's line" true
+    (same_line ~line_bytes addrs.(Array.length addrs - 1) taddr);
+  check_outcome ~prefix:"done "
+    (check_observer_case ~machine:(one_line_icache line_bytes) prog)
 
 (* {2 Hook parity}
 
@@ -356,6 +594,16 @@ let suite =
   @ [
       Alcotest.test_case "budget sweep: trap at every boundary" `Quick
         test_budget_sweep;
+      Alcotest.test_case "observer: PIC read, then division by zero" `Quick
+        test_hwread_then_div;
+      Alcotest.test_case "observer: path commit, then out-of-segment load"
+        `Quick test_commit_then_fault;
+      Alcotest.test_case "observer: call, then the terminator's line" `Quick
+        test_call_then_shared_line;
+      Alcotest.test_case "observer: call last on the terminator's line" `Quick
+        test_call_last_on_term_line;
+      Alcotest.test_case "observer: path commit last on the terminator's line"
+        `Quick test_commit_last_on_term_line;
       Alcotest.test_case "telemetry parity (interval inside batched blocks)"
         `Quick test_telemetry_parity;
       Alcotest.test_case "sampling parity" `Quick test_sampling_parity;
