@@ -164,9 +164,13 @@ let int_of line s =
 
 let reg_of line prefix s =
   let n = String.length s in
-  if n >= 2 && s.[0] = prefix.[0] then
-    int_of line (String.sub s 1 (n - 1))
-  else fail line "expected %s-register, found %S" prefix s
+  let r =
+    if n >= 2 && s.[0] = prefix.[0] then int_of line (String.sub s 1 (n - 1))
+    else -1
+  in
+  if r < 0 || r >= Sys.max_array_length then
+    fail line "expected %s-register, found %S" prefix s;
+  r
 
 let ireg line s = reg_of line "r" s
 let freg line s = reg_of line "f" s

@@ -25,10 +25,16 @@ let site_of_instr = function
 let derive_counts ~name ~iparams ~fparams ~blocks =
   let niregs = ref iparams and nfregs = ref fparams in
   let sites = ref [] in
-  let touch_i r = if r + 1 > !niregs then niregs := r + 1 in
-  let touch_f r = if r + 1 > !nfregs then nfregs := r + 1 in
   Array.iter
     (fun (b : Block.t) ->
+      let touch kind count r =
+        if r < 0 || r >= Sys.max_array_length then
+          invalid_arg
+            (Printf.sprintf "Proc.make(%s): L%d names register %s%d" name
+               b.label kind r);
+        if r + 1 > !count then count := r + 1
+      in
+      let touch_i = touch "r" niregs and touch_f = touch "f" nfregs in
       List.iter
         (fun i ->
           List.iter touch_i (Instr.idefs i);
@@ -59,6 +65,7 @@ let derive_counts ~name ~iparams ~fparams ~blocks =
   (!niregs, !nfregs, nsites)
 
 let make ~frame_words ~name ~iparams ~fparams ~returns ~blocks ~entry =
+  let blocks = Array.copy blocks in
   Array.iteri
     (fun i (b : Block.t) ->
       if b.label <> i then

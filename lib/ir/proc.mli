@@ -7,10 +7,19 @@ type t = private {
   iparams : int;  (** integer parameters arrive in [r0 .. riparams-1] *)
   fparams : int;  (** float parameters arrive in [f0 .. f(fparams-1)] *)
   returns : return_kind;
-  blocks : Block.t array;  (** index = label *)
+  blocks : Block.t array;
+      (** index = label; {!make}'s own copy, which must not be mutated *)
   entry : Block.label;
   niregs : int;  (** number of integer registers used (including params) *)
   nfregs : int;
+      (** Invariant: every register an instruction or terminator names is
+          in [0 .. niregs-1] (integer) or [0 .. nfregs-1] (float).  Both
+          counts are derived from the code, {!make} rejects an index below
+          zero or at or above [Sys.max_array_length] (so [r + 1] cannot
+          overflow), and it copies [blocks], so no later write to the
+          caller's array can add a register.  The compiled engine relies
+          on this for memory safety: its batched tier reads and writes
+          registers without bounds checks. *)
   nsites : int;  (** number of call sites; sites are dense in [0..nsites-1] *)
   frame_words : int;
       (** stack words per activation, for local arrays ([Frameaddr]) *)
@@ -19,8 +28,9 @@ type t = private {
 (** [make ~name ~iparams ~fparams ~returns ~blocks ~entry] computes register
     and call-site counts from the code.
     @raise Invalid_argument if block labels are not their indices, if the
-    entry label is invalid, or if call sites are not densely numbered from
-    zero in order of appearance. *)
+    entry label is invalid, if an instruction or terminator names a
+    register index below zero or at or above [Sys.max_array_length], or if call sites are not densely numbered from zero
+    in order of appearance. *)
 val make :
   frame_words:int ->
   name:string ->

@@ -27,17 +27,7 @@ let check_symbol prog ~loc name =
      && Program.find_global prog name = None then
     fail loc "reference to undefined symbol %S" name
 
-let check_instr prog (p : Proc.t) ~loc instr =
-  List.iter
-    (fun r ->
-      if r < 0 || r >= p.niregs then
-        fail loc "integer register r%d out of range" r)
-    (Instr.idefs instr @ Instr.iuses instr);
-  List.iter
-    (fun r ->
-      if r < 0 || r >= p.nfregs then
-        fail loc "float register f%d out of range" r)
-    (Instr.fdefs instr @ Instr.fuses instr);
+let check_instr prog ~loc instr =
   match instr with
   | Instr.Call { callee; args; fargs; ret; _ } ->
       check_call prog ~loc ~callee ~nargs:(List.length args)
@@ -102,7 +92,7 @@ let run prog =
         (fun (b : Block.t) ->
           List.iteri
             (fun i instr ->
-              check_instr prog p ~loc:(Diag.instr_loc p.name b.label i) instr)
+              check_instr prog ~loc:(Diag.instr_loc p.name b.label i) instr)
             b.instrs;
           check_ret p b)
         p.blocks;

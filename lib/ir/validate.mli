@@ -12,8 +12,10 @@ exception Invalid of Diag.t
       signature;
     - [Ret] value kinds match the enclosing procedure's return kind;
     - every block is reachable from the entry and reaches some return
-      (the profiler's ENTRY/EXIT requirements);
-    - register indices are within the procedure's declared counts. *)
+      (the profiler's ENTRY/EXIT requirements).
+
+    Register indices need no check here: {!Proc.make} keeps them in
+    range (see the invariant on {!Proc.t}). *)
 val run : Program.t -> unit
 
 (** [check prog] is [run] packaged as a result. *)

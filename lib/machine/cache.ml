@@ -78,11 +78,11 @@ let write t addr =
       t.misses <- t.misses + 1;
       false
 
-(* Allocation-free variants of [read]/[write] for the compiled engine's
-   batched block application.  Same observable behaviour — accesses,
-   misses, tags, stamps and clock advance exactly as in [read]/[write] —
-   but the way scan is inlined so no option or tuple is boxed per
-   probe. *)
+(* Allocation-free variants of [read]/[write], the probes the machine
+   model makes.  Same observable behaviour — accesses, misses, tags,
+   stamps and clock advance exactly as in the reference [read]/[write]
+   above — but the way scan is inlined so no option or tuple is boxed
+   per probe. *)
 
 let read_hot t addr =
   t.accesses <- t.accesses + 1;

@@ -4,7 +4,8 @@
     coherent); an access classifies as hit or miss and updates recency.
     Write policy is chosen per access: the L1 D-cache is write-through
     non-allocating (a store miss does not fill the line, as on the
-    UltraSPARC), so stores use [write] and loads use [read]. *)
+    UltraSPARC), so stores use [write] and loads use [read] (through their
+    allocation-free forms). *)
 
 type t
 
@@ -18,8 +19,9 @@ val read : t -> int -> bool
     hit, and a miss leaves the cache unchanged.  Returns [true] on hit. *)
 val write : t -> int -> bool
 
-(** Allocation-free [read], used on the compiled engine's batched block
-    path.  Observable behaviour is identical to {!read}. *)
+(** Allocation-free [read], the probe {!Machine} makes for every engine.
+    Observable behaviour is identical to {!read}, which stays as the
+    reference LRU model the tests compare it against. *)
 val read_hot : t -> int -> bool
 
 (** Allocation-free [write]; observable behaviour identical to {!write}. *)

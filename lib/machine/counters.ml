@@ -30,14 +30,9 @@ let selection t = (t.pic0_event, t.pic1_event)
 
 let bump t e n = t.totals.(Event.to_int e) <- t.totals.(Event.to_int e) + n
 
-(* Hot-path variant for the compiled engine's batched block application:
-   the event index is resolved once at block-compile time, and the add
-   skips the bounds checks (indices come from [ix], so they are always in
-   range). *)
+(* The dense index of an event into [raw_totals], resolved once by
+   callers that bump the totals array in place. *)
 let ix e = Event.to_int e
-
-let[@inline always] unsafe_add t i n =
-  Array.unsafe_set t.totals i (Array.unsafe_get t.totals i + n)
 
 let raw_totals t = t.totals
 

@@ -19,19 +19,13 @@ val selection : t -> Event.t * Event.t
 
 val bump : t -> Event.t -> int -> unit
 
-(** The dense index of an event, for {!unsafe_add}. *)
+(** The dense index of an event into {!raw_totals}, resolved once by a
+    caller that then bumps the array in place. *)
 val ix : Event.t -> int
 
-(** [unsafe_add t i n] is [bump] with the event index pre-resolved via
-    {!ix} and bounds checks elided — the compiled engine's batched block
-    application resolves indices once at block-compile time.  The index
-    must come from {!ix}. *)
-val unsafe_add : t -> int -> int -> unit
-
-(** The live totals array itself, indexed by {!ix} — the compiled
-    engine's batched block path caches it once and bumps entries in
-    place, which is observably identical to {!bump}.  Treat as
-    write-only; use {!total} to read. *)
+(** The live totals array itself, indexed by {!ix} — {!Machine} caches
+    it once and bumps entries in place, which is observably identical to
+    {!bump}.  Treat as write-only; use {!total} to read. *)
 val raw_totals : t -> int array
 
 (** Full 63-bit total since creation (harness view). *)

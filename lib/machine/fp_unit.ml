@@ -20,24 +20,7 @@ let latency t = function
   | Fp_mul -> t.config.Config.fp_mul_latency
   | Fp_div -> t.config.Config.fp_div_latency
 
-let wait t ~now srcs =
-  List.fold_left
-    (fun acc s ->
-      let d = t.ready.(s) - now in
-      if d > acc then d else acc)
-    0 srcs
-
-let issue t ~now ~cls ~dst ~srcs =
-  let stall = wait t ~now srcs in
-  let start = now + stall in
-  t.ready.(dst) <- start + latency t cls;
-  if dst >= t.hi then t.hi <- dst + 1;
-  stall
-
-(* [issue] specialised to two sources — every [Fbinop] has exactly two —
-   so the hot path folds no list.  Behaviour identical to
-   [issue ~srcs:[s1; s2]]. *)
-let issue2 t ~now ~cls ~dst ~s1 ~s2 =
+let issue t ~now ~cls ~dst ~s1 ~s2 =
   let r = t.ready in
   let d1 = r.(s1) - now in
   let d2 = r.(s2) - now in

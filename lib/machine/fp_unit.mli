@@ -13,14 +13,11 @@ val ensure : t -> nregs:int -> unit
 
 type op_class = Fp_add | Fp_mul | Fp_div
 
-(** [issue t ~now ~cls ~dst ~srcs] issues an FP op at cycle [now]; returns
-    the stall cycles spent waiting for not-ready sources.  The destination
-    becomes ready [latency cls] cycles after actual issue. *)
-val issue : t -> now:int -> cls:op_class -> dst:int -> srcs:int list -> int
-
-(** [issue] specialised to exactly two sources (every [Fbinop]); identical
-    behaviour to [issue ~srcs:[s1; s2]], no list on the hot path. *)
-val issue2 :
+(** [issue t ~now ~cls ~dst ~s1 ~s2] issues an FP op reading [s1] and
+    [s2] at cycle [now]; returns the stall cycles spent waiting for
+    not-ready sources.  The destination becomes ready [latency cls] cycles
+    after actual issue. *)
+val issue :
   t -> now:int -> cls:op_class -> dst:int -> s1:int -> s2:int -> int
 
 (** [use t ~now ~src] stalls a non-FP consumer (store, compare, conversion)

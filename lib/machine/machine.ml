@@ -2,16 +2,16 @@ type t = {
   config : Config.t;
   counters : Counters.t;
   totals : int array;
-      (* Counters.raw_totals counters, cached for the batched entry
-         points below: a bump is then a single in-place array update *)
+      (* Counters.raw_totals counters, cached for the entry points
+         below: a bump is then a single in-place array update *)
   dcache : Cache.t;
   icache : Cache.t;
   branch_pred : Branch_pred.t;
   store_buffer : Store_buffer.t;
   fp : Fp_unit.t;
   mutable cycles : int;
-  (* Penalty constants copied out of [config] so the hot entry points
-     read one scalar field instead of chasing nested config records. *)
+  (* Penalty constants copied out of [config] so the entry points read
+     one scalar field instead of chasing nested config records. *)
   ic_pen : int;
   dc_pen : int;
   mp_pen : int;
@@ -45,71 +45,8 @@ let counters t = t.counters
 let icache_probe t ~addr = Cache.probe t.icache addr
 let now t = t.cycles
 
-let spend t event n =
-  if n > 0 then begin
-    t.cycles <- t.cycles + n;
-    Counters.bump t.counters Event.Cycles n;
-    Counters.bump t.counters event n
-  end
-
-let fetch t ~addr =
-  Counters.bump t.counters Event.Instructions 1;
-  Counters.bump t.counters Event.Icache_refs 1;
-  t.cycles <- t.cycles + 1;
-  Counters.bump t.counters Event.Cycles 1;
-  if not (Cache.read t.icache addr) then begin
-    Counters.bump t.counters Event.Icache_misses 1;
-    t.cycles <- t.cycles + t.config.Config.icache_miss_penalty;
-    Counters.bump t.counters Event.Cycles t.config.Config.icache_miss_penalty
-  end
-
-let load t ~addr =
-  Counters.bump t.counters Event.Loads 1;
-  Counters.bump t.counters Event.Dcache_reads 1;
-  if not (Cache.read t.dcache addr) then begin
-    Counters.bump t.counters Event.Dcache_read_misses 1;
-    Counters.bump t.counters Event.Dcache_misses 1;
-    t.cycles <- t.cycles + t.config.Config.dcache_miss_penalty;
-    Counters.bump t.counters Event.Cycles t.config.Config.dcache_miss_penalty
-  end
-
-let store t ~addr =
-  Counters.bump t.counters Event.Stores 1;
-  Counters.bump t.counters Event.Dcache_writes 1;
-  let hit = Cache.write t.dcache addr in
-  if not hit then begin
-    Counters.bump t.counters Event.Dcache_write_misses 1;
-    Counters.bump t.counters Event.Dcache_misses 1
-  end;
-  let drain =
-    if hit then t.config.Config.store_drain_cycles
-    else t.config.Config.store_drain_miss_cycles
-  in
-  let stall = Store_buffer.push t.store_buffer ~now:t.cycles ~drain in
-  spend t Event.Store_buffer_stalls stall
-
-(* Batched per-block event replay for the compiled engine.
-
-   A fetch run covers consecutive instruction slots with no intervening
-   machine event; it is applied as bulk counter bumps plus one icache
-   probe per distinct cache line.  Skipped probes are repeats of the line
-   just read with no other icache access in between, so they would always
-   hit and touch a line that is already most-recent: tags, relative LRU
-   order and the miss count are exactly those of per-slot probes.  All
-   clock-sensitive events (stores, FP issue/use) stay individual and in
-   original program order, so store-buffer and scoreboard stalls see the
-   same [now] as the per-instruction interpreter. *)
-type block_op =
-  | Bfetch of { count : int; leaders : int array }
-      (** [count] instruction fetches; [leaders] holds the first address
-          of each distinct icache line in the run, in order *)
-  | Bload of int  (** data read; operand index into the dynamic buffer *)
-  | Bstore of int  (** data write; operand index into the dynamic buffer *)
-  | Bfp_issue of { cls : Fp_unit.op_class; dst : int; s1 : int; s2 : int }
-  | Bfp_use of int
-  | Bfp_define of int
-
-(* Pre-resolved counter indices for the batched entry points below. *)
+(* Pre-resolved counter indices: every entry point below bumps the
+   cached totals array in place. *)
 let ix_cycles = Counters.ix Event.Cycles
 let ix_insts = Counters.ix Event.Instructions
 let ix_icrefs = Counters.ix Event.Icache_refs
@@ -133,10 +70,16 @@ let ix_fpstalls = Counters.ix Event.Fp_stalls
 let[@inline always] badd (tot : int array) i n =
   Array.unsafe_set tot i (Array.unsafe_get tot i + n)
 
-(* [fetch]/[load]/[store] with pre-resolved indices and allocation-free
-   probes, for the compiled engine's hot paths (the precise tier and
-   [block_step]'s ordered replay).  Same observable behaviour. *)
-let fetch_hot t ~addr =
+(* [n] stall cycles charged to the stall event [ix]: the clock, the
+   cycle count and the event advance together. *)
+let[@inline] stall t ix n =
+  if n > 0 then begin
+    t.cycles <- t.cycles + n;
+    badd t.totals ix_cycles n;
+    badd t.totals ix n
+  end
+
+let fetch t ~addr =
   let tot = t.totals in
   badd tot ix_insts 1;
   badd tot ix_icrefs 1;
@@ -151,11 +94,14 @@ let fetch_hot t ~addr =
     badd tot ix_cycles cy
   end
 
-let load_hot t ~addr =
-  let tot = t.totals in
-  badd tot ix_loads 1;
-  badd tot ix_dcreads 1;
+(* Each data and FP event is a fixed count bump plus a dynamic half —
+   cache probe, stall and clock.  The entry points below do both; the
+   batched [block_step] runs only the dynamic half, [block_static]
+   having applied the counts in bulk. *)
+
+let[@inline] load_dynamic t addr =
   if not (Cache.read_hot t.dcache addr) then begin
+    let tot = t.totals in
     badd tot ix_dcreadmiss 1;
     badd tot ix_dcmiss 1;
     let p = t.dc_pen in
@@ -163,22 +109,73 @@ let load_hot t ~addr =
     badd tot ix_cycles p
   end
 
-let store_hot t ~addr =
+let load t ~addr =
   let tot = t.totals in
-  badd tot ix_stores 1;
-  badd tot ix_dcwrites 1;
+  badd tot ix_loads 1;
+  badd tot ix_dcreads 1;
+  load_dynamic t addr
+
+let[@inline] store_dynamic t addr =
   let hit = Cache.write_hot t.dcache addr in
   if not hit then begin
+    let tot = t.totals in
     badd tot ix_dcwritemiss 1;
     badd tot ix_dcmiss 1
   end;
   let drain = if hit then t.sd_hit else t.sd_miss in
-  let stall = Store_buffer.push t.store_buffer ~now:t.cycles ~drain in
-  if stall > 0 then begin
-    t.cycles <- t.cycles + stall;
-    badd tot ix_cycles stall;
-    badd tot ix_sbstalls stall
+  stall t ix_sbstalls (Store_buffer.push t.store_buffer ~now:t.cycles ~drain)
+
+let store t ~addr =
+  let tot = t.totals in
+  badd tot ix_stores 1;
+  badd tot ix_dcwrites 1;
+  store_dynamic t addr
+
+let branch t ~addr ~taken =
+  let tot = t.totals in
+  badd tot ix_branches 1;
+  if not (Branch_pred.predict_and_update t.branch_pred ~addr ~taken) then begin
+    badd tot ix_brmiss 1;
+    stall t ix_mpstalls t.mp_pen
   end
+
+let[@inline] fp_issue_dynamic t ~cls ~dst ~s1 ~s2 =
+  stall t ix_fpstalls (Fp_unit.issue t.fp ~now:t.cycles ~cls ~dst ~s1 ~s2)
+
+let fp_issue t ~cls ~dst ~s1 ~s2 =
+  badd t.totals ix_fpops 1;
+  fp_issue_dynamic t ~cls ~dst ~s1 ~s2
+
+(* All dynamic: a use has no fixed count. *)
+let[@inline] fp_use t ~src =
+  stall t ix_fpstalls (Fp_unit.use t.fp ~now:t.cycles ~src)
+
+let fp_define t ~dst = Fp_unit.define t.fp ~now:t.cycles ~dst
+
+let fp_frame t ~nregs =
+  Fp_unit.ensure t.fp ~nregs;
+  Fp_unit.clear t.fp
+
+(* Batched per-block event replay for the compiled engine.
+
+   A fetch run covers consecutive instruction slots with no intervening
+   machine event; it is applied as bulk counter bumps plus one icache
+   probe per distinct cache line.  Skipped probes are repeats of the line
+   just read with no other icache access in between, so they would always
+   hit and touch a line that is already most-recent: tags, relative LRU
+   order and the miss count are exactly those of per-slot probes.  All
+   clock-sensitive events (stores, FP issue/use) stay individual and in
+   original program order, so store-buffer and scoreboard stalls see the
+   same [now] as the per-instruction interpreter. *)
+type block_op =
+  | Bfetch of { count : int; leaders : int array }
+      (** [count] instruction fetches; [leaders] holds the first address
+          of each distinct icache line in the run, in order *)
+  | Bload of int  (** data read; operand index into the dynamic buffer *)
+  | Bstore of int  (** data write; operand index into the dynamic buffer *)
+  | Bfp_issue of { cls : Fp_unit.op_class; dst : int; s1 : int; s2 : int }
+  | Bfp_use of int
+  | Bfp_define of int
 
 (* A run of [count] fetches inside a runtime stub of [slots] instruction
    slots at [addr], wrapping like a loop inside it.  Nothing else touches
@@ -260,64 +257,6 @@ let fetch_term t ~addr ~probe =
     badd tot ix_cycles 1
   end
 
-let branch t ~addr ~taken =
-  Counters.bump t.counters Event.Branches 1;
-  if not (Branch_pred.predict_and_update t.branch_pred ~addr ~taken) then begin
-    Counters.bump t.counters Event.Branch_mispredicts 1;
-    spend t Event.Mispredict_stalls t.config.Config.mispredict_penalty
-  end
-
-(* [branch] with pre-resolved counter indices, for compiled block
-   terminators.  Same observable behaviour. *)
-let branch_hot t ~addr ~taken =
-  let tot = t.totals in
-  badd tot ix_branches 1;
-  if not (Branch_pred.predict_and_update t.branch_pred ~addr ~taken) then begin
-    badd tot ix_brmiss 1;
-    let p = t.mp_pen in
-    if p > 0 then begin
-      t.cycles <- t.cycles + p;
-      badd tot ix_cycles p;
-      badd tot ix_mpstalls p
-    end
-  end
-
-let fp_issue t ~cls ~dst ~srcs =
-  Counters.bump t.counters Event.Fp_ops 1;
-  let stall = Fp_unit.issue t.fp ~now:t.cycles ~cls ~dst ~srcs in
-  spend t Event.Fp_stalls stall
-
-let fp_use t ~src =
-  let stall = Fp_unit.use t.fp ~now:t.cycles ~src in
-  spend t Event.Fp_stalls stall
-
-let fp_define t ~dst = Fp_unit.define t.fp ~now:t.cycles ~dst
-
-(* FP issue/use with pre-resolved indices; [fp_issue_hot] is specialised
-   to the two sources every [Fbinop] has.  Same observable behaviour. *)
-let fp_issue_hot t ~cls ~dst ~s1 ~s2 =
-  let tot = t.totals in
-  badd tot ix_fpops 1;
-  let stall = Fp_unit.issue2 t.fp ~now:t.cycles ~cls ~dst ~s1 ~s2 in
-  if stall > 0 then begin
-    t.cycles <- t.cycles + stall;
-    badd tot ix_cycles stall;
-    badd tot ix_fpstalls stall
-  end
-
-let fp_use_hot t ~src =
-  let stall = Fp_unit.use t.fp ~now:t.cycles ~src in
-  if stall > 0 then begin
-    let tot = t.totals in
-    t.cycles <- t.cycles + stall;
-    badd tot ix_cycles stall;
-    badd tot ix_fpstalls stall
-  end
-
-let fp_frame t ~nregs =
-  Fp_unit.ensure t.fp ~nregs;
-  Fp_unit.clear t.fp
-
 (* Static event totals of an ordered block or segment, applied in one
    call: counters are only read at block boundaries (the epilogue's
    budget check and telemetry) and by observers (calls, runtime stubs,
@@ -357,42 +296,11 @@ let block_step t ops ~dyn =
         done;
         t.cycles <- t.cycles + !cycles;
         badd tot ix_cycles !cycles
-    | Bload s ->
-        if not (Cache.read_hot t.dcache (Array.unsafe_get dyn s)) then begin
-          badd tot ix_dcreadmiss 1;
-          badd tot ix_dcmiss 1;
-          let p = t.dc_pen in
-          t.cycles <- t.cycles + p;
-          badd tot ix_cycles p
-        end
-    | Bstore s ->
-        let hit = Cache.write_hot t.dcache (Array.unsafe_get dyn s) in
-        if not hit then begin
-          badd tot ix_dcwritemiss 1;
-          badd tot ix_dcmiss 1
-        end;
-        let drain = if hit then t.sd_hit else t.sd_miss in
-        let stall = Store_buffer.push t.store_buffer ~now:t.cycles ~drain in
-        if stall > 0 then begin
-          t.cycles <- t.cycles + stall;
-          badd tot ix_cycles stall;
-          badd tot ix_sbstalls stall
-        end
-    | Bfp_issue { cls; dst; s1; s2 } ->
-        let stall = Fp_unit.issue2 t.fp ~now:t.cycles ~cls ~dst ~s1 ~s2 in
-        if stall > 0 then begin
-          t.cycles <- t.cycles + stall;
-          badd tot ix_cycles stall;
-          badd tot ix_fpstalls stall
-        end
-    | Bfp_use src ->
-        let stall = Fp_unit.use t.fp ~now:t.cycles ~src in
-        if stall > 0 then begin
-          t.cycles <- t.cycles + stall;
-          badd tot ix_cycles stall;
-          badd tot ix_fpstalls stall
-        end
-    | Bfp_define dst -> Fp_unit.define t.fp ~now:t.cycles ~dst
+    | Bload s -> load_dynamic t (Array.unsafe_get dyn s)
+    | Bstore s -> store_dynamic t (Array.unsafe_get dyn s)
+    | Bfp_issue { cls; dst; s1; s2 } -> fp_issue_dynamic t ~cls ~dst ~s1 ~s2
+    | Bfp_use src -> fp_use t ~src
+    | Bfp_define dst -> fp_define t ~dst
   done
 
 let reset t =

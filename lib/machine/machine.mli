@@ -2,7 +2,8 @@
 
     The VM reports every fetch, load, store, branch and FP operation; the
     machine advances a cycle clock, applies stall penalties and maintains
-    the event {!Counters}.  Timing is a one-instruction-per-cycle base plus
+    the event {!Counters}.  Each event has one entry point, shared by
+    both engines.  Timing is a one-instruction-per-cycle base plus
     penalty cycles — deliberately simple, but every penalty source the paper
     measures (D/I-cache misses, mispredicts, store-buffer pressure, FP
     latency) is present and is perturbed by instrumentation code exactly as
@@ -33,8 +34,9 @@ val store : t -> addr:int -> unit
 (** Conditional branch at code address [addr] resolving to [taken]. *)
 val branch : t -> addr:int -> taken:bool -> unit
 
+(** FP arithmetic reading [s1] and [s2] into [dst] (see {!Fp_unit.issue}). *)
 val fp_issue :
-  t -> cls:Fp_unit.op_class -> dst:int -> srcs:int list -> unit
+  t -> cls:Fp_unit.op_class -> dst:int -> s1:int -> s2:int -> unit
 
 (** A non-FP consumer (store, compare, conversion) waits on FP register
     [src]. *)
@@ -110,28 +112,8 @@ val block_bulk :
     for why the skipped repeat probes are exact). *)
 val fetch_run : t -> addr:int -> slots:int -> count:int -> unit
 
-(** A compiled block's terminator fetch.  [probe:false] elides the icache
-    probe when the terminator shares its line with the block's last body
-    fetch (the skipped probe would hit an untouched, already
-    most-recent line — state-equivalent). *)
+(** A compiled block's terminator fetch; [probe:true] behaves as {!fetch}.
+    [probe:false] elides the icache probe when the terminator shares its
+    line with the block's last body fetch (the skipped probe would hit an
+    untouched, already most-recent line — state-equivalent). *)
 val fetch_term : t -> addr:int -> probe:bool -> unit
-
-(** {!branch} with counter indices pre-resolved, for compiled block
-    terminators; same observable behaviour. *)
-val branch_hot : t -> addr:int -> taken:bool -> unit
-
-(** {2 Per-instruction hot variants}
-
-    {!fetch}/{!load}/{!store}/{!fp_issue}/{!fp_use} with counter indices
-    pre-resolved and allocation-free cache probes, for the compiled
-    engine's precise tier.  Observable behaviour (counters, cycles, cache
-    and scoreboard state) is bit-identical to the plain entry points. *)
-
-val fetch_hot : t -> addr:int -> unit
-val load_hot : t -> addr:int -> unit
-val store_hot : t -> addr:int -> unit
-
-val fp_issue_hot :
-  t -> cls:Fp_unit.op_class -> dst:int -> s1:int -> s2:int -> unit
-
-val fp_use_hot : t -> src:int -> unit

@@ -16,12 +16,14 @@
    batched like a whole block and flushed before the next observer runs
    on the precise tier (one closure reporting its events inline, exactly
    like the interpreter), so counters are current whenever an observer
-   reads them.  A segment that traps (division by zero, memory fault,
-   float conversion, unresolved symbol) replays the machine events of its
-   completed prefix plus the faulting instruction's pre-trap events
-   before re-raising, so counters, cycles and [Trap] messages stay
-   bit-identical to {!Interp.run}.  Only a block whose register operands
-   fail the compile-time range check runs wholly on the precise tier.
+   reads them.  The precise tier compiles only observers; every other
+   instruction is batched, its register accesses unchecked because a
+   {!Pp_ir.Proc.t} names only in-range registers by construction.  A
+   segment that traps (division by zero, memory fault, float conversion,
+   unresolved symbol) replays the machine events of its completed prefix
+   plus the faulting instruction's pre-trap events before re-raising, so
+   counters, cycles and [Trap] messages stay bit-identical to
+   {!Interp.run}.
 
    The compiler executes against the interpreter's own state ([Interp.t]
    images, memory, machine, runtime, hooks), which is what makes the two
@@ -107,7 +109,7 @@ let do_call st (cprocs : cproc array) ~callee_idx ~(fr : frame) ~args_a
     ~fas_a ~ret =
   let mach = Interp.machine st in
   for i = 0 to Array.length fas_a - 1 do
-    Machine.fp_use_hot mach ~src:(Array.unsafe_get fas_a i)
+    Machine.fp_use mach ~src:(Array.unsafe_get fas_a i)
   done;
   let v = call_proc_from st cprocs.(callee_idx) ~caller:fr ~args_a ~fas_a in
   match (ret, v) with
@@ -123,361 +125,79 @@ let do_call st (cprocs : cproc array) ~callee_idx ~(fr : frame) ~args_a
    flushed its events: calls (the callee fetches, loads and stalls
    between this block's events), profiling pseudo-ops (the runtime
    interleaves its own charged fetches/loads/stores and reads the PICs),
-   and direct PIC access. *)
-let needs_precise = function
-  | I.Call _ | I.Callind _ | I.Prof _ | I.Hwread _ | I.Hwzero | I.Hwwrite _
-    ->
-      true
-  | _ -> false
-
-(* ------------------------------------------------------------------ *)
-(* Precise tier: one closure per instruction, events reported inline —
-   the interpreter's [exec_instr], pre-dispatched.                     *)
-
-let precise_step st cprocs ~pname ~addr (instr : I.t) : frame -> unit =
+   and direct PIC access.  Any other instruction is batched ([None]). *)
+let precise_step st cprocs ~pname ~addr (instr : I.t) : (frame -> unit) option
+    =
   let mach = Interp.machine st in
-  let mem = Interp.memory st in
   let counters = Machine.counters mach in
-  let layout = Interp.layout st in
   match instr with
-  | I.Iconst (rd, n) ->
-      fun fr ->
-        Machine.fetch_hot mach ~addr;
-        fr.iregs.(rd) <- n
-  | I.Iconst_sym (rd, sym) -> (
-      match Layout.resolve layout sym with
-      | a ->
-          fun fr ->
-            Machine.fetch_hot mach ~addr;
-            fr.iregs.(rd) <- a
-      | exception Not_found ->
-          fun _ ->
-            Machine.fetch_hot mach ~addr;
-            Interp.trap "unresolved symbol %s" sym)
-  | I.Fconst (fd, x) ->
-      fun fr ->
-        Machine.fetch_hot mach ~addr;
-        fr.fregs.(fd) <- x;
-        Machine.fp_define mach ~dst:fd
-  | I.Imov (rd, rs) ->
-      fun fr ->
-        Machine.fetch_hot mach ~addr;
-        fr.iregs.(rd) <- fr.iregs.(rs)
-  | I.Fmov (fd, fs) ->
-      fun fr ->
-        Machine.fetch_hot mach ~addr;
-        Machine.fp_use_hot mach ~src:fs;
-        fr.fregs.(fd) <- fr.fregs.(fs);
-        Machine.fp_define mach ~dst:fd
-  (* Arithmetic is expanded per operator so each closure runs its one
-     primitive instead of re-matching [op] (and calling cross-module
-     [exec_ibinop]) on every execution.  Trap messages stay byte-exact. *)
-  | I.Ibinop (op, rd, rs1, rs2) -> (
-      match op with
-      | I.Add ->
-          fun fr ->
-            Machine.fetch_hot mach ~addr;
-            fr.iregs.(rd) <- fr.iregs.(rs1) + fr.iregs.(rs2)
-      | I.Sub ->
-          fun fr ->
-            Machine.fetch_hot mach ~addr;
-            fr.iregs.(rd) <- fr.iregs.(rs1) - fr.iregs.(rs2)
-      | I.Mul ->
-          fun fr ->
-            Machine.fetch_hot mach ~addr;
-            fr.iregs.(rd) <- fr.iregs.(rs1) * fr.iregs.(rs2)
-      | I.Div ->
-          fun fr ->
-            Machine.fetch_hot mach ~addr;
-            let b = fr.iregs.(rs2) in
-            if b = 0 then Interp.trap "integer division by zero";
-            fr.iregs.(rd) <- fr.iregs.(rs1) / b
-      | I.Rem ->
-          fun fr ->
-            Machine.fetch_hot mach ~addr;
-            let b = fr.iregs.(rs2) in
-            if b = 0 then Interp.trap "integer remainder by zero";
-            fr.iregs.(rd) <- fr.iregs.(rs1) mod b
-      | I.And ->
-          fun fr ->
-            Machine.fetch_hot mach ~addr;
-            fr.iregs.(rd) <- fr.iregs.(rs1) land fr.iregs.(rs2)
-      | I.Or ->
-          fun fr ->
-            Machine.fetch_hot mach ~addr;
-            fr.iregs.(rd) <- fr.iregs.(rs1) lor fr.iregs.(rs2)
-      | I.Xor ->
-          fun fr ->
-            Machine.fetch_hot mach ~addr;
-            fr.iregs.(rd) <- fr.iregs.(rs1) lxor fr.iregs.(rs2)
-      | I.Shl ->
-          fun fr ->
-            Machine.fetch_hot mach ~addr;
-            fr.iregs.(rd) <- fr.iregs.(rs1) lsl (fr.iregs.(rs2) land 63)
-      | I.Shr ->
-          fun fr ->
-            Machine.fetch_hot mach ~addr;
-            fr.iregs.(rd) <- fr.iregs.(rs1) asr (fr.iregs.(rs2) land 63))
-  | I.Ibinop_imm (op, rd, rs, imm) -> (
-      match op with
-      | I.Add ->
-          fun fr ->
-            Machine.fetch_hot mach ~addr;
-            fr.iregs.(rd) <- fr.iregs.(rs) + imm
-      | I.Sub ->
-          fun fr ->
-            Machine.fetch_hot mach ~addr;
-            fr.iregs.(rd) <- fr.iregs.(rs) - imm
-      | I.Mul ->
-          fun fr ->
-            Machine.fetch_hot mach ~addr;
-            fr.iregs.(rd) <- fr.iregs.(rs) * imm
-      | I.Div ->
-          if imm = 0 then fun _ ->
-            Machine.fetch_hot mach ~addr;
-            Interp.trap "integer division by zero"
-          else fun fr ->
-            Machine.fetch_hot mach ~addr;
-            fr.iregs.(rd) <- fr.iregs.(rs) / imm
-      | I.Rem ->
-          if imm = 0 then fun _ ->
-            Machine.fetch_hot mach ~addr;
-            Interp.trap "integer remainder by zero"
-          else fun fr ->
-            Machine.fetch_hot mach ~addr;
-            fr.iregs.(rd) <- fr.iregs.(rs) mod imm
-      | I.And ->
-          fun fr ->
-            Machine.fetch_hot mach ~addr;
-            fr.iregs.(rd) <- fr.iregs.(rs) land imm
-      | I.Or ->
-          fun fr ->
-            Machine.fetch_hot mach ~addr;
-            fr.iregs.(rd) <- fr.iregs.(rs) lor imm
-      | I.Xor ->
-          fun fr ->
-            Machine.fetch_hot mach ~addr;
-            fr.iregs.(rd) <- fr.iregs.(rs) lxor imm
-      | I.Shl ->
-          let sh = imm land 63 in
-          fun fr ->
-            Machine.fetch_hot mach ~addr;
-            fr.iregs.(rd) <- fr.iregs.(rs) lsl sh
-      | I.Shr ->
-          let sh = imm land 63 in
-          fun fr ->
-            Machine.fetch_hot mach ~addr;
-            fr.iregs.(rd) <- fr.iregs.(rs) asr sh)
-  (* Comparisons are expanded per predicate: a curried comparator
-     closure would go through [caml_apply2] on every execution. *)
-  | I.Icmp (c, rd, rs1, rs2) -> (
-      match c with
-      | I.Eq ->
-          fun fr ->
-            Machine.fetch_hot mach ~addr;
-            fr.iregs.(rd) <- Bool.to_int (fr.iregs.(rs1) = fr.iregs.(rs2))
-      | I.Ne ->
-          fun fr ->
-            Machine.fetch_hot mach ~addr;
-            fr.iregs.(rd) <- Bool.to_int (fr.iregs.(rs1) <> fr.iregs.(rs2))
-      | I.Lt ->
-          fun fr ->
-            Machine.fetch_hot mach ~addr;
-            fr.iregs.(rd) <- Bool.to_int (fr.iregs.(rs1) < fr.iregs.(rs2))
-      | I.Le ->
-          fun fr ->
-            Machine.fetch_hot mach ~addr;
-            fr.iregs.(rd) <- Bool.to_int (fr.iregs.(rs1) <= fr.iregs.(rs2))
-      | I.Gt ->
-          fun fr ->
-            Machine.fetch_hot mach ~addr;
-            fr.iregs.(rd) <- Bool.to_int (fr.iregs.(rs1) > fr.iregs.(rs2))
-      | I.Ge ->
-          fun fr ->
-            Machine.fetch_hot mach ~addr;
-            fr.iregs.(rd) <- Bool.to_int (fr.iregs.(rs1) >= fr.iregs.(rs2)))
-  | I.Icmp_imm (c, rd, rs, imm) -> (
-      match c with
-      | I.Eq ->
-          fun fr ->
-            Machine.fetch_hot mach ~addr;
-            fr.iregs.(rd) <- Bool.to_int (fr.iregs.(rs) = imm)
-      | I.Ne ->
-          fun fr ->
-            Machine.fetch_hot mach ~addr;
-            fr.iregs.(rd) <- Bool.to_int (fr.iregs.(rs) <> imm)
-      | I.Lt ->
-          fun fr ->
-            Machine.fetch_hot mach ~addr;
-            fr.iregs.(rd) <- Bool.to_int (fr.iregs.(rs) < imm)
-      | I.Le ->
-          fun fr ->
-            Machine.fetch_hot mach ~addr;
-            fr.iregs.(rd) <- Bool.to_int (fr.iregs.(rs) <= imm)
-      | I.Gt ->
-          fun fr ->
-            Machine.fetch_hot mach ~addr;
-            fr.iregs.(rd) <- Bool.to_int (fr.iregs.(rs) > imm)
-      | I.Ge ->
-          fun fr ->
-            Machine.fetch_hot mach ~addr;
-            fr.iregs.(rd) <- Bool.to_int (fr.iregs.(rs) >= imm))
-  | I.Fbinop (op, fd, fs1, fs2) ->
-      let cls = Interp.fp_class op in
-      fun fr ->
-        Machine.fetch_hot mach ~addr;
-        Machine.fp_issue_hot mach ~cls ~dst:fd ~s1:fs1 ~s2:fs2;
-        fr.fregs.(fd) <- Interp.exec_fbinop op fr.fregs.(fs1) fr.fregs.(fs2)
-  | I.Fcmp (c, rd, fs1, fs2) -> (
-      match c with
-      | I.Eq ->
-          fun fr ->
-            Machine.fetch_hot mach ~addr;
-            Machine.fp_use_hot mach ~src:fs1;
-            Machine.fp_use_hot mach ~src:fs2;
-            fr.iregs.(rd) <- Bool.to_int (fr.fregs.(fs1) = fr.fregs.(fs2))
-      | I.Ne ->
-          fun fr ->
-            Machine.fetch_hot mach ~addr;
-            Machine.fp_use_hot mach ~src:fs1;
-            Machine.fp_use_hot mach ~src:fs2;
-            fr.iregs.(rd) <- Bool.to_int (fr.fregs.(fs1) <> fr.fregs.(fs2))
-      | I.Lt ->
-          fun fr ->
-            Machine.fetch_hot mach ~addr;
-            Machine.fp_use_hot mach ~src:fs1;
-            Machine.fp_use_hot mach ~src:fs2;
-            fr.iregs.(rd) <- Bool.to_int (fr.fregs.(fs1) < fr.fregs.(fs2))
-      | I.Le ->
-          fun fr ->
-            Machine.fetch_hot mach ~addr;
-            Machine.fp_use_hot mach ~src:fs1;
-            Machine.fp_use_hot mach ~src:fs2;
-            fr.iregs.(rd) <- Bool.to_int (fr.fregs.(fs1) <= fr.fregs.(fs2))
-      | I.Gt ->
-          fun fr ->
-            Machine.fetch_hot mach ~addr;
-            Machine.fp_use_hot mach ~src:fs1;
-            Machine.fp_use_hot mach ~src:fs2;
-            fr.iregs.(rd) <- Bool.to_int (fr.fregs.(fs1) > fr.fregs.(fs2))
-      | I.Ge ->
-          fun fr ->
-            Machine.fetch_hot mach ~addr;
-            Machine.fp_use_hot mach ~src:fs1;
-            Machine.fp_use_hot mach ~src:fs2;
-            fr.iregs.(rd) <- Bool.to_int (fr.fregs.(fs1) >= fr.fregs.(fs2)))
-  | I.Itof (fd, rs) ->
-      fun fr ->
-        Machine.fetch_hot mach ~addr;
-        fr.fregs.(fd) <- float_of_int fr.iregs.(rs);
-        Machine.fp_define mach ~dst:fd
-  | I.Ftoi (rd, fs) ->
-      fun fr ->
-        Machine.fetch_hot mach ~addr;
-        Machine.fp_use_hot mach ~src:fs;
-        let x = fr.fregs.(fs) in
-        if Float.is_nan x || Float.abs x >= 4.6e18 then
-          Interp.trap "float-to-int out of range (%g)" x;
-        fr.iregs.(rd) <- int_of_float x
-  | I.Load (rd, rb, off) ->
-      fun fr ->
-        Machine.fetch_hot mach ~addr;
-        let a = fr.iregs.(rb) + off in
-        Machine.load_hot mach ~addr:a;
-        (try fr.iregs.(rd) <- Memory.read_int mem a
-         with Memory.Fault m -> Interp.trap "load: %s" m)
-  | I.Store (rs, rb, off) ->
-      fun fr ->
-        Machine.fetch_hot mach ~addr;
-        let a = fr.iregs.(rb) + off in
-        Machine.store_hot mach ~addr:a;
-        (try Memory.write_int mem a fr.iregs.(rs)
-         with Memory.Fault m -> Interp.trap "store: %s" m)
-  | I.Fload (fd, rb, off) ->
-      fun fr ->
-        Machine.fetch_hot mach ~addr;
-        let a = fr.iregs.(rb) + off in
-        Machine.load_hot mach ~addr:a;
-        (try Memory.read_float_into mem a fr.fregs fd
-         with Memory.Fault m -> Interp.trap "load: %s" m);
-        Machine.fp_define mach ~dst:fd
-  | I.Fstore (fs, rb, off) ->
-      fun fr ->
-        Machine.fetch_hot mach ~addr;
-        Machine.fp_use_hot mach ~src:fs;
-        let a = fr.iregs.(rb) + off in
-        Machine.store_hot mach ~addr:a;
-        (try Memory.write_float_from mem a fr.fregs fs
-         with Memory.Fault m -> Interp.trap "store: %s" m)
   | I.Call { callee; args; fargs = fas; ret; _ } -> (
       match Interp.proc_index st callee with
       | None ->
-          fun _ ->
-            Machine.fetch_hot mach ~addr;
-            Interp.trap "call to unknown procedure %s" callee
+          Some
+            (fun _ ->
+              Machine.fetch mach ~addr;
+              Interp.trap "call to unknown procedure %s" callee)
       | Some callee_idx ->
           let args_a = Array.of_list args and fas_a = Array.of_list fas in
-          fun fr ->
-            Machine.fetch_hot mach ~addr;
-            do_call st cprocs ~callee_idx ~fr ~args_a ~fas_a ~ret)
+          Some
+            (fun fr ->
+              Machine.fetch mach ~addr;
+              do_call st cprocs ~callee_idx ~fr ~args_a ~fas_a ~ret))
   | I.Callind { target; args; fargs = fas; ret; _ } ->
       let args_a = Array.of_list args and fas_a = Array.of_list fas in
       let nargs = Array.length args_a and nfas = Array.length fas_a in
-      fun fr ->
-        Machine.fetch_hot mach ~addr;
-        let a = fr.iregs.(target) in
-        let callee_idx =
-          match Interp.proc_index_of_addr st a with
-          | Some i -> i
-          | None -> Interp.trap "indirect call to non-procedure address 0x%x" a
-        in
-        let callee = cprocs.(callee_idx).image.Interp.proc in
-        if
-          callee.Proc.iparams <> nargs
-          || callee.Proc.fparams <> nfas
-          || callee.Proc.returns <> Proc.Returns_int
-        then Interp.trap "indirect call signature mismatch on %s" callee.Proc.name;
-        do_call st cprocs ~callee_idx ~fr ~args_a ~fas_a ~ret
+      Some
+        (fun fr ->
+          Machine.fetch mach ~addr;
+          let a = fr.iregs.(target) in
+          let callee_idx =
+            match Interp.proc_index_of_addr st a with
+            | Some i -> i
+            | None ->
+                Interp.trap "indirect call to non-procedure address 0x%x" a
+          in
+          let callee = cprocs.(callee_idx).image.Interp.proc in
+          if
+            callee.Proc.iparams <> nargs
+            || callee.Proc.fparams <> nfas
+            || callee.Proc.returns <> Proc.Returns_int
+          then
+            Interp.trap "indirect call signature mismatch on %s"
+              callee.Proc.name;
+          do_call st cprocs ~callee_idx ~fr ~args_a ~fas_a ~ret)
   | I.Hwread (rd, k) ->
-      fun fr ->
-        Machine.fetch_hot mach ~addr;
-        fr.iregs.(rd) <- Counters.read_pic counters k
+      Some
+        (fun fr ->
+          Machine.fetch mach ~addr;
+          fr.iregs.(rd) <- Counters.read_pic counters k)
   | I.Hwzero ->
-      fun _ ->
-        Machine.fetch_hot mach ~addr;
-        Counters.zero_pics counters
+      Some
+        (fun _ ->
+          Machine.fetch mach ~addr;
+          Counters.zero_pics counters)
   | I.Hwwrite (rs, k) ->
-      fun fr ->
-        Machine.fetch_hot mach ~addr;
-        Counters.write_pic counters k fr.iregs.(rs)
-  | I.Frameaddr (rd, off) ->
-      let disp = Interp.linkage_bytes + off in
-      fun fr ->
-        Machine.fetch_hot mach ~addr;
-        fr.iregs.(rd) <- fr.fp + disp
-  | I.Print_int r ->
-      fun fr ->
-        Machine.fetch_hot mach ~addr;
-        Interp.push_output st (Interp.Oint fr.iregs.(r))
-  | I.Print_float f ->
-      fun fr ->
-        Machine.fetch_hot mach ~addr;
-        Machine.fp_use_hot mach ~src:f;
-        Interp.push_output st (Interp.Ofloat fr.fregs.(f))
+      Some
+        (fun fr ->
+          Machine.fetch mach ~addr;
+          Counters.write_pic counters k fr.iregs.(rs))
   | I.Prof op ->
-      fun fr ->
-        Machine.fetch_hot mach ~addr;
-        Interp.dispatch_prof st ~proc:pname ~op_addr:addr ~fp:fr.fp
-          ~iregs:fr.iregs op
+      Some
+        (fun fr ->
+          Machine.fetch mach ~addr;
+          Interp.dispatch_prof st ~proc:pname ~op_addr:addr ~fp:fr.fp
+            ~iregs:fr.iregs op)
+  | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Batched tier.                                                       *)
 
 (* Register accesses in batched semantic closures skip the bounds check:
-   {!compile_block} only takes this tier when every operand index was
-   verified in range at compile time (out-of-range blocks fall back to
-   the bounds-checked precise tier), and [dyn] slots are in range by
-   construction. *)
+   a [Proc.t] names only registers in [0 .. niregs-1] and
+   [0 .. nfregs-1] (its counts are derived from a private copy of the
+   code, and {!Pp_ir.Proc.make} rejects an index below zero or too large
+   for an array, so the count cannot overflow), {!call_proc} allocates
+   exactly that many, and [dyn] slots are in range by construction. *)
 let[@inline always] uget (a : int array) i = Array.unsafe_get a i
 let[@inline always] uset (a : int array) i v = Array.unsafe_set a i v
 let[@inline always] fget (a : float array) i = Array.unsafe_get a i
@@ -703,8 +423,7 @@ let replay_instr mach ~dyn ~(slots : int array) ~faulting j (instr : I.t) =
       Machine.fp_use mach ~src:fs;
       Machine.fp_define mach ~dst:fd
   | I.Fbinop (op, fd, fs1, fs2) ->
-      Machine.fp_issue mach ~cls:(Interp.fp_class op) ~dst:fd
-        ~srcs:[ fs1; fs2 ]
+      Machine.fp_issue mach ~cls:(Interp.fp_class op) ~dst:fd ~s1:fs1 ~s2:fs2
   | I.Fcmp (_, _, fs1, fs2) ->
       Machine.fp_use mach ~src:fs1;
       Machine.fp_use mach ~src:fs2
@@ -973,32 +692,16 @@ let compile_block st (cprocs : cproc array) (cp : cproc) label =
     | Block.Br (r, tl, fl) ->
         fun fr ->
           let taken = fr.iregs.(r) <> 0 in
-          Machine.branch_hot mach ~addr:taddr ~taken;
+          Machine.branch mach ~addr:taddr ~taken;
           if taken then (Array.unsafe_get blocks tl) fr
           else (Array.unsafe_get blocks fl) fr
     | Block.Ret Block.Ret_void -> fun _ -> Vvoid
     | Block.Ret (Block.Ret_int r) -> fun fr -> Vint fr.iregs.(r)
     | Block.Ret (Block.Ret_float f) ->
         fun fr ->
-          Machine.fp_use_hot mach ~src:f;
+          Machine.fp_use mach ~src:f;
           Vfloat fr.fregs.(f)
   in
-  (* Batched sems access registers unchecked, so the batch tier also
-     requires every operand index verified in range here; a block of an
-     invalid (unvalidated) program runs wholly on the bounds-checked
-     precise tier, which fails exactly like the interpreter. *)
-  let regs_ok =
-    Array.for_all
-      (fun i ->
-        List.for_all
-          (fun r -> r >= 0 && r < p.Proc.niregs)
-          (I.idefs i @ I.iuses i)
-        && List.for_all
-             (fun r -> r >= 0 && r < p.Proc.nfregs)
-             (I.fdefs i @ I.fuses i))
-      code
-  in
-  let precise i = needs_precise i || not regs_ok in
   let line_bytes =
     (Machine.config mach).Pp_machine.Config.icache.Pp_machine.Config.line_bytes
   in
@@ -1014,7 +717,12 @@ let compile_block st (cprocs : cproc array) (cp : cproc) label =
     | I.Call _ | I.Callind _ | I.Prof _ -> true
     | _ -> false
   in
-  if Array.exists precise code then begin
+  let observers =
+    Array.mapi
+      (fun k instr -> precise_step st cprocs ~pname ~addr:addrs.(k) instr)
+      code
+  in
+  if Array.exists Option.is_some observers then begin
     (* Observers split the block into segments.  Each segment flushes its
        events before the next observer runs precisely, so PICs, counter
        totals and the clock are current when it reads them. *)
@@ -1029,14 +737,13 @@ let compile_block st (cprocs : cproc array) (cp : cproc) label =
           :: !pieces
     in
     Array.iteri
-      (fun k instr ->
-        if precise instr then begin
-          close_segment k;
-          pieces :=
-            precise_step st cprocs ~pname ~addr:addrs.(k) instr :: !pieces;
-          lo := k + 1
-        end)
-      code;
+      (fun k -> function
+        | None -> ()
+        | Some step ->
+            close_segment k;
+            pieces := step :: !pieces;
+            lo := k + 1)
+      observers;
     close_segment n;
     let body = fuse (Array.of_list (List.rev !pieces)) in
     fun fr ->

@@ -402,7 +402,7 @@ and exec_instr t image iregs fregs fp addr instr =
   | I.Icmp_imm (c, rd, rs, imm) ->
       iregs.(rd) <- exec_icmp c iregs.(rs) imm
   | I.Fbinop (op, fd, fs1, fs2) ->
-      Machine.fp_issue mach ~cls:(fp_class op) ~dst:fd ~srcs:[ fs1; fs2 ];
+      Machine.fp_issue mach ~cls:(fp_class op) ~dst:fd ~s1:fs1 ~s2:fs2;
       fregs.(fd) <- exec_fbinop op fregs.(fs1) fregs.(fs2)
   | I.Fcmp (c, rd, fs1, fs2) ->
       Machine.fp_use mach ~src:fs1;

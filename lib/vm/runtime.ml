@@ -81,8 +81,8 @@ let alloc t words = alloc_from t.cursor words
 let charge_fetches t ~op_addr ~slots ~count =
   Machine.fetch_run t.machine ~addr:op_addr ~slots ~count
 
-let load t addr = Machine.load_hot t.machine ~addr
-let store t addr = Machine.store_hot t.machine ~addr
+let load t addr = Machine.load t.machine ~addr
+let store t addr = Machine.store t.machine ~addr
 
 let register_hash_table t ~table ~proc =
   let nbuckets = 4096 in

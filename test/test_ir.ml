@@ -64,6 +64,45 @@ let test_proc_rejects_dup_sites () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "sparse sites accepted"
 
+(* Register counts are derived from the code, so a negative index, or one
+   so large that the count [r + 1] overflows, is the only way to name a
+   register outside the frame: [Proc.make] refuses it wherever it appears,
+   naming the procedure, and later writes to the caller's array cannot
+   reach the procedure. *)
+let test_proc_rejects_negative_regs () =
+  let mk name instrs term =
+    Proc.make ~frame_words:0 ~name ~iparams:0 ~fparams:0
+      ~returns:Proc.Returns_void
+      ~blocks:[| { Block.label = 0; instrs; term } |]
+      ~entry:0
+  in
+  let ret_void = Block.Ret Block.Ret_void in
+  let rejects name instrs term =
+    match mk name instrs term with
+    | exception Invalid_argument msg ->
+        let needle = "Proc.make(" ^ name ^ ")" in
+        let n = String.length needle in
+        if not (String.length msg >= n && String.sub msg 0 n = needle) then
+          Alcotest.failf "%S does not name the procedure" msg
+    | _ -> Alcotest.failf "%s: negative register accepted" name
+  in
+  rejects "int_instr" [ Instr.Ibinop_imm (Instr.Add, 0, -1, 1) ] ret_void;
+  rejects "float_instr" [ Instr.Fconst (-2, 1.0) ] ret_void;
+  rejects "branch" [] (Block.Br (-1, 0, 0));
+  rejects "ret" [] (Block.Ret (Block.Ret_int (-3)));
+  rejects "int_max" [ Instr.Iconst (max_int, 5) ] ret_void;
+  rejects "float_max" [ Instr.Fconst (max_int, 1.0) ] ret_void;
+  rejects "array_limit" [ Instr.Iconst (Sys.max_array_length, 5) ] ret_void;
+  rejects "ret_max" [] (Block.Ret (Block.Ret_float max_int));
+  let blocks = [| { Block.label = 0; instrs = []; term = ret_void } |] in
+  let p =
+    Proc.make ~frame_words:0 ~name:"copied" ~iparams:0 ~fparams:0
+      ~returns:Proc.Returns_void ~blocks ~entry:0
+  in
+  blocks.(0) <- { (blocks.(0)) with instrs = [ Instr.Iconst (7, 1) ] };
+  check Alcotest.int "caller's array is copied" 0
+    (List.length (Proc.block p 0).instrs)
+
 let test_cfg_roles () =
   let p = Fixtures.figure1_proc () in
   let cfg = Cfg.of_proc p in
@@ -243,4 +282,6 @@ let suite =
     Alcotest.test_case "program checks" `Quick test_program_checks;
     Alcotest.test_case "instruction slots" `Quick test_instr_slots;
     Alcotest.test_case "defs and uses" `Quick test_defs_uses;
+    Alcotest.test_case "proc rejects negative registers" `Quick
+      test_proc_rejects_negative_regs;
   ]

@@ -89,6 +89,33 @@ let test_parse_errors () =
        entry=0\nL0:\n  bogus r0\n  ret\n";
   bad "program main=missing\n"
 
+(* A negative register index is a malformed operand: the parser rejects
+   it on its own line, with the same message as any other bad register. *)
+let test_negative_register () =
+  let rejects ~instr ~found =
+    let text =
+      "program main=x\n\
+       proc x iparams=0 fparams=0 returns=void frame=0 entry=0\n\
+       L0:\n\
+      \  iconst r0 1\n  " ^ instr ^ "\n  ret\n"
+    in
+    match Ir_text.parse text with
+    | exception Ir_text.Parse_error (line, msg) ->
+        check Alcotest.int (instr ^ ": line") 5 line;
+        check Alcotest.string (instr ^ ": message") found msg
+    | _ -> Alcotest.failf "accepted: %s" instr
+  in
+  rejects ~instr:"iconst r-1 5" ~found:"expected r-register, found \"r-1\"";
+  rejects ~instr:"fconst f-2 1.5" ~found:"expected f-register, found \"f-2\"";
+  rejects ~instr:"ibin add r1 r0 r-3"
+    ~found:"expected r-register, found \"r-3\"";
+  (* [max_int + 1] would overflow the register count. *)
+  let big = string_of_int max_int in
+  rejects ~instr:("iconst r" ^ big ^ " 5")
+    ~found:(Printf.sprintf "expected r-register, found \"r%s\"" big);
+  rejects ~instr:("fconst f" ^ big ^ " 1.5")
+    ~found:(Printf.sprintf "expected f-register, found \"f%s\"" big)
+
 let test_comments_and_blanks () =
   let text =
     "# a comment\n\
@@ -118,4 +145,6 @@ let suite =
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
     Alcotest.test_case "comments and blank lines" `Quick
       test_comments_and_blanks;
+    Alcotest.test_case "negative register index" `Quick
+      test_negative_register;
   ]

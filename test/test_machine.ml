@@ -104,14 +104,14 @@ let test_fp_unit () =
   (* f2 = f0 + f1 at cycle 0: ready at 3.  A dependent op at cycle 1 stalls
      2 cycles. *)
   check Alcotest.int "no stall on ready srcs" 0
-    (Fp_unit.issue fp ~now:0 ~cls:Fp_unit.Fp_add ~dst:2 ~srcs:[ 0; 1 ]);
+    (Fp_unit.issue fp ~now:0 ~cls:Fp_unit.Fp_add ~dst:2 ~s1:0 ~s2:1);
   check Alcotest.int "dependent stalls" 2
-    (Fp_unit.issue fp ~now:1 ~cls:Fp_unit.Fp_add ~dst:3 ~srcs:[ 2 ]);
+    (Fp_unit.issue fp ~now:1 ~cls:Fp_unit.Fp_add ~dst:3 ~s1:2 ~s2:2);
   (* dst 3 issued at 3, ready at 6; a store of f3 at cycle 4 stalls 2. *)
   check Alcotest.int "consumer stalls" 2 (Fp_unit.use fp ~now:4 ~src:3);
   (* Divides are long. *)
   Fp_unit.clear fp;
-  ignore (Fp_unit.issue fp ~now:0 ~cls:Fp_unit.Fp_div ~dst:4 ~srcs:[ 0 ]);
+  ignore (Fp_unit.issue fp ~now:0 ~cls:Fp_unit.Fp_div ~dst:4 ~s1:0 ~s2:0);
   check Alcotest.int "div latency" 12 (Fp_unit.use fp ~now:0 ~src:4);
   (* define resets availability. *)
   Fp_unit.define fp ~now:100 ~dst:4;
@@ -300,8 +300,7 @@ let apply_slow m evs =
       | F a -> Machine.fetch m ~addr:a
       | L a -> Machine.load m ~addr:a
       | S a -> Machine.store m ~addr:a
-      | FI (cls, dst, s1, s2) ->
-          Machine.fp_issue m ~cls ~dst ~srcs:[ s1; s2 ]
+      | FI (cls, dst, s1, s2) -> Machine.fp_issue m ~cls ~dst ~s1 ~s2
       | FU s -> Machine.fp_use m ~src:s
       | FD d -> Machine.fp_define m ~dst:d)
     evs
@@ -399,15 +398,15 @@ let prop_batched_equals_slow =
         if bulk_eligible evs && Random.State.bool rng then
           apply_bulk batch evs
         else apply_batched batch evs;
-        (* Terminator: slow fetch+branch vs fetch_term (probe elided when
-           the terminator shares the last body fetch's line) +
-           branch_hot. *)
+        (* Terminator: fetch+branch vs fetch_term (probe elided when the
+           terminator shares the last body fetch's line) + the same
+           branch. *)
         let taken = Random.State.bool rng in
         Machine.fetch slow ~addr:term_addr;
         Machine.branch slow ~addr:term_addr ~taken;
         let probe = term_addr / line_bytes <> (term_addr - 4) / line_bytes in
         Machine.fetch_term batch ~addr:term_addr ~probe;
-        Machine.branch_hot batch ~addr:term_addr ~taken;
+        Machine.branch batch ~addr:term_addr ~taken;
         base := term_addr + 4;
         if snapshot slow <> snapshot batch then ok := false
       done;
@@ -452,6 +451,58 @@ let prop_read_many_equals_reads =
       done;
       if not !ok then
         QCheck.Test.fail_reportf "read_many diverged at assoc %d" assoc;
+      true)
+
+(* [read]/[write] are the reference LRU model; every engine probes
+   through the allocation-free [read_hot]/[write_hot], which must agree
+   with it on each hit bit, the access and miss counts and the final
+   contents, on every associativity the specialised paths distinguish. *)
+
+let prop_hot_probes_equal_reference =
+  QCheck.Test.make ~count:200
+    ~name:"read_hot/write_hot == reference read/write (1/2/4/8-way)"
+    QCheck.(pair (int_range 0 10_000) (int_range 0 3))
+    (fun (seed, wi) ->
+      let rng = Random.State.make [| seed; 37 |] in
+      let assoc = 1 lsl wi in
+      (* 8 sets of [assoc] ways over a 128-line span: every set sees 16
+         competing lines, so hits, misses and evictions all occur. *)
+      let geom =
+        { Config.size_bytes = 256 * assoc; line_bytes = 32;
+          associativity = assoc }
+      in
+      let reference = Cache.create geom and hot = Cache.create geom in
+      let span = 4096 in
+      let last = ref 0 in
+      for step = 1 to 400 do
+        (* Half the accesses revisit the previous address's line. *)
+        let a =
+          if Random.State.bool rng then !last + Random.State.int rng 32
+          else Random.State.int rng span
+        in
+        last := a land lnot 31;
+        let write = Random.State.int rng 3 = 0 in
+        let r, h =
+          if write then (Cache.write reference a, Cache.write_hot hot a)
+          else (Cache.read reference a, Cache.read_hot hot a)
+        in
+        if r <> h then
+          QCheck.Test.fail_reportf "%d-way, step %d: %s 0x%x hit %b vs %b"
+            assoc step
+            (if write then "write" else "read")
+            a r h
+      done;
+      if Cache.accesses reference <> Cache.accesses hot
+         || Cache.misses reference <> Cache.misses hot
+      then
+        QCheck.Test.fail_reportf "%d-way: accesses %d/%d, misses %d/%d" assoc
+          (Cache.accesses reference) (Cache.accesses hot)
+          (Cache.misses reference) (Cache.misses hot);
+      for l = 0 to (span / 32) - 1 do
+        if Cache.probe reference (l * 32) <> Cache.probe hot (l * 32) then
+          QCheck.Test.fail_reportf "%d-way: line %d resident in one only"
+            assoc l
+      done;
       true)
 
 (* A runtime stub charges [count] fetches wrapping inside its [slots]
@@ -589,4 +640,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_batched_equals_slow;
     QCheck_alcotest.to_alcotest prop_read_many_equals_reads;
     QCheck_alcotest.to_alcotest prop_fetch_run_equals_fetches;
+    QCheck_alcotest.to_alcotest prop_hot_probes_equal_reference;
   ]
