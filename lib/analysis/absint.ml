@@ -394,45 +394,27 @@ let analyze ?conf (cfg : Cfg.t) =
   let p = cfg.Cfg.proc in
   let n = Array.length p.Proc.blocks in
   let loops = Loops.analyze cfg.Cfg.graph ~root:cfg.Cfg.entry in
-  let entries = Array.make n None in
   let joins = Array.make n 0 in
-  let on_queue = Array.make n false in
-  let queue = Queue.create () in
-  let enqueue l =
-    if not on_queue.(l) then (
-      on_queue.(l) <- true;
-      Queue.add l queue)
+  let merge l old env =
+    joins.(l) <- joins.(l) + 1;
+    let widen_now =
+      (Loops.is_header loops l && joins.(l) > conf.widen_delay)
+      || joins.(l) > conf.fuel
+    in
+    let next =
+      if widen_now then env_widen old (env_join old env) else env_join old env
+    in
+    if env_equal old next then None else Some next
   in
-  let push l env =
-    match entries.(l) with
-    | None ->
-        entries.(l) <- Some env;
-        enqueue l
-    | Some old ->
-        joins.(l) <- joins.(l) + 1;
-        let widen_now =
-          (Loops.is_header loops l && joins.(l) > conf.widen_delay)
-          || joins.(l) > conf.fuel
-        in
-        let next =
-          if widen_now then env_widen old (env_join old env)
-          else env_join old env
-        in
-        if not (env_equal old next) then (
-          entries.(l) <- Some next;
-          enqueue l)
+  let step l env =
+    let b = p.Proc.blocks.(l) in
+    let out = exec_block conf env b in
+    List.map (fun l' -> (l', out)) (succ_labels b)
   in
-  push p.Proc.entry (entry0 conf p);
-  while not (Queue.is_empty queue) do
-    let l = Queue.take queue in
-    on_queue.(l) <- false;
-    match entries.(l) with
-    | None -> ()
-    | Some env ->
-        let b = p.Proc.blocks.(l) in
-        let out = exec_block conf env b in
-        List.iter (fun l' -> push l' out) (succ_labels b)
-  done;
+  let entries =
+    Dataflow.solve ~size:n ~start:p.Proc.entry ~init:(entry0 conf p) ~step
+      ~merge
+  in
   (* Descending passes recover precision lost to widening: applying the
      (monotone, sound) transfer to any over-approximation of the least
      fixpoint yields another over-approximation, so a bounded number of

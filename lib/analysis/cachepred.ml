@@ -230,39 +230,18 @@ type solution = { block_in : state array; block_out : state array }
 
 let solve geom ~nblocks ~entry:entry_block ~succs ~events ~cold =
   let unknown = entry ~cold:false in
-  let ins : state option array = Array.make nblocks None in
   let transfer st evs = Array.fold_left (step geom) st evs in
-  ins.(entry_block) <- Some (entry ~cold);
-  let queue = Queue.create () in
-  let queued = Array.make nblocks false in
-  let enqueue b =
-    if not queued.(b) then begin
-      queued.(b) <- true;
-      Queue.add b queue
-    end
-  in
-  enqueue entry_block;
-  while not (Queue.is_empty queue) do
-    let b = Queue.pop queue in
-    queued.(b) <- false;
-    match ins.(b) with
-    | None -> ()
-    | Some st ->
+  let ins =
+    Dataflow.solve ~size:nblocks ~start:entry_block ~init:(entry ~cold)
+      ~step:(fun b st ->
         let out = transfer st (events b) in
-        List.iter
-          (fun s ->
-            if s >= 0 && s < nblocks then begin
-              let merged =
-                match ins.(s) with None -> out | Some old -> join old out
-              in
-              match ins.(s) with
-              | Some old when equal old merged -> ()
-              | _ ->
-                  ins.(s) <- Some merged;
-                  enqueue s
-            end)
-          (succs b)
-  done;
+        List.filter_map
+          (fun s -> if s >= 0 && s < nblocks then Some (s, out) else None)
+          (succs b))
+      ~merge:(fun _ old out ->
+        let merged = join old out in
+        if equal old merged then None else Some merged)
+  in
   let block_in =
     Array.init nblocks (fun b ->
         match ins.(b) with Some st -> st | None -> unknown)

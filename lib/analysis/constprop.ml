@@ -105,74 +105,53 @@ let analyze (cfg : Cfg.t) =
   let proc = cfg.Cfg.proc in
   let nblocks = Proc.num_blocks proc in
   let nregs = max proc.Proc.niregs 1 in
-  let t =
-    {
-      cfg;
-      entry_states = Array.make nblocks None;
-      exit_states = Array.make nblocks None;
-      branch_vals = Array.make nblocks None;
-      edge_exec = Array.make (Digraph.num_edges cfg.Cfg.graph) false;
-    }
-  in
-  let queue = Queue.create () in
-  let queued = Array.make nblocks false in
-  let enqueue l =
-    if not queued.(l) then begin
-      queued.(l) <- true;
-      Queue.add l queue
-    end
-  in
+  let exit_states = Array.make nblocks None in
+  let branch_vals = Array.make nblocks None in
+  let edge_exec = Array.make (Digraph.num_edges cfg.Cfg.graph) false in
   (* ENTRY -> entry block: parameters and everything else unknown. *)
   (match Digraph.out_edges cfg.Cfg.graph cfg.Cfg.entry with
-  | [ e ] -> t.edge_exec.(e.Digraph.id) <- true
+  | [ e ] -> edge_exec.(e.Digraph.id) <- true
   | _ -> invalid_arg "Constprop.analyze: malformed ENTRY");
-  t.entry_states.(proc.Proc.entry) <- Some (Array.make nregs Top);
-  enqueue proc.Proc.entry;
-  while not (Queue.is_empty queue) do
-    let l = Queue.pop queue in
-    queued.(l) <- false;
-    match t.entry_states.(l) with
-    | None -> ()
-    | Some in_state ->
-        let b = Proc.block proc l in
-        let state = Array.copy in_state in
-        List.iter (transfer state) b.Block.instrs;
-        t.exit_states.(l) <- Some state;
-        let cond =
-          match b.Block.term with
-          | Block.Br (r, _, _) ->
-              let v = state.(r) in
-              t.branch_vals.(l) <- Some v;
-              v
-          | _ -> Top
-        in
-        List.iter
-          (fun (e : Digraph.edge) ->
-            t.edge_exec.(e.Digraph.id) <- true;
-            match Cfg.label_of_vertex cfg e.Digraph.dst with
-            | None -> ()  (* EXIT *)
-            | Some dst ->
-                let changed =
-                  match t.entry_states.(dst) with
-                  | None ->
-                      t.entry_states.(dst) <- Some (Array.copy state);
-                      true
-                  | Some old ->
-                      let c = ref false in
-                      Array.iteri
-                        (fun i v ->
-                          let j = join old.(i) v in
-                          if j <> old.(i) then begin
-                            old.(i) <- j;
-                            c := true
-                          end)
-                        state;
-                      !c
-                in
-                if changed then enqueue dst)
-          (executable_out_edges cfg b cond)
-  done;
-  t
+  let step l in_state =
+    let b = Proc.block proc l in
+    let state = Array.copy in_state in
+    List.iter (transfer state) b.Block.instrs;
+    exit_states.(l) <- Some state;
+    let cond =
+      match b.Block.term with
+      | Block.Br (r, _, _) ->
+          let v = state.(r) in
+          branch_vals.(l) <- Some v;
+          v
+      | _ -> Top
+    in
+    List.filter_map
+      (fun (e : Digraph.edge) ->
+        edge_exec.(e.Digraph.id) <- true;
+        (* EXIT has no label; each successor gets its own copy, since
+           [merge] joins into a stored state in place. *)
+        Option.map
+          (fun dst -> (dst, Array.copy state))
+          (Cfg.label_of_vertex cfg e.Digraph.dst))
+      (executable_out_edges cfg b cond)
+  in
+  let merge _ old state =
+    let changed = ref false in
+    Array.iteri
+      (fun i v ->
+        let j = join old.(i) v in
+        if j <> old.(i) then begin
+          old.(i) <- j;
+          changed := true
+        end)
+      state;
+    if !changed then Some old else None
+  in
+  let entry_states =
+    Dataflow.solve ~size:nblocks ~start:proc.Proc.entry
+      ~init:(Array.make nregs Top) ~step ~merge
+  in
+  { cfg; entry_states; exit_states; branch_vals; edge_exec }
 
 let reachable t l = t.entry_states.(l) <> None
 let edge_executable t (e : Digraph.edge) = t.edge_exec.(e.Digraph.id)

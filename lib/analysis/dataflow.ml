@@ -3,122 +3,36 @@ module Cfg = Pp_ir.Cfg
 
 type direction = Forward | Backward
 
-module type LATTICE = sig
-  type t
-
-  val equal : t -> t -> bool
-  val join : t -> t -> t
-  val pp : Format.formatter -> t -> unit
-end
-
-module Make (L : LATTICE) = struct
-  type result = {
-    cfg : Cfg.t;
-    direction : direction;
-    inputs : L.t option array;  (* per vertex, on the init side *)
-    outputs : L.t option array;
-    steps : int;
-  }
-
-  let solve ?(edge_transfer = fun _ v -> v) ~direction (cfg : Cfg.t) ~init
-      ~transfer =
-    let g = cfg.Cfg.graph in
-    let n = Digraph.num_vertices g in
-    let inputs = Array.make n None in
-    let outputs = Array.make n None in
-    let steps = ref 0 in
-    (* Orient the graph: [sources v] are the vertices feeding v in the
-       direction of propagation, [feed_edges v] the connecting edges. *)
-    let start, feed_edges =
-      match direction with
-      | Forward -> (cfg.Cfg.entry, fun v -> Digraph.in_edges g v)
-      | Backward -> (cfg.Cfg.exit, fun v -> Digraph.out_edges g v)
-    in
-    let edge_source (e : Digraph.edge) =
-      match direction with Forward -> e.src | Backward -> e.dst
-    in
-    let downstream v =
-      match direction with
-      | Forward -> Digraph.succs g v
-      | Backward -> Digraph.preds g v
-    in
-    let apply v value =
-      match Cfg.label_of_vertex cfg v with
-      | None -> value  (* ENTRY/EXIT pass through *)
-      | Some label ->
-          incr steps;
-          transfer label value
-    in
-    inputs.(start) <- Some init;
-    outputs.(start) <- Some (apply start init);
-    let queue = Queue.create () in
-    let queued = Array.make n false in
-    let enqueue v =
-      if not queued.(v) then begin
-        queued.(v) <- true;
-        Queue.add v queue
-      end
-    in
-    List.iter enqueue (downstream start);
-    while not (Queue.is_empty queue) do
-      let v = Queue.pop queue in
-      queued.(v) <- false;
-      let input =
-        List.fold_left
-          (fun acc e ->
-            match outputs.(edge_source e) with
-            | None -> acc
-            | Some value -> (
-                let value = edge_transfer e value in
-                match acc with
-                | None -> Some value
-                | Some a -> Some (L.join a value)))
-          None (feed_edges v)
-      in
-      match input with
-      | None -> ()
-      | Some input ->
-          let changed =
-            match inputs.(v) with
-            | Some old when L.equal old input -> false
-            | _ ->
-                inputs.(v) <- Some input;
-                true
-          in
-          if changed || outputs.(v) = None then begin
-            let output = apply v input in
-            let out_changed =
-              match outputs.(v) with
-              | Some old when L.equal old output -> false
-              | _ ->
-                  outputs.(v) <- Some output;
-                  true
-            in
-            if out_changed then List.iter enqueue (downstream v)
-          end
-    done;
-    { cfg; direction; inputs; outputs; steps = !steps }
-
-  let vertex_of r label = Cfg.vertex_of_label r.cfg label
-
-  (* "before"/"after" are in program order regardless of direction. *)
-  let before r label =
-    match r.direction with
-    | Forward -> r.inputs.(vertex_of r label)
-    | Backward -> r.outputs.(vertex_of r label)
-
-  let after r label =
-    match r.direction with
-    | Forward -> r.outputs.(vertex_of r label)
-    | Backward -> r.inputs.(vertex_of r label)
-
-  let final r =
-    match r.direction with
-    | Forward -> r.inputs.(r.cfg.Cfg.exit)
-    | Backward -> r.inputs.(r.cfg.Cfg.entry)
-
-  let steps r = r.steps
-end
+let solve ~size ~start ~init ~step ~merge =
+  let values = Array.make size None in
+  let queued = Array.make size false in
+  let queue = Queue.create () in
+  let enqueue n =
+    if not queued.(n) then begin
+      queued.(n) <- true;
+      Queue.add n queue
+    end
+  in
+  let push (n, v) =
+    match values.(n) with
+    | None ->
+        values.(n) <- Some v;
+        enqueue n
+    | Some old -> (
+        match merge n old v with
+        | None -> ()
+        | Some v ->
+            values.(n) <- Some v;
+            enqueue n)
+  in
+  values.(start) <- Some init;
+  enqueue start;
+  while not (Queue.is_empty queue) do
+    let n = Queue.pop queue in
+    queued.(n) <- false;
+    List.iter push (step n (Option.get values.(n)))
+  done;
+  values
 
 module Bitset = struct
   type t = { size : int; bits : Bytes.t }
@@ -170,7 +84,6 @@ module Bitset = struct
     r
 
   let union = map2 (fun x y -> x lor y)
-  let inter = map2 (fun x y -> x land y)
   let diff = map2 (fun x y -> x land lnot y)
   let equal a b = a.size = b.size && Bytes.equal a.bits b.bits
 
@@ -197,52 +110,47 @@ module Bitset = struct
 end
 
 module Gen_kill = struct
-  type confluence = Union | Intersection
+  type result = {
+    cfg : Cfg.t;
+    direction : direction;
+    inputs : Bitset.t option array;  (* per vertex, on the init side *)
+    outputs : Bitset.t option array;
+  }
 
-  module L = struct
-    type t = Bitset.t
-
-    let equal = Bitset.equal
-    let pp = Bitset.pp
-  end
-
-  module Engine_union = Make (struct
-    include L
-
-    let join = Bitset.union
-  end)
-
-  module Engine_inter = Make (struct
-    include L
-
-    let join = Bitset.inter
-  end)
-
-  type result =
-    | Runion of Engine_union.result
-    | Rinter of Engine_inter.result
-
-  let solve ~direction ~confluence cfg ~universe:_ ~gen ~kill ~init =
-    let transfer label input =
-      Bitset.union (gen label) (Bitset.diff input (kill label))
+  let solve ~direction (cfg : Cfg.t) ~gen ~kill ~init =
+    let g = cfg.Cfg.graph in
+    let start, downstream =
+      match direction with
+      | Forward -> (cfg.Cfg.entry, Digraph.succs g)
+      | Backward -> (cfg.Cfg.exit, Digraph.preds g)
     in
-    match confluence with
-    | Union ->
-        Runion (Engine_union.solve ~direction cfg ~init ~transfer)
-    | Intersection ->
-        Rinter (Engine_inter.solve ~direction cfg ~init ~transfer)
+    let transfer v input =
+      match Cfg.label_of_vertex cfg v with
+      | None -> input  (* ENTRY/EXIT pass through *)
+      | Some l -> Bitset.union (gen l) (Bitset.diff input (kill l))
+    in
+    let inputs =
+      solve ~size:(Digraph.num_vertices g) ~start ~init
+        ~step:(fun v input ->
+          let output = transfer v input in
+          List.map (fun w -> (w, output)) (downstream v))
+        ~merge:(fun _ old input ->
+          let joined = Bitset.union old input in
+          if Bitset.equal joined old then None else Some joined)
+    in
+    let outputs = Array.mapi (fun v -> Option.map (transfer v)) inputs in
+    { cfg; direction; inputs; outputs }
 
+  let vertex_of r label = Cfg.vertex_of_label r.cfg label
+
+  (* "before"/"after" are in program order regardless of direction. *)
   let before r label =
-    match r with
-    | Runion r -> Engine_union.before r label
-    | Rinter r -> Engine_inter.before r label
+    match r.direction with
+    | Forward -> r.inputs.(vertex_of r label)
+    | Backward -> r.outputs.(vertex_of r label)
 
   let after r label =
-    match r with
-    | Runion r -> Engine_union.after r label
-    | Rinter r -> Engine_inter.after r label
-
-  let final = function
-    | Runion r -> Engine_union.final r
-    | Rinter r -> Engine_inter.final r
+    match r.direction with
+    | Forward -> r.outputs.(vertex_of r label)
+    | Backward -> r.inputs.(vertex_of r label)
 end

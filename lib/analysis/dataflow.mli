@@ -1,68 +1,37 @@
-(** A generic worklist dataflow engine over {!Pp_ir.Cfg}.
+(** The worklist fixpoint solver every CFG analysis runs on.
 
-    The engine propagates lattice values over the CFG's vertices (block
-    labels plus the synthetic ENTRY and EXIT), joining at control-flow
-    merges and iterating to a fixpoint.  Two interfaces are provided:
+    {!solve} propagates values over dense node ids in FIFO order.  The
+    client orients and interprets the graph: its [step] says what a
+    reached node sends to which successor, its [merge] says how a node
+    absorbs a new value (join, widening, in-place update, …).  Constant
+    propagation, abstract interpretation, the cache-state prediction and
+    the bitvector analyses all run on it; {!Gen_kill} is the bitvector
+    client, over the {!Pp_ir.Cfg}'s vertices (block labels plus the
+    synthetic ENTRY and EXIT).
 
-    - {!Make}, parameterised by an arbitrary join-semilattice and a
-      per-block transfer function (plus an optional per-edge transfer —
-      the instrumentation verifier uses this to charge Ball–Larus edge
-      values to edges rather than blocks);
-    - {!Gen_kill}, the classic bitvector specialisation (liveness,
-      reaching definitions, …) expressed with per-block gen/kill sets and
-      a union or intersection confluence operator.
-
-    Unreachable vertices stay at bottom, represented as [None] in query
-    results — no bottom element is required of the lattice. *)
-
-module Digraph = Pp_graph.Digraph
+    Unreached nodes stay at bottom, represented as [None] — no bottom
+    element is required of the client's values. *)
 
 type direction = Forward | Backward
 
-module type LATTICE = sig
-  type t
+(** [solve ~size ~start ~init ~step ~merge] runs to a fixpoint over nodes
+    [0 .. size-1] and returns each node's value, [None] when unreached.
 
-  val equal : t -> t -> bool
-  val join : t -> t -> t
-  val pp : Format.formatter -> t -> unit
-end
-
-module Make (L : LATTICE) : sig
-  type result
-
-  (** [solve ~direction cfg ~init ~transfer] runs to fixpoint.
-
-      Forward: the value flowing into the entry side is [init]; a block's
-      input is the join over its predecessors' outputs (each passed
-      through [edge_transfer] for the connecting edge); its output is
-      [transfer label input].  Backward: symmetric, starting from EXIT
-      with [init], joining over successors.
-
-      [transfer] is only applied to real blocks; ENTRY and EXIT pass
-      values through unchanged. *)
-  val solve :
-    ?edge_transfer:(Digraph.edge -> L.t -> L.t) ->
-    direction:direction ->
-    Pp_ir.Cfg.t ->
-    init:L.t ->
-    transfer:(Pp_ir.Block.label -> L.t -> L.t) ->
-    result
-
-  (** Value at the program point before the block (forward: its input;
-      backward: its output).  [None] when the block is unreachable. *)
-  val before : result -> Pp_ir.Block.label -> L.t option
-
-  (** Value at the program point after the block. *)
-  val after : result -> Pp_ir.Block.label -> L.t option
-
-  (** The value that reached the far end (EXIT for forward, ENTRY for
-      backward). *)
-  val final : result -> L.t option
-
-  (** Number of transfer-function applications performed (a measure of
-      worklist iteration; tests use it to bound convergence). *)
-  val steps : result -> int
-end
+    [start] holds [init] and is the first node on the queue.  A node is
+    taken from the front of the queue, and [step n x] (with [x] its
+    current value) lists the [(successor, value)] pushes it makes, in
+    order.  A push onto an unreached node stores the value; a push onto a
+    reached one calls [merge n old v], where [None] means the value did
+    not change and [Some v'] replaces it.  Every stored or changed node
+    joins the back of the queue unless it is already on it.  Clients that
+    widen inside [merge] rely on this exact order. *)
+val solve :
+  size:int ->
+  start:int ->
+  init:'a ->
+  step:(int -> 'a -> (int * 'a) list) ->
+  merge:(int -> 'a -> 'a -> 'a option) ->
+  'a option array
 
 (** Dense bitvector sets over a universe [0 .. size-1]. *)
 module Bitset : sig
@@ -77,7 +46,6 @@ module Bitset : sig
   val remove : t -> int -> unit
   val mem : t -> int -> bool
   val union : t -> t -> t
-  val inter : t -> t -> t
   val diff : t -> t -> t
   val equal : t -> t -> bool
   val is_empty : t -> bool
@@ -86,28 +54,28 @@ module Bitset : sig
   val pp : Format.formatter -> t -> unit
 end
 
-(** Gen/kill bitvector problems: [out = gen ∪ (in \ kill)]. *)
+(** Gen/kill bitvector problems with union confluence (liveness, reaching
+    definitions, may-be-uninitialised registers):
+    [out = gen ∪ (in \ kill)]. *)
 module Gen_kill : sig
-  type confluence = Union | Intersection
-
   type result
 
-  (** [solve ~direction ~confluence cfg ~universe ~gen ~kill ~init] — [gen]
-      and [kill] give each block's sets over [0 .. universe-1]; [init]
-      is the boundary value (at ENTRY for forward, EXIT for backward).
-      With [Intersection] confluence, unreachable predecessors are ignored
-      rather than treated as the full set. *)
+  (** [solve ~direction cfg ~gen ~kill ~init] — [gen] and [kill] give each
+      block's sets; [init] is the boundary value (at ENTRY for forward,
+      EXIT for backward).  A vertex's input is the union of the outputs
+      of its neighbours upstream. *)
   val solve :
     direction:direction ->
-    confluence:confluence ->
     Pp_ir.Cfg.t ->
-    universe:int ->
     gen:(Pp_ir.Block.label -> Bitset.t) ->
     kill:(Pp_ir.Block.label -> Bitset.t) ->
     init:Bitset.t ->
     result
 
+  (** The set at the program point before the block, in program order
+      whatever the direction.  [None] when the block is unreached. *)
   val before : result -> Pp_ir.Block.label -> Bitset.t option
+
+  (** The set at the program point after the block. *)
   val after : result -> Pp_ir.Block.label -> Bitset.t option
-  val final : result -> Bitset.t option
 end

@@ -28,8 +28,7 @@ let compute (cfg : Cfg.t) =
   let universe = Regs.universe regs in
   let sets = Array.map (block_sets regs universe) p.Pp_ir.Proc.blocks in
   let result =
-    Gen_kill.solve ~direction:Dataflow.Backward ~confluence:Gen_kill.Union cfg
-      ~universe
+    Gen_kill.solve ~direction:Dataflow.Backward cfg
       ~gen:(fun l -> fst sets.(l))
       ~kill:(fun l -> snd sets.(l))
       ~init:(Bitset.create universe)

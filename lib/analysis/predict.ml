@@ -579,56 +579,33 @@ let create ?(config = Config.default) ~original ~instrumented () =
   (* Worst-case CCT ancestor walk of Cct_enter: bounded by the deepest
      possible context, finite only when the call graph is acyclic and has
      no indirect calls. *)
-  let has_callind = ref false and calls = Hashtbl.create 16 in
-  Array.iter
-    (fun p ->
+  let procs = original.Program.procs in
+  let nprocs = Array.length procs in
+  let calls = Digraph.create () in
+  ignore (Digraph.add_vertices calls nprocs);
+  let has_callind = ref false in
+  Array.iteri
+    (fun i p ->
       Proc.iter_instrs
         (fun _ instr ->
           match instr with
           | I.Callind _ -> has_callind := true
           | I.Call { callee; _ } ->
-              Hashtbl.replace calls (p.Proc.name, callee) ()
+              Option.iter
+                (fun j -> ignore (Digraph.add_edge calls i j))
+                (Program.proc_index original callee)
           | _ -> ())
         p)
-    original.Program.procs;
-  let nprocs = Array.length original.Program.procs in
-  let acyclic =
-    (* Kahn-style: repeatedly remove procedures with no remaining callers
-       among the survivors. *)
-    let names = Array.to_list original.Program.procs
-                |> List.map (fun p -> p.Proc.name) in
-    let alive = Hashtbl.create 16 in
-    List.iter (fun n -> Hashtbl.replace alive n ()) names;
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      List.iter
-        (fun n ->
-          if Hashtbl.mem alive n then
-            let has_live_caller =
-              Hashtbl.fold
-                (fun (c, callee) () found ->
-                  found || (callee = n && Hashtbl.mem alive c && c <> n))
-                calls false
-            in
-            let self = Hashtbl.mem calls (n, n) in
-            if (not has_live_caller) && not self then begin
-              Hashtbl.remove alive n;
-              changed := true
-            end)
-        names
-    done;
-    Hashtbl.length alive = 0
-  in
+    procs;
   let wbound =
-    if !has_callind || not acyclic then None else Some (nprocs + 1)
+    if !has_callind || not (Pp_graph.Topo.is_acyclic calls) then None
+    else Some (nprocs + 1)
   in
   let main_called =
     !has_callind
-    || Hashtbl.fold
-         (fun (_, callee) () found ->
-           found || callee = original.Program.main)
-         calls false
+    || Digraph.in_degree calls
+         (Option.get (Program.proc_index original original.Program.main))
+       > 0
   in
   let cold_main = if main_called then None else Some original.Program.main in
   let t =

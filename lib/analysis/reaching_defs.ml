@@ -76,8 +76,7 @@ let compute (cfg : Cfg.t) =
   let init = Bitset.create universe in
   List.iter (Bitset.add init) param_sites;
   let result =
-    Gen_kill.solve ~direction:Dataflow.Forward ~confluence:Gen_kill.Union cfg
-      ~universe
+    Gen_kill.solve ~direction:Dataflow.Forward cfg
       ~gen:(fun l -> fst gen_kill.(l))
       ~kill:(fun l -> snd gen_kill.(l))
       ~init

@@ -26,8 +26,7 @@ let compute (cfg : Cfg.t) =
   let init = Bitset.full universe in
   List.iter (Bitset.remove init) (Regs.params regs p);
   let result =
-    Gen_kill.solve ~direction:Dataflow.Forward ~confluence:Gen_kill.Union cfg
-      ~universe
+    Gen_kill.solve ~direction:Dataflow.Forward cfg
       ~gen:(fun _ -> empty)
       ~kill:(fun l -> kills.(l))
       ~init

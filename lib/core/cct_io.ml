@@ -32,20 +32,28 @@ let escape s =
 let unescape s =
   let buf = Buffer.create (String.length s) in
   let n = String.length s in
-  let rec go i =
-    if i < n then
-      if s.[i] = '%' && i + 2 < n then begin
-        Buffer.add_char buf
-          (Char.chr (int_of_string ("0x" ^ String.sub s (i + 1) 2)));
-        go (i + 3)
-      end
-      else begin
-        Buffer.add_char buf s.[i];
-        go (i + 1)
-      end
+  let hex i =
+    match s.[i] with
+    | '0' .. '9' as c -> Some (Char.code c - Char.code '0')
+    | 'a' .. 'f' as c -> Some (Char.code c - Char.code 'a' + 10)
+    | 'A' .. 'F' as c -> Some (Char.code c - Char.code 'A' + 10)
+    | _ -> None
   in
-  go 0;
-  Buffer.contents buf
+  let rec go i =
+    if i >= n then Some (Buffer.contents buf)
+    else if s.[i] <> '%' then begin
+      Buffer.add_char buf s.[i];
+      go (i + 1)
+    end
+    else if i + 2 >= n then None
+    else
+      match (hex (i + 1), hex (i + 2)) with
+      | Some hi, Some lo ->
+          Buffer.add_char buf (Char.chr ((hi * 16) + lo));
+          go (i + 3)
+      | _ -> None
+  in
+  go 0
 
 let write ~codec buf cct =
   Buffer.add_string buf
@@ -95,28 +103,38 @@ let of_string ~codec text =
   let lines = String.split_on_char '\n' text in
   let nodes : (int, 'a Cct.node) Hashtbl.t = Hashtbl.create 64 in
   let cct = ref None in
-  let pending_root_data = ref None in
+  (* The header's line and node count, checked once the nodes are in. *)
+  let declared = ref (0, 0) in
   List.iteri
     (fun i line ->
       let lineno = i + 1 in
+      let int s =
+        match int_of_string_opt s with
+        | Some n -> n
+        | None -> fail lineno "bad integer %S" s
+      in
       let line = String.trim line in
       if line <> "" then
         match String.split_on_char ' ' line with
-        | "cct" :: "1" :: _nodes :: merged :: _ ->
-            let merge_call_sites = merged = "1" in
+        | "cct" :: "1" :: count :: merged :: _ ->
+            declared := (lineno, int count);
             (* Defer creation until the root's data arrives. *)
-            cct :=
-              Some
-                (`Header merge_call_sites)
+            cct := Some (`Header (merged = "1"))
         | "node" :: id :: parent :: _depth :: nsites :: name :: rest -> (
-            let id = int_of_string id in
-            let parent = int_of_string parent in
-            let nsites = int_of_string nsites in
-            let proc = unescape name in
-            let data = codec.decode (String.concat " " rest) in
+            let id = int id in
+            let parent = int parent in
+            let nsites = int nsites in
+            let proc =
+              match unescape name with
+              | Some proc -> proc
+              | None -> fail lineno "bad escape in %S" name
+            in
+            let data =
+              let s = String.concat " " rest in
+              try codec.decode s with Failure _ -> fail lineno "bad data %S" s
+            in
             match (!cct, parent) with
             | Some (`Header merged), -1 ->
-                pending_root_data := Some data;
                 let t =
                   Cct.create ~merge_call_sites:merged
                     ~make_data:(fun ~proc:_ ~nsites:_ -> data)
@@ -143,23 +161,26 @@ let of_string ~codec text =
             match !cct with
             | Some (`Tree t) ->
                 let find what id =
-                  match Hashtbl.find_opt nodes (int_of_string id) with
+                  match Hashtbl.find_opt nodes (int id) with
                   | Some n -> n
                   | None -> fail lineno "unknown %s %s" what id
                 in
-                Cct.graft_edge t ~from_:(find "source" from_)
-                  ~site:(int_of_string site)
+                Cct.graft_edge t ~from_:(find "source" from_) ~site:(int site)
                   ~target:(find "target" target)
                   ~is_backedge:(back = "1")
                   ~kind:(if ind = "1" then Cct.Indirect else Cct.Direct)
-                  ~calls:(int_of_string calls)
+                  ~calls:(int calls)
             | Some (`Header _) | None -> fail lineno "edge before nodes")
         | word :: _ -> fail lineno "unknown record %S" word
         | [] -> ())
     lines;
-  ignore !pending_root_data;
   match !cct with
-  | Some (`Tree t) -> t
+  | Some (`Tree t) ->
+      let lineno, count = !declared in
+      if Cct.num_nodes t <> count then
+        fail lineno "header declares %d nodes, found %d" count
+          (Cct.num_nodes t);
+      t
   | Some (`Header _) | None ->
       raise (Parse_error (0, "empty or headerless input"))
 

@@ -26,7 +26,9 @@ val metrics_codec : int array codec
     records (shared with {!Profile_io}'s format). *)
 val escape : string -> string
 
-val unescape : string -> string
+(** Inverse of {!escape}; [None] when a ['%'] is not followed by two hex
+    digits. *)
+val unescape : string -> string option
 
 (** Unit payload (encodes to the empty string). *)
 val unit_codec : unit codec
@@ -40,8 +42,11 @@ exception Parse_error of int * string
 
 (** Rebuild a CCT (its activation stack is just the root).  Edge call
     counts, node ids, depths and client data are restored exactly;
-    {!Cct.check_invariants} holds on the result.
-    @raise Parse_error *)
+    {!Cct.check_invariants} holds on the result.  The number of node
+    records must match the header; edge records carry no count, so a
+    text cut among them still parses.
+    @raise Parse_error on a malformed record (at its line) or a node
+    count that differs from the header's (at the header's line) *)
 val of_string : codec:'a codec -> string -> 'a Cct.t
 
 val of_file : codec:'a codec -> string -> 'a Cct.t

@@ -255,6 +255,11 @@ exception Parse_error of int * string
 let fail line fmt =
   Format.kasprintf (fun s -> raise (Parse_error (line, s))) fmt
 
+let unescape lineno s =
+  match Cct_io.unescape s with
+  | Some s -> s
+  | None -> fail lineno "bad escape in %S" s
+
 (* Record dispatch shared by both format versions: [tokens] is one
    record line split on spaces, CRC already stripped for v2. *)
 type pstate = {
@@ -270,20 +275,20 @@ let dispatch_record lineno st = function
         try int_of_string k
         with Failure _ -> fail lineno "bad feasible count %S" k
       in
-      st.feasible <- (Cct_io.unescape name, k) :: st.feasible
+      st.feasible <- (unescape lineno name, k) :: st.feasible
   | [ "coverage"; name; sampled; total ] ->
       let num s =
         try int_of_string s
         with Failure _ -> fail lineno "bad coverage count %S" s
       in
       st.coverage <-
-        (Cct_io.unescape name, (num sampled, num total)) :: st.coverage
+        (unescape lineno name, (num sampled, num total)) :: st.coverage
   | [ "proc"; name; npaths ] ->
       let npaths =
         try int_of_string npaths
         with Failure _ -> fail lineno "bad path count %S" npaths
       in
-      st.procs <- (Cct_io.unescape name, npaths, ref []) :: st.procs
+      st.procs <- (unescape lineno name, npaths, ref []) :: st.procs
   | [ "path"; sum; freq; m0; m1 ] -> (
       let num s =
         try int_of_string s with Failure _ -> fail lineno "bad int %S" s
@@ -314,7 +319,7 @@ let finish_state ~header st =
     }
 
 let parse_event lineno s =
-  match Event.of_name (Cct_io.unescape s) with
+  match Event.of_name (unescape lineno s) with
   | Some e -> e
   | None -> fail lineno "unknown event %S" s
 
@@ -334,7 +339,7 @@ let of_string_v1 lines =
             header :=
               Some
                 ( hash,
-                  Cct_io.unescape mode,
+                  unescape lineno mode,
                   parse_event lineno pic0,
                   parse_event lineno pic1 )
         | tokens ->
@@ -371,7 +376,7 @@ let scan_v2 text =
                 | _ -> fail 1 "bad record count %S" total
               in
               ( ( hash,
-                  Cct_io.unescape mode,
+                  unescape 1 mode,
                   parse_event 1 pic0,
                   parse_event 1 pic1 ),
                 total )

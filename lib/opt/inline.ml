@@ -7,70 +7,14 @@ type decision = {
   calls : int;
 }
 
-module ISet = Set.Make (Int)
-
-(* Must-defined register analysis: can the callee read an integer or float
-   register it never wrote (beyond its parameters)?  Such a register is
-   zero in a fresh activation but would hold a stale value once inlined,
-   so those callees are rejected. *)
+(* Can the callee read an integer or float register it never wrote
+   (beyond its parameters)?  Such a register is zero in a fresh
+   activation but would hold a stale value once inlined, so those callees
+   are rejected: exactly the procedures with an uninitialised-read lint
+   finding. *)
 let reads_clean (q : Proc.t) =
-  let n = Proc.num_blocks q in
-  let iparams = List.init q.Proc.iparams Fun.id |> ISet.of_list in
-  let fparams = List.init q.Proc.fparams Fun.id |> ISet.of_list in
-  let iin = Array.make n None and fin = Array.make n None in
-  iin.(q.Proc.entry) <- Some iparams;
-  fin.(q.Proc.entry) <- Some fparams;
-  let dirty = ref false in
-  let changed = ref true in
-  let inter a b =
-    match (a, b) with
-    | None, x | x, None -> x
-    | Some a, Some b -> Some (ISet.inter a b)
-  in
-  while !changed do
-    changed := false;
-    Array.iter
-      (fun (b : Block.t) ->
-        match (iin.(b.Block.label), fin.(b.Block.label)) with
-        | None, _ | _, None -> ()
-        | Some idef, Some fdef ->
-            let idef = ref idef and fdef = ref fdef in
-            List.iter
-              (fun instr ->
-                List.iter
-                  (fun r -> if not (ISet.mem r !idef) then dirty := true)
-                  (Instr.iuses instr);
-                List.iter
-                  (fun r -> if not (ISet.mem r !fdef) then dirty := true)
-                  (Instr.fuses instr);
-                List.iter (fun r -> idef := ISet.add r !idef) (Instr.idefs instr);
-                List.iter (fun r -> fdef := ISet.add r !fdef) (Instr.fdefs instr))
-              b.Block.instrs;
-            (match b.Block.term with
-            | Block.Br (r, _, _) | Block.Ret (Block.Ret_int r) ->
-                if not (ISet.mem r !idef) then dirty := true
-            | Block.Ret (Block.Ret_float r) ->
-                if not (ISet.mem r !fdef) then dirty := true
-            | Block.Jmp _ | Block.Ret Block.Ret_void -> ());
-            let eq a b =
-              match (a, b) with
-              | None, None -> true
-              | Some x, Some y -> ISet.equal x y
-              | _ -> false
-            in
-            List.iter
-              (fun s ->
-                let i' = inter iin.(s) (Some !idef)
-                and f' = inter fin.(s) (Some !fdef) in
-                if not (eq i' iin.(s) && eq f' fin.(s)) then begin
-                  iin.(s) <- i';
-                  fin.(s) <- f';
-                  changed := true
-                end)
-              (Block.successors b))
-      q.Proc.blocks
-  done;
-  not !dirty
+  Pp_analysis.Uninit.warnings (Pp_analysis.Uninit.compute (Cfg.of_proc q))
+  = []
 
 let has_prof_ops (q : Proc.t) =
   let found = ref false in

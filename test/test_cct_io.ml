@@ -139,6 +139,45 @@ let test_parse_errors () =
   bad "cct 1 2 0\nnode 0 -1 0 1 root \nedge 0 0 7 0 0 1\n";
   bad "cct 1 1 0\nnonsense 1 2 3\n"
 
+(* Malformed input raises [Parse_error] at the offending line rather than
+   a bare [Failure] from integer or escape decoding. *)
+let test_malformed_located () =
+  let at line text =
+    match Cct_io.of_string ~codec:Cct_io.metrics_codec text with
+    | exception Cct_io.Parse_error (l, _) ->
+        Alcotest.(check int) (String.escaped text) line l
+    | _ -> Alcotest.failf "accepted %S" text
+  in
+  at 2 "cct 1 1 0\nnode 0 -1 0 1 %zz 1 2\n";
+  at 2 "cct 1 1 0\nnode 0 -1 0 1 ab%4 1 2\n";
+  at 2 "cct 1 1 0\nnode 0 -1 0 x <root> 1 2\n";
+  at 2 "cct 1 1 0\nnode 0 -1 0 1 <root> 1 q\n";
+  at 1 "cct 1 x 0\nnode 0 -1 0 1 <root> 1 2\n";
+  at 3 "cct 1 1 0\nnode 0 -1 0 1 <root> 1 2\nedge 0 z 0 0 0 1\n";
+  Alcotest.(check (option string)) "escape round trip" (Some "a b%c")
+    (Cct_io.unescape (Cct_io.escape "a b%c"));
+  List.iter
+    (fun s ->
+      Alcotest.(check (option string)) s None (Cct_io.unescape s))
+    [ "%"; "%4"; "%zz"; "%_1"; "x%g0" ]
+
+(* The header's node count is checked: a text cut among the node records
+   is rejected at the header line. *)
+let test_node_count_checked () =
+  let text = Cct_io.to_string ~codec:Cct_io.metrics_codec (build_sample ()) in
+  let lines = String.split_on_char '\n' text in
+  let nodes =
+    List.length (List.filter (fun l -> String.starts_with ~prefix:"node " l) lines)
+  in
+  let first k = String.concat "\n" (List.filteri (fun i _ -> i < k) lines) in
+  match Cct_io.of_string ~codec:Cct_io.metrics_codec (first nodes) with
+  | exception Cct_io.Parse_error (l, msg) ->
+      Alcotest.(check int) "at the header" 1 l;
+      Alcotest.(check string) "message"
+        (Printf.sprintf "header declares %d nodes, found %d" nodes (nodes - 1))
+        msg
+  | _ -> Alcotest.fail "accepted a truncated node list"
+
 let test_dot () =
   let cct = build_sample () in
   let dot = Cct_io.to_dot cct in
@@ -200,6 +239,10 @@ let suite =
     Alcotest.test_case "file roundtrip" `Quick test_file_roundtrip;
     Alcotest.test_case "escaped names" `Quick test_escaped_names;
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
+    Alcotest.test_case "malformed records are located" `Quick
+      test_malformed_located;
+    Alcotest.test_case "header node count checked" `Quick
+      test_node_count_checked;
     Alcotest.test_case "dot rendering" `Quick test_dot;
     Alcotest.test_case "vm cct serialises" `Quick test_vm_cct_serialises;
   ]

@@ -276,6 +276,20 @@ let test_io_parse_errors () =
   bad "profile 1 h flow+hw dcache_misses instructions\npath 0 1 2 3\n";
   bad "profile 1 h flow+hw dcache_misses instructions\nproc f\n"
 
+(* A bad %-escape in a name is a located parse error, in both format
+   versions' headers and records. *)
+let test_io_bad_escape () =
+  let at line text =
+    match Profile_io.of_string text with
+    | exception Profile_io.Parse_error (l, _) ->
+        Alcotest.(check int) (String.escaped text) line l
+    | _ -> Alcotest.failf "accepted %S" text
+  in
+  at 2 "profile 1 h flow-hw dc_miss insts\nproc %zz 3\n";
+  at 2 "profile 1 h flow-hw dc_miss insts\nfeasible a%4 3\n";
+  at 1 "profile 1 h flow%zz dc_miss insts\n";
+  at 1 "profile 1 h flow-hw dc%g1 insts\n"
+
 (* {2 Cct.merge} *)
 
 type ev = E of string * int | X
@@ -525,6 +539,7 @@ let suite =
     Alcotest.test_case "path-count mismatch diag" `Quick
       test_io_merge_npaths_mismatch;
     Alcotest.test_case "profile parse errors" `Quick test_io_parse_errors;
+    Alcotest.test_case "bad escape located" `Quick test_io_bad_escape;
     Alcotest.test_case "cct merge = serial union" `Quick
       test_cct_merge_is_serial_union;
     Alcotest.test_case "cct merge commutes" `Quick test_cct_merge_commutes;

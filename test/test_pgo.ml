@@ -192,6 +192,112 @@ let test_inline_plan_safety () =
     "only the clean single-argument callee is inlined" [ "leaf" ]
     (List.map (fun (d : Inline.decision) -> d.Inline.callee) ds)
 
+(* The must-defined check behind inlining safety.  [planned callee] calls
+   a one-parameter void callee once, hot, and reports whether the plan
+   inlines it: every other filter (size, cost, profiling ops) passes. *)
+let planned callee =
+  let b =
+    Builder.create ~name:"main" ~iparams:0 ~fparams:0
+      ~returns:Proc.Returns_void
+  in
+  let _ = Builder.new_block b in
+  Builder.emit b (Instr.Iconst (0, 7));
+  Builder.emit_call b ~callee:callee.Proc.name ~args:[ 0 ] ~fargs:[]
+    ~ret:Instr.Rnone;
+  Builder.terminate b (Block.Ret Block.Ret_void);
+  let prog =
+    Program.make ~procs:[ Builder.finish b; callee ] ~globals:[]
+      ~main:"main"
+  in
+  let summary =
+    hot_summary_for prog
+      [
+        {
+          Summary.caller = "main";
+          site = 0;
+          callee = callee.Proc.name;
+          calls = 500;
+        };
+      ]
+  in
+  Inline.plan ~summary ~max_callee_slots:48 ~min_calls:8 ~budget_slots:512
+    prog
+  <> []
+
+(* br r0 ? L1 : L2, [def] on L1 (and on L2 when [both]), then [use] at
+   the join. *)
+let diamond ~both ~def ~use =
+  let b =
+    Builder.create ~name:"diamond" ~iparams:1 ~fparams:0
+      ~returns:Proc.Returns_void
+  in
+  let l0 = Builder.new_block b in
+  let l1 = Builder.new_block b in
+  let l2 = Builder.new_block b in
+  let l3 = Builder.new_block b in
+  ignore l0;
+  Builder.terminate b (Block.Br (0, l1, l2));
+  Builder.switch_to b l1;
+  Builder.emit b def;
+  Builder.terminate b (Block.Jmp l3);
+  Builder.switch_to b l2;
+  if both then Builder.emit b def;
+  Builder.terminate b (Block.Jmp l3);
+  Builder.switch_to b l3;
+  Builder.emit b use;
+  Builder.terminate b (Block.Ret Block.Ret_void);
+  Builder.finish b
+
+let test_inline_branch_defs () =
+  let int_case both =
+    planned
+      (diamond ~both ~def:(Instr.Iconst (1, 5)) ~use:(Instr.Print_int 1))
+  and float_case both =
+    planned
+      (diamond ~both ~def:(Instr.Fconst (0, 1.5)) ~use:(Instr.Print_float 0))
+  in
+  Alcotest.(check bool) "int register written on one arm" false
+    (int_case false);
+  Alcotest.(check bool) "int register written on both arms" true
+    (int_case true);
+  Alcotest.(check bool) "float register written on one arm" false
+    (float_case false);
+  Alcotest.(check bool) "float register written on both arms" true
+    (float_case true)
+
+(* L0: r2 <- 3 (and r1 <- 0 when [init]); L1: br r2 ? L2 : L3;
+   L2: print r1; r1 <- r2; r2 <- r2 - 1; jmp L1.  Without [init] the
+   first iteration reads the value the previous one would have left. *)
+let counting_loop ~init =
+  let b =
+    Builder.create ~name:"carried" ~iparams:1 ~fparams:0
+      ~returns:Proc.Returns_void
+  in
+  let l0 = Builder.new_block b in
+  let l1 = Builder.new_block b in
+  let l2 = Builder.new_block b in
+  let l3 = Builder.new_block b in
+  ignore l0;
+  Builder.emit b (Instr.Iconst (2, 3));
+  if init then Builder.emit b (Instr.Iconst (1, 0));
+  Builder.terminate b (Block.Jmp l1);
+  Builder.switch_to b l1;
+  Builder.terminate b (Block.Br (2, l2, l3));
+  Builder.switch_to b l2;
+  Builder.emit b (Instr.Print_int 1);
+  Builder.emit b (Instr.Imov (1, 2));
+  Builder.emit b (Instr.Ibinop_imm (Instr.Sub, 2, 2, 1));
+  Builder.terminate b (Block.Jmp l1);
+  Builder.switch_to b l3;
+  Builder.terminate b (Block.Ret Block.Ret_void);
+  Builder.finish b
+
+let test_inline_loop_carried () =
+  Alcotest.(check bool) "read before the loop writes it" false
+    (planned (counting_loop ~init:false));
+  Alcotest.(check bool) "initialised before the loop" true
+    (planned (counting_loop ~init:true))
+
 let test_inline_apply_preserves_output () =
   let prog = inline_program () in
   let summary = hot_summary_for prog [
@@ -438,6 +544,10 @@ let suite =
       test_straighten_diamond_untouched;
     Alcotest.test_case "inline plan: safety and cost model" `Quick
       test_inline_plan_safety;
+    Alcotest.test_case "inline plan: branch-local writes are not defined"
+      `Quick test_inline_branch_defs;
+    Alcotest.test_case "inline plan: loop-carried read rejected" `Quick
+      test_inline_loop_carried;
     Alcotest.test_case "inline apply preserves output" `Quick
       test_inline_apply_preserves_output;
     Alcotest.test_case "data placement orders by heat" `Quick
