@@ -11,7 +11,7 @@ module Ball_larus = Pp_core.Ball_larus
 module Digraph = Pp_graph.Digraph
 module Block = Pp_ir.Block
 module Proc = Pp_ir.Proc
-module Program = Pp_ir.Program
+module Cfg = Pp_ir.Cfg
 
 type verdict = Confirmed | Refuted | Vacuous
 
@@ -79,71 +79,137 @@ let apply_inject inj (c : Config.t) =
 (* ------------------------------------------------------------------ *)
 (* The measurement oracle                                              *)
 
-(* Per-procedure structure the oracle navigates by: the Ball-Larus
-   numbering (None = untracked), the original block count (labels below
-   it are original blocks), the instrumented CFG's successor arrays,
-   whose edge existence distinguishes an in-activation transition from
-   an equal-frame sibling call, and the per-path-sum statistics of the
-   procedure's closed windows. *)
+module Itbl = Hashtbl.Make (Int)
+
+(* Per-procedure tables, built once per run, so that a probe resolves a
+   block-to-block step by scanning one short array.  Original labels
+   index [entry], [exit], [preds] and [codes]; backedges are numbered in
+   {!Ball_larus.backedges} order.  A transition code is the step's value
+   ([>= 0]), [-1] for a missing step, or [-2 - i] when the transition
+   takes backedge [i] (checked before the step, as the instrumenter
+   commits there). *)
 type pinfo = {
-  bl : Ball_larus.t option;
-  n_orig : int;
-  succ : Block.label array array;
-  commits : (int, wstat) Hashtbl.t;
+  name : string;
+  bl : Ball_larus.t option;  (* None = untracked *)
+  n_orig : int;  (* original block count; 0 when untracked *)
+  ipreds : Block.label array array;
+      (* instrumented predecessors per instrumented label: whether the
+         instrumented CFG has an edge from the last probed block tells an
+         in-activation transition from an equal-frame sibling call *)
+  entry : int array;  (* From_entry step to each original label *)
+  exit : int array;  (* To_exit step from each original label *)
+  preds : Block.label array array;  (* original predecessors ... *)
+  codes : int array array;  (* ... and their transition codes *)
+  back : Digraph.edge array;
+  after : int array;  (* per backedge: the After_backedge entry step *)
+  into : int array;  (* per backedge: the Into_backedge exit step *)
+  commits : int array Itbl.t;
+      (* closed windows by path sum: five cells (windows, cycles,
+         D-misses, I-misses, stalls) *)
 }
 
-and wstat = {
-  mutable freq : int;
-  mutable tc : int;
-  mutable td : int;
-  mutable ti : int;
-  mutable ts : int;
-}
-
-(* A window accumulates its path sum step by step as its original blocks
-   are probed; [wsum] turns -1 at the first missing step, and the close
-   then re-encodes [brev] to word the anomaly. *)
-type window = {
-  wsrc : Ball_larus.source;
-  mutable brev : Block.label list;  (* original labels, reversed *)
+(* One procedure activation, pooled.  Its window (open iff the procedure
+   is tracked) accumulates the path sum step by step as original blocks
+   are probed; [wsum] turns -1 at the first missing step.  The window's
+   blocks occupy [blocks.(wbase) ..] of the oracle's shared buffer and
+   are read back only to word an anomaly. *)
+type activation = {
+  mutable aframe : int;
+  mutable info : pinfo;
+  mutable last : Block.label;  (* last probed instrumented label *)
+  mutable wsrc : int;  (* -1 = From_entry, else the source backedge *)
   mutable wsum : int;
+  mutable wprev : Block.label;  (* last original label; -1 = none yet *)
+  mutable wbase : int;
   mutable wc : int;  (* cycles *)
   mutable wd : int;  (* combined D-cache misses *)
   mutable wi : int;  (* I-cache misses *)
   mutable ws : int;  (* stall cycles, all three sources *)
 }
 
-type activation = {
-  aframe : int;
-  aproc : string;
-  info : pinfo;
-  mutable last : Block.label;  (* last probed instrumented label *)
-  mutable win : window option;
-}
-
 let untracked =
-  { bl = None; n_orig = 0; succ = [||]; commits = Hashtbl.create 1 }
+  {
+    name = "";
+    bl = None;
+    n_orig = 0;
+    ipreds = [||];
+    entry = [||];
+    exit = [||];
+    preds = [||];
+    codes = [||];
+    back = [||];
+    after = [||];
+    into = [||];
+    commits = Itbl.create 1;
+  }
 
-let fresh_window wsrc =
-  { wsrc; brev = []; wsum = 0; wc = 0; wd = 0; wi = 0; ws = 0 }
+let pinfo t (ip : Proc.t) =
+  let ipreds = Array.make (Proc.num_blocks ip) [] in
+  Array.iter
+    (fun (b : Block.t) ->
+      List.iter
+        (fun s -> ipreds.(s) <- b.label :: ipreds.(s))
+        (Block.successors b))
+    ip.blocks;
+  let ipreds = Array.map Array.of_list ipreds in
+  match Predict.numbering t ip.name with
+  | None -> { untracked with name = ip.name; ipreds }
+  | Some bl ->
+      let cfg = Ball_larus.cfg bl in
+      let n_orig = Proc.num_blocks cfg.proc in
+      let back = Array.of_list (Ball_larus.backedges bl) in
+      let back_index (e : Digraph.edge) =
+        let rec find i =
+          if back.(i).Digraph.id = e.id then i else find (i + 1)
+        in
+        find 0
+      in
+      let pairs = Array.make n_orig [] in
+      Digraph.iter_edges
+        (fun (e : Digraph.edge) ->
+          match
+            (Cfg.label_of_vertex cfg e.src, Cfg.label_of_vertex cfg e.dst)
+          with
+          | Some u, Some v when not (List.mem_assoc u pairs.(v)) ->
+              let code =
+                match Ball_larus.backedge_between bl ~src:u ~dst:v with
+                | Some b -> -2 - back_index b
+                | None -> Ball_larus.step bl ~src:u ~dst:v
+              in
+              pairs.(v) <- (u, code) :: pairs.(v)
+          | _ -> ())
+        cfg.graph;
+      {
+        name = ip.name;
+        bl = Some bl;
+        n_orig;
+        ipreds;
+        entry = Array.init n_orig (Ball_larus.entry_step bl From_entry);
+        exit =
+          Array.init n_orig (fun l -> Ball_larus.exit_step bl To_exit ~last:l);
+        preds = Array.map (fun l -> Array.of_list (List.map fst l)) pairs;
+        codes = Array.map (fun l -> Array.of_list (List.map snd l)) pairs;
+        back;
+        after =
+          Array.map
+            (fun (e : Digraph.edge) ->
+              Ball_larus.entry_step bl (Ball_larus.After_backedge e) e.dst)
+            back;
+        into =
+          Array.map
+            (fun (e : Digraph.edge) ->
+              Ball_larus.exit_step bl (Ball_larus.Into_backedge e) ~last:e.src)
+            back;
+        commits = Itbl.create 64;
+      }
 
-(* Append original block [label] to the window, adding its step. *)
-let extend bl w label =
-  let step =
-    match w.brev with
-    | [] -> Ball_larus.entry_step bl w.wsrc label
-    | prev :: _ -> Ball_larus.step bl ~src:prev ~dst:label
-  in
-  w.wsum <- (if w.wsum < 0 || step < 0 then -1 else w.wsum + step);
-  w.brev <- label :: w.brev
+let rec mem_label (a : Block.label array) x i =
+  i < Array.length a && (Array.unsafe_get a i = x || mem_label a x (i + 1))
 
-let edge_exists info a b =
-  a >= 0
-  && a < Array.length info.succ
-  &&
-  let succ = info.succ.(a) in
-  let rec mem i = i < Array.length succ && (succ.(i) = b || mem (i + 1)) in
-  mem 0
+let rec find_code (preds : Block.label array) codes prev i =
+  if i >= Array.length preds then -1
+  else if Array.unsafe_get preds i = prev then Array.unsafe_get codes i
+  else find_code preds codes prev (i + 1)
 
 let ixc = Counters.ix Event.Cycles
 let ixd = Counters.ix Event.Dcache_misses
@@ -154,7 +220,10 @@ let ixf = Counters.ix Event.Fp_stalls
 
 type oracle = {
   mutable anomalies : string list;
-  mutable stack : activation list;
+  mutable acts : activation array;  (* [0 .. depth - 1] live, top last *)
+  mutable depth : int;
+  mutable blocks : Block.label array;  (* window blocks, nested segments *)
+  mutable top : int;  (* first free slot of [blocks] *)
   totals : int array;  (* the live counter array *)
   mutable lc : int;
   mutable ld : int;
@@ -165,128 +234,209 @@ type oracle = {
 
 let anomaly o msg = o.anomalies <- msg :: o.anomalies
 
-(* Attribute the counter delta since the previous probe to the open
-   window of the topmost activation. *)
-let flush_delta o =
-  let c = o.totals.(ixc)
-  and d = o.totals.(ixd)
-  and i = o.totals.(ixi)
-  and s = o.totals.(ixm) + o.totals.(ixb) + o.totals.(ixf) in
-  (match o.stack with
-  | { win = Some w; _ } :: _ ->
-      w.wc <- w.wc + c - o.lc;
-      w.wd <- w.wd + d - o.ld;
-      w.wi <- w.wi + i - o.li;
-      w.ws <- w.ws + s - o.ls
-  | _ -> ());
+let fresh_activation () =
+  {
+    aframe = 0;
+    info = untracked;
+    last = 0;
+    wsrc = -1;
+    wsum = 0;
+    wprev = -1;
+    wbase = 0;
+    wc = 0;
+    wd = 0;
+    wi = 0;
+    ws = 0;
+  }
+
+(* Attribute the counter delta since the last flush to the window of the
+   topmost activation.  Flushed lazily, only before the top activation
+   or its window changes: between two flushes every delta belongs to the
+   same window, and the sums are exact. *)
+let flush o =
+  let t = o.totals in
+  let c = t.(ixc)
+  and d = t.(ixd)
+  and i = t.(ixi)
+  and s = t.(ixm) + t.(ixb) + t.(ixf) in
+  if o.depth > 0 then begin
+    let a = o.acts.(o.depth - 1) in
+    a.wc <- a.wc + c - o.lc;
+    a.wd <- a.wd + d - o.ld;
+    a.wi <- a.wi + i - o.li;
+    a.ws <- a.ws + s - o.ls
+  end;
   o.lc <- c;
   o.ld <- d;
   o.li <- i;
   o.ls <- s
 
-let commit info w sum =
-  let st =
-    match Hashtbl.find_opt info.commits sum with
-    | Some st -> st
+let open_window o a src =
+  a.wsrc <- src;
+  a.wsum <- 0;
+  a.wprev <- -1;
+  a.wbase <- o.top;
+  a.wc <- 0;
+  a.wd <- 0;
+  a.wi <- 0;
+  a.ws <- 0
+
+(* Append original block [label] to the top activation's window, adding
+   its step. *)
+let extend o a label step =
+  a.wsum <- (if a.wsum < 0 || step < 0 then -1 else a.wsum + step);
+  a.wprev <- label;
+  if o.top = Array.length o.blocks then begin
+    let grown = Array.make (2 * o.top) 0 in
+    Array.blit o.blocks 0 grown 0 o.top;
+    o.blocks <- grown
+  end;
+  Array.unsafe_set o.blocks o.top label;
+  o.top <- o.top + 1
+
+let commit info a sum =
+  let cells =
+    match Itbl.find_opt info.commits sum with
+    | Some cells -> cells
     | None ->
-        let st = { freq = 0; tc = 0; td = 0; ti = 0; ts = 0 } in
-        Hashtbl.add info.commits sum st;
-        st
+        let cells = Array.make 5 0 in
+        Itbl.add info.commits sum cells;
+        cells
   in
-  st.freq <- st.freq + 1;
-  st.tc <- st.tc + w.wc;
-  st.td <- st.td + w.wd;
-  st.ti <- st.ti + w.wi;
-  st.ts <- st.ts + w.ws
+  cells.(0) <- cells.(0) + 1;
+  cells.(1) <- cells.(1) + a.wc;
+  cells.(2) <- cells.(2) + a.wd;
+  cells.(3) <- cells.(3) + a.wi;
+  cells.(4) <- cells.(4) + a.ws
 
-let close o act sink =
-  match act.win with
+(* Close the top activation's window with sink [-1] (To_exit) or
+   backedge [sink], and free its blocks. *)
+let close o a sink =
+  let info = a.info in
+  (match info.bl with
   | None -> ()
-  | Some w -> (
-      act.win <- None;
-      match (act.info.bl, w.brev) with
-      | None, _ -> ()
-      | Some _, [] ->
-          if w.wc <> 0 || w.wd <> 0 || w.wi <> 0 || w.ws <> 0 then
-            anomaly o
-              (Printf.sprintf "%s: counter deltas in a window with no blocks"
-                 act.aproc)
-      | Some bl, last :: _ -> (
-          let exit = Ball_larus.exit_step bl sink ~last in
-          if w.wsum >= 0 && exit >= 0 then commit act.info w (w.wsum + exit)
-          else
-            let path =
-              { Ball_larus.source = w.wsrc; blocks = List.rev w.brev; sink }
-            in
-            match Ball_larus.encode bl path with
-            | sum -> commit act.info w sum
-            | exception Invalid_argument msg ->
-                anomaly o
-                  (Format.asprintf "%s: unencodable measured window %a (%s)"
-                     act.aproc Ball_larus.pp_path path msg)))
+  | Some bl ->
+      if a.wprev < 0 then begin
+        if a.wc <> 0 || a.wd <> 0 || a.wi <> 0 || a.ws <> 0 then
+          anomaly o
+            (Printf.sprintf "%s: counter deltas in a window with no blocks"
+               info.name)
+      end
+      else
+        let exit = if sink < 0 then info.exit.(a.wprev) else info.into.(sink) in
+        if a.wsum >= 0 && exit >= 0 then commit info a (a.wsum + exit)
+        else
+          let edge i = info.back.(i) in
+          let path =
+            {
+              Ball_larus.source =
+                (if a.wsrc < 0 then Ball_larus.From_entry
+                 else Ball_larus.After_backedge (edge a.wsrc));
+              blocks =
+                Array.to_list (Array.sub o.blocks a.wbase (o.top - a.wbase));
+              sink =
+                (if sink < 0 then Ball_larus.To_exit
+                 else Ball_larus.Into_backedge (edge sink));
+            }
+          in
+          match Ball_larus.encode bl path with
+          | sum -> commit info a sum
+          | exception Invalid_argument msg ->
+              anomaly o
+                (Format.asprintf "%s: unencodable measured window %a (%s)"
+                   info.name Ball_larus.pp_path path msg));
+  o.top <- a.wbase
 
-let probe o ~proc ~label ~frame ~iregs:_ =
-  flush_delta o;
+(* An in-activation transition of the top activation to [label]; within
+   the window, a transition that takes a backedge closes the window
+   ([Into_backedge]) and opens the next ([After_backedge]), mirroring
+   where the instrumenter commits path sums. *)
+let advance o a label ~orig =
+  a.last <- label;
+  if orig then begin
+    let info = a.info in
+    let prev = a.wprev in
+    (* Only a From_entry window can be empty: an After_backedge window
+       opens on the backedge's target. *)
+    if prev < 0 then extend o a label info.entry.(label)
+    else
+      let code = find_code info.preds.(label) info.codes.(label) prev 0 in
+      if code >= -1 then extend o a label code
+      else begin
+        let e = -2 - code in
+        flush o;
+        close o a e;
+        open_window o a e;
+        extend o a label info.after.(e)
+      end
+  end
+
+let pop o =
+  let a = o.acts.(o.depth - 1) in
+  close o a (-1);
+  o.depth <- o.depth - 1
+
+(* The slow path: returns, calls and equal-frame siblings. *)
+let enter o info ipreds label ~orig ~frame =
+  flush o;
   (* Returns: every activation with a frame below the probing one is
      done; its window ran to the procedure's exit. *)
-  let rec pops () =
-    match o.stack with
-    | a :: rest when a.aframe < frame ->
-        o.stack <- rest;
-        close o a Ball_larus.To_exit;
-        pops ()
-    | _ -> ()
+  while o.depth > 0 && o.acts.(o.depth - 1).aframe < frame do
+    pop o
+  done;
+  let continues =
+    o.depth > 0
+    &&
+    let a = o.acts.(o.depth - 1) in
+    a.aframe = frame && a.info == info && mem_label ipreds a.last 0
   in
-  pops ();
-  match o.stack with
-  | a :: _
-    when a.aframe = frame && String.equal a.aproc proc
-         && edge_exists a.info a.last label ->
-      (* In-activation transition. *)
-      a.last <- label;
-      if label < a.info.n_orig then (
-        match (a.win, a.info.bl) with
-        | Some w, Some bl -> (
-            match w.brev with
-            | prev :: _ -> (
-                match Ball_larus.backedge_between bl ~src:prev ~dst:label with
-                | Some e ->
-                    close o a (Ball_larus.Into_backedge e);
-                    let next = fresh_window (Ball_larus.After_backedge e) in
-                    extend bl next label;
-                    a.win <- Some next
-                | None -> extend bl w label)
-            | [] -> extend bl w label)
-        | _ -> ())
-  | _ ->
-      (* New activation; an equal-frame top is a finished sibling. *)
-      (match o.stack with
-      | a :: rest when a.aframe = frame ->
-          o.stack <- rest;
-          close o a Ball_larus.To_exit
-      | _ -> ());
-      let info =
-        match Hashtbl.find_opt o.pinfos proc with
-        | Some i -> i
-        | None -> untracked
-      in
-      let win =
-        match info.bl with
-        | None -> None
-        | Some bl ->
-            let w = fresh_window Ball_larus.From_entry in
-            if label < info.n_orig then extend bl w label;
-            Some w
-      in
-      o.stack <- { aframe = frame; aproc = proc; info; last = label; win } :: o.stack
+  if continues then advance o o.acts.(o.depth - 1) label ~orig
+  else begin
+    (* New activation; an equal-frame top is a finished sibling. *)
+    if o.depth > 0 && o.acts.(o.depth - 1).aframe = frame then pop o;
+    if o.depth = Array.length o.acts then
+      o.acts <-
+        Array.append o.acts (Array.init o.depth (fun _ -> fresh_activation ()));
+    let a = o.acts.(o.depth) in
+    o.depth <- o.depth + 1;
+    a.aframe <- frame;
+    a.info <- info;
+    a.last <- label;
+    open_window o a (-1);
+    if orig then extend o a label info.entry.(label)
+  end
+
+(* The staged probe: everything static about the block is resolved here,
+   once; the returned closure runs at every entry.  Its fast path is an
+   in-activation transition: same frame, same procedure, and the last
+   probed block is an instrumented predecessor. *)
+let stage o ~proc ~label =
+  let info = Hashtbl.find o.pinfos proc in
+  let ipreds = info.ipreds.(label) in
+  let orig = label < info.n_orig in
+  fun ~frame ~iregs:_ ->
+    let depth = o.depth in
+    if depth > 0 then begin
+      let a = Array.unsafe_get o.acts (depth - 1) in
+      if a.aframe = frame && a.info == info && mem_label ipreds a.last 0 then
+        advance o a label ~orig
+      else enter o info ipreds label ~orig ~frame
+    end
+    else enter o info ipreds label ~orig ~frame
 
 let finish o ~trapped =
-  if trapped then o.stack <- []
-  else begin
-    flush_delta o;
-    List.iter (fun a -> close o a Ball_larus.To_exit) o.stack;
-    o.stack <- []
-  end
+  if not trapped then begin
+    flush o;
+    while o.depth > 0 do
+      pop o
+    done
+  end;
+  o.depth <- 0
+
+(* The measured path sums of a procedure, ascending, with their cells. *)
+let measured info =
+  Itbl.fold (fun sum cells acc -> (sum, cells) :: acc) info.commits []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 (* ------------------------------------------------------------------ *)
 (* Verdict assembly                                                    *)
@@ -331,9 +481,7 @@ let rows_of_commits t ~vacuous_slack pinfos =
       let measured =
         match Hashtbl.find_opt pinfos proc with
         | None -> []
-        | Some info ->
-            Hashtbl.fold (fun sum st acc -> (sum, st) :: acc) info.commits []
-            |> List.sort (fun (a, _) (b, _) -> compare a b)
+        | Some info -> measured info
       in
       if measured = [] then []
       else
@@ -342,41 +490,42 @@ let rows_of_commits t ~vacuous_slack pinfos =
         in
         let decoded =
           List.map
-            (fun (sum, st) ->
-              (sum, st, Ball_larus.decode bl sum, Predict.predict t ~proc ~sum))
+            (fun (sum, cells) ->
+              (sum, cells, Ball_larus.decode bl sum, Predict.predict t ~proc ~sum))
             measured
         in
-        (* Entries of the loop at header [h]: windows executing [h] other
-           than by arriving along one of its backedges. *)
-        let entries h =
-          List.fold_left
-            (fun acc (_, st, (path : Ball_larus.path), _) ->
-              let contains = List.mem h path.blocks in
-              let via_backedge =
-                match path.source with
-                | Ball_larus.After_backedge e -> e.Digraph.dst = h
-                | Ball_larus.From_entry -> false
-              in
-              if contains && not via_backedge then acc + st.freq else acc)
-            0 decoded
-        in
+        (* Entries of the loop at each header [h]: windows executing [h]
+           other than by arriving along one of its backedges. *)
+        let entries = Array.make (Proc.num_blocks (Ball_larus.cfg bl).proc) 0 in
+        List.iter
+          (fun (_, cells, (path : Ball_larus.path), _) ->
+            let via_backedge =
+              match path.source with
+              | Ball_larus.After_backedge e -> e.Digraph.dst
+              | Ball_larus.From_entry -> -1
+            in
+            List.iter
+              (fun h ->
+                if h <> via_backedge then entries.(h) <- entries.(h) + cells.(0))
+              (List.sort_uniq compare path.blocks))
+          decoded;
         List.map
-          (fun (sum, st, path, (b : Predict.exec_bounds)) ->
-            let freq = st.freq in
+          (fun (sum, cells, path, (b : Predict.exec_bounds)) ->
+            let freq = cells.(0) in
             let tail = if b.to_exit then Predict.tail_bound t proc else tail_zero in
             let once_n =
-              match b.header with Some h -> min freq (entries h) | None -> 0
+              match b.header with Some h -> min freq entries.(h) | None -> 0
             in
             let mk = mk_stat ~vacuous_slack ~freq ~once_n in
             let stats =
               [
-                mk "cycles" st.tc b.per_exec.cycles ~once:b.cycles_once
+                mk "cycles" cells.(1) b.per_exec.cycles ~once:b.cycles_once
                   ~tail:tail.t_cycles;
-                mk "dmiss" st.td b.per_exec.dmiss ~once:b.dmiss_once
+                mk "dmiss" cells.(2) b.per_exec.dmiss ~once:b.dmiss_once
                   ~tail:tail.t_dmiss;
-                mk "imiss" st.ti b.per_exec.imiss ~once:b.imiss_once
+                mk "imiss" cells.(3) b.per_exec.imiss ~once:b.imiss_once
                   ~tail:tail.t_imiss;
-                mk "stalls" st.ts b.per_exec.stalls ~once:0 ~tail:tail.t_stalls;
+                mk "stalls" cells.(4) b.per_exec.stalls ~once:0 ~tail:tail.t_stalls;
               ]
             in
             let rverdict =
@@ -396,16 +545,7 @@ let rows_of_commits t ~vacuous_slack pinfos =
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 
-let run ?options ?(config = Config.default) ?inject ?engine ?budget
-    ?(vacuous_slack = 8.0) ~mode prog =
-  let config = Config.validate config in
-  let exec_config =
-    match inject with None -> config | Some inj -> apply_inject inj config
-  in
-  let session =
-    Driver.prepare ?options ~config:exec_config ?max_instructions:budget ?engine
-      ~mode prog
-  in
+let certify ~config ~injected ~vacuous_slack (session : Driver.session) =
   let t =
     Predict.create ~config ~original:session.original
       ~instrumented:session.instrumented ()
@@ -413,28 +553,17 @@ let run ?options ?(config = Config.default) ?inject ?engine ?budget
   let pinfos = Hashtbl.create 16 in
   Array.iter
     (fun (ip : Proc.t) ->
-      let n_orig =
-        match Program.find_proc session.original ip.name with
-        | Some op -> Proc.num_blocks op
-        | None -> 0
-      in
-      let succ =
-        Array.map (fun b -> Array.of_list (Block.successors b)) ip.blocks
-      in
-      Hashtbl.add pinfos ip.name
-        {
-          bl = Predict.numbering t ip.name;
-          n_orig;
-          succ;
-          commits = Hashtbl.create 64;
-        })
+      Hashtbl.add pinfos ip.name (pinfo t ip))
     session.instrumented.procs;
-  let totals = Counters.raw_totals (Machine.counters (Interp.machine session.vm)) in
   let o =
     {
       anomalies = [];
-      stack = [];
-      totals;
+      acts = Array.init 64 (fun _ -> fresh_activation ());
+      depth = 0;
+      blocks = Array.make 256 0;
+      top = 0;
+      totals =
+        Counters.raw_totals (Machine.counters (Interp.machine session.vm));
       lc = 0;
       ld = 0;
       li = 0;
@@ -442,8 +571,7 @@ let run ?options ?(config = Config.default) ?inject ?engine ?budget
       pinfos;
     }
   in
-  Interp.set_block_probe session.vm (fun ~proc ~label ~frame ~iregs ->
-      probe o ~proc ~label ~frame ~iregs);
+  Interp.set_block_probe session.vm (stage o);
   let trapped =
     match Driver.run session with
     | (_ : Interp.result) -> false
@@ -472,14 +600,11 @@ let run ?options ?(config = Config.default) ?inject ?engine ?budget
     | _ -> List.fold_left ( +. ) 0. slacks /. float_of_int (List.length slacks)
   in
   {
-    mode;
+    mode = session.manifest.mode;
     engine = Engine.kind session.engine;
-    injected = Option.map inject_name inject;
+    injected;
     rows;
-    windows =
-      Hashtbl.fold
-        (fun _ info n -> Hashtbl.fold (fun _ st n -> n + st.freq) info.commits n)
-        pinfos 0;
+    windows = List.fold_left (fun n (r : row) -> n + r.freq) 0 rows;
     anomalies = List.rev o.anomalies;
     trapped;
     confirmed = count Confirmed;
@@ -487,6 +612,24 @@ let run ?options ?(config = Config.default) ?inject ?engine ?budget
     vacuous = count Vacuous;
     mean_slack;
   }
+
+let run ?options ?(config = Config.default) ?inject ?engine ?budget
+    ?(vacuous_slack = 8.0) ~mode prog =
+  let config = Config.validate config in
+  let exec_config =
+    match inject with None -> config | Some inj -> apply_inject inj config
+  in
+  let session =
+    Driver.prepare ?options ~config:exec_config ?max_instructions:budget ?engine
+      ~mode prog
+  in
+  certify ~config ~injected:(Option.map inject_name inject) ~vacuous_slack
+    session
+
+let measure (session : Driver.session) =
+  certify
+    ~config:(Machine.config (Interp.machine session.vm))
+    ~injected:None ~vacuous_slack:8.0 session
 
 let exit_code outcomes =
   if List.exists (fun o -> o.refuted > 0 || o.anomalies <> []) outcomes then 2

@@ -2,13 +2,15 @@
     measurement oracle attached, then check every measured per-path
     counter delta against the static bounds of {!Pp_analysis.Predict}.
 
-    {b The oracle.}  A block probe ({!Pp_vm.Interp.set_block_probe})
-    fires at every instrumented-block entry, before any of the block's
-    fetches, carrying the probing frame base.  The oracle keeps a stack
-    of {e activations} keyed by frame and attributes the counter delta
-    since the previous probe to the open window of the topmost
-    activation.  Structure is recovered exactly, without any help from
-    the instrumentation:
+    {b The oracle.}  A staged block probe
+    ({!Pp_vm.Interp.set_block_probe}) fires at every instrumented-block
+    entry, before any of the block's fetches, carrying the probing frame
+    base.  Its outer stage, run once per block, captures the block's
+    procedure tables, its instrumented predecessors and whether it is an
+    original block.  The oracle keeps a pooled stack of {e activations}
+    keyed by frame and attributes counter deltas to the open window of
+    the topmost activation.  Structure is recovered exactly, without any
+    help from the instrumentation:
 
     - a probe with a frame {e larger} than the top's pops activations
       (returns), closing their windows with sink [To_exit];
@@ -16,19 +18,27 @@
       instrumented CFG has an edge from its last probed block to the
       probed one — the last probed block of a finished activation is its
       [Ret] block, which has no out-edges, so an equal-frame sibling
-      call can never be mistaken for a transition;
+      call can never be mistaken for a transition (this continuation is
+      the probe's fast path; calls, returns and siblings take the slow
+      one);
     - within an activation, a transition between original blocks that is
       a Ball–Larus backedge closes the window ([Into_backedge]) and
       opens the next ([After_backedge]), mirroring where the
       instrumenter commits path sums.
 
-    A window accumulates its Ball–Larus path sum step by step
-    ({!Pp_core.Ball_larus.entry_step}, {!Pp_core.Ball_larus.step},
-    {!Pp_core.Ball_larus.exit_step}) as its original blocks are probed.
-    A missing step is an {e anomaly} (a soundness bug): the window's
-    recorded path is re-encoded with {!Pp_core.Ball_larus.encode} to
-    word it, and it is reported and reflected in the exit code.  A
-    trapped run discards open windows and keeps the closed ones.
+    A window accumulates its Ball–Larus path sum step by step as its
+    original blocks are probed, from per-procedure tables built once per
+    run ({!Pp_core.Ball_larus.entry_step}, {!Pp_core.Ball_larus.step},
+    {!Pp_core.Ball_larus.backedge_between},
+    {!Pp_core.Ball_larus.exit_step}).  Counter deltas are flushed
+    lazily, only before the top activation or its window changes; they
+    are integer sums, so the totals are exact.  Closed windows commit to
+    a per-procedure table keyed by path sum.  A window's
+    blocks sit in one shared stack buffer and are read only to word an
+    {e anomaly} (a missing step, i.e. a soundness bug): the recorded
+    path is re-encoded with {!Pp_core.Ball_larus.encode}, and the
+    anomaly is reported and reflected in the exit code.  A trapped run
+    discards open windows and keeps the closed ones.
 
     {b Verdicts.}  For a path measured [freq] times with summed delta
     [m] on a metric, the certified interval is
@@ -115,6 +125,11 @@ val run :
   mode:Instrument.mode ->
   Pp_ir.Program.t ->
   outcome
+
+(** {!run} on a session prepared by the caller, not yet run: attach the
+    oracle, execute and certify against the session machine's own
+    configuration. *)
+val measure : Pp_instrument.Driver.session -> outcome
 
 (** 2 when any outcome has a refuted row or an anomaly, else 0. *)
 val exit_code : outcome list -> int

@@ -676,13 +676,16 @@ let compile_block st (cprocs : cproc array) (cp : cproc) label =
   let mach = Interp.machine st in
   let blocks = cp.blocks in
   let n = Array.length code in
-  (* Per-block fixed costs, pre-resolved: the hook flag is polled as a
-     captured-record field read, and the budget check is one array read
+  (* Per-block fixed costs, pre-resolved: the hook flags are polled as
+     captured-record field reads, and the budget check is one array read
      against the live totals ([Counters.clear] fills in place, so the
-     array stays valid across {!Machine.reset}).  When a hook is active
-     or the budget is exhausted, [Interp.block_epilogue] runs in full —
-     including the trap with the interpreter's exact message. *)
+     array stays valid across {!Machine.reset}).  An entry hook runs
+     through the block's own [Interp.entry], where the block probe is
+     staged.  When an epilogue hook is active or the budget is exhausted,
+     [Interp.block_epilogue] runs in full — including the trap with the
+     interpreter's exact message. *)
   let h = Interp.hot st in
+  let entry = image.Interp.entries.(label) in
   let tot = Counters.raw_totals (Machine.counters mach) in
   let ix_insts = Counters.ix Pp_machine.Event.Instructions in
   let maxi = Interp.max_instructions st in
@@ -748,9 +751,9 @@ let compile_block st (cprocs : cproc array) (cp : cproc) label =
     let body = fuse (Array.of_list (List.rev !pieces)) in
     fun fr ->
       if h.Interp.hooks then
-        Interp.block_entered st ~proc:pname ~label ~fp:fr.fp ~iregs:fr.iregs;
+        Interp.block_entered st entry ~fp:fr.fp ~iregs:fr.iregs;
       body fr;
-      if h.Interp.hooks || Array.unsafe_get tot ix_insts > maxi then
+      if h.Interp.epilogue || Array.unsafe_get tot ix_insts > maxi then
         Interp.block_epilogue st;
       Machine.fetch_term mach ~addr:taddr ~probe:term_probe;
       term_step fr
@@ -764,38 +767,35 @@ let compile_block st (cprocs : cproc array) (cp : cproc) label =
     | Bulk _ when n = 0 ->
         fun fr ->
           if h.Interp.hooks then
-            Interp.block_entered st ~proc:pname ~label ~fp:fr.fp
-              ~iregs:fr.iregs;
-          if h.Interp.hooks || Array.unsafe_get tot ix_insts > maxi then
+            Interp.block_entered st entry ~fp:fr.fp ~iregs:fr.iregs;
+          if h.Interp.epilogue || Array.unsafe_get tot ix_insts > maxi then
             Interp.block_epilogue st;
           Machine.fetch_term mach ~addr:taddr ~probe:term_probe;
           term_step fr
     | Bulk { leaders; nloads } ->
         fun fr ->
           if h.Interp.hooks then
-            Interp.block_entered st ~proc:pname ~label ~fp:fr.fp
-              ~iregs:fr.iregs;
+            Interp.block_entered st entry ~fp:fr.fp ~iregs:fr.iregs;
           (try body fr
            with e ->
              replay fr.trap_ix;
              raise e);
           Machine.block_bulk mach ~fetches:insts ~leaders ~dyn ~nloads;
-          if h.Interp.hooks || Array.unsafe_get tot ix_insts > maxi then
+          if h.Interp.epilogue || Array.unsafe_get tot ix_insts > maxi then
             Interp.block_epilogue st;
           Machine.fetch_term mach ~addr:taddr ~probe:term_probe;
           term_step fr
     | Ordered { ops; loads; stores; fpops } ->
         fun fr ->
           if h.Interp.hooks then
-            Interp.block_entered st ~proc:pname ~label ~fp:fr.fp
-              ~iregs:fr.iregs;
+            Interp.block_entered st entry ~fp:fr.fp ~iregs:fr.iregs;
           (try body fr
            with e ->
              replay fr.trap_ix;
              raise e);
           Machine.block_static mach ~insts ~loads ~stores ~fpops;
           Machine.block_step mach ops ~dyn;
-          if h.Interp.hooks || Array.unsafe_get tot ix_insts > maxi then
+          if h.Interp.epilogue || Array.unsafe_get tot ix_insts > maxi then
             Interp.block_epilogue st;
           Machine.fetch_term mach ~addr:taddr ~probe:term_probe;
           term_step fr

@@ -24,16 +24,18 @@ let create ?(kind = default) ?config ?max_instructions ?merge_call_sites
 let vm t = t.vm
 let kind t = t.kind
 
+let compiled t =
+  match t.compiled with
+  | Some c -> c
+  | None ->
+      let c = Compile.create t.vm in
+      t.compiled <- Some c;
+      c
+
+let compile t =
+  match t.kind with Interpreted -> () | Compiled -> ignore (compiled t)
+
 let run t =
   match t.kind with
   | Interpreted -> Interp.run t.vm
-  | Compiled ->
-      let c =
-        match t.compiled with
-        | Some c -> c
-        | None ->
-            let c = Compile.create t.vm in
-            t.compiled <- Some c;
-            c
-      in
-      Compile.run c
+  | Compiled -> Compile.run (compiled t)

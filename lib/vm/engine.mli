@@ -41,6 +41,10 @@ val vm : t -> Interp.t
 
 val kind : t -> kind
 
+(** Translate the program now rather than on the first {!run}; a no-op
+    for {!Interpreted} and for an engine already translated. *)
+val compile : t -> unit
+
 (** Execute [main] to completion on the selected engine.
     @raise Interp.Trap *)
 val run : t -> Interp.result

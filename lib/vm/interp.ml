@@ -21,6 +21,16 @@ type result = {
   instructions : int;
 }
 
+(* A block's entry hook: the trace ring's key and the block probe staged
+   for this block.  [fire] is a no-op until a probe is installed, then a
+   stub that stages the probe on the block's first entry and replaces
+   itself with the staged closure. *)
+type entry = {
+  eproc : string;
+  elabel : int;
+  mutable fire : frame:int -> iregs:int array -> unit;
+}
+
 (* Per-procedure execution image: instruction arrays (lists are too slow to
    index), instruction addresses per slot, and the terminator address. *)
 type image = {
@@ -29,13 +39,15 @@ type image = {
   addrs : int array array;  (* per block, per instruction index *)
   term_addr : int array;  (* per block *)
   frame_bytes : int;  (* linkage area + local arrays *)
+  entries : entry array;  (* per block *)
 }
 
-(* State the compiled tier polls once per block: one flag covering every
-   per-block hook (trace ring, block probe, stack sampling, telemetry).
-   Compiled closures capture this record and skip the hook calls while it
-   is false; every hook setter refreshes it. *)
-type hot = { mutable hooks : bool }
+(* State the compiled tier polls once per block: [hooks] covers the
+   block-entry hooks (trace ring, block probe), [epilogue] the block-end
+   ones (stack sampling, telemetry).  Compiled closures capture this
+   record and skip the hook calls while a flag is false; every hook
+   setter refreshes both. *)
+type hot = { mutable hooks : bool; mutable epilogue : bool }
 
 type t = {
   prog : Program.t;
@@ -63,10 +75,8 @@ type t = {
   mutable telemetry : Pp_telemetry.Trace.t;
   mutable tl_interval : int;  (* simulated cycles; 0 = off *)
   mutable tl_next : int;
-  (* Block-entry probe for the abstract-interpretation soundness oracle. *)
-  mutable block_probe :
-    (proc:string -> label:int -> frame:int -> iregs:int array -> unit)
-    option;
+  (* Whether a block probe is installed (staged in [image.entries]). *)
+  mutable probed : bool;
   (* Sampled instrumentation: gates the path-commit pseudo-ops in
      [exec_prof], which both engines dispatch through. *)
   mutable sampling : Sampling.t option;
@@ -74,6 +84,8 @@ type t = {
 }
 
 let linkage_bytes = 32
+
+let no_probe ~frame:_ ~iregs:_ = ()
 
 let build_image layout (p : Proc.t) =
   let nb = Proc.num_blocks p in
@@ -97,6 +109,9 @@ let build_image layout (p : Proc.t) =
     addrs;
     term_addr;
     frame_bytes = linkage_bytes + (p.frame_words * 8);
+    entries =
+      Array.init nb (fun elabel ->
+          { eproc = p.name; elabel; fire = no_probe });
   }
 
 let create ?(config = Pp_machine.Config.default)
@@ -168,19 +183,28 @@ let create ?(config = Pp_machine.Config.default)
     telemetry = Pp_telemetry.Trace.null;
     tl_interval = 0;
     tl_next = 0;
-    block_probe = None;
+    probed = false;
     sampling = None;
-    hot = { hooks = false };
+    hot = { hooks = false; epilogue = false };
   }
 
 let refresh_hot t =
-  t.hot.hooks <-
-    Array.length t.trace > 0
-    || (match t.block_probe with Some _ -> true | None -> false)
-    || t.sample_interval > 0 || t.tl_interval > 0
+  t.hot.hooks <- Array.length t.trace > 0 || t.probed;
+  t.hot.epilogue <- t.sample_interval > 0 || t.tl_interval > 0
 
 let set_block_probe t probe =
-  t.block_probe <- Some probe;
+  Array.iter
+    (fun image ->
+      Array.iter
+        (fun e ->
+          e.fire <-
+            (fun ~frame ~iregs ->
+              let staged = probe ~proc:e.eproc ~label:e.elabel in
+              e.fire <- staged;
+              staged ~frame ~iregs))
+        image.entries)
+    t.images;
+  t.probed <- true;
   refresh_hot t
 
 (* No [refresh_hot]: the gate sits inside [exec_prof], not in the
@@ -323,6 +347,10 @@ let check_budget t =
     > t.max_instructions
   then trap "instruction budget exhausted (%d)" t.max_instructions
 
+let block_entered t e ~fp ~iregs =
+  if Array.length t.trace > 0 then record_block t e.eproc e.elabel;
+  e.fire ~frame:(fp + linkage_bytes) ~iregs
+
 (* Execute one procedure activation; returns its value. *)
 let rec exec_proc t image ~iargs ~fargs =
   let p = image.proc in
@@ -339,11 +367,7 @@ let rec exec_proc t image ~iargs ~fargs =
   Machine.fp_frame t.machine ~nregs:(max nfregs 1);
   let mach = t.machine in
   let rec run_block label =
-    if Array.length t.trace > 0 then record_block t p.Proc.name label;
-    (match t.block_probe with
-    | None -> ()
-    | Some probe ->
-        probe ~proc:p.Proc.name ~label ~frame:(fp + linkage_bytes) ~iregs);
+    if t.hot.hooks then block_entered t image.entries.(label) ~fp ~iregs;
     let code = image.code.(label) in
     let addrs = image.addrs.(label) in
     let n = Array.length code in
@@ -573,12 +597,6 @@ let pop_activation t =
   | [] -> ()
 
 let hot t = t.hot
-
-let block_entered t ~proc ~label ~fp ~iregs =
-  if Array.length t.trace > 0 then record_block t proc label;
-  match t.block_probe with
-  | None -> ()
-  | Some probe -> probe ~proc ~label ~frame:(fp + linkage_bytes) ~iregs
 
 let block_epilogue t =
   check_budget t;

@@ -103,19 +103,27 @@ val sampling : t -> Sampling.t option
 
 (** {2 Block-entry probe}
 
-    Invoked on every block entry with the executing procedure, block
-    label, the activation's frame base ([fp] plus linkage, i.e. the
+    A staged probe: [probe ~proc ~label] is the {e outer stage}, called at
+    most once per (procedure, block) per VM, on the block's first entry
+    after installation; it resolves whatever is static about the block
+    and returns the {e inner stage}, which runs on every entry of that
+    block with the activation's frame base ([fp] plus linkage, i.e. the
     address [Frameaddr r, 0] would produce) and the {e live} integer
-    register array (do not mutate).  Two oracles use it: the
-    abstract-interpretation soundness oracle checks VM-observed register
-    values against derived intervals, and the [pp predict] measurement
-    oracle ([Pp_run.Predict_run]) attributes counter deltas to
-    Ball–Larus path windows.  Off by default: an un-probed run takes one
-    [None] branch per block and is otherwise unchanged. *)
+    register array (do not mutate).  Both engines share the staged
+    closures, and a probe installed after a first {!Engine.run} fires on
+    the next one.  Installing a probe replaces any earlier one.
+
+    Two oracles use it: the abstract-interpretation soundness oracle
+    checks VM-observed register values against derived intervals, and
+    the [pp predict] measurement oracle ([Pp_run.Predict_run]) attributes
+    counter deltas to Ball–Larus path windows.  Off by default: an
+    un-probed block pays one flag test on entry, the same test the trace
+    ring uses, and a probe does not make a compiled block run the full
+    {!block_epilogue}. *)
 val set_block_probe :
   t ->
-  (proc:string -> label:Pp_ir.Block.label -> frame:int -> iregs:int array ->
-   unit) ->
+  (proc:string -> label:Pp_ir.Block.label ->
+   (frame:int -> iregs:int array -> unit)) ->
   unit
 
 (** Read back a path-counter global (the array-mode tables the instrumenter
@@ -132,15 +140,20 @@ val pp_output : Format.formatter -> output_item list -> unit
     memory image, machine model, runtime and hook set — which is what
     makes their results bit-comparable.  Not intended for general use. *)
 
+(** A block's entry hook: its trace-ring key and its staged block
+    probe. *)
+type entry
+
 (** Per-procedure execution image: per-block instruction arrays, the
     laid-out address of every instruction slot, the terminator address,
-    and the activation frame size. *)
+    the activation frame size and the per-block entry hooks. *)
 type image = {
   proc : Pp_ir.Proc.t;
   code : Pp_ir.Instr.t array array;  (** per block *)
   addrs : int array array;  (** per block, per instruction index *)
   term_addr : int array;  (** per block *)
   frame_bytes : int;  (** linkage area + local arrays *)
+  entries : entry array;  (** per block *)
 }
 
 (** The images, indexed like [Program.procs]. *)
@@ -173,21 +186,21 @@ val push_activation : t -> string -> unit
 
 val pop_activation : t -> unit
 
-(** A single flag covering every per-block hook (trace ring, block probe,
-    stack sampling, telemetry); maintained by the hook setters.  Compiled
-    blocks capture the record once and poll the field — while it is
-    [false], {!block_entered} is a no-op and {!block_epilogue} reduces to
-    the budget check, so both calls can be elided. *)
-type hot = private { mutable hooks : bool }
+(** Two flags over the per-block hooks, maintained by the hook setters:
+    [hooks] covers the entry hooks (trace ring, block probe), [epilogue]
+    the block-end ones (stack sampling, telemetry).  Compiled blocks
+    capture the record once and poll the fields — while [hooks] is
+    [false], {!block_entered} is a no-op, and while [epilogue] is
+    [false], {!block_epilogue} reduces to the budget check, so either
+    call can be elided. *)
+type hot = private { mutable hooks : bool; mutable epilogue : bool }
 
 val hot : t -> hot
 
-(** Block-entry bookkeeping: the trace ring and the block probe, in the
-    interpreter's order.  [fp] is the raw frame pointer (the probe sees
-    [fp + linkage_bytes]). *)
-val block_entered :
-  t -> proc:string -> label:Pp_ir.Block.label -> fp:int -> iregs:int array ->
-  unit
+(** Block-entry bookkeeping for the block of [entry]: the trace ring and
+    the staged block probe, in the interpreter's order.  [fp] is the raw
+    frame pointer (the probe sees [fp + linkage_bytes]). *)
+val block_entered : t -> entry -> fp:int -> iregs:int array -> unit
 
 (** Block-end bookkeeping: budget check, stack sampling, telemetry —
     exactly what the interpreter runs between a block's last instruction

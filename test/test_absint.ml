@@ -326,7 +326,7 @@ let oracle_run ~mode ~max_instructions wname =
   in
   let failure = ref None in
   Interp.set_block_probe session.Driver.vm
-    (fun ~proc ~label ~frame ~iregs ->
+    (fun ~proc ~label -> fun ~frame ~iregs ->
       if !failure = None then
         match Hashtbl.find_opt analyses proc with
         | None -> failure := Some (Printf.sprintf "unknown procedure %s" proc)

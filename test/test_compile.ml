@@ -521,7 +521,7 @@ let test_block_probe_parity () =
   let entries kind =
     let vm = Interp.create ~max_instructions:10_000_000 prog in
     let buf = Buffer.create 4096 in
-    Interp.set_block_probe vm (fun ~proc ~label ~frame ~iregs ->
+    Interp.set_block_probe vm (fun ~proc ~label -> fun ~frame ~iregs ->
         Buffer.add_string buf
           (Printf.sprintf "%s:%d fp=%d [%s]\n" proc label frame
              (String.concat ","
@@ -533,6 +533,59 @@ let test_block_probe_parity () =
   Alcotest.(check bool) "probe fired" true (String.length reference > 0);
   Alcotest.(check bool) "block probe parity" true
     (entries Engine.Compiled = reference)
+
+(* A probe is staged: its outer stage runs at most once per (procedure,
+   block) per VM, its inner stage once per block entry — in the order
+   the block trace records them. *)
+let test_block_probe_staging () =
+  let prog = compile_mc "hooks" hook_src in
+  List.iter
+    (fun kind ->
+      let name = Engine.kind_name kind in
+      let vm = Interp.create ~max_instructions:10_000_000 prog in
+      Interp.enable_block_trace vm ~capacity:100_000;
+      let staged = Hashtbl.create 16 and entries = ref [] in
+      Interp.set_block_probe vm (fun ~proc ~label ->
+          let n = Hashtbl.find_opt staged (proc, label) in
+          Hashtbl.replace staged (proc, label) (1 + Option.value ~default:0 n);
+          fun ~frame:_ ~iregs:_ -> entries := (proc, label) :: !entries);
+      let once () = Hashtbl.fold (fun _ n ok -> ok && n = 1) staged true in
+      let eng = Engine.of_vm ~kind vm in
+      ignore (Engine.run eng);
+      Alcotest.(check bool) (name ^ ": each block staged once") true (once ());
+      Alcotest.(check bool) (name ^ ": one inner call per entry") true
+        (!entries <> [] && !entries = Interp.recent_blocks vm);
+      Alcotest.(check int) (name ^ ": only entered blocks staged")
+        (List.length (List.sort_uniq compare !entries))
+        (Hashtbl.length staged);
+      ignore (Engine.run eng);
+      Alcotest.(check bool) (name ^ ": a second run stages nothing") true
+        (once ()))
+    Engine.kinds
+
+(* A probe installed after a first run (the compiled engine has already
+   translated every block) fires on the next run, as often as on a VM
+   probed from the start. *)
+let test_block_probe_late () =
+  let prog = compile_mc "hooks" hook_src in
+  let fired kind ~late =
+    let vm = Interp.create ~max_instructions:10_000_000 prog in
+    let eng = Engine.of_vm ~kind vm in
+    let n = ref 0 in
+    if late then ignore (Engine.run eng);
+    Interp.set_block_probe vm (fun ~proc:_ ~label:_ ->
+        fun ~frame:_ ~iregs:_ -> incr n);
+    ignore (Engine.run eng);
+    !n
+  in
+  let reference = fired Engine.Interpreted ~late:false in
+  Alcotest.(check bool) "probe fired" true (reference > 0);
+  List.iter
+    (fun kind ->
+      Alcotest.(check int)
+        (Engine.kind_name kind ^ ": late probe fires")
+        reference (fired kind ~late:true))
+    Engine.kinds
 
 let test_block_trace_parity () =
   let prog = compile_mc "hooks" hook_src in
@@ -608,6 +661,10 @@ let suite =
         `Quick test_telemetry_parity;
       Alcotest.test_case "sampling parity" `Quick test_sampling_parity;
       Alcotest.test_case "block probe parity" `Quick test_block_probe_parity;
+      Alcotest.test_case "block probe: staged once per block" `Quick
+        test_block_probe_staging;
+      Alcotest.test_case "block probe: installed after a run" `Quick
+        test_block_probe_late;
       Alcotest.test_case "block trace parity" `Quick test_block_trace_parity;
       Alcotest.test_case "engine api" `Quick test_engine_api;
     ]

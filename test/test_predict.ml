@@ -3,6 +3,7 @@
 module Predict_run = Pp_run.Predict_run
 module Instrument = Pp_instrument.Instrument
 module Engine = Pp_vm.Engine
+module Driver = Pp_instrument.Driver
 module Registry = Pp_workloads.Registry
 module Workload = Pp_workloads.Workload
 
@@ -70,6 +71,31 @@ let test_engines_agree () =
         (strip (render Engine.Interpreted))
         (strip (render Engine.Compiled)))
     Instrument.[ Flow_hw; Context_hw ]
+
+(* The oracle's staged probe does not depend on when the engine
+   translated the program: a VM probed after compilation certifies
+   exactly like one probed before it. *)
+let test_probe_after_compile () =
+  let prog = workload "li_like" in
+  List.iter
+    (fun engine ->
+      List.iter
+        (fun mode ->
+          let render o =
+            Format.asprintf "%a" (fun ppf -> Predict_run.render_json ppf) [ o ]
+          in
+          let before = Predict_run.run ~budget ~engine ~mode prog in
+          let session =
+            Driver.prepare ~max_instructions:budget ~engine ~mode prog
+          in
+          Engine.compile session.Driver.engine;
+          let after = Predict_run.measure session in
+          Alcotest.(check string)
+            (Printf.sprintf "probed after compilation (%s, %s)"
+               (Engine.kind_name engine) (Instrument.mode_name mode))
+            (render before) (render after))
+        Instrument.[ Flow_hw; Context_flow ])
+    Engine.kinds
 
 (* ------------------------------------------------------------------ *)
 (* The demo program: hot-path exactness and fault injection.           *)
@@ -152,6 +178,8 @@ let suite =
   [
     Alcotest.test_case "soundness: workloads x modes" `Slow test_soundness;
     Alcotest.test_case "soundness: both engines" `Slow test_engines_agree;
+    Alcotest.test_case "probed before or after compilation" `Quick
+      test_probe_after_compile;
     Alcotest.test_case "demo: hot path exact" `Quick test_demo_exact;
     Alcotest.test_case "demo: injected faults refuted" `Quick test_inject;
   ]
