@@ -26,11 +26,11 @@ module Registry = Pp_workloads.Registry
 module Cct_io = Pp_core.Cct_io
 module Profile_io = Pp_core.Profile_io
 module Engine = Pp_vm.Engine
-module Pool = Pp_run.Pool
 module Matrix = Pp_run.Matrix
 module Checkpoint = Pp_run.Checkpoint
 module Chaos = Pp_run.Chaos
 module Faults = Pp_run.Faults
+module Serve = Pp_run.Serve
 module Diag = Pp_ir.Diag
 module Trace = Pp_telemetry.Trace
 module Metrics = Pp_telemetry.Metrics
@@ -51,6 +51,122 @@ let print_counters title counters =
     (fun (e, v) -> Printf.printf "%-18s %12d\n" (Event.name e) v)
     counters
 
+let write_file path contents =
+  let oc = open_out path in
+  output_string oc contents;
+  close_out oc
+
+(* --- errors and exits ---
+
+   Every action returns its exit status; {!command} runs it.  Operational
+   failures exit 1; invalid arguments and structured diagnostics exit 2
+   (cmdliner reserves 124/125); a degraded run — completed, but with
+   partial coverage (some shards quarantined, salvaged or lost) — exits 3,
+   so CI can gate on it. *)
+
+(* A command's failure: its exit status and the message after "pp: ". *)
+exception Quit of int * string
+
+let exit_err msg = raise (Quit (1, msg))
+let exit_invalid d = raise (Quit (2, Diag.to_string d))
+let exit_degraded = 3
+let ok_or_exit = function Ok x -> x | Error msg -> exit_err msg
+let load ~file ~workload = ok_or_exit (Pipeline.load ~file ~workload)
+let cli_error fmt = Diag.error (Diag.proc_loc "<cli>") fmt
+
+let load_profile path =
+  try Profile_io.of_file path with
+  | Profile_io.Parse_error (line, msg) ->
+      exit_err (Printf.sprintf "%s:%d: %s" path line msg)
+  | Sys_error msg -> exit_err msg
+
+(* --- validated flags ---
+
+   A validated flag checks its value as its term is evaluated, and the
+   first failure waits in [invalid] until {!command} runs: every argument
+   has converted by then.  The first-error order is therefore
+     1. cmdliner usage errors (exit 124), whatever their position;
+     2. --engine, which every command that has it applies first;
+     3. the command's validated flags, in the order its term applies them:
+          run       shards, jobs, retries, budget
+          chaos     shards, jobs, retries, budget, timeout
+          bench     jobs, budget, timeout
+          trace     interval, budget
+          overhead  jobs, budget
+          profile   budget, top
+          optimize  budget, inline-budget
+          predict   budget, slack
+          prove     budget
+          serve     snapshot-every
+     4. the checks an action makes because they depend on other flags:
+        --duty and --burst (with --mode), serve's --drive, --expect,
+        --max-records, --corrupt-after and --drive's --budget. *)
+let invalid = ref None
+
+let validated check t =
+  Term.(
+    const (fun v ->
+        if Option.is_none !invalid then invalid := check v;
+        v)
+    $ t)
+
+let positive flag v =
+  if v > 0 then None else Some (cli_error "--%s must be positive (got %d)" flag v)
+
+let non_negative flag v =
+  if v >= 0.0 then None
+  else Some (cli_error "--%s must be non-negative (got %g)" flag v)
+
+(* For the checks an action makes itself. *)
+let require = Option.iter exit_invalid
+
+let positive_opt ~default names ~docv ~doc =
+  validated (positive (List.hd names))
+    Arg.(value & opt int default & info names ~docv ~doc)
+
+let non_negative_opt ~default names ~docv ~doc =
+  validated (non_negative (List.hd names))
+    Arg.(value & opt float default & info names ~docv ~doc)
+
+(* --telemetry FILE: dump the global metrics registry after the command's
+   work is done.  The dump is canonical and jobs-independent, so CI can
+   diff it across --jobs values. *)
+let telemetry_opt =
+  Arg.(value & opt (some string) None
+       & info [ "telemetry" ] ~docv:"FILE"
+           ~doc:"Write the canonical metrics dump (counters, gauges, \
+                 log-bucketed histograms recorded by this command and its \
+                 pool workers) to FILE.")
+
+(* The one entry point of every command.  [body] evaluates to the action;
+   an invalid flag is reported before it runs (exit 2, no file written).
+   An action that returns — success, a reported failure or a degraded
+   verdict — writes the --telemetry dump first; a [Quit] or an escaping
+   trap (exit 1) writes none. *)
+let command ?(telemetry = false) name ~doc body =
+  let run action telemetry =
+    match !invalid with
+    | Some d ->
+        Printf.eprintf "pp: %s\n" (Diag.to_string d);
+        2
+    | None -> (
+        match action () with
+        | status ->
+            Option.iter
+              (fun path ->
+                write_file path (Metrics.dump (Metrics.snapshot Metrics.default)))
+              telemetry;
+            status
+        | exception Quit (status, msg) ->
+            Printf.eprintf "pp: %s\n" msg;
+            status
+        | exception Interp.Trap msg ->
+            Printf.eprintf "pp: trap: %s\n" msg;
+            1)
+  in
+  Cmd.v (Cmd.info name ~doc)
+    Term.(const run $ body $ if telemetry then telemetry_opt else const None)
+
 (* --- common options --- *)
 
 let file =
@@ -63,50 +179,37 @@ let workload_opt =
            ~doc:"Profile a built-in SPEC95-analogue workload instead of a \
                  file.")
 
-let budget =
+let budget_arg =
   Arg.(value & opt int 400_000_000
        & info [ "budget" ] ~docv:"N"
            ~doc:"Maximum simulated instructions before trapping.")
 
-let exit_err msg =
-  Printf.eprintf "pp: %s\n" msg;
-  exit 1
+let budget = validated (positive "budget") budget_arg
 
-let ok_or_exit = function Ok x -> x | Error msg -> exit_err msg
-let load ~file ~workload = ok_or_exit (Pipeline.load ~file ~workload)
-
-(* Invalid arguments and structured diagnostics exit 2 (cmdliner reserves
-   124/125); operational failures exit 1. *)
-let exit_invalid d =
-  Printf.eprintf "pp: %s\n" (Diag.to_string d);
-  exit 2
-
-(* --engine, validated as the term is evaluated.  Parsed by hand instead
-   of Arg.enum so an invalid value exits 2 through the shared diagnostic
-   path (cmdliner's own parse errors exit 124).  Every command applies it
-   last: every other argument has converted by then, so a cmdliner usage
-   error still wins, and the engine is the first flag an action sees
-   validated. *)
+(* --engine: parsed by hand instead of Arg.enum so an invalid value exits
+   2 through the shared diagnostic path (cmdliner's own parse errors exit
+   124). *)
 let engine =
-  let parse s =
+  let check s =
     match Engine.kind_of_string s with
-    | Some k -> k
+    | Some _ -> None
     | None ->
-        exit_invalid
-          (Diag.error (Diag.proc_loc "<cli>")
-             "--engine must be one of: %s (got %S)"
+        Some
+          (cli_error "--engine must be one of: %s (got %S)"
              (String.concat ", " (List.map Engine.kind_name Engine.kinds))
              s)
   in
   Term.(
-    const parse
-    $ Arg.(value & opt string (Engine.kind_name Engine.default)
-           & info [ "engine" ] ~docv:"ENGINE"
-               ~doc:"Execution tier: 'compiled' (closure-threaded, the \
-                     default) or 'interp' (the per-instruction reference \
-                     interpreter).  Both are certified byte-identical — \
-                     counters, profiles and output match exactly — so the \
-                     choice only affects wall-clock speed."))
+    const (fun s ->
+        Option.value ~default:Engine.default (Engine.kind_of_string s))
+    $ validated check
+        Arg.(value & opt string (Engine.kind_name Engine.default)
+             & info [ "engine" ] ~docv:"ENGINE"
+                 ~doc:"Execution tier: 'compiled' (closure-threaded, the \
+                       default) or 'interp' (the per-instruction reference \
+                       interpreter).  Both are certified byte-identical — \
+                       counters, profiles and output match exactly — so the \
+                       choice only affects wall-clock speed."))
 
 let flag names doc = Arg.(value & flag & info names ~doc)
 
@@ -115,8 +218,7 @@ let json_report =
     "Emit the report as a single-line JSON object (same conventions as \
      'pp overhead --json')."
 
-let jobs_arg ~default doc =
-  Arg.(value & opt int default & info [ "jobs"; "j" ] ~docv:"N" ~doc)
+let jobs_arg ~default doc = positive_opt ~default [ "jobs"; "j" ] ~docv:"N" ~doc
 
 let mode_assoc =
   List.map (fun m -> (Instrument.mode_name m, m)) Instrument.all_modes
@@ -161,174 +263,69 @@ let instrument_options ~verb =
     $ flag [ "backedge-metric-reads" ]
         (verb ^ " the backedge metric reads (ablation A4)."))
 
-let require_positive ~flag v =
-  if v <= 0 then
-    exit_invalid
-      (Diag.error (Diag.proc_loc "<cli>") "--%s must be positive (got %d)"
-         flag v)
-
-let require_non_negative_f ~flag v =
-  if v < 0.0 then
-    exit_invalid
-      (Diag.error (Diag.proc_loc "<cli>") "--%s must be non-negative (got %g)"
-         flag v)
-
-(* A degraded run completed but with partial coverage (some shards
-   quarantined, salvaged or lost): distinct from operational failure (1)
-   and invalid usage (2) so CI can gate on it. *)
-let exit_degraded = 3
-
-(* --telemetry FILE on run/profile/bench: dump the global metrics
-   registry after the command's work is done.  The dump is canonical and
-   jobs-independent, so CI can diff it across --jobs values. *)
-let telemetry_opt =
-  Arg.(value & opt (some string) None
-       & info [ "telemetry" ] ~docv:"FILE"
-           ~doc:"Write the canonical metrics dump (counters, gauges, \
-                 log-bucketed histograms recorded by this command and its \
-                 pool workers) to FILE.")
-
-let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc
-
-let write_telemetry =
-  Option.iter (fun path ->
-      write_file path (Metrics.dump (Metrics.snapshot Metrics.default)))
-
 (* --- pp run --- *)
-
-(* Sum per-event counters across shards (events in shard-0 order). *)
-let merge_counters a b =
-  List.map (fun (e, v) -> (e, v + (try List.assoc e b with Not_found -> 0))) a
 
 let run_cmd =
   let doc = "Execute a program uninstrumented and report its counters." in
-  let action file workload budget counters shards jobs retries checkpoint_dir
-      telemetry engine =
-    require_positive ~flag:"shards" shards;
-    require_positive ~flag:"jobs" jobs;
-    require_positive ~flag:"retries" retries;
-    require_positive ~flag:"budget" budget;
-    let record_run (r : Interp.result) =
-      Metrics.incr Metrics.default "run.instructions" r.Interp.instructions;
-      Metrics.incr Metrics.default "run.cycles" r.Interp.cycles
-    in
+  let action engine shards jobs retries budget file workload counters
+      checkpoint_dir () =
     let prog = load ~file ~workload in
-    if shards <= 1 then (
-      match
-        Engine.run (Engine.create ~kind:engine ~max_instructions:budget prog)
-      with
-      | r ->
-          print_output r;
-          Printf.printf "\n%d instructions, %d cycles\n" r.Interp.instructions
-            r.Interp.cycles;
-          if counters then print_counters "counters" r.Interp.counters;
-          record_run r;
-          write_telemetry telemetry
-      | exception Interp.Trap msg -> exit_err ("trap: " ^ msg))
-    else (
+    if shards <= 1 then begin
+      let r = Checkpoint.run_once ~engine ~budget prog in
+      print_output r;
+      Printf.printf "\n%d instructions, %d cycles\n" r.Interp.instructions
+        r.Interp.cycles;
+      if counters then print_counters "counters" r.Interp.counters;
+      0
+    end
+    else begin
       (* Sharded: the same run in [shards] isolated processes, counters
-         summed — the aggregate profile a sharded run matrix produces.
-         With --checkpoint-dir, each completed shard is persisted and a
-         re-invocation runs only the shards still missing; summing in
-         shard order keeps stdout byte-identical fresh vs resumed. *)
-      let key =
-        Printf.sprintf "%s:%d" (Profile_io.program_hash prog) budget
-      in
-      let results =
-        match checkpoint_dir with
-        | None -> Array.make shards None
-        | Some dir ->
-            Array.init shards (fun k -> Checkpoint.load ~dir ~key k)
-      in
-      let missing =
-        List.filter
-          (fun k -> results.(k) = None)
-          (List.init shards (fun i -> i))
-      in
-      let resumed = shards - List.length missing in
-      if resumed > 0 then
-        Printf.eprintf "pp: resumed %d of %d shards from checkpoints\n"
-          resumed shards;
-      let outcomes, stats =
-        Pool.map_retry ~jobs ~retries
-          (fun ~attempt:_ shard ->
-            let r =
-              Engine.run
-                (Engine.create ~kind:engine ~max_instructions:budget prog)
-            in
-            record_run r;
-            (* Persist from the worker, the moment the shard completes:
-               a run killed mid-flight still leaves every finished
-               shard resumable (the write is temp-file + atomic rename,
-               so a kill can never leave a torn checkpoint). *)
-            Option.iter
-              (fun dir -> Checkpoint.save ~dir ~key shard r)
-              checkpoint_dir;
-            r)
-          missing
-      in
-      (* Wall-clock summary goes to stderr: stdout stays byte-identical
+         summed, resumable from --checkpoint-dir.  The wall-clock summary
+         goes to stderr: stdout stays byte-identical fresh vs resumed and
          at any --jobs. *)
-      prerr_string (Pool.footer stats);
-      List.iter2
-        (fun k o ->
-          match o with
-          | Pool.Done r -> results.(k) <- Some r
-          | o -> Printf.eprintf "pp: shard %d %s\n" k (Pool.describe o))
-        missing outcomes;
-      let ok =
-        List.filter_map
-          (fun k -> results.(k))
-          (List.init shards (fun i -> i))
+      let r =
+        Checkpoint.run ?dir:checkpoint_dir ~engine ~budget ~jobs ~retries
+          ~shards prog
       in
-      match ok with
-      | [] -> exit_err "all shards failed"
-      | first :: rest ->
-          List.iteri
-            (fun i r ->
-              if r.Interp.output <> first.Interp.output then
-                Printf.eprintf
-                  "pp: shard %d produced different output (nondeterminism?)\n"
-                  (i + 1))
-            rest;
-          print_output first;
-          let insts =
-            List.fold_left (fun a r -> a + r.Interp.instructions) 0 ok
-          in
-          let cycles = List.fold_left (fun a r -> a + r.Interp.cycles) 0 ok in
-          Printf.printf
-            "\n%d instructions, %d cycles over %d of %d shards\n" insts
-            cycles (List.length ok) shards;
+      if r.Checkpoint.resumed > 0 then
+        Printf.eprintf "pp: resumed %d of %d shards from checkpoints\n"
+          r.Checkpoint.resumed shards;
+      prerr_string r.Checkpoint.footer;
+      List.iter
+        (fun (k, why) -> Printf.eprintf "pp: shard %d %s\n" k why)
+        r.Checkpoint.failed;
+      match r.Checkpoint.total with
+      | None -> exit_err "all shards failed"
+      | Some total ->
+          List.iter
+            (Printf.eprintf
+               "pp: shard %d produced different output (nondeterminism?)\n")
+            r.Checkpoint.divergent;
+          print_output total;
+          Printf.printf "\n%d instructions, %d cycles over %d of %d shards\n"
+            total.Interp.instructions total.Interp.cycles
+            r.Checkpoint.completed shards;
           if counters then
-            print_counters "counters (all shards)"
-              (List.fold_left
-                 (fun acc r -> merge_counters acc r.Interp.counters)
-                 first.Interp.counters rest);
-          Metrics.set_gauge Metrics.default "run.shards" shards;
-          write_telemetry telemetry;
-          if List.length ok < shards then begin
+            print_counters "counters (all shards)" total.Interp.counters;
+          if Checkpoint.degraded r then begin
             Printf.eprintf "pp: coverage: %d/%d shards (degraded)\n"
-              (List.length ok) shards;
-            exit exit_degraded
-          end)
+              r.Checkpoint.completed shards;
+            exit_degraded
+          end
+          else 0
+    end
   in
   let counters = flag [ "counters"; "c" ] "Print all event counters." in
   let shards =
-    Arg.(value & opt int 1
-         & info [ "shards" ] ~docv:"K"
-             ~doc:"Execute the run K times in isolated processes and sum \
-                   the counters.")
+    positive_opt ~default:1 [ "shards" ] ~docv:"K"
+      ~doc:"Execute the run K times in isolated processes and sum the \
+            counters."
   in
   let jobs = jobs_arg ~default:1 "Shards to run concurrently." in
   let retries =
-    Arg.(value & opt int 1
-         & info [ "retries" ] ~docv:"N"
-             ~doc:"Attempt budget per shard: a crashed or timed-out shard \
-                   is rerun (with backoff) up to N times total before it \
-                   is quarantined.")
+    positive_opt ~default:1 [ "retries" ] ~docv:"N"
+      ~doc:"Attempt budget per shard: a crashed or timed-out shard is rerun \
+            (with backoff) up to N times total before it is quarantined."
   in
   let checkpoint_dir =
     Arg.(value & opt (some string) None
@@ -338,9 +335,9 @@ let run_cmd =
                    resumed run's stdout is byte-identical to an \
                    uninterrupted one.")
   in
-  Cmd.v (Cmd.info "run" ~doc)
-    Term.(const action $ file $ workload_opt $ budget $ counters $ shards
-          $ jobs $ retries $ checkpoint_dir $ telemetry_opt $ engine)
+  command "run" ~doc ~telemetry:true
+    Term.(const action $ engine $ shards $ jobs $ retries $ budget $ file
+          $ workload_opt $ counters $ checkpoint_dir)
 
 (* --- pp profile --- *)
 
@@ -448,20 +445,14 @@ let make_sampling ~mode ~burst ~seed duty =
   Option.map
     (fun d ->
       if d < 0.0 || d > 1.0 then
+        exit_invalid (cli_error "--duty must be within [0, 1] (got %g)" d);
+      require (positive "burst" burst);
+      if not (Instrument.profiles_paths mode) then
         exit_invalid
-          (Diag.error (Diag.proc_loc "<cli>")
-             "--duty must be within [0, 1] (got %g)" d);
-      require_positive ~flag:"burst" burst;
-      (match mode with
-      | Instrument.Flow_freq | Instrument.Flow_hw | Instrument.Context_flow
-        ->
-          ()
-      | Instrument.Edge_freq | Instrument.Context_hw ->
-          exit_invalid
-            (Diag.error (Diag.proc_loc "<cli>")
-               "--duty needs a path-profiling mode (flow-freq, flow-hw or \
-                context-flow); %s has no path commits to gate"
-               (Instrument.mode_name mode)));
+          (cli_error
+             "--duty needs a path-profiling mode (flow-freq, flow-hw or \
+              context-flow); %s has no path commits to gate"
+             (Instrument.mode_name mode));
       Pp_vm.Sampling.create ~burst ~duty:d ~seed ())
     duty
 
@@ -470,10 +461,8 @@ let profile_cmd =
     "Instrument, execute on the simulated UltraSPARC, and report the \
      profile."
   in
-  let action file workload budget mode pic0 pic1 top cct_out dot_out
-      profile_out duty sampling_seed burst telemetry engine =
-    require_positive ~flag:"budget" budget;
-    require_positive ~flag:"top" top;
+  let action engine budget top file workload mode pic0 pic1 cct_out dot_out
+      profile_out duty sampling_seed burst () =
     let sampling = make_sampling ~mode ~burst ~seed:sampling_seed duty in
     let prog = load ~file ~workload in
     (* Feasibility pruning is always on for profiling sessions: the
@@ -484,85 +473,65 @@ let profile_cmd =
         ~max_instructions:budget ~pics:(pic0, pic1) ~engine ?sampling
         ~mode prog
     in
-    match Driver.run session with
-    | exception Interp.Trap msg -> exit_err ("trap: " ^ msg)
-    | r ->
-        print_output r;
-        Printf.printf "\n%d instructions, %d cycles (instrumented, %s)\n"
-          r.Interp.instructions r.Interp.cycles
-          (Instrument.mode_name mode);
-        Option.iter
-          (fun s ->
-            let windows = Pp_vm.Sampling.coverage s in
-            let sampled, total =
-              List.fold_left
-                (fun (sa, ta) (_, (sw, tw)) -> (sa + sw, ta + tw))
-                (0, 0) windows
-            in
-            Printf.printf
-              "sampling: duty=%g burst=%d seed=%d — recorded %d of %d \
-               path commits over %d procedures\n"
-              (Option.value ~default:1.0 duty)
-              (Pp_vm.Sampling.burst s) (Pp_vm.Sampling.seed s) sampled
-              total (List.length windows))
-          sampling;
-        Option.iter
-          (fun path ->
-            match mode with
-            | Instrument.Flow_freq | Instrument.Flow_hw
-            | Instrument.Context_flow ->
-                Profile_io.to_file path (Driver.saved_profile session);
-                Printf.printf "wrote path profile to %s\n" path
-            | Instrument.Edge_freq | Instrument.Context_hw ->
-                exit_err
-                  "--profile-out needs a path-profiling mode \
-                   (flow-freq, flow-hw or context-flow)")
-          profile_out;
-        (match mode with
-        | Instrument.Flow_freq | Instrument.Flow_hw
-        | Instrument.Context_flow ->
-            profile_flow ~top (Driver.path_profile session)
-        | Instrument.Edge_freq ->
-            print_endline
-              "\nedge profile (reconstructed from chord counters):";
-            List.iter
-              (fun (proc, _plan, edges) ->
-                let total =
-                  List.fold_left (fun acc (_, c) -> acc + c) 0 edges
-                in
-                let hottest =
-                  List.fold_left
-                    (fun acc (_, c) -> max acc c)
-                    0 edges
-                in
-                Printf.printf
-                  "  %-18s %9d traversals over %3d edges (hottest %d)\n"
-                  proc total (List.length edges) hottest)
-              (Driver.edge_profile session)
-        | Instrument.Context_hw -> ());
-        (match mode with
-        | Instrument.Context_hw | Instrument.Context_flow ->
-            profile_cct ~top session;
-            let cct = Driver.cct session in
-            Option.iter
-              (fun path ->
-                Cct_io.to_file ~codec:cct_codec path cct;
-                Printf.printf "\nwrote CCT to %s\n" path)
-              cct_out;
-            Option.iter
-              (fun path ->
-                let oc = open_out path in
-                output_string oc (Cct_io.to_dot cct);
-                close_out oc;
-                Printf.printf "wrote CCT dot graph to %s\n" path)
-              dot_out
-        | Instrument.Edge_freq | Instrument.Flow_freq
-        | Instrument.Flow_hw ->
-            ());
-        Metrics.incr Metrics.default "profile.instructions"
-          r.Interp.instructions;
-        Metrics.incr Metrics.default "profile.cycles" r.Interp.cycles;
-        write_telemetry telemetry
+    let r = Driver.run session in
+    print_output r;
+    Printf.printf "\n%d instructions, %d cycles (instrumented, %s)\n"
+      r.Interp.instructions r.Interp.cycles
+      (Instrument.mode_name mode);
+    Option.iter
+      (fun s ->
+        let windows = Pp_vm.Sampling.coverage s in
+        let sampled, total =
+          List.fold_left
+            (fun (sa, ta) (_, (sw, tw)) -> (sa + sw, ta + tw))
+            (0, 0) windows
+        in
+        Printf.printf
+          "sampling: duty=%g burst=%d seed=%d — recorded %d of %d path \
+           commits over %d procedures\n"
+          (Option.value ~default:1.0 duty)
+          (Pp_vm.Sampling.burst s) (Pp_vm.Sampling.seed s) sampled total
+          (List.length windows))
+      sampling;
+    Option.iter
+      (fun path ->
+        if not (Instrument.profiles_paths mode) then
+          exit_err
+            "--profile-out needs a path-profiling mode (flow-freq, flow-hw \
+             or context-flow)";
+        Profile_io.to_file path (Driver.saved_profile session);
+        Printf.printf "wrote path profile to %s\n" path)
+      profile_out;
+    (match mode with
+    | Instrument.Flow_freq | Instrument.Flow_hw | Instrument.Context_flow ->
+        profile_flow ~top (Driver.path_profile session)
+    | Instrument.Edge_freq ->
+        print_endline "\nedge profile (reconstructed from chord counters):";
+        List.iter
+          (fun (proc, _plan, edges) ->
+            let total = List.fold_left (fun acc (_, c) -> acc + c) 0 edges in
+            let hottest = List.fold_left (fun acc (_, c) -> max acc c) 0 edges in
+            Printf.printf "  %-18s %9d traversals over %3d edges (hottest %d)\n"
+              proc total (List.length edges) hottest)
+          (Driver.edge_profile session)
+    | Instrument.Context_hw -> ());
+    if Instrument.profiles_context mode then begin
+      profile_cct ~top session;
+      let cct = Driver.cct session in
+      Option.iter
+        (fun path ->
+          Cct_io.to_file ~codec:cct_codec path cct;
+          Printf.printf "\nwrote CCT to %s\n" path)
+        cct_out;
+      Option.iter
+        (fun path ->
+          write_file path (Cct_io.to_dot cct);
+          Printf.printf "wrote CCT dot graph to %s\n" path)
+        dot_out
+    end;
+    Metrics.incr Metrics.default "profile.instructions" r.Interp.instructions;
+    Metrics.incr Metrics.default "profile.cycles" r.Interp.cycles;
+    0
   in
   let pic0 =
     Arg.(value & opt event_conv Event.Dcache_misses
@@ -572,10 +541,7 @@ let profile_cmd =
     Arg.(value & opt event_conv Event.Instructions
          & info [ "pic1" ] ~docv:"EVENT" ~doc:"Event on counter 1.")
   in
-  let top =
-    Arg.(value & opt int 10
-         & info [ "top"; "n" ] ~docv:"N" ~doc:"Rows to print.")
-  in
+  let top = positive_opt ~default:10 [ "top"; "n" ] ~docv:"N" ~doc:"Rows to print." in
   let cct_out =
     Arg.(value & opt (some string) None
          & info [ "cct-out" ] ~docv:"FILE"
@@ -594,11 +560,11 @@ let profile_cmd =
              ~doc:"Write the path profile to FILE as a mergeable shard \
                    (see 'pp merge').")
   in
-  Cmd.v (Cmd.info "profile" ~doc)
+  command "profile" ~doc ~telemetry:true
     Term.(
-      const action $ file $ workload_opt $ budget $ mode_arg () $ pic0 $ pic1
-      $ top $ cct_out $ dot_out $ profile_out $ duty_opt $ sampling_seed_opt
-      $ burst_opt $ telemetry_opt $ engine)
+      const action $ engine $ budget $ top $ file $ workload_opt $ mode_arg ()
+      $ pic0 $ pic1 $ cct_out $ dot_out $ profile_out $ duty_opt
+      $ sampling_seed_opt $ burst_opt)
 
 (* --- pp paths --- *)
 
@@ -617,107 +583,75 @@ let paths_cmd =
     "Static path-numbering report: potential (and statically feasible) \
      paths per procedure."
   in
-  let action file workload feasible table dot_proc json =
+  let action file workload feasible table dot_proc json () =
+    let module F = Pp_analysis.Feasibility in
     let prog = load ~file ~workload in
-    if json then begin
-      let buf = Buffer.create 1024 in
-      let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-      add "{\"procs\":[";
-      Array.iteri
-        (fun i (p : Pp_ir.Proc.t) ->
-          if i > 0 then add ",";
-          let cfg = Pp_ir.Cfg.of_proc p in
-          match Ball_larus.build cfg with
-          | exception Ball_larus.Unsupported msg ->
-              add "{\"proc\":\"%s\",\"unsupported\":\"%s\"}"
-                (Trace.json_escape p.Pp_ir.Proc.name)
-                (Trace.json_escape msg)
-          | bl ->
+    let buf = Buffer.create 1024 in
+    let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+    let esc = Trace.json_escape in
+    if json then add "{\"procs\":[";
+    Array.iteri
+      (fun i (p : Pp_ir.Proc.t) ->
+        let name = p.Pp_ir.Proc.name in
+        if json && i > 0 then add ",";
+        let cfg = Pp_ir.Cfg.of_proc p in
+        match Ball_larus.build cfg with
+        | exception Ball_larus.Unsupported msg ->
+            if json then
+              add "{\"proc\":\"%s\",\"unsupported\":\"%s\"}" (esc name)
+                (esc msg)
+            else add "%-20s unsupported: %s\n" name msg
+        | bl -> (
+            let blocks = Pp_ir.Proc.num_blocks p
+            and backedges = List.length (Ball_larus.backedges bl)
+            and paths = Ball_larus.num_paths bl in
+            if json then
               add
                 "{\"proc\":\"%s\",\"blocks\":%d,\"backedges\":%d,\"potential_paths\":%d"
-                (Trace.json_escape p.Pp_ir.Proc.name)
-                (Pp_ir.Proc.num_blocks p)
-                (List.length (Ball_larus.backedges bl))
-                (Ball_larus.num_paths bl);
-              if feasible || table then begin
-                let fs = Pp_analysis.Feasibility.analyze cfg bl in
-                if Pp_analysis.Feasibility.enumerated fs then begin
-                  let nf = Pp_analysis.Feasibility.num_feasible fs in
-                  add ",\"feasible\":%d,\"pruned\":%d,\"infeasible\":[" nf
-                    (Ball_larus.num_paths bl - nf);
-                  List.iteri
-                    (fun j sum ->
-                      if j > 0 then add ",";
-                      add "{\"path\":%d,\"reason\":\"%s\"}" sum
-                        (Trace.json_escape
-                           (describe_verdict cfg
-                              (Pp_analysis.Feasibility.check fs sum))))
-                    (Pp_analysis.Feasibility.infeasible_sums fs);
-                  add "]"
-                end
-                else add ",\"feasible\":null"
-              end;
-              add "}")
-        prog.Pp_ir.Program.procs;
-      add "]}";
-      print_string (Buffer.contents buf)
-    end
-    else begin
-      Array.iter
-        (fun (p : Pp_ir.Proc.t) ->
-          let cfg = Pp_ir.Cfg.of_proc p in
-          match Ball_larus.build cfg with
-          | bl ->
-              if feasible || table then begin
-                let fs = Pp_analysis.Feasibility.analyze cfg bl in
-                if Pp_analysis.Feasibility.enumerated fs then begin
-                  let nf = Pp_analysis.Feasibility.num_feasible fs in
-                  Printf.printf
-                    "%-20s blocks=%-4d backedges=%-3d potential \
-                     paths=%-6d feasible=%-6d pruned=%d\n"
-                    p.Pp_ir.Proc.name (Pp_ir.Proc.num_blocks p)
-                    (List.length (Ball_larus.backedges bl))
-                    (Ball_larus.num_paths bl) nf
-                    (Ball_larus.num_paths bl - nf);
-                  if table then
-                    List.iter
-                      (fun sum ->
-                        let v = Pp_analysis.Feasibility.check fs sum in
-                        Format.printf "  path %-5d %-10s %a@." sum
-                          (match v with
-                          | Pp_analysis.Feasibility.Feasible -> "feasible"
-                          | _ -> "infeasible")
-                          Ball_larus.pp_path (Ball_larus.decode bl sum);
-                        if v <> Pp_analysis.Feasibility.Feasible then
-                          Printf.printf "             (%s)\n"
-                            (describe_verdict cfg v))
-                      (List.init (Ball_larus.num_paths bl) Fun.id)
-                  else
-                    List.iter
-                      (fun sum ->
-                        Printf.printf "  infeasible path %d: %s\n" sum
-                          (describe_verdict cfg
-                             (Pp_analysis.Feasibility.check fs sum)))
-                      (Pp_analysis.Feasibility.infeasible_sums fs)
-                end
+                (esc name) blocks backedges paths
+            else
+              add "%-20s blocks=%-4d backedges=%-3d potential paths=" name
+                blocks backedges;
+            (match if feasible || table then Some (F.analyze cfg bl) else None with
+            | None -> if not json then add "%d\n" paths
+            | Some fs when not (F.enumerated fs) ->
+                if json then add ",\"feasible\":null"
+                else add "%-6d feasible=? (table too large to enumerate)\n" paths
+            | Some fs when json ->
+                let nf = F.num_feasible fs in
+                add ",\"feasible\":%d,\"pruned\":%d,\"infeasible\":[" nf
+                  (paths - nf);
+                List.iteri
+                  (fun j sum ->
+                    if j > 0 then add ",";
+                    add "{\"path\":%d,\"reason\":\"%s\"}" sum
+                      (esc (describe_verdict cfg (F.check fs sum))))
+                  (F.infeasible_sums fs);
+                add "]"
+            | Some fs ->
+                let nf = F.num_feasible fs in
+                add "%-6d feasible=%-6d pruned=%d\n" paths nf (paths - nf);
+                if table then
+                  for sum = 0 to paths - 1 do
+                    let v = F.check fs sum in
+                    add "%s\n"
+                      (Format.asprintf "  path %-5d %-10s %a" sum
+                         (if v = F.Feasible then "feasible" else "infeasible")
+                         Ball_larus.pp_path (Ball_larus.decode bl sum));
+                    if v <> F.Feasible then
+                      add "             (%s)\n" (describe_verdict cfg v)
+                  done
                 else
-                  Printf.printf
-                    "%-20s blocks=%-4d backedges=%-3d potential \
-                     paths=%-6d feasible=? (table too large to \
-                     enumerate)\n"
-                    p.Pp_ir.Proc.name (Pp_ir.Proc.num_blocks p)
-                    (List.length (Ball_larus.backedges bl))
-                    (Ball_larus.num_paths bl)
-              end
-              else
-                Printf.printf
-                  "%-20s blocks=%-4d backedges=%-3d potential paths=%d\n"
-                  p.Pp_ir.Proc.name (Pp_ir.Proc.num_blocks p)
-                  (List.length (Ball_larus.backedges bl))
-                  (Ball_larus.num_paths bl)
-          | exception Ball_larus.Unsupported msg ->
-              Printf.printf "%-20s unsupported: %s\n" p.Pp_ir.Proc.name msg)
-        prog.Pp_ir.Program.procs;
+                  List.iter
+                    (fun sum ->
+                      add "  infeasible path %d: %s\n" sum
+                        (describe_verdict cfg (F.check fs sum)))
+                    (F.infeasible_sums fs));
+            if json then add "}"))
+      prog.Pp_ir.Program.procs;
+    if json then add "]}";
+    print_string (Buffer.contents buf);
+    if not json then
       Option.iter
         (fun name ->
           match Pp_ir.Program.find_proc prog name with
@@ -736,8 +670,8 @@ let paths_cmd =
                          (Ball_larus.backedges bl)
                      then "backedge"
                      else string_of_int (Ball_larus.edge_val bl e))))
-        dot_proc
-    end
+        dot_proc;
+    0
   in
   let feasible =
     Arg.(value & flag
@@ -758,7 +692,7 @@ let paths_cmd =
              ~doc:"Also print PROC's CFG as Graphviz, edges labelled with \
                    their Ball-Larus values.")
   in
-  Cmd.v (Cmd.info "paths" ~doc)
+  command "paths" ~doc
     Term.(
       const action $ file $ workload_opt $ feasible $ table $ dot_proc
       $ json_report)
@@ -771,25 +705,19 @@ let cost_cmd =
      estimated probe executions per procedure; with --profile, the \
      estimated-vs-measured comparison against a dynamic profile."
   in
-  let action file workload mode optimize profile json =
+  let action file workload mode optimize profile json () =
     let prog = load ~file ~workload in
-    let profile =
-      Option.map
-        (fun path ->
-          try Profile_io.of_file path with
-          | Profile_io.Parse_error (line, msg) ->
-              exit_err (Printf.sprintf "%s:%d: %s" path line msg)
-          | Sys_error msg -> exit_err msg)
-        profile
-    in
+    let profile = Option.map load_profile profile in
     let options =
       { Instrument.default_options with Instrument.optimize_placement = optimize }
     in
     match Pp_analysis.Cost.compute ~options ~mode ?profile prog with
     | Error d -> exit_invalid d
     | Ok report ->
-        if json then print_string (Pp_analysis.Cost.to_json report)
-        else print_string (Pp_analysis.Cost.render report)
+        print_string
+          ((if json then Pp_analysis.Cost.to_json else Pp_analysis.Cost.render)
+             report);
+        0
   in
   let optimize =
     flag [ "optimize-placement" ]
@@ -801,7 +729,7 @@ let cost_cmd =
              ~doc:"A profile shard from 'pp profile --profile-out' to \
                    compare estimates against (same program and mode).")
   in
-  Cmd.v (Cmd.info "cost" ~doc)
+  command "cost" ~doc
     Term.(
       const action $ file $ workload_opt $ mode_arg () $ optimize $ profile
       $ json_report)
@@ -813,7 +741,7 @@ let disasm_cmd =
     "Print a procedure's IR, optionally after instrumentation (what the \
      editor actually inserted)."
   in
-  let action file workload proc mode =
+  let action file workload proc mode () =
     let prog = load ~file ~workload in
     let prog =
       match mode with
@@ -821,12 +749,13 @@ let disasm_cmd =
       | Some mode -> fst (Instrument.run ~mode prog)
     in
     let dump (p : Pp_ir.Proc.t) = Format.printf "%a@.@." Pp_ir.Proc.pp p in
-    match proc with
+    (match proc with
     | Some name -> (
         match Pp_ir.Program.find_proc prog name with
         | Some p -> dump p
         | None -> exit_err (Printf.sprintf "no procedure %S" name))
-    | None -> Array.iter dump prog.Pp_ir.Program.procs
+    | None -> Array.iter dump prog.Pp_ir.Program.procs);
+    0
   in
   let proc =
     Arg.(value & opt (some string) None
@@ -838,17 +767,39 @@ let disasm_cmd =
          & info [ "instrument"; "i" ] ~docv:"MODE"
              ~doc:"Show the listing after instrumenting for MODE.")
   in
-  Cmd.v (Cmd.info "disasm" ~doc)
+  command "disasm" ~doc
     Term.(const action $ file $ workload_opt $ proc $ mode)
 
-(* --- pp check --- *)
+(* --- pp check, pp prove --- *)
+
+(* Findings are structured diagnostics: exit 2 unless every mode came
+   back clean. *)
+let modes_status results =
+  if List.for_all (fun (_, r) -> r = Ok []) results then 0 else 2
+
+(* One line per mode, then its findings. *)
+let report_modes ~ok ~failed prog results =
+  List.iter
+    (fun (mode, result) ->
+      let name = Instrument.mode_name mode in
+      match result with
+      | Error msg -> Printf.printf "%-13s cannot instrument: %s\n" name msg
+      | Ok [] ->
+          Printf.printf "%-13s %s (%d procedures)\n" name ok
+            (Array.length prog.Pp_ir.Program.procs)
+      | Ok diags ->
+          Printf.printf "%-13s %s (%d errors)\n" name failed
+            (List.length diags);
+          List.iter (fun d -> print_endline ("  " ^ Diag.to_string d)) diags)
+    results;
+  modes_status results
 
 let check_cmd =
   let doc =
     "Statically verify that instrumentation is correct: path sums, commit \
      coverage, PIC discipline and flow conservation, per mode."
   in
-  let action file workload modes lint_flag options =
+  let action file workload modes lint_flag options () =
     (* For lint we parse .ppir without validating first, so the
        unreachable-code check can fire before Validate rejects it. *)
     let lint_diags prog = Pp_analysis.Lint.run prog in
@@ -873,38 +824,17 @@ let check_cmd =
       else lint_diags prog
     in
     List.iter (fun d -> print_endline (Pp_ir.Diag.to_string d)) warnings;
-    let modes = if modes = [] then Instrument.all_modes else modes in
-    let failures = ref 0 in
-    List.iter
-      (fun mode ->
-        match Instrument.run ~options ~mode prog with
-        | exception Ball_larus.Unsupported msg ->
-            incr failures;
-            Printf.printf "%-13s cannot instrument: %s\n"
-              (Instrument.mode_name mode)
-              msg
-        | instrumented, manifest ->
-            let diags =
-              Pp_analysis.Verifier.verify_program ~original:prog ~manifest
-                instrumented
-            in
-            if diags = [] then
-              Printf.printf "%-13s ok (%d procedures)\n"
-                (Instrument.mode_name mode)
-                (Array.length prog.Pp_ir.Program.procs)
-            else begin
-              incr failures;
-              Printf.printf "%-13s FAILED (%d errors)\n"
-                (Instrument.mode_name mode)
-                (List.length diags);
-              List.iter
-                (fun d -> print_endline ("  " ^ Pp_ir.Diag.to_string d))
-                diags
-            end)
-      modes;
-    (* Verifier findings are structured diagnostics: exit 2 like the
-       other diagnostic refusals, not operational failure. *)
-    if !failures > 0 then exit 2
+    report_modes ~ok:"ok" ~failed:"FAILED" prog
+      (List.map
+         (fun mode ->
+           match Instrument.run ~options ~mode prog with
+           | exception Ball_larus.Unsupported msg -> (mode, Error msg)
+           | instrumented, manifest ->
+               ( mode,
+                 Ok
+                   (Pp_analysis.Verifier.verify_program ~original:prog
+                      ~manifest instrumented) ))
+         (if modes = [] then Instrument.all_modes else modes))
   in
   let modes =
     modes_arg mode_conv "Mode to verify (repeatable; default: all five)."
@@ -914,7 +844,7 @@ let check_cmd =
       "Also run the dataflow lint (unreachable code, uninitialised reads, \
        dead stores, unused functions) on the uninstrumented program."
   in
-  Cmd.v (Cmd.info "check" ~doc)
+  command "check" ~doc
     Term.(
       const action $ file $ workload_opt $ modes $ lint_flag
       $ instrument_options ~verb:"Verify")
@@ -928,8 +858,7 @@ let prove_cmd =
      counter bounded, and a taint proof that instrumentation state never \
      perturbs program-visible behaviour."
   in
-  let action file workload modes json options budget inject =
-    require_positive ~flag:"budget" budget;
+  let action budget file workload modes json options inject () =
     let prog = load ~file ~workload in
     let modes = if modes = [] then Instrument.all_modes else modes in
     let results =
@@ -1004,30 +933,10 @@ let prove_cmd =
               add "]}")
         results;
       add "]}";
-      print_string (Buffer.contents buf)
+      print_string (Buffer.contents buf);
+      modes_status results
     end
-    else
-      List.iter
-        (fun (mode, result) ->
-          match result with
-          | Error msg ->
-              Printf.printf "%-13s cannot instrument: %s\n"
-                (Instrument.mode_name mode)
-                msg
-          | Ok [] ->
-              Printf.printf "%-13s certified (%d procedures)\n"
-                (Instrument.mode_name mode)
-                (Array.length prog.Pp_ir.Program.procs)
-          | Ok diags ->
-              Printf.printf "%-13s NOT CERTIFIED (%d errors)\n"
-                (Instrument.mode_name mode)
-                (List.length diags);
-              List.iter
-                (fun d -> print_endline ("  " ^ Pp_ir.Diag.to_string d))
-                diags)
-        results;
-    (* Proof failures are structured diagnostics, like 'pp check'. *)
-    if List.exists (fun (_, result) -> result <> Ok []) results then exit 2
+    else report_modes ~ok:"certified" ~failed:"NOT CERTIFIED" prog results
   in
   let modes =
     modes_arg mode_conv "Mode to certify (repeatable; default: all five)."
@@ -1046,11 +955,11 @@ let prove_cmd =
                    path location into an original register.  The run must \
                    then exit 2.")
   in
-  Cmd.v (Cmd.info "prove" ~doc)
+  command "prove" ~doc
     Term.(
-      const action $ file $ workload_opt $ modes $ json_report
+      const action $ budget $ file $ workload_opt $ modes $ json_report
       $ instrument_options ~verb:"Certify"
-      $ budget $ inject)
+      $ inject)
 
 (* --- pp bench --- *)
 
@@ -1060,10 +969,7 @@ let bench_cmd =
      evaluation grid) through the process pool and print one deterministic \
      report: byte-identical at any --jobs."
   in
-  let action jobs timeout budget workloads modes telemetry engine =
-    require_positive ~flag:"jobs" jobs;
-    require_positive ~flag:"budget" budget;
-    require_non_negative_f ~flag:"timeout" timeout;
+  let action engine jobs budget timeout workloads modes () =
     (match workloads with
     | [] -> ()
     | ws ->
@@ -1082,30 +988,27 @@ let bench_cmd =
         ?workloads:(match workloads with [] -> None | ws -> Some ws)
         ~configs ()
     in
-    let results, stats =
-      Matrix.run_stats ~jobs
+    let results, footer =
+      Matrix.run_footer ~jobs
         ?timeout:(if timeout > 0.0 then Some timeout else None)
         ~budget ~engine tasks
     in
     print_string (Matrix.report results);
     (* Per-worker wall times are wall-clock dependent: stderr only, so
        stdout stays byte-identical at any --jobs. *)
-    prerr_string (Pool.footer stats);
-    write_telemetry telemetry;
+    prerr_string footer;
     match Matrix.failures results with
-    | [] -> ()
+    | [] -> 0
     | fs ->
         List.iter (fun f -> Printf.eprintf "pp: %s\n" f) fs;
-        exit 1
+        1
   in
   let jobs =
     jobs_arg ~default:1 "Concurrent worker processes (1 = in-process, serial)."
   in
   let timeout =
-    Arg.(value & opt float 0.0
-         & info [ "timeout" ] ~docv:"SECONDS"
-             ~doc:"Kill a shard after this long (0 = no limit; needs --jobs \
-                   > 1).")
+    non_negative_opt ~default:0.0 [ "timeout" ] ~docv:"SECONDS"
+      ~doc:"Kill a shard after this long (0 = no limit; needs --jobs > 1)."
   in
   let workloads =
     Arg.(value & opt_all string []
@@ -1117,9 +1020,8 @@ let bench_cmd =
       "Restrict to base plus this mode (repeatable; default: base and all \
        five)."
   in
-  Cmd.v (Cmd.info "bench" ~doc)
-    Term.(const action $ jobs $ timeout $ budget $ workloads $ modes
-          $ telemetry_opt $ engine)
+  command "bench" ~doc ~telemetry:true
+    Term.(const action $ engine $ jobs $ budget $ timeout $ workloads $ modes)
 
 (* --- pp merge --- *)
 
@@ -1128,57 +1030,24 @@ let merge_cmd =
     "Sum profile shards saved by 'pp profile --profile-out' (or CCTs saved \
      by --cct-out, with --cct) into one profile."
   in
-  let action out cct_mode stats telemetry inputs =
-    if List.length inputs < 1 then exit_err "nothing to merge";
+  let action out cct_mode stats inputs () =
     if cct_mode then begin
-      let load path =
-        try Cct_io.of_file ~codec:Cct_io.metrics_codec path with
-        | Cct_io.Parse_error (line, msg) ->
-            exit_err (Printf.sprintf "%s:%d: %s" path line msg)
-        | Sys_error msg -> exit_err msg
-      in
-      let merge_data a b =
-        (* Metric arrays summed pointwise; a record seen by one shard only
-           keeps (a copy of) its metrics. *)
-        match (a, b) with
-        | Some a, Some b ->
-            if Array.length a <> Array.length b then
-              exit_invalid
-                (Diag.error (Diag.proc_loc "<header>")
-                   "metric arity differs between shards");
-            Array.init (Array.length a) (fun i -> a.(i) + b.(i))
-        | Some a, None -> Array.copy a
-        | None, Some b -> Array.copy b
-        | None, None -> [||]
-      in
-      let merged =
-        List.fold_left
-          (fun acc path ->
-            let next = load path in
-            match acc with
-            | None -> Some next
-            | Some acc -> (
-                try Some (Cct.merge ~merge_data acc next)
-                with Invalid_argument msg ->
-                  exit_invalid
-                    (Diag.error (Diag.proc_loc "<header>") "%s: %s" path msg)))
-          None inputs
-      in
-      let merged = Option.get merged in
-      Cct_io.to_file ~codec:Cct_io.metrics_codec out merged;
-      Printf.printf "merged %d CCTs (%d call records) into %s\n"
-        (List.length inputs)
-        (Cct.num_nodes merged - 1)
-        out
+      match Cct_io.merge_files inputs with
+      | Error (`Read msg) -> exit_err msg
+      | Error (`Conflict d) -> exit_invalid d
+      | Ok merged ->
+          Cct_io.to_file ~codec:Cct_io.metrics_codec out merged;
+          Printf.printf "merged %d CCTs (%d call records) into %s\n"
+            (List.length inputs)
+            (Cct.num_nodes merged - 1)
+            out;
+          0
     end
     else begin
+      (* The fold 'pp serve' streams shards through, one shard at a time
+         so --stats can time each shard's read and merge separately. *)
       let t_start = Unix.gettimeofday () in
-      let load path =
-        try Profile_io.of_file path with
-        | Profile_io.Parse_error (line, msg) ->
-            exit_err (Printf.sprintf "%s:%d: %s" path line msg)
-        | Sys_error msg -> exit_err msg
-      in
+      let agg = Serve.agg_create () in
       let records (s : Profile_io.saved) =
         List.fold_left
           (fun acc (_, _, paths) -> acc + 1 + List.length paths)
@@ -1186,36 +1055,26 @@ let merge_cmd =
         + List.length s.Profile_io.feasible
         + List.length s.Profile_io.coverage
       in
-      (* Shard-at-a-time fold (instead of merge_all over a pre-loaded
-         list) so --stats can time each shard's read and merge
-         separately; the result is identical by associativity. *)
-      let merged =
-        List.fold_left
-          (fun acc path ->
-            let t0 = Unix.gettimeofday () in
-            let s = load path in
-            let t1 = Unix.gettimeofday () in
-            let next =
-              match acc with
-              | None -> Ok s
-              | Some acc -> Profile_io.merge acc s
-            in
-            let t2 = Unix.gettimeofday () in
-            let n = records s in
-            let m = Metrics.default in
-            Metrics.incr m "merge.shards" 1;
-            Metrics.incr m "merge.records" n;
-            Metrics.observe m "merge.us"
-              (int_of_float ((t2 -. t1) *. 1e6));
-            if stats then
-              Printf.eprintf
-                "  shard %s: %d records, read %.2fms, merge %.2fms\n" path n
-                ((t1 -. t0) *. 1e3)
-                ((t2 -. t1) *. 1e3);
-            match next with Error d -> exit_invalid d | Ok m -> Some m)
-          None inputs
-      in
-      let merged = Option.get merged in
+      List.iter
+        (fun path ->
+          let t0 = Unix.gettimeofday () in
+          let s = load_profile path in
+          let t1 = Unix.gettimeofday () in
+          let added = Serve.agg_add agg s in
+          let t2 = Unix.gettimeofday () in
+          let n = records s in
+          let m = Metrics.default in
+          Metrics.incr m "merge.shards" 1;
+          Metrics.incr m "merge.records" n;
+          Metrics.observe m "merge.us" (int_of_float ((t2 -. t1) *. 1e6));
+          if stats then
+            Printf.eprintf "  shard %s: %d records, read %.2fms, merge %.2fms\n"
+              path n
+              ((t1 -. t0) *. 1e3)
+              ((t2 -. t1) *. 1e3);
+          Result.iter_error exit_invalid added)
+        inputs;
+      let merged = Option.get (Serve.agg_finish agg) in
       Profile_io.to_file out merged;
       let freq, m0, m1 = Profile_io.totals merged in
       Printf.printf
@@ -1230,7 +1089,7 @@ let merge_cmd =
       if stats then
         Printf.eprintf "merge: %d shards in %.2fms\n" (List.length inputs)
           ((Unix.gettimeofday () -. t_start) *. 1e3);
-      write_telemetry telemetry
+      0
     end
   in
   let out =
@@ -1254,12 +1113,10 @@ let merge_cmd =
     Arg.(non_empty & pos_all string []
          & info [] ~docv:"SHARD" ~doc:"Profile shards to merge.")
   in
-  Cmd.v (Cmd.info "merge" ~doc)
-    Term.(const action $ out $ cct_mode $ stats $ telemetry_opt $ inputs)
+  command "merge" ~doc ~telemetry:true
+    Term.(const action $ out $ cct_mode $ stats $ inputs)
 
 (* --- pp serve --- *)
-
-module Serve = Pp_run.Serve
 
 let serve_cmd =
   let doc =
@@ -1268,23 +1125,17 @@ let serve_cmd =
      budget, with JSON observability snapshots (SIGUSR1, or \
      --snapshot-every)."
   in
-  let action socket expect out max_records spill_dir snapshot_every
+  let action engine snapshot_every socket expect out max_records spill_dir
       snapshot_out send corrupt_after drive file workload budget mode duty
-      sampling_seed burst telemetry engine =
-    Option.iter (fun n -> require_positive ~flag:"max-records" n) max_records;
-    Option.iter (fun k -> require_positive ~flag:"corrupt-after" k)
-      corrupt_after;
-    if snapshot_every < 0 then
-      exit_invalid
-        (Diag.error (Diag.proc_loc "<cli>")
-           "--snapshot-every must be non-negative (got %d)" snapshot_every);
+      sampling_seed burst () =
+    Option.iter (fun n -> require (positive "max-records" n)) max_records;
+    Option.iter (fun k -> require (positive "corrupt-after" k)) corrupt_after;
     let require_out () =
       match out with
       | Some path -> path
       | None ->
           exit_invalid
-            (Diag.error (Diag.proc_loc "<cli>")
-               "-o FILE is required to receive the merged profile")
+            (cli_error "-o FILE is required to receive the merged profile")
     in
     (* SIGUSR1 asks for a snapshot; SIGTERM asks for an orderly shutdown
        (streams still open then count as torn, and the short count makes
@@ -1339,34 +1190,26 @@ let serve_cmd =
             (List.length m.Profile_io.procs)
             freq
       | None -> Printf.eprintf "pp serve: no stream contributed records\n");
-      write_telemetry telemetry;
-      if Serve.degraded v then exit exit_degraded
+      if Serve.degraded v then exit_degraded else 0
     in
     match (send, drive) with
     | Some _, Some _ ->
-        exit_invalid
-          (Diag.error (Diag.proc_loc "<cli>")
-             "--send and --drive are mutually exclusive")
-    | Some shard, None -> (
+        exit_invalid (cli_error "--send and --drive are mutually exclusive")
+    | Some shard, None ->
         (* Client mode: stream one saved shard into a running daemon. *)
-        match Serve.send_file ?corrupt_after ~socket shard with
-        | Ok () -> ()
-        | Error msg -> exit_err msg)
+        ok_or_exit (Serve.send_file ?corrupt_after ~socket shard);
+        0
     | None, Some k ->
         (* Drive mode: the self-contained e2e — fork K client runs and
            aggregate them concurrently in this process. *)
-        require_positive ~flag:"drive" k;
-        require_positive ~flag:"budget" budget;
+        require (positive "drive" k);
+        require (positive "budget" budget);
         let out_path = require_out () in
-        (match mode with
-        | Instrument.Flow_freq | Instrument.Flow_hw | Instrument.Context_flow
-          ->
-            ()
-        | Instrument.Edge_freq | Instrument.Context_hw ->
-            exit_invalid
-              (Diag.error (Diag.proc_loc "<cli>")
-                 "--drive needs a path-profiling mode (flow-freq, flow-hw \
-                  or context-flow)"));
+        if not (Instrument.profiles_paths mode) then
+          exit_invalid
+            (cli_error
+               "--drive needs a path-profiling mode (flow-freq, flow-hw or \
+                context-flow)");
         let prog = load ~file ~workload in
         (* Validate --duty/--burst here: a child exiting on a bad flag
            would leave its stream unresolved. *)
@@ -1401,13 +1244,13 @@ let serve_cmd =
         let expect =
           match expect with
           | Some n ->
-              require_positive ~flag:"expect" n;
+              require (positive "expect" n);
               n
           | None ->
               exit_invalid
-                (Diag.error (Diag.proc_loc "<cli>")
-                   "--expect N is required (how many client streams to \
-                    wait for), or use --send / --drive")
+                (cli_error
+                   "--expect N is required (how many client streams to wait \
+                    for), or use --send / --drive")
         in
         let out_path = require_out () in
         install_signals ();
@@ -1450,10 +1293,14 @@ let serve_cmd =
                    at shutdown (with --max-records).")
   in
   let snapshot_every =
-    Arg.(value & opt int 0
-         & info [ "snapshot-every" ] ~docv:"K"
-             ~doc:"Emit a JSON observability snapshot every K resolved \
-                   streams (0 = only at shutdown and on SIGUSR1).")
+    validated
+      (fun k ->
+        if k >= 0 then None
+        else Some (cli_error "--snapshot-every must be non-negative (got %d)" k))
+      Arg.(value & opt int 0
+           & info [ "snapshot-every" ] ~docv:"K"
+               ~doc:"Emit a JSON observability snapshot every K resolved \
+                     streams (0 = only at shutdown and on SIGUSR1).")
   in
   let snapshot_out =
     Arg.(value & opt (some string) None
@@ -1486,12 +1333,12 @@ let serve_cmd =
             context-flow)."
       ()
   in
-  Cmd.v (Cmd.info "serve" ~doc)
+  command "serve" ~doc ~telemetry:true
     Term.(
-      const action $ socket $ expect $ out_opt $ max_records $ spill_dir
-      $ snapshot_every $ snapshot_out $ send $ corrupt_after $ drive $ file
-      $ workload_opt $ budget $ mode $ duty_opt $ sampling_seed_opt
-      $ burst_opt $ telemetry_opt $ engine)
+      const action $ engine $ snapshot_every $ socket $ expect $ out_opt
+      $ max_records $ spill_dir $ snapshot_out $ send $ corrupt_after $ drive
+      $ file $ workload_opt $ budget_arg $ mode $ duty_opt $ sampling_seed_opt
+      $ burst_opt)
 
 (* --- pp trace --- *)
 
@@ -1502,9 +1349,7 @@ let trace_cmd =
      profiler's own phases: instrument, vm.setup, execute (with periodic \
      counter samples), extract.profile."
   in
-  let action file workload budget mode interval out text engine =
-    require_positive ~flag:"interval" interval;
-    require_positive ~flag:"budget" budget;
+  let action engine interval budget file workload mode out text () =
     let prog = load ~file ~workload in
     let tr = Trace.create () in
     let out_path =
@@ -1522,30 +1367,26 @@ let trace_cmd =
       Printf.printf "wrote %d events (%d dropped) to %s\n"
         (List.length (Trace.events tr))
         (Trace.dropped tr) out_path;
-      if failed then exit 1
+      if failed then 1 else 0
     in
     let session =
       Driver.prepare ~max_instructions:budget ~telemetry:tr
         ~telemetry_interval:interval ~engine ~mode prog
     in
-    (match Driver.run session with
+    (* The trap is recorded in the trace, so it is handled here. *)
+    match Driver.run session with
     | exception Interp.Trap msg ->
         Trace.instant tr "trap";
         Printf.eprintf "pp: trap: %s\n" msg;
         finish ~failed:true
-    | _r -> (
-        match mode with
-        | Instrument.Flow_freq | Instrument.Flow_hw
-        | Instrument.Context_flow ->
-            ignore (Driver.path_profile session);
-            finish ~failed:false
-        | Instrument.Edge_freq | Instrument.Context_hw ->
-            finish ~failed:false))
+    | _r ->
+        if Instrument.profiles_paths mode then
+          ignore (Driver.path_profile session);
+        finish ~failed:false
   in
   let interval =
-    Arg.(value & opt int 100_000
-         & info [ "interval" ] ~docv:"CYCLES"
-             ~doc:"Simulated cycles between VM counter samples.")
+    positive_opt ~default:100_000 [ "interval" ] ~docv:"CYCLES"
+      ~doc:"Simulated cycles between VM counter samples."
   in
   let out =
     Arg.(value & opt (some string) None
@@ -1558,9 +1399,9 @@ let trace_cmd =
              ~doc:"Also print the compact indented text timeline to \
                    stdout.")
   in
-  Cmd.v (Cmd.info "trace" ~doc)
-    Term.(const action $ file $ workload_opt $ budget $ mode_arg () $ interval
-          $ out $ text $ engine)
+  command "trace" ~doc
+    Term.(const action $ engine $ interval $ budget $ file $ workload_opt
+          $ mode_arg () $ out $ text)
 
 (* --- pp overhead --- *)
 
@@ -1572,9 +1413,7 @@ let overhead_cmd =
      executed-probe counts decoded from the profile.  Exits 2 if the \
      per-category attributions do not sum exactly to the measured delta."
   in
-  let action file workload budget modes jobs json_flag out engine =
-    require_positive ~flag:"jobs" jobs;
-    require_positive ~flag:"budget" budget;
+  let action engine jobs budget file workload modes json_flag out () =
     let prog = load ~file ~workload in
     let program =
       match (file, workload) with
@@ -1583,20 +1422,16 @@ let overhead_cmd =
       | None, None -> "<none>"
     in
     let modes = resolve_modes modes in
-    match Overhead.compute ~budget ~engine ~jobs ~modes ~program prog with
-    | exception Interp.Trap msg -> exit_err ("trap: " ^ msg)
-    | report -> (
-        if json_flag then print_string (Overhead.to_json report)
-        else print_string (Overhead.render report);
-        Option.iter
-          (fun path -> write_file path (Overhead.to_json report))
-          out;
-        match Overhead.check report with
-        | Ok () -> ()
-        | Error msg ->
-            exit_invalid
-              (Diag.error (Diag.proc_loc "<overhead>")
-                 "attribution check failed: %s" msg))
+    let report = Overhead.compute ~budget ~engine ~jobs ~modes ~program prog in
+    print_string
+      ((if json_flag then Overhead.to_json else Overhead.render) report);
+    Option.iter (fun path -> write_file path (Overhead.to_json report)) out;
+    match Overhead.check report with
+    | Ok () -> 0
+    | Error msg ->
+        exit_invalid
+          (Diag.error (Diag.proc_loc "<overhead>")
+             "attribution check failed: %s" msg)
   in
   let modes =
     modes_arg mode_or_all_conv
@@ -1614,9 +1449,9 @@ let overhead_cmd =
              ~doc:"Also write the JSON report to FILE (e.g. \
                    OVERHEAD.json).")
   in
-  Cmd.v (Cmd.info "overhead" ~doc)
-    Term.(const action $ file $ workload_opt $ budget $ modes $ jobs
-          $ json_flag $ out $ engine)
+  command "overhead" ~doc
+    Term.(const action $ engine $ jobs $ budget $ file $ workload_opt $ modes
+          $ json_flag $ out)
 
 (* --- pp predict --- *)
 
@@ -1632,9 +1467,8 @@ let predict_cmd =
      deliberately injected model/machine mismatch).  Exits 2 when \
      anything is REFUTED or the measurement oracle reports an anomaly."
   in
-  let action file workload budget modes inject json_flag table slack engine =
-    require_positive ~flag:"budget" budget;
-    require_non_negative_f ~flag:"slack" slack;
+  let action engine budget slack file workload modes inject json_flag table
+      () =
     let inject =
       Option.map
         (fun s ->
@@ -1642,8 +1476,7 @@ let predict_cmd =
           | Some i -> i
           | None ->
               exit_invalid
-                (Diag.error (Diag.proc_loc "<cli>")
-                   "--inject must be one of: %s (got %S)"
+                (cli_error "--inject must be one of: %s (got %S)"
                    (String.concat ", "
                       (List.map Predict_run.inject_name Predict_run.injects))
                    s))
@@ -1654,12 +1487,8 @@ let predict_cmd =
     let outcomes =
       List.map
         (fun mode ->
-          match
-            Predict_run.run ~budget ~engine ?inject ~vacuous_slack:slack
-              ~mode prog
-          with
-          | o -> o
-          | exception Interp.Trap msg -> exit_err ("trap: " ^ msg))
+          Predict_run.run ~budget ~engine ?inject ~vacuous_slack:slack ~mode
+            prog)
         modes
     in
     if json_flag then
@@ -1685,7 +1514,7 @@ let predict_cmd =
           (fun e -> Printf.eprintf "pp predict: %s\n" e)
           (Predict_run.errors o))
       outcomes;
-    exit (Predict_run.exit_code outcomes)
+    Predict_run.exit_code outcomes
   in
   let modes =
     modes_arg mode_or_all_conv
@@ -1708,14 +1537,13 @@ let predict_cmd =
        instead of one summary line."
   in
   let slack =
-    Arg.(value & opt float 8.0
-         & info [ "slack" ] ~docv:"S"
-             ~doc:"Vacuousness threshold: a bounded interval wider than S \
-                   per measured window degrades to VACUOUS.")
+    non_negative_opt ~default:8.0 [ "slack" ] ~docv:"S"
+      ~doc:"Vacuousness threshold: a bounded interval wider than S per \
+            measured window degrades to VACUOUS."
   in
-  Cmd.v (Cmd.info "predict" ~doc)
-    Term.(const action $ file $ workload_opt $ budget $ modes $ inject
-          $ json_flag $ table $ slack $ engine)
+  command "predict" ~doc
+    Term.(const action $ engine $ budget $ slack $ file $ workload_opt $ modes
+          $ inject $ json_flag $ table)
 
 (* --- pp chaos --- *)
 
@@ -1735,13 +1563,8 @@ let chaos_cmd =
      byte-identical to a fault-free run.  Exits 3 if recovery was only \
      partial (degraded coverage), 1 if the recovered profile differs."
   in
-  let action file workload budget mode shards jobs retries timeout seed kind
-      dir telemetry engine =
-    require_positive ~flag:"shards" shards;
-    require_positive ~flag:"jobs" jobs;
-    require_positive ~flag:"retries" retries;
-    require_positive ~flag:"budget" budget;
-    require_non_negative_f ~flag:"timeout" timeout;
+  let action engine shards jobs retries budget timeout file workload mode seed
+      kind dir () =
     let prog = load ~file ~workload in
     (* Stalls must outlive the timeout or they are not faults. *)
     let plan =
@@ -1760,7 +1583,7 @@ let chaos_cmd =
     | Ok r ->
         (* Wall-clock pool summary to stderr; the verdict below is
            deterministic for a given seed, so stdout stays golden. *)
-        prerr_string (Pool.footer r.Chaos.stats);
+        prerr_string r.Chaos.footer;
         print_newline ();
         print_endline (Chaos.coverage r);
         List.iteri
@@ -1793,11 +1616,13 @@ let chaos_cmd =
              "recovered profile is byte-identical to the fault-free \
               reference"
            else "recovered profile DIFFERS from the fault-free reference");
-        write_telemetry telemetry;
-        if Chaos.degraded r then exit exit_degraded
-        else if not r.Chaos.identical then
-          exit_err "recovered profile differs from the fault-free \
-                    reference"
+        if Chaos.degraded r then exit_degraded
+        else if not r.Chaos.identical then begin
+          Printf.eprintf
+            "pp: recovered profile differs from the fault-free reference\n";
+          1
+        end
+        else 0
   in
   let mode =
     mode_arg
@@ -1806,8 +1631,8 @@ let chaos_cmd =
       ()
   in
   let shards =
-    Arg.(value & opt int 4
-         & info [ "shards" ] ~docv:"K" ~doc:"Shards to profile and merge.")
+    positive_opt ~default:4 [ "shards" ] ~docv:"K"
+      ~doc:"Shards to profile and merge."
   in
   let jobs =
     jobs_arg ~default:2
@@ -1815,17 +1640,14 @@ let chaos_cmd =
        forked workers)."
   in
   let retries =
-    Arg.(value & opt int 3
-         & info [ "retries" ] ~docv:"N"
-             ~doc:"Attempt budget per shard.  The plan only faults early \
-                   attempts, so 2 or more must converge to full coverage; \
-                   1 demonstrates degraded recovery.")
+    positive_opt ~default:3 [ "retries" ] ~docv:"N"
+      ~doc:"Attempt budget per shard.  The plan only faults early attempts, \
+            so 2 or more must converge to full coverage; 1 demonstrates \
+            degraded recovery."
   in
   let timeout =
-    Arg.(value & opt float 10.0
-         & info [ "timeout" ] ~docv:"SECONDS"
-             ~doc:"Kill a shard after this long; injected stalls sleep \
-                   past it.")
+    non_negative_opt ~default:10.0 [ "timeout" ] ~docv:"SECONDS"
+      ~doc:"Kill a shard after this long; injected stalls sleep past it."
   in
   let seed =
     Arg.(value & opt int 1
@@ -1844,10 +1666,10 @@ let chaos_cmd =
              ~doc:"Directory for the shard files (created if needed; \
                    existing shard files are removed first).")
   in
-  Cmd.v (Cmd.info "chaos" ~doc)
+  command "chaos" ~doc ~telemetry:true
     Term.(
-      const action $ file $ workload_opt $ budget $ mode $ shards $ jobs
-      $ retries $ timeout $ seed $ kind $ dir $ telemetry_opt $ engine)
+      const action $ engine $ shards $ jobs $ retries $ budget $ timeout $ file
+      $ workload_opt $ mode $ seed $ kind $ dir)
 
 (* --- pp optimize --- *)
 
@@ -1863,10 +1685,8 @@ let optimize_cmd =
      an edge profile only (gprof-style per-callee totals, greedy block \
      order)."
   in
-  let action file workload budget source out_file json_flag certify no_layout
-      no_split no_straighten no_inline no_data inline_budget engine =
-    require_positive ~flag:"budget" budget;
-    require_positive ~flag:"inline-budget" inline_budget;
+  let action engine budget inline_budget file workload source out_file
+      json_flag certify no_layout no_split no_straighten no_inline no_data () =
     let prog = load ~file ~workload in
     let summary = ok_or_exit (Pipeline.summarize ~engine ~budget ~source prog) in
     let knobs =
@@ -1947,11 +1767,15 @@ let optimize_cmd =
             (fun e -> Printf.eprintf "pp: certify predict: %s\n" e)
             (Predict_run.errors o))
         (ok_or_exit c.Pipeline.predictions);
-      if not (Pipeline.certified c) then exit 2;
-      Printf.printf
-        "certified: check, prove and predict pass on the optimized program \
-         (all 5 modes)\n"
+      if Pipeline.certified c then begin
+        Printf.printf
+          "certified: check, prove and predict pass on the optimized program \
+           (all 5 modes)\n";
+        0
+      end
+      else 2
     end
+    else 0
   in
   let source =
     Arg.(value & opt source_conv `Cct
@@ -1985,15 +1809,15 @@ let optimize_cmd =
   let no_inline = flag [ "no-inline" ] "Disable hot call-edge inlining." in
   let no_data = flag [ "no-data" ] "Disable global data placement." in
   let inline_budget =
-    Arg.(value & opt int Pp_opt.Pgo.default_knobs.Pp_opt.Pgo.inline_budget_slots
-         & info [ "inline-budget" ] ~docv:"SLOTS"
-             ~doc:"Total instruction slots inlining may copy, program-wide.")
+    positive_opt ~default:Pp_opt.Pgo.default_knobs.Pp_opt.Pgo.inline_budget_slots
+      [ "inline-budget" ] ~docv:"SLOTS"
+      ~doc:"Total instruction slots inlining may copy, program-wide."
   in
-  Cmd.v (Cmd.info "optimize" ~doc)
+  command "optimize" ~doc
     Term.(
-      const action $ file $ workload_opt $ budget $ source $ out_file
-      $ json_flag $ certify $ no_layout $ no_split $ no_straighten $ no_inline
-      $ no_data $ inline_budget $ engine)
+      const action $ engine $ budget $ inline_budget $ file $ workload_opt
+      $ source $ out_file $ json_flag $ certify $ no_layout $ no_split
+      $ no_straighten $ no_inline $ no_data)
 
 (* --- pp workloads --- *)
 
@@ -2005,9 +1829,10 @@ let workloads_cmd =
         Printf.printf "%-15s %-13s %s\n" w.Pp_workloads.Workload.name
           w.Pp_workloads.Workload.spec_name
           w.Pp_workloads.Workload.description)
-      Registry.all
+      Registry.all;
+    0
   in
-  Cmd.v (Cmd.info "workloads" ~doc) Term.(const action $ const ())
+  command "workloads" ~doc (Term.const action)
 
 let () =
   let doc =
@@ -2015,7 +1840,7 @@ let () =
      performance counters"
   in
   let info = Cmd.info "pp" ~version:"1.0.0" ~doc in
-  exit (Cmd.eval (Cmd.group info
+  exit (Cmd.eval' (Cmd.group info
                     [ run_cmd; profile_cmd; paths_cmd; cost_cmd; disasm_cmd;
                       check_cmd; prove_cmd; optimize_cmd; bench_cmd;
                       merge_cmd; serve_cmd; trace_cmd; overhead_cmd;

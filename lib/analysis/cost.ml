@@ -120,10 +120,6 @@ let return_freq cfg freq =
       else acc)
     cfg.Cfg.graph 0.0
 
-let profiles_context = function
-  | Instrument.Context_hw | Instrument.Context_flow -> true
-  | Instrument.Edge_freq | Instrument.Flow_freq | Instrument.Flow_hw -> false
-
 exception Fail of Diag.t
 
 let compute ?(options = Instrument.default_options) ?max_enumerate ~mode
@@ -182,7 +178,7 @@ let compute ?(options = Instrument.default_options) ?max_enumerate ~mode
                 +. return_freq cfg freq
               in
               let est_ctx =
-                if profiles_context mode then
+                if Instrument.profiles_context mode then
                   1.0 +. return_freq cfg freq +. count_call_sites p freq
                 else 0.0
               in
@@ -194,7 +190,7 @@ let compute ?(options = Instrument.default_options) ?max_enumerate ~mode
                     (fun e acc ->
                       if Cfg.role cfg e = Cfg.Return then acc + 1 else acc)
                     cfg.Cfg.graph 0
-                + (if profiles_context mode then 2 + p.Proc.nsites else 0)
+                + (if Instrument.profiles_context mode then 2 + p.Proc.nsites else 0)
               in
               let measured =
                 match profile with
@@ -290,10 +286,10 @@ let compute ?(options = Instrument.default_options) ?max_enumerate ~mode
                           acc +. Freq.edge_freq freq e)
                         0.0 chords,
                       List.length chords )
-                | _ -> (0.0, if profiles_context mode then 2 + p.Proc.nsites else 0)
+                | _ -> (0.0, if Instrument.profiles_context mode then 2 + p.Proc.nsites else 0)
               in
               let est_ctx =
-                if profiles_context mode then
+                if Instrument.profiles_context mode then
                   1.0 +. return_freq cfg freq +. count_call_sites p freq
                 else 0.0
               in

@@ -152,15 +152,10 @@ let target_of t env ~base ~off =
           if hi < lo then C.Top else bounded lo hi)
 
 (* The linkage slots the CCT stubs touch, as offsets from the probe frame
-   (fp + linkage_bytes): the saved-gCSP word at fp and the two PIC
-   snapshot words at fp+8 / fp+16 (see Pp_vm.Runtime). *)
-let linkage_bytes = 32
-let fr_gcsp = -linkage_bytes
-let fr_pic0 = -linkage_bytes + 8
-let fr_pic1 = -linkage_bytes + 16
-
-(* Mirrors Runtime.record_words. *)
-let record_words nsites = 2 + 3 + max 1 nsites
+   (fp + linkage_bytes). *)
+let fr_gcsp = -Pp_ir.Layout.linkage_bytes
+let fr_pic0 = fr_gcsp + Pp_ir.Layout.word
+let fr_pic1 = fr_gcsp + (2 * Pp_ir.Layout.word)
 
 (* Fetch micros of a stub's charge_fetches run: [count] charges wrap
    through the op's [slots] 4-byte code slots starting at [op_addr]. *)
@@ -230,7 +225,7 @@ let prof_micros t ~op_addr ~wbound emit op =
             emit (Md (false, false, C.Top_prof))
           done
       | None -> emit (Mdslack None));
-      for _ = 1 to record_words nsites do
+      for _ = 1 to Pp_ir.Layout.record_words nsites do
         emit (Md (true, false, C.Top_prof))
       done;
       wr C.Top_prof;

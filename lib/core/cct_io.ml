@@ -185,11 +185,45 @@ let of_string ~codec text =
       raise (Parse_error (0, "empty or headerless input"))
 
 let of_file ~codec path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      of_string ~codec (really_input_string ic (in_channel_length ic)))
+  of_string ~codec (In_channel.with_open_bin path In_channel.input_all)
+
+(* Metric arrays sum pointwise; a record seen by one tree only keeps (a
+   copy of) its metrics. *)
+exception Arity
+
+let sum_metrics a b =
+  match (a, b) with
+  | Some a, Some b ->
+      if Array.length a <> Array.length b then raise Arity;
+      Array.init (Array.length a) (fun i -> a.(i) + b.(i))
+  | Some a, None -> Array.copy a
+  | None, Some b -> Array.copy b
+  | None, None -> [||]
+
+let merge_files paths =
+  let header = Pp_ir.Diag.proc_loc "<header>" in
+  let add acc path =
+    Result.bind acc (fun acc ->
+        match (of_file ~codec:metrics_codec path, acc) with
+        | next, None -> Ok (Some next)
+        | next, Some t -> (
+            match Cct.merge ~merge_data:sum_metrics t next with
+            | merged -> Ok (Some merged)
+            | exception Arity ->
+                Error
+                  (`Conflict
+                    (Pp_ir.Diag.error header
+                       "metric arity differs between shards"))
+            | exception Invalid_argument msg ->
+                Error (`Conflict (Pp_ir.Diag.error header "%s: %s" path msg)))
+        | exception Parse_error (line, msg) ->
+            Error (`Read (Printf.sprintf "%s:%d: %s" path line msg))
+        | exception Sys_error msg -> Error (`Read msg))
+  in
+  match List.fold_left add (Ok None) paths with
+  | Ok None -> Error (`Read "nothing to merge")
+  | Ok (Some t) -> Ok t
+  | Error e -> Error e
 
 let escape_label s =
   String.concat ""

@@ -51,6 +51,17 @@ val of_string : codec:'a codec -> string -> 'a Cct.t
 
 val of_file : codec:'a codec -> string -> 'a Cct.t
 
+(** Sum the metric CCTs saved in [paths] (by [pp profile --cct-out]),
+    reading them in order: metric arrays add pointwise, a record only
+    one tree has keeps its own.  [Error (`Read msg)] on the first
+    unreadable or malformed file ([msg] is located as ["path:line: ..."])
+    or an empty list; [Error (`Conflict d)] when two trees cannot be
+    summed — different metric arities, or one merges call sites and the
+    other does not ([d] sits at ["<header>"]). *)
+val merge_files :
+  string list ->
+  (int array Cct.t, [ `Read of string | `Conflict of Pp_ir.Diag.t ]) result
+
 (** Graphviz rendering; [label] decorates each record (default: the
     procedure name). *)
 val to_dot : ?label:('a Cct.node -> string) -> 'a Cct.t -> string

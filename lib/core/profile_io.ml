@@ -191,9 +191,10 @@ let merge_all = function
 
 (* --- serialization ---
 
-   Version 2 (what to_string writes): every line carries a trailing
-   CRC-32 token, and the header carries the body record count, so a
-   damaged file degrades to a detectable valid prefix:
+   Version 2 (what to_string writes) is {!Crc32.frame}d: every line
+   carries a trailing CRC-32 token, and the header carries the body
+   record count, so a damaged file degrades to a detectable valid
+   prefix:
 
    profile 2 <hash> <mode> <pic0> <pic1> <nrecords> <crc>
    feasible <name-escaped> <num-feasible-paths> <crc>
@@ -234,21 +235,12 @@ let body_lines s =
 
 let to_string s =
   let s = canonical s in
-  let body = body_lines s in
-  let header =
-    Printf.sprintf "profile 2 %s %s %s %s %d" s.program_hash
-      (Cct_io.escape s.mode)
-      (Cct_io.escape (Event.name s.pic0))
-      (Cct_io.escape (Event.name s.pic1))
-      (List.length body)
-  in
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun line ->
-      Buffer.add_string buf (Crc32.tag line);
-      Buffer.add_char buf '\n')
-    (header :: body);
-  Buffer.contents buf
+  Crc32.frame
+    (Printf.sprintf "profile 2 %s %s %s %s" s.program_hash
+       (Cct_io.escape s.mode)
+       (Cct_io.escape (Event.name s.pic0))
+       (Cct_io.escape (Event.name s.pic1)))
+    (body_lines s)
 
 exception Parse_error of int * string
 
@@ -269,33 +261,27 @@ type pstate = {
   mutable coverage : (string * (int * int)) list;  (* reversed *)
 }
 
+let int_field lineno what s =
+  try int_of_string s with Failure _ -> fail lineno "bad %s %S" what s
+
 let dispatch_record lineno st = function
   | [ "feasible"; name; k ] ->
-      let k =
-        try int_of_string k
-        with Failure _ -> fail lineno "bad feasible count %S" k
-      in
+      let k = int_field lineno "feasible count" k in
       st.feasible <- (unescape lineno name, k) :: st.feasible
   | [ "coverage"; name; sampled; total ] ->
-      let num s =
-        try int_of_string s
-        with Failure _ -> fail lineno "bad coverage count %S" s
+      let window =
+        ( int_field lineno "coverage count" sampled,
+          int_field lineno "coverage count" total )
       in
-      st.coverage <-
-        (unescape lineno name, (num sampled, num total)) :: st.coverage
+      st.coverage <- (unescape lineno name, window) :: st.coverage
   | [ "proc"; name; npaths ] ->
-      let npaths =
-        try int_of_string npaths
-        with Failure _ -> fail lineno "bad path count %S" npaths
-      in
+      let npaths = int_field lineno "path count" npaths in
       st.procs <- (unescape lineno name, npaths, ref []) :: st.procs
   | [ "path"; sum; freq; m0; m1 ] -> (
-      let num s =
-        try int_of_string s with Failure _ -> fail lineno "bad int %S" s
-      in
       match st.procs with
       | [] -> fail lineno "path before proc"
       | (_, _, paths) :: _ ->
+          let num = int_field lineno "int" in
           paths :=
             (num sum, { Profile.freq = num freq; m0 = num m0; m1 = num m1 })
             :: !paths)
@@ -354,91 +340,41 @@ let of_string_v1 lines =
 
 (* --- version 2 reader and salvage --- *)
 
-type salvage_report = { total : int; recovered : int; first_bad_line : int }
+type salvage_report = Crc32.damage = {
+  total : int;
+  recovered : int;
+  first_bad_line : int;
+}
 
-(* Scan a version-2 shard front to back, CRC-checking every line, and
-   stop at the first damaged or structurally invalid record.  Returns
-   the parsed valid prefix plus a report when anything was dropped;
-   [Error (lineno, msg)] when even the header is unusable. *)
+(* A version-2 shard is Crc32-framed: scan it, keeping the valid record
+   prefix, then parse the header. *)
 let scan_v2 text =
-  let lines = Array.of_list (String.split_on_char '\n' text) in
-  if Array.length lines = 0 then Error (0, "empty input")
-  else
-    match Crc32.untag lines.(0) with
-    | None -> Error (1, "damaged or missing header checksum")
-    | Some content -> (
-        match String.split_on_char ' ' content with
-        | [ "profile"; "2"; hash; mode; pic0; pic1; total ] -> (
-            match
-              let total =
-                match int_of_string_opt total with
-                | Some n when n >= 0 -> n
-                | _ -> fail 1 "bad record count %S" total
-              in
-              ( ( hash,
-                  unescape 1 mode,
-                  parse_event 1 pic0,
-                  parse_event 1 pic1 ),
-                total )
-            with
-            | exception Parse_error (ln, msg) -> Error (ln, msg)
-            | header, total ->
-                let st = { procs = []; feasible = []; coverage = [] } in
-                let recovered = ref 0 in
-                let bad = ref None in
-                let i = ref 1 in
-                while !bad = None && !i < Array.length lines do
-                  let lineno = !i + 1 in
-                  let line = lines.(!i) in
-                  if line = "" then
-                    (* The writer never emits blank lines: this is the
-                       trailing element after the final newline (end of
-                       file) or a damaged line.  Either way, stop. *)
-                    i := Array.length lines
-                  else if !recovered >= total then
-                    (* More records than the header promised: the tail
-                       was spliced or duplicated.  The promised prefix
-                       is intact; everything beyond it is suspect. *)
-                    bad := Some lineno
-                  else begin
-                    (match Crc32.untag line with
-                    | None -> bad := Some lineno
-                    | Some content -> (
-                        match
-                          dispatch_record lineno st
-                            (String.split_on_char ' ' content)
-                        with
-                        | () -> incr recovered
-                        | exception Parse_error _ -> bad := Some lineno));
-                    incr i
-                  end
-                done;
-                let saved = finish_state ~header st in
-                if !bad = None && !recovered = total then Ok (saved, None)
-                else
-                  Ok
-                    ( saved,
-                      Some
-                        {
-                          total;
-                          recovered = !recovered;
-                          first_bad_line =
-                            (match !bad with
-                            | Some ln -> ln
-                            | None -> !recovered + 2);
-                        } ))
-        | _ -> Error (1, "malformed version-2 header"))
-
-let is_v2 text =
-  let rec first = function
-    | [] -> None
-    | l :: rest ->
-        let l = String.trim l in
-        if l = "" then first rest else Some l
+  let st = { procs = []; feasible = []; coverage = [] } in
+  let record lineno content =
+    match dispatch_record lineno st (String.split_on_char ' ' content) with
+    | () -> true
+    | exception Parse_error _ -> false
   in
-  match first (String.split_on_char '\n' text) with
-  | Some l -> String.length l >= 10 && String.sub l 0 10 = "profile 2 "
-  | None -> false
+  match Crc32.unframe ~record text with
+  | Error e -> Error e
+  | Ok (header, damage) -> (
+      match String.split_on_char ' ' header with
+      | [ "profile"; "2"; hash; mode; pic0; pic1 ] -> (
+          match
+            (hash, unescape 1 mode, parse_event 1 pic0, parse_event 1 pic1)
+          with
+          | header -> Ok (finish_state ~header st, damage)
+          | exception Parse_error (ln, msg) -> Error (ln, msg))
+      | _ -> Error (1, "malformed version-2 header"))
+
+(* Does the first non-blank line open a version-2 header? *)
+let is_v2 text =
+  let n = String.length text in
+  let rec skip i =
+    if i < n && String.contains " \012\n\r\t" text.[i] then skip (i + 1) else i
+  in
+  let i = skip 0 in
+  n - i >= 10 && String.sub text i 10 = "profile 2 "
 
 let of_string text =
   if is_v2 text then
@@ -482,11 +418,7 @@ let salvage_string text =
           (Diag.error (Diag.proc_loc "<shard>")
              "line %d: %s (not a checksummed shard; cannot salvage)" ln msg)
 
-let read_all path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_all path = In_channel.with_open_bin path In_channel.input_all
 
 let salvage_file path =
   match read_all path with
@@ -504,15 +436,7 @@ type write_fault =
 
 exception Killed_mid_write
 
-let write_raw path contents =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc contents)
-
-let corrupt_file path f =
-  let text = read_all path in
-  write_raw path (f text)
+let corrupt_file path f = Crc32.write_file path (f (read_all path))
 
 let flip_bit text k =
   let bits = 8 * String.length text in
@@ -533,8 +457,6 @@ let truncate_at text k =
 
 let half text = String.sub text 0 (String.length text / 2)
 
-let temp_path path = path ^ ".tmp"
-
 let to_file ?fault path s =
   let payload = to_string s in
   match fault with
@@ -542,18 +464,17 @@ let to_file ?fault path s =
       (* The writer dies between opening the temp file and renaming it:
          the destination is untouched (the previous version, if any,
          survives intact), only a .tmp carcass is left behind. *)
-      write_raw (temp_path path) (half payload);
+      Crc32.write_file (Crc32.temp_path path) (half payload);
       raise Killed_mid_write
   | Some Torn_write ->
       (* What a non-atomic writer leaves when killed: a partial file at
          the destination itself.  This is the failure mode the
          temp+rename discipline exists to prevent; injecting it
          exercises the salvage reader. *)
-      write_raw path (half payload);
+      Crc32.write_file path (half payload);
       raise Killed_mid_write
   | None | Some (Flip_bit _) | Some (Truncate_at _) -> (
-      write_raw (temp_path path) payload;
-      Sys.rename (temp_path path) path;
+      Crc32.write_atomic path payload;
       match fault with
       | Some (Flip_bit k) -> corrupt_file path (fun t -> flip_bit t k)
       | Some (Truncate_at k) -> corrupt_file path (fun t -> truncate_at t k)

@@ -113,13 +113,11 @@ val of_string : string -> saved
 
 (** {2 Salvage: recovering damaged shards} *)
 
-type salvage_report = {
-  total : int;  (** records the (intact) header promised *)
-  recovered : int;  (** records in the valid prefix *)
+(** What a damaged shard's salvage kept: see {!Crc32.damage}. *)
+type salvage_report = Crc32.damage = {
+  total : int;
+  recovered : int;
   first_bad_line : int;
-      (** 1-based line where damage was detected (for clean truncation at
-          a record boundary, the line the first missing record would have
-          occupied) *)
 }
 
 (** Best-effort reader for a damaged version-2 shard: CRC-checks records

@@ -94,6 +94,15 @@ val mode_name : mode -> string
 (** The five modes in the paper's order, edge profiling first. *)
 val all_modes : mode list
 
+(** Does the mode commit Ball-Larus paths (flow-freq, flow-hw,
+    context-flow) — the modes with a path profile, a mergeable shard and
+    commits to sample? *)
+val profiles_paths : mode -> bool
+
+(** Does the mode build a calling context tree (context-hw,
+    context-flow)? *)
+val profiles_context : mode -> bool
+
 (** {2 Instrumentation-state footprint}
 
     Everything a procedure's probes own, for the abstract-interpretation

@@ -5,6 +5,15 @@ let stack_limit = 0x1000_0000
 let stack_base = 0x1040_0000
 let code_base = 0x4000_0000
 let word = 8
+
+(* The frame linkage the call sequence and the CCT stubs use: the
+   saved-gCSP word at fp and the two PIC snapshot words at fp+8 /
+   fp+16, below the frame's addressable area. *)
+let linkage_bytes = 32
+
+(* Figure-7-style CCT record footprint: ID, parent, three metric words,
+   one callee slot per site. *)
+let record_words nsites = 2 + 3 + max 1 nsites
 let instr_bytes = 4
 
 type proc_layout = {

@@ -26,6 +26,15 @@ val code_base : int
 (** Bytes per memory word (8). *)
 val word : int
 
+(** Bytes between a frame pointer and the frame's addressable area (the
+    [Frameaddr] base): the saved-gCSP word at [fp] and the two PIC
+    snapshot words at [fp+8] / [fp+16] that the CCT stubs use. *)
+val linkage_bytes : int
+
+(** Words of a calling-context record in simulated memory (ID, parent,
+    three metric words, one callee slot per call site). *)
+val record_words : int -> int
+
 (** Bytes per instruction slot (4). *)
 val instr_bytes : int
 

@@ -11,6 +11,7 @@ type shard_state =
 type report = {
   shards : int;
   stats : Pool.stats;
+  footer : string;
   states : shard_state list;
   ok : int;
   salvaged : int;
@@ -76,35 +77,26 @@ let run ~dir ?(mode = Instrument.Flow_hw) ?budget ?engine ?(jobs = 2)
             Pool.map_retry ~jobs ~timeout ~retries ?sleep ~verify task
               (List.init shards (fun k -> k))
           in
-          let states =
-            List.init shards (fun k ->
-                match Profile_io.of_file (shard_path dir k) with
-                | _ -> Recovered
-                | exception Profile_io.Parse_error _ -> (
-                    match Profile_io.salvage_file (shard_path dir k) with
-                    | Ok (_, Some rep) -> Salvaged rep
-                    | Ok (_, None) -> Recovered
-                    | Error d -> Lost (Diag.to_string d))
-                | exception Sys_error msg -> Lost msg)
+          (* Read every shard back: strictly, else salvaging its valid
+             record prefix. *)
+          let read k =
+            let path = shard_path dir k in
+            match Profile_io.of_file path with
+            | s -> (Recovered, [ s ])
+            | exception Sys_error msg -> (Lost msg, [])
+            | exception Profile_io.Parse_error _ -> (
+                match Profile_io.salvage_file path with
+                | Ok (s, Some rep) -> (Salvaged rep, [ s ])
+                | Ok (s, None) -> (Recovered, [ s ])
+                | Error d -> (Lost (Diag.to_string d), []))
           in
+          let states, recovered = List.split (List.init shards read) in
           let count p = List.length (List.filter p states) in
           let ok = count (function Recovered -> true | _ -> false) in
           let salvaged = count (function Salvaged _ -> true | _ -> false) in
           let lost = count (function Lost _ -> true | _ -> false) in
-          let recovered =
-            List.concat
-              (List.init shards (fun k ->
-                   match Profile_io.salvage_file (shard_path dir k) with
-                   | Ok (s, _) -> [ s ]
-                   | Error _ -> []))
-          in
           let merged =
-            match recovered with
-            | [] -> None
-            | _ -> (
-                match Profile_io.merge_all recovered with
-                | Ok m -> Some m
-                | Error _ -> None)
+            Result.to_option (Profile_io.merge_all (List.concat recovered))
           in
           let identical =
             match merged with
@@ -116,6 +108,7 @@ let run ~dir ?(mode = Instrument.Flow_hw) ?budget ?engine ?(jobs = 2)
             {
               shards;
               stats;
+              footer = Pool.footer stats;
               states;
               ok;
               salvaged;

@@ -25,6 +25,9 @@ type shard_state =
 type report = {
   shards : int;
   stats : Pool.stats;  (** pool outcome counts, attempts, quarantines *)
+  footer : string;
+      (** the pool's wall-clock summary ({!Pool.footer}): for stderr,
+          never for the deterministic verdict *)
   states : shard_state list;  (** by shard index *)
   ok : int;  (** shards read back fully intact *)
   salvaged : int;

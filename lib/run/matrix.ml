@@ -124,14 +124,14 @@ let measure ?budget ?engine task =
   record_metrics task cell;
   cell
 
-let run_stats ?jobs ?timeout ?budget ?engine tasks =
+let run_footer ?jobs ?timeout ?budget ?engine tasks =
   let outcomes, stats =
     Pool.map_stats ?jobs ?timeout (measure ?budget ?engine) tasks
   in
-  (List.map2 (fun t o -> (t, o)) tasks outcomes, stats)
+  (List.map2 (fun t o -> (t, o)) tasks outcomes, Pool.footer stats)
 
 let run ?jobs ?timeout ?budget ?engine tasks =
-  fst (run_stats ?jobs ?timeout ?budget ?engine tasks)
+  fst (run_footer ?jobs ?timeout ?budget ?engine tasks)
 
 (* The report is a pure function of the outcome list, which the pool returns
    in task order: byte-identical output at any --jobs. *)

@@ -52,15 +52,15 @@ val run :
   task list ->
   (task * cell Pool.outcome) list
 
-(** {!run} plus the pool's per-task wall times and outcome counts, for
-    the stderr summary footer. *)
-val run_stats :
+(** {!run} plus the pool's wall-clock summary ({!Pool.footer}): for
+    stderr, never for the deterministic report. *)
+val run_footer :
   ?jobs:int ->
   ?timeout:float ->
   ?budget:int ->
   ?engine:Pp_vm.Engine.kind ->
   task list ->
-  (task * cell Pool.outcome) list * Pool.stats
+  (task * cell Pool.outcome) list * string
 
 (** Render the matrix; crashed and timed-out shards appear as their own
     rows, so one dying workload never hides the rest. *)

@@ -61,10 +61,6 @@ type report = {
   failures : (string * string) list;
 }
 
-let profiles_context = function
-  | Instrument.Context_hw | Instrument.Context_flow -> true
-  | Instrument.Edge_freq | Instrument.Flow_freq | Instrument.Flow_hw -> false
-
 (* {2 Largest-remainder apportionment} *)
 
 let apportion ~total weights =
@@ -155,7 +151,7 @@ let decode_probes (session : Driver.session) =
   (* Context modes: every call-record entry ran one enter and one exit
      probe; [metrics.(0)] counts entries exactly.  Context+HW probes
      additionally read both PICs on enter and on exit. *)
-  if profiles_context mode then begin
+  if Instrument.profiles_context mode then begin
     let entries = ref 0 in
     Cct.iter
       (fun node ->
@@ -221,19 +217,10 @@ let measure_mode ?budget ?engine ~base prog mode =
     counters = counters_alist r;
   }
 
-let compute ?budget ?engine ?(jobs = 1) ?(modes = Instrument.all_modes) ~program prog =
+let compute ?budget ?engine ?jobs ?(modes = Instrument.all_modes) ~program prog =
   let base = measure_base ?budget ?engine prog in
   let outcomes =
-    if jobs <= 1 then
-      List.map
-        (fun mode ->
-          try Pool.Done (measure_mode ?budget ?engine ~base prog mode)
-          with e -> Pool.Crashed (Printexc.to_string e))
-        modes
-    else
-      Pool.map ~jobs
-        (fun mode -> measure_mode ?budget ?engine ~base prog mode)
-        modes
+    Pool.map ?jobs (fun mode -> measure_mode ?budget ?engine ~base prog mode) modes
   in
   let rows, failures =
     List.fold_left2

@@ -85,7 +85,7 @@ val measure_mode :
 
 (** Measure the baseline once, then every requested mode (default
     {!Pp_instrument.Instrument.all_modes}), fanning out over
-    {!Pp_run.Pool} when [jobs > 1].  A mode that traps or crashes lands
+    {!Pp_run.Pool.map} ([jobs] at a time; in-process by default).  A mode that traps or crashes lands
     in [failures] rather than aborting the report.  Deterministic: the simulated machine makes the report
     byte-identical at any [jobs]. *)
 val compute :

@@ -400,7 +400,7 @@ let batch_sem st ~k ~slot ~(dyn : int array) (instr : I.t) : frame -> unit =
         (try Memory.write_float_from mem a fr.fregs fs
          with Memory.Fault m -> Interp.trap "store: %s" m)
   | I.Frameaddr (rd, off) ->
-      let disp = Interp.linkage_bytes + off in
+      let disp = Pp_ir.Layout.linkage_bytes + off in
       fun fr -> uset fr.iregs rd (fr.fp + disp)
   | I.Print_int r ->
       fun fr -> Interp.push_output st (Interp.Oint (uget fr.iregs r))

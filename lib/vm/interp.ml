@@ -83,8 +83,6 @@ type t = {
   hot : hot;
 }
 
-let linkage_bytes = 32
-
 let no_probe ~frame:_ ~iregs:_ = ()
 
 let build_image layout (p : Proc.t) =
@@ -108,7 +106,7 @@ let build_image layout (p : Proc.t) =
     code;
     addrs;
     term_addr;
-    frame_bytes = linkage_bytes + (p.frame_words * 8);
+    frame_bytes = Layout.linkage_bytes + (p.frame_words * Layout.word);
     entries =
       Array.init nb (fun elabel ->
           { eproc = p.name; elabel; fire = no_probe });
@@ -349,7 +347,7 @@ let check_budget t =
 
 let block_entered t e ~fp ~iregs =
   if Array.length t.trace > 0 then record_block t e.eproc e.elabel;
-  e.fire ~frame:(fp + linkage_bytes) ~iregs
+  e.fire ~frame:(fp + Layout.linkage_bytes) ~iregs
 
 (* Execute one procedure activation; returns its value. *)
 let rec exec_proc t image ~iargs ~fargs =
@@ -488,7 +486,7 @@ and exec_instr t image iregs fregs fp addr instr =
   | I.Hwread (rd, k) -> iregs.(rd) <- Counters.read_pic counters k
   | I.Hwzero -> Counters.zero_pics counters
   | I.Hwwrite (rs, k) -> Counters.write_pic counters k iregs.(rs)
-  | I.Frameaddr (rd, off) -> iregs.(rd) <- fp + linkage_bytes + off
+  | I.Frameaddr (rd, off) -> iregs.(rd) <- fp + Layout.linkage_bytes + off
   | I.Print_int r -> t.output_rev <- Oint iregs.(r) :: t.output_rev
   | I.Print_float f ->
       Machine.fp_use mach ~src:f;

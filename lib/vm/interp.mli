@@ -168,10 +168,6 @@ val proc_index : t -> string -> int option
 (** Procedure index by code address, as {!run} resolves indirect calls. *)
 val proc_index_of_addr : t -> int -> int option
 
-(** Bytes between a frame pointer and the frame's addressable area (the
-    [Frameaddr] base). *)
-val linkage_bytes : int
-
 (** The run's instruction budget. *)
 val max_instructions : t -> int
 
@@ -199,7 +195,7 @@ val hot : t -> hot
 
 (** Block-entry bookkeeping for the block of [entry]: the trace ring and
     the staged block probe, in the interpreter's order.  [fp] is the raw
-    frame pointer (the probe sees [fp + linkage_bytes]). *)
+    frame pointer (the probe sees [fp + Pp_ir.Layout.linkage_bytes]). *)
 val block_entered : t -> entry -> fp:int -> iregs:int array -> unit
 
 (** Block-end bookkeeping: budget check, stack sampling, telemetry —

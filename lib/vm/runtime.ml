@@ -1,6 +1,7 @@
 module Machine = Pp_machine.Machine
 module Counters = Pp_machine.Counters
 module Cct = Pp_core.Cct
+module Layout = Pp_ir.Layout
 
 type record_data = {
   addr : int;
@@ -41,23 +42,17 @@ type t = {
   cursor : cursor;
 }
 
-let word = 8
-
-(* Figure-7-style record footprint in simulated memory: ID, parent, three
-   metric words, one callee slot per site. *)
-let record_words nsites = 2 + 3 + max 1 nsites
-
 let alloc_from cursor words =
   let addr = cursor.bump in
-  cursor.bump <- cursor.bump + (words * word);
-  cursor.allocated <- cursor.allocated + (words * word);
+  cursor.bump <- cursor.bump + (words * Layout.word);
+  cursor.allocated <- cursor.allocated + (words * Layout.word);
   addr
 
 let create ?(merge_call_sites = false) ~machine ~memory:_ ~prof_base () =
   let cursor = { bump = prof_base; allocated = 0 } in
   let make_data ~proc:_ ~nsites =
     {
-      addr = alloc_from cursor (record_words nsites);
+      addr = alloc_from cursor (Layout.record_words nsites);
       metrics = Array.make 3 0;
       paths = Hashtbl.create 8;
       ptable_addr = 0;
@@ -108,7 +103,7 @@ let cct_enter t ~proc_name ~nsites ~op_addr ~fp =
   let parent = Cct.current t.cct in
   let parent_data = Cct.data parent in
   (* Load the callee slot (the tag dispatch of Figure 7). *)
-  load t (parent_data.addr + ((5 + site) * word));
+  load t (parent_data.addr + ((5 + site) * Layout.word));
   let slot_hit = Cct.has_edge t.cct ~proc:proc_name ~site in
   let before = Cct.num_nodes t.cct in
   let kind = if indirect then Cct.Indirect else Cct.Direct in
@@ -136,14 +131,14 @@ let cct_enter t ~proc_name ~nsites ~op_addr ~fp =
   in
   touch parent ancestors_walked;
   if allocated then
-    for i = 0 to record_words nsites - 1 do
-      store t (data.addr + (i * word))
+    for i = 0 to Layout.record_words nsites - 1 do
+      store t (data.addr + (i * Layout.word))
     done;
   (* Store the resolved pointer back into the slot, bump the entry count,
      save the old gCSP in the frame's linkage area. *)
-  store t (parent_data.addr + ((5 + site) * word));
+  store t (parent_data.addr + ((5 + site) * Layout.word));
   data.metrics.(0) <- data.metrics.(0) + 1;
-  store t (data.addr + (2 * word));
+  store t (data.addr + (2 * Layout.word));
   store t fp;
   t.shadow <-
     { saved_gcsp = t.gcsp; pic0_at_entry = 0; pic1_at_entry = 0 } :: t.shadow;
@@ -168,8 +163,8 @@ let cct_metric_enter t ~op_addr ~fp =
       act.pic0_at_entry <- Counters.read_pic (counters t) 0;
       act.pic1_at_entry <- Counters.read_pic (counters t) 1
   | [] -> invalid_arg "Runtime.cct_metric_enter: no active frame");
-  store t (fp + word);
-  store t (fp + (2 * word))
+  store t (fp + Layout.word);
+  store t (fp + (2 * Layout.word))
 
 let mask32 = 0xFFFF_FFFF
 
@@ -182,31 +177,31 @@ let accumulate_deltas t act =
   data.metrics.(1) <- data.metrics.(1) + d0;
   data.metrics.(2) <- data.metrics.(2) + d1;
   (* Two read-modify-write accumulators in the record. *)
-  load t (data.addr + (3 * word));
-  store t (data.addr + (3 * word));
-  load t (data.addr + (4 * word));
-  store t (data.addr + (4 * word))
+  load t (data.addr + (3 * Layout.word));
+  store t (data.addr + (3 * Layout.word));
+  load t (data.addr + (4 * Layout.word));
+  store t (data.addr + (4 * Layout.word))
 
 let cct_metric_exit t ~op_addr ~fp =
   charge_fetches t ~op_addr ~slots:10 ~count:10;
-  load t (fp + word);
-  load t (fp + (2 * word));
+  load t (fp + Layout.word);
+  load t (fp + (2 * Layout.word));
   match t.shadow with
   | act :: _ -> accumulate_deltas t act
   | [] -> invalid_arg "Runtime.cct_metric_exit: no active frame"
 
 let cct_metric_backedge t ~op_addr ~fp =
   charge_fetches t ~op_addr ~slots:12 ~count:12;
-  load t (fp + word);
-  load t (fp + (2 * word));
+  load t (fp + Layout.word);
+  load t (fp + (2 * Layout.word));
   match t.shadow with
   | act :: _ ->
       accumulate_deltas t act;
       let c = counters t in
       act.pic0_at_entry <- Counters.read_pic c 0;
       act.pic1_at_entry <- Counters.read_pic c 1;
-      store t (fp + word);
-      store t (fp + (2 * word))
+      store t (fp + Layout.word);
+      store t (fp + (2 * Layout.word))
   | [] -> invalid_arg "Runtime.cct_metric_backedge: no active frame"
 
 let find_table t table =
@@ -217,7 +212,7 @@ let find_table t table =
 
 let bucket_addr base nbuckets key =
   (* Knuth multiplicative hash; deterministic across runs. *)
-  base + (key * 2654435761 land max_int mod nbuckets * word)
+  base + (key * 2654435761 land max_int mod nbuckets * Layout.word)
 
 let path_commit_hash t ~table ~key ~hw ~op_addr =
   match find_table t table with
@@ -243,8 +238,8 @@ let path_commit_hash t ~table ~key ~hw ~op_addr =
         let c = counters t in
         cells.m0 <- cells.m0 + Counters.read_pic c 0;
         cells.m1 <- cells.m1 + Counters.read_pic c 1;
-        load t (baddr + word);
-        store t (baddr + word);
+        load t (baddr + Layout.word);
+        store t (baddr + Layout.word);
         Counters.zero_pics c
       end
 
@@ -260,7 +255,7 @@ let path_commit_cct t ~table ~key ~op_addr =
         (* First path committed in this context: allocate the record's
            table (capped, as PP's hashing caps path-rich procedures). *)
         data.ptable_addr <- alloc t cap;
-      let cell = data.ptable_addr + (key mod cap * word) in
+      let cell = data.ptable_addr + (key mod cap * Layout.word) in
       load t cell;
       store t cell;
       (match Hashtbl.find_opt data.paths key with

@@ -521,6 +521,54 @@ void main() {
 
 let chaos_program = lazy (Pp_minic.Compile.program ~name:"chaos_fixture" chaos_src)
 
+(* The sharded run behind [pp run --shards --checkpoint-dir], in process:
+   a resumed run executes only the shards whose checkpoint is missing or
+   damaged, and its total is the fresh run's.  (CI's kill/resume gate,
+   without the timing.) *)
+let test_checkpoint_resume () =
+  with_ckpt_dir (fun dir ->
+      let prog = Lazy.force chaos_program in
+      let run () =
+        let before = Pp_telemetry.Metrics.(snapshot default) in
+        let r = Checkpoint.run ~dir ~budget:2_000_000 ~jobs:1 ~shards:4 prog in
+        let ran =
+          match
+            List.assoc_opt "pool.tasks"
+              Pp_telemetry.Metrics.(diff (snapshot default) before)
+          with
+          | Some (Pp_telemetry.Metrics.Counter n) -> n
+          | _ -> 0
+        in
+        (r, ran)
+      in
+      let fresh, ran = run () in
+      Alcotest.(check (pair int int)) "fresh: nothing resumed, 4 run" (0, 4)
+        (fresh.Checkpoint.resumed, ran);
+      Alcotest.(check bool) "fresh: complete" false (Checkpoint.degraded fresh);
+      let total r = Option.get r.Checkpoint.total in
+      Alcotest.(check int) "four shards summed"
+        (4 * (Checkpoint.run_once ~budget:2_000_000 prog).Interp.instructions)
+        (total fresh).Interp.instructions;
+      (* A run killed after two shards: only the other two rerun. *)
+      Sys.remove (Checkpoint.path ~dir 1);
+      Sys.remove (Checkpoint.path ~dir 3);
+      let resumed, ran = run () in
+      Alcotest.(check (pair int int)) "missing shards rerun" (2, 2)
+        (resumed.Checkpoint.resumed, ran);
+      Alcotest.(check bool) "resumed total = fresh total" true
+        (total resumed = total fresh);
+      (* One flipped byte voids exactly that shard's checkpoint. *)
+      let path = Checkpoint.path ~dir 2 in
+      let text = In_channel.with_open_bin path In_channel.input_all in
+      let b = Bytes.of_string text in
+      Bytes.set b 20 (Char.chr (Char.code (Bytes.get b 20) lxor 0x10));
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b);
+      let flipped, ran = run () in
+      Alcotest.(check (pair int int)) "damaged shard reruns" (3, 1)
+        (flipped.Checkpoint.resumed, ran);
+      Alcotest.(check bool) "flipped total = fresh total" true
+        (total flipped = total fresh))
+
 let with_chaos_dir f =
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -612,6 +660,8 @@ let suite =
     Alcotest.test_case "checkpoint: roundtrip" `Quick test_checkpoint_roundtrip;
     Alcotest.test_case "checkpoint: rejects damage" `Quick
       test_checkpoint_rejects_damage;
+    Alcotest.test_case "checkpoint: resume reruns only missing shards" `Quick
+      test_checkpoint_resume;
     Alcotest.test_case "chaos: converges with retries" `Quick
       test_chaos_converges_with_retries;
     Alcotest.test_case "chaos: mixed kind converges" `Quick
