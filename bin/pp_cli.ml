@@ -24,6 +24,7 @@ module Cct_stats = Pp_core.Cct_stats
 module Runtime = Pp_vm.Runtime
 module Registry = Pp_workloads.Registry
 module Cct_io = Pp_core.Cct_io
+module Crc32 = Pp_core.Crc32
 module Profile_io = Pp_core.Profile_io
 module Engine = Pp_vm.Engine
 module Matrix = Pp_run.Matrix
@@ -50,11 +51,6 @@ let print_counters title counters =
   List.iter
     (fun (e, v) -> Printf.printf "%-18s %12d\n" (Event.name e) v)
     counters
-
-let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc
 
 (* --- errors and exits ---
 
@@ -97,10 +93,10 @@ let load_profile path =
           optimize  budget, inline-budget
           predict   budget, slack
           prove     budget
-          serve     snapshot-every
+          serve     snapshot-every, budget
      4. the checks an action makes because they depend on other flags:
         --duty and --burst (with --mode), serve's --drive, --expect,
-        --max-records, --corrupt-after and --drive's --budget. *)
+        --max-records and --corrupt-after. *)
 let invalid = ref None
 
 let validated check t =
@@ -154,7 +150,8 @@ let command ?(telemetry = false) name ~doc body =
         | status ->
             Option.iter
               (fun path ->
-                write_file path (Metrics.dump (Metrics.snapshot Metrics.default)))
+                Crc32.write_file path
+                  (Metrics.dump (Metrics.snapshot Metrics.default)))
               telemetry;
             status
         | exception Quit (status, msg) ->
@@ -179,12 +176,9 @@ let workload_opt =
            ~doc:"Profile a built-in SPEC95-analogue workload instead of a \
                  file.")
 
-let budget_arg =
-  Arg.(value & opt int 400_000_000
-       & info [ "budget" ] ~docv:"N"
-           ~doc:"Maximum simulated instructions before trapping.")
-
-let budget = validated (positive "budget") budget_arg
+let budget =
+  positive_opt ~default:400_000_000 [ "budget" ] ~docv:"N"
+    ~doc:"Maximum simulated instructions before trapping."
 
 (* --engine: parsed by hand instead of Arg.enum so an invalid value exits
    2 through the shared diagnostic path (cmdliner's own parse errors exit
@@ -525,7 +519,7 @@ let profile_cmd =
         cct_out;
       Option.iter
         (fun path ->
-          write_file path (Cct_io.to_dot cct);
+          Crc32.write_file path (Cct_io.to_dot cct);
           Printf.printf "wrote CCT dot graph to %s\n" path)
         dot_out
     end;
@@ -1203,7 +1197,6 @@ let serve_cmd =
         (* Drive mode: the self-contained e2e — fork K client runs and
            aggregate them concurrently in this process. *)
         require (positive "drive" k);
-        require (positive "budget" budget);
         let out_path = require_out () in
         if not (Instrument.profiles_paths mode) then
           exit_invalid
@@ -1337,7 +1330,7 @@ let serve_cmd =
     Term.(
       const action $ engine $ snapshot_every $ socket $ expect $ out_opt
       $ max_records $ spill_dir $ snapshot_out $ send $ corrupt_after $ drive
-      $ file $ workload_opt $ budget_arg $ mode $ duty_opt $ sampling_seed_opt
+      $ file $ workload_opt $ budget $ mode $ duty_opt $ sampling_seed_opt
       $ burst_opt)
 
 (* --- pp trace --- *)
@@ -1362,7 +1355,7 @@ let trace_cmd =
           | None, None -> "pp.trace.json")
     in
     let finish ~failed =
-      write_file out_path (Trace.to_chrome_json tr);
+      Crc32.write_file out_path (Trace.to_chrome_json tr);
       if text then print_string (Trace.to_text tr);
       Printf.printf "wrote %d events (%d dropped) to %s\n"
         (List.length (Trace.events tr))
@@ -1425,7 +1418,9 @@ let overhead_cmd =
     let report = Overhead.compute ~budget ~engine ~jobs ~modes ~program prog in
     print_string
       ((if json_flag then Overhead.to_json else Overhead.render) report);
-    Option.iter (fun path -> write_file path (Overhead.to_json report)) out;
+    Option.iter
+      (fun path -> Crc32.write_file path (Overhead.to_json report))
+      out;
     match Overhead.check report with
     | Ok () -> 0
     | Error msg ->
@@ -1708,7 +1703,7 @@ let optimize_cmd =
        still be inspected. *)
     Option.iter
       (fun path ->
-        write_file path (Pp_ir.Ir_text.to_string optimized);
+        Crc32.write_file path (Pp_ir.Ir_text.to_string optimized);
         Printf.eprintf "pp: wrote optimized IR to %s\n" path)
       out_file;
     let opt = ok_or_exit after in

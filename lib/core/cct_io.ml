@@ -88,11 +88,7 @@ let to_string ~codec cct =
   write ~codec buf cct;
   Buffer.contents buf
 
-let to_file ~codec path cct =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string ~codec cct))
+let to_file ~codec path cct = Crc32.write_atomic path (to_string ~codec cct)
 
 exception Parse_error of int * string
 

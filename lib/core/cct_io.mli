@@ -35,6 +35,8 @@ val unit_codec : unit codec
 
 val write : codec:'a codec -> Buffer.t -> 'a Cct.t -> unit
 val to_string : codec:'a codec -> 'a Cct.t -> string
+
+(** {!to_string} through {!Crc32.write_atomic}. *)
 val to_file : codec:'a codec -> string -> 'a Cct.t -> unit
 
 exception Parse_error of int * string

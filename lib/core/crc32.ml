@@ -117,6 +117,46 @@ let write_file path contents =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc contents)
 
-let write_atomic path contents =
-  write_file (temp_path path) contents;
-  Sys.rename (temp_path path) path
+type fault =
+  | Crash_after of int
+  | Torn_write
+  | Flip_bit of int
+  | Truncate_at of int
+
+exception Killed_mid_write
+
+(* Offsets wrap like a file position modulo [n], so a seeded fault plan
+   need not know the payload's size. *)
+let wrap k n = ((k mod n) + n) mod n
+
+let flip_bit text k =
+  if text = "" then text
+  else
+    let k = wrap k (8 * String.length text) in
+    let b = Bytes.of_string text in
+    Bytes.set b (k / 8)
+      (Char.chr (Char.code (Bytes.get b (k / 8)) lxor (1 lsl (k mod 8))));
+    Bytes.to_string b
+
+let write_atomic ?fault path contents =
+  let n = String.length contents in
+  let tmp = temp_path path in
+  let commit text =
+    write_file tmp text;
+    Sys.rename tmp path
+  in
+  match fault with
+  | None -> commit contents
+  | Some (Crash_after k) ->
+      (* Killed before the rename: only a [.tmp] carcass of the first k
+         bytes is left, the destination is untouched. *)
+      write_file tmp (String.sub contents 0 (wrap k (n + 1)));
+      raise Killed_mid_write
+  | Some Torn_write ->
+      (* What a non-atomic writer leaves when killed: a partial file at
+         the destination itself, the failure the rename prevents. *)
+      write_file path (String.sub contents 0 (n / 2));
+      raise Killed_mid_write
+  | Some (Flip_bit k) -> commit (flip_bit contents k)
+  | Some (Truncate_at k) ->
+      commit (if n = 0 then "" else String.sub contents 0 (wrap k n))

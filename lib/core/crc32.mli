@@ -57,12 +57,47 @@ val unframe :
   string ->
   (string * damage option, int * string) result
 
+(** {2 The durable writer}
+
+    Every file the profiler persists — profile shards, saved CCTs,
+    checkpoints, serve's spill files — is written by {!write_atomic}, so
+    the crash points a test or a chaos run can inject are this module's
+    too. *)
+
 (** [path ^ ".tmp"], where {!write_atomic} stages its write. *)
 val temp_path : string -> string
 
-(** Write [contents] to [path] in place (not atomic). *)
+(** Write [contents] to [path] in place (not atomic): for plain report
+    outputs that nothing reads back. *)
 val write_file : string -> string -> unit
 
+(** A deterministic fault injected into {!write_atomic}.  Offsets wrap
+    like positions in the written file, so a seeded plan need not know
+    its size.
+
+    - [Crash_after k]: the writer dies after [k] bytes (mod length + 1)
+      of the temp write: [0] is before the first byte, the length is
+      before the rename.  The destination is untouched (a previous
+      version survives); a [.tmp] carcass is left.  Raises
+      {!Killed_mid_write}.
+    - [Torn_write]: the first half of the contents lands at the
+      destination itself — what a non-atomic writer leaves when killed,
+      injected to exercise salvage readers.  Raises {!Killed_mid_write}.
+    - [Flip_bit k]: the write completes with bit [k] (mod 8 × length)
+      flipped — post-write disk corruption.
+    - [Truncate_at k]: the write completes with only the first [k] (mod
+      length) bytes. *)
+type fault =
+  | Crash_after of int
+  | Torn_write
+  | Flip_bit of int
+  | Truncate_at of int
+
+exception Killed_mid_write
+(** Raised by [Crash_after] and [Torn_write] where the simulated SIGKILL
+    lands, so a pool worker dies exactly as a real one would. *)
+
 (** Write to {!temp_path}, then rename into place: a writer killed
-    mid-write leaves [path] untouched, never torn. *)
-val write_atomic : string -> string -> unit
+    mid-write leaves [path] untouched, never torn.  With [fault], inject
+    that failure instead. *)
+val write_atomic : ?fault:fault -> string -> string -> unit

@@ -202,11 +202,9 @@ let merge_all = function
    proc <name-escaped> <num-potential-paths> <crc>
    path <sum> <freq> <m0> <m1> <crc>
 
-   Version 1 (still read): the same records without CRC tokens or the
-   header count (and never a coverage record — sampled runs postdate the
-   format).  A proc record opens a section; its path records follow.
-   The optional feasible/coverage records sit between the header and the
-   first proc. *)
+   A proc record opens a section; its path records follow.  The optional
+   feasible/coverage records sit between the header and the first
+   proc. *)
 
 let body_lines s =
   let buf = ref [] in
@@ -252,8 +250,8 @@ let unescape lineno s =
   | Some s -> s
   | None -> fail lineno "bad escape in %S" s
 
-(* Record dispatch shared by both format versions: [tokens] is one
-   record line split on spaces, CRC already stripped for v2. *)
+(* Record dispatch: [tokens] is one record line split on spaces, its CRC
+   already stripped. *)
 type pstate = {
   mutable procs : (string * int * (int * Profile.path_metrics) list ref) list;
       (* reversed *)
@@ -309,36 +307,7 @@ let parse_event lineno s =
   | Some e -> e
   | None -> fail lineno "unknown event %S" s
 
-(* --- version 1 reader (no CRCs; trusted) --- *)
-
-let of_string_v1 lines =
-  let header = ref None in
-  let st = { procs = []; feasible = []; coverage = [] } in
-  List.iteri
-    (fun i line ->
-      let lineno = i + 1 in
-      let line = String.trim line in
-      if line <> "" then
-        match String.split_on_char ' ' line with
-        | [ "profile"; "1"; hash; mode; pic0; pic1 ] ->
-            if !header <> None then fail lineno "duplicate header";
-            header :=
-              Some
-                ( hash,
-                  unescape lineno mode,
-                  parse_event lineno pic0,
-                  parse_event lineno pic1 )
-        | tokens ->
-            if !header = None then
-              fail lineno "%s before header"
-                (match tokens with w :: _ -> w | [] -> "record");
-            dispatch_record lineno st tokens)
-    lines;
-  match !header with
-  | None -> raise (Parse_error (0, "empty or headerless input"))
-  | Some header -> finish_state ~header st
-
-(* --- version 2 reader and salvage --- *)
+(* --- reader and salvage --- *)
 
 type salvage_report = Crc32.damage = {
   total : int;
@@ -346,14 +315,19 @@ type salvage_report = Crc32.damage = {
   first_bad_line : int;
 }
 
-(* A version-2 shard is Crc32-framed: scan it, keeping the valid record
-   prefix, then parse the header. *)
-let scan_v2 text =
+(* A shard is Crc32-framed: scan it, keeping the valid record prefix,
+   then parse the header.  A record whose CRC holds but which does not
+   parse is not damage: its own error comes back with the prefix, for
+   the strict reader to raise. *)
+let scan text =
   let st = { procs = []; feasible = []; coverage = [] } in
+  let malformed = ref None in
   let record lineno content =
     match dispatch_record lineno st (String.split_on_char ' ' content) with
     | () -> true
-    | exception Parse_error _ -> false
+    | exception Parse_error (ln, msg) ->
+        malformed := Some (ln, msg);
+        false
   in
   match Crc32.unframe ~record text with
   | Error e -> Error e
@@ -363,33 +337,23 @@ let scan_v2 text =
           match
             (hash, unescape 1 mode, parse_event 1 pic0, parse_event 1 pic1)
           with
-          | header -> Ok (finish_state ~header st, damage)
+          | header -> Ok (finish_state ~header st, damage, !malformed)
           | exception Parse_error (ln, msg) -> Error (ln, msg))
       | _ -> Error (1, "malformed version-2 header"))
 
-(* Does the first non-blank line open a version-2 header? *)
-let is_v2 text =
-  let n = String.length text in
-  let rec skip i =
-    if i < n && String.contains " \012\n\r\t" text.[i] then skip (i + 1) else i
-  in
-  let i = skip 0 in
-  n - i >= 10 && String.sub text i 10 = "profile 2 "
-
 let of_string text =
-  if is_v2 text then
-    match scan_v2 text with
-    | Error (ln, msg) -> raise (Parse_error (ln, msg))
-    | Ok (s, None) -> s
-    | Ok (_, Some rep) ->
-        raise
-          (Parse_error
-             ( rep.first_bad_line,
-               Printf.sprintf
-                 "damaged shard: only %d of %d records are intact (salvage \
-                  readers can recover the valid prefix)"
-                 rep.recovered rep.total ))
-  else of_string_v1 (String.split_on_char '\n' text)
+  match scan text with
+  | Error (ln, msg) | Ok (_, Some _, Some (ln, msg)) ->
+      raise (Parse_error (ln, msg))
+  | Ok (s, None, _) -> s
+  | Ok (_, Some rep, None) ->
+      raise
+        (Parse_error
+           ( rep.first_bad_line,
+             Printf.sprintf
+               "damaged shard: only %d of %d records are intact (salvage \
+                readers can recover the valid prefix)"
+               rep.recovered rep.total ))
 
 (* The pseudo-procedure "<shard>" locates whole-file damage, the same
    way merge mismatches sit at "<header>". *)
@@ -401,22 +365,12 @@ let salvage_diag ~file rep =
     (if rep.total - rep.recovered = 1 then "" else "s")
 
 let salvage_string text =
-  if is_v2 text then
-    match scan_v2 text with
-    | Ok result -> Ok result
-    | Error (ln, msg) ->
-        Error
-          (Diag.error (Diag.proc_loc "<shard>") "line %d: %s (header \
-                                                 unrecoverable)" ln msg)
-  else
-    (* Version 1 carries no checksums: either it parses in full or
-       nothing can be trusted. *)
-    match of_string_v1 (String.split_on_char '\n' text) with
-    | s -> Ok (s, None)
-    | exception Parse_error (ln, msg) ->
-        Error
-          (Diag.error (Diag.proc_loc "<shard>")
-             "line %d: %s (not a checksummed shard; cannot salvage)" ln msg)
+  match scan text with
+  | Ok (s, damage, _) -> Ok (s, damage)
+  | Error (ln, msg) ->
+      Error
+        (Diag.error (Diag.proc_loc "<shard>")
+           "line %d: %s (header unrecoverable)" ln msg)
 
 let read_all path = In_channel.with_open_bin path In_channel.input_all
 
@@ -426,58 +380,6 @@ let salvage_file path =
   | exception Sys_error msg ->
       Error (Diag.error (Diag.proc_loc "<shard>") "%s" msg)
 
-(* --- writing: atomic rename, with injectable faults for chaos runs --- *)
-
-type write_fault =
-  | Die_mid_write
-  | Torn_write
-  | Flip_bit of int
-  | Truncate_at of int
-
-exception Killed_mid_write
-
-let corrupt_file path f = Crc32.write_file path (f (read_all path))
-
-let flip_bit text k =
-  let bits = 8 * String.length text in
-  if bits = 0 then text
-  else
-    let k = ((k mod bits) + bits) mod bits in
-    let b = Bytes.of_string text in
-    Bytes.set b (k / 8)
-      (Char.chr (Char.code (Bytes.get b (k / 8)) lxor (1 lsl (k mod 8))));
-    Bytes.to_string b
-
-let truncate_at text k =
-  let n = String.length text in
-  if n = 0 then text
-  else
-    let k = ((k mod n) + n) mod n in
-    String.sub text 0 k
-
-let half text = String.sub text 0 (String.length text / 2)
-
-let to_file ?fault path s =
-  let payload = to_string s in
-  match fault with
-  | Some Die_mid_write ->
-      (* The writer dies between opening the temp file and renaming it:
-         the destination is untouched (the previous version, if any,
-         survives intact), only a .tmp carcass is left behind. *)
-      Crc32.write_file (Crc32.temp_path path) (half payload);
-      raise Killed_mid_write
-  | Some Torn_write ->
-      (* What a non-atomic writer leaves when killed: a partial file at
-         the destination itself.  This is the failure mode the
-         temp+rename discipline exists to prevent; injecting it
-         exercises the salvage reader. *)
-      Crc32.write_file path (half payload);
-      raise Killed_mid_write
-  | None | Some (Flip_bit _) | Some (Truncate_at _) -> (
-      Crc32.write_atomic path payload;
-      match fault with
-      | Some (Flip_bit k) -> corrupt_file path (fun t -> flip_bit t k)
-      | Some (Truncate_at k) -> corrupt_file path (fun t -> truncate_at t k)
-      | _ -> ())
+let to_file path s = Crc32.write_atomic path (to_string s)
 
 let of_file path = of_string (read_all path)

@@ -11,10 +11,10 @@
 
     {2 The format}
 
-    Line-oriented like {!Cct_io}'s.  Version 2 (what {!to_string} writes)
-    appends a {!Crc32} token to every line and carries the body record
-    count in the header, so any truncation or bit flip is detected and the
-    undamaged record prefix stays recoverable:
+    Line-oriented like {!Cct_io}'s, in {!Crc32}'s checked-line framing:
+    every line ends in a CRC token and the header carries the body record
+    count, so any truncation or bit flip is detected and the undamaged
+    record prefix stays recoverable:
     {v
     profile 2 <program-hash> <mode> <pic0> <pic1> <nrecords> <crc>
     feasible <name-escaped> <num-feasible-paths> <crc>
@@ -22,8 +22,8 @@
     proc <name-escaped> <num-potential-paths> <crc>
     path <sum> <freq> <m0> <m1> <crc>
     v}
-    Version 1 (the pre-checksum format, still read) is the same without
-    the CRC tokens or the header count.
+    Version 2 is the only version read; the pre-checksum version 1 is
+    not (its header is malformed as a version-2 header).
 
     [feasible] records (optional, one per statically pruned procedure)
     carry the feasible-path count the static analyzer certified when the
@@ -33,14 +33,14 @@
 
     {2 Fault tolerance}
 
-    {!to_file} writes to a [.tmp] sibling and atomically renames it into
-    place, so a writer killed mid-shard leaves the destination untouched
-    (a previous complete version survives; a fresh shard is simply
-    absent) — never a torn file.  {!salvage_file} reads a shard that was
-    damaged {e after} a successful write (disk corruption, a non-atomic
-    copy): it recovers the valid record prefix and reports exactly how
-    many records were dropped.  Chaos runs inject {!write_fault}s here to
-    prove both properties end to end ([pp chaos]). *)
+    {!to_file} is {!Crc32.write_atomic}: a writer killed mid-shard leaves
+    the destination untouched (a previous complete version survives; a
+    fresh shard is simply absent) — never a torn file.  {!salvage_file}
+    reads a shard that was damaged {e after} a successful write (disk
+    corruption, a non-atomic copy): it recovers the valid record prefix
+    and reports exactly how many records were dropped.  Chaos runs inject
+    {!Crc32.fault}s into that writer to prove both properties end to end
+    ([pp chaos]). *)
 
 module Event = Pp_machine.Event
 
@@ -102,12 +102,12 @@ val merge_all : saved list -> (saved, Pp_ir.Diag.t) result
 val to_string : saved -> string
 
 exception Parse_error of int * string
-(** Line number and message.  On a damaged version-2 shard the message
-    says how many records are intact; use {!salvage_string} to recover
-    them. *)
+(** Line number and message.  On a damaged shard the message says how
+    many records are intact; use {!salvage_string} to recover them. *)
 
-(** Strict reader: accepts version 1 and version 2; verifies every CRC
-    and the record count on version 2.
+(** Strict reader: verifies every CRC and the record count.  A record
+    whose CRC holds but which does not parse raises its own error at its
+    line (e.g. [bad escape in "%zz"]), not a damage report.
     @raise Parse_error on malformed input or any detected damage. *)
 val of_string : string -> saved
 
@@ -120,13 +120,12 @@ type salvage_report = Crc32.damage = {
   first_bad_line : int;
 }
 
-(** Best-effort reader for a damaged version-2 shard: CRC-checks records
-    front to back and stops at the first damaged or structurally invalid
-    line.  [Ok (s, None)] — the shard is intact.  [Ok (s, Some report)]
-    — [s] is the valid record prefix and [report] says exactly what was
-    dropped.  [Error d] — the header itself is unusable (or the input is
-    an unchecksummed version-1 file that does not parse), so nothing can
-    be recovered. *)
+(** Best-effort reader for a damaged shard: CRC-checks records front to
+    back and stops at the first damaged or structurally invalid line.
+    [Ok (s, None)] — the shard is intact.  [Ok (s, Some report)] — [s] is
+    the valid record prefix and [report] says exactly what was dropped.
+    [Error d] — the header itself is unusable, so nothing can be
+    recovered. *)
 val salvage_string : string -> (saved * salvage_report option, Pp_ir.Diag.t) result
 
 (** {!salvage_string} on a file; unreadable files are [Error]. *)
@@ -136,34 +135,10 @@ val salvage_file : string -> (saved * salvage_report option, Pp_ir.Diag.t) resul
     ["<shard>"] (the convention {!merge} uses for ["<header>"]). *)
 val salvage_diag : file:string -> salvage_report -> Pp_ir.Diag.t
 
-(** {2 Files: atomic writes with injectable faults} *)
+(** {2 Files} *)
 
-(** Faults a chaos run can inject into {!to_file}, each deterministic:
-
-    - [Die_mid_write]: the writer dies after a partial {e temp} write —
-      the destination is untouched (atomicity holds); raises
-      {!Killed_mid_write}.
-    - [Torn_write]: a partial write lands at the {e destination} itself —
-      the failure mode temp+rename prevents, injected to exercise the
-      salvage reader; raises {!Killed_mid_write}.
-    - [Flip_bit k]: the write completes, then bit [k] (mod file size) of
-      the destination flips — post-write disk corruption.
-    - [Truncate_at k]: the write completes, then the destination is cut
-      to [k] bytes (mod file size). *)
-type write_fault =
-  | Die_mid_write
-  | Torn_write
-  | Flip_bit of int
-  | Truncate_at of int
-
-exception Killed_mid_write
-(** Raised by [Die_mid_write] / [Torn_write] at the point the simulated
-    SIGKILL lands, so a pool worker dies exactly as a real one would. *)
-
-(** Write-to-temp then atomic rename ([path ^ ".tmp"], same directory,
-    {!Sys.rename}).  With [fault], inject the given failure instead of /
-    after the clean write. *)
-val to_file : ?fault:write_fault -> string -> saved -> unit
+(** [Crc32.write_atomic path (to_string s)]. *)
+val to_file : string -> saved -> unit
 
 (** Strict file reader ({!of_string} semantics).
     @raise Parse_error on damage; [Sys_error] on unreadable files. *)

@@ -1,3 +1,4 @@
+module Crc32 = Pp_core.Crc32
 module Profile_io = Pp_core.Profile_io
 module Driver = Pp_instrument.Driver
 module Instrument = Pp_instrument.Instrument
@@ -42,7 +43,7 @@ let run ~dir ?(mode = Instrument.Flow_hw) ?budget ?engine ?(jobs = 2)
   for k = 0 to shards - 1 do
     List.iter
       (fun p -> if Sys.file_exists p then Sys.remove p)
-      [ shard_path dir k; shard_path dir k ^ ".tmp" ]
+      [ shard_path dir k; Crc32.temp_path (shard_path dir k) ]
   done;
   match profile_once ?budget ?engine ~mode prog with
   | exception e ->
@@ -54,15 +55,18 @@ let run ~dir ?(mode = Instrument.Flow_hw) ?budget ?engine ?(jobs = 2)
       | Error d -> Error d
       | Ok reference ->
           let task ~attempt k =
-            let fault = Faults.fault_for plan ~task:k ~attempt in
-            (match fault with
-            | Some Faults.Crash -> failwith "injected crash"
-            | Some (Faults.Stall s) -> Unix.sleepf s
-            | _ -> ());
+            let fault =
+              match Faults.fault_for plan ~task:k ~attempt with
+              | Some Faults.Crash -> failwith "injected crash"
+              | Some (Faults.Stall s) ->
+                  Unix.sleepf s;
+                  None
+              | Some (Faults.Write f) -> Some f
+              | None -> None
+            in
             let saved = profile_once ?budget ?engine ~mode prog in
-            Profile_io.to_file
-              ?fault:(Option.bind fault Faults.write_fault)
-              (shard_path dir k) saved;
+            Crc32.write_atomic ?fault (shard_path dir k)
+              (Profile_io.to_string saved);
             k
           in
           (* The worker cannot see post-write corruption; the parent

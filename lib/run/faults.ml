@@ -1,12 +1,6 @@
-module Profile_io = Pp_core.Profile_io
+module Crc32 = Pp_core.Crc32
 
-type fault =
-  | Crash
-  | Stall of float
-  | Die_mid_write
-  | Torn_write
-  | Flip_bit of int
-  | Truncate of int
+type fault = Crash | Stall of float | Write of Crc32.fault
 
 type kind = Crash_heavy | Corruption_heavy | Mixed
 
@@ -50,8 +44,8 @@ type plan = {
 
 let draw ~kind ~stall h =
   (* Two thirds of tasks fault; the fault is drawn from the kind's mix.
-     Offsets for Flip_bit/Truncate are re-mixed so they do not correlate
-     with the fault choice. *)
+     Write offsets are re-mixed so they do not correlate with the fault
+     choice. *)
   if unit_float (mix [ h; 1 ]) > 2.0 /. 3.0 then None
   else
     let pick = mix [ h; 2 ] in
@@ -62,13 +56,13 @@ let draw ~kind ~stall h =
       match pick mod 3 with
       | 0 -> Crash
       | 1 -> Stall stall
-      | _ -> Die_mid_write
+      | _ -> Write (Crc32.Crash_after offset)
     in
     let corrupt_fault =
       match pick mod 3 with
-      | 0 -> Torn_write
-      | 1 -> Flip_bit offset
-      | _ -> Truncate offset
+      | 0 -> Write Crc32.Torn_write
+      | 1 -> Write (Crc32.Flip_bit offset)
+      | _ -> Write (Crc32.Truncate_at offset)
     in
     match kind with
     | Crash_heavy -> Some crash_fault
@@ -110,10 +104,13 @@ let count plan =
 let describe = function
   | Crash -> "crash before any work"
   | Stall s -> Printf.sprintf "stall %.1fs (past the timeout)" s
-  | Die_mid_write -> "killed mid-write (temp left, destination untouched)"
-  | Torn_write -> "torn non-atomic write at the destination"
-  | Flip_bit k -> Printf.sprintf "bit %d of the written shard flipped" k
-  | Truncate k -> Printf.sprintf "written shard truncated (offset %d)" k
+  | Write (Crc32.Crash_after _) ->
+      "killed mid-write (temp left, destination untouched)"
+  | Write Crc32.Torn_write -> "torn non-atomic write at the destination"
+  | Write (Crc32.Flip_bit k) ->
+      Printf.sprintf "bit %d of the written shard flipped" k
+  | Write (Crc32.Truncate_at k) ->
+      Printf.sprintf "written shard truncated (offset %d)" k
 
 let summary plan =
   Printf.sprintf "%s seed %d: %d of %d tasks faulted" (kind_name plan.kind)
@@ -126,10 +123,3 @@ let describe_plan plan =
            (fun f -> Printf.sprintf "shard %d: %s" task (describe f))
            f)
   |> List.filter_map Fun.id
-
-let write_fault = function
-  | Crash | Stall _ -> None
-  | Die_mid_write -> Some Profile_io.Die_mid_write
-  | Torn_write -> Some Profile_io.Torn_write
-  | Flip_bit k -> Some (Profile_io.Flip_bit k)
-  | Truncate k -> Some (Profile_io.Truncate_at k)

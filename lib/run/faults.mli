@@ -13,15 +13,14 @@
     the fault fires, the retry runs clean. *)
 
 (** One injected failure.  [Crash] and [Stall] fire before the task does
-    any work; the write faults are forwarded to
-    {!Pp_core.Profile_io.to_file} when the task writes its shard. *)
+    any work; a [Write] fault is passed to {!Pp_core.Crc32.write_atomic}
+    when the task writes its shard. *)
 type fault =
   | Crash  (** the worker dies before computing anything *)
   | Stall of float  (** the worker sleeps this long — outlive the timeout *)
-  | Die_mid_write  (** killed between temp write and rename (atomicity holds) *)
-  | Torn_write  (** a non-atomic partial write lands at the destination *)
-  | Flip_bit of int  (** one bit of the written shard flips afterwards *)
-  | Truncate of int  (** the written shard is cut to this many bytes (mod size) *)
+  | Write of Pp_core.Crc32.fault
+      (** the shard write is killed mid-way, torn, bit-flipped or
+          truncated *)
 
 (** The fault mix a seeded plan draws from. *)
 type kind =
@@ -63,10 +62,6 @@ val summary : plan -> string
 val describe_plan : plan -> string list
 
 val describe : fault -> string
-
-(** The on-disk half of a fault, for the shard writer; [None] for
-    [Crash] / [Stall]. *)
-val write_fault : fault -> Pp_core.Profile_io.write_fault option
 
 (** {2 Deterministic mixing}
 

@@ -72,7 +72,7 @@ let records_of (s : Profile_io.saved) =
       (fun acc (_, _, paths) -> acc + 1 + List.length paths)
       0 s.Profile_io.procs
 
-(* {2 Format v2: roundtrip, v1 compatibility, strictness} *)
+(* {2 Format v2: roundtrip, strictness} *)
 
 let test_v2_roundtrip () =
   let s = saved () in
@@ -83,19 +83,6 @@ let test_v2_roundtrip () =
       Alcotest.(check bool) "salvage of intact = identity" true (s' = s)
   | Ok (_, Some _) -> Alcotest.fail "intact shard reported damage"
   | Error d -> Alcotest.failf "unexpected: %s" (Diag.to_string d)
-
-let test_v1_still_readable () =
-  let text =
-    "profile 1 cafe0123beef flow+hw dc_miss insts\n\
-     proc alpha 8\n\
-     path 0 3 5 7\n"
-  in
-  let s = Profile_io.of_string text in
-  Alcotest.(check bool) "totals" true (Profile_io.totals s = (3, 5, 7));
-  (* A v1 file is not checksummed: nothing to salvage. *)
-  match Profile_io.salvage_string ("nonsense " ^ text) with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "salvage accepted an unparseable v1 file"
 
 let test_strict_reader_rejects_damage () =
   let text = Profile_io.to_string (saved ()) in
@@ -235,9 +222,14 @@ let test_die_mid_write_is_atomic () =
       let bigger =
         match Profile_io.merge s s with Ok m -> m | Error _ -> assert false
       in
-      (match Profile_io.to_file ~fault:Profile_io.Die_mid_write path bigger with
-      | exception Profile_io.Killed_mid_write -> ()
-      | () -> Alcotest.fail "Die_mid_write did not kill the writer");
+      let text = Profile_io.to_string bigger in
+      (match
+         Crc32.write_atomic
+           ~fault:(Crc32.Crash_after (String.length text / 2))
+           path text
+       with
+      | exception Crc32.Killed_mid_write -> ()
+      | () -> Alcotest.fail "Crash_after did not kill the writer");
       (* The destination still holds the previous complete version. *)
       Alcotest.(check bool) "destination untouched" true
         (Profile_io.of_file path = s);
@@ -247,8 +239,11 @@ let test_die_mid_write_is_atomic () =
 let test_torn_write_salvages () =
   with_tmp (fun path ->
       let s = saved () in
-      (match Profile_io.to_file ~fault:Profile_io.Torn_write path s with
-      | exception Profile_io.Killed_mid_write -> ()
+      (match
+         Crc32.write_atomic ~fault:Crc32.Torn_write path
+           (Profile_io.to_string s)
+       with
+      | exception Crc32.Killed_mid_write -> ()
       | () -> Alcotest.fail "Torn_write did not kill the writer");
       (* The destination is torn — exactly what atomic writes prevent;
          the strict reader refuses it and salvage recovers a prefix. *)
@@ -264,12 +259,12 @@ let test_torn_write_salvages () =
 
 let test_flip_and_truncate_faults () =
   with_tmp (fun path ->
-      let s = saved () in
-      Profile_io.to_file ~fault:(Profile_io.Flip_bit 2000) path s;
+      let text = Profile_io.to_string (saved ()) in
+      Crc32.write_atomic ~fault:(Crc32.Flip_bit 2000) path text;
       (match Profile_io.of_file path with
       | exception Profile_io.Parse_error _ -> ()
       | _ -> Alcotest.fail "strict reader accepted a flipped file");
-      Profile_io.to_file ~fault:(Profile_io.Truncate_at 120) path s;
+      Crc32.write_atomic ~fault:(Crc32.Truncate_at 120) path text;
       match Profile_io.of_file path with
       | exception Profile_io.Parse_error _ -> ()
       | _ -> Alcotest.fail "strict reader accepted a truncated file")
@@ -308,7 +303,8 @@ let test_plan_respects_max_attempt () =
 let test_plan_kinds () =
   let crashy =
     function
-    | Faults.Crash | Faults.Stall _ | Faults.Die_mid_write -> true
+    | Faults.Crash | Faults.Stall _ | Faults.Write (Crc32.Crash_after _) ->
+        true
     | _ -> false
   in
   let p = Faults.seeded Faults.Crash_heavy ~seed:3 ~tasks:20 in
@@ -326,8 +322,8 @@ let test_plan_kinds () =
     | Some f ->
         Alcotest.(check bool) "corruption-heavy draws data faults" true
           (not (crashy f));
-        Alcotest.(check bool) "data faults map to write faults" true
-          (Faults.write_fault f <> None)
+        Alcotest.(check bool) "data faults are write faults" true
+          (match f with Faults.Write _ -> true | _ -> false)
   done;
   Alcotest.(check (option string)) "kind name roundtrip"
     (Some "crash-heavy")
@@ -569,6 +565,66 @@ let test_checkpoint_resume () =
       Alcotest.(check bool) "flipped total = fresh total" true
         (total flipped = total fresh))
 
+(* Crash points enumerated, not timed: for every shard k and every point
+   at which its checkpoint write can die — before the temp write, at each
+   line boundary of it, before the rename — and just after the rename,
+   build the directory such a crash leaves (shards before k saved, shard
+   k's write killed there) and resume.  Exactly the checkpoints that
+   landed are resumed, and the total is the fresh run's. *)
+let test_checkpoint_crash_points () =
+  with_ckpt_dir (fun dir ->
+      let prog = Lazy.force chaos_program in
+      let shards = 3 in
+      let run () =
+        Checkpoint.run ~dir ~budget:2_000_000 ~jobs:1 ~shards prog
+      in
+      let fresh = run () in
+      let saved =
+        Array.init shards (fun k ->
+            In_channel.with_open_bin (Checkpoint.path ~dir k)
+              In_channel.input_all)
+      in
+      let clear () =
+        Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir)
+      in
+      for k = 0 to shards - 1 do
+        let text = saved.(k) in
+        let n = String.length text in
+        let boundaries =
+          List.filter
+            (fun i -> i = 0 || i = n || text.[i - 1] = '\n')
+            (List.init (n + 1) Fun.id)
+        in
+        let points =
+          List.map (fun i -> Some (Crc32.Crash_after i)) boundaries @ [ None ]
+        in
+        List.iter
+          (fun fault ->
+            clear ();
+            for j = 0 to k - 1 do
+              Crc32.write_atomic (Checkpoint.path ~dir j) saved.(j)
+            done;
+            (match Crc32.write_atomic ?fault (Checkpoint.path ~dir k) text with
+            | exception Crc32.Killed_mid_write -> ()
+            | () ->
+                if fault <> None then Alcotest.fail "the write was not killed");
+            let point =
+              match fault with
+              | Some (Crc32.Crash_after i) -> Printf.sprintf "byte %d of %d" i n
+              | _ -> "after the rename"
+            in
+            let r = run () in
+            Alcotest.(check int)
+              (Printf.sprintf "shard %d, crash %s: resumed" k point)
+              (if fault = None then k + 1 else k)
+              r.Checkpoint.resumed;
+            Alcotest.(check bool)
+              (Printf.sprintf "shard %d, crash %s: total" k point)
+              true
+              (r.Checkpoint.total = fresh.Checkpoint.total))
+          points
+      done)
+
 let with_chaos_dir f =
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -633,7 +689,6 @@ let suite =
     Alcotest.test_case "crc: detects all single-bit flips" `Quick
       test_crc_detects_single_bit_flips;
     Alcotest.test_case "v2: roundtrip" `Quick test_v2_roundtrip;
-    Alcotest.test_case "v1: still readable" `Quick test_v1_still_readable;
     Alcotest.test_case "v2: strict reader rejects damage" `Quick
       test_strict_reader_rejects_damage;
     QCheck_alcotest.to_alcotest prop_salvage_truncation;
@@ -662,6 +717,8 @@ let suite =
       test_checkpoint_rejects_damage;
     Alcotest.test_case "checkpoint: resume reruns only missing shards" `Quick
       test_checkpoint_resume;
+    Alcotest.test_case "checkpoint: every crash point resumes" `Quick
+      test_checkpoint_crash_points;
     Alcotest.test_case "chaos: converges with retries" `Quick
       test_chaos_converges_with_retries;
     Alcotest.test_case "chaos: mixed kind converges" `Quick

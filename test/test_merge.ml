@@ -7,6 +7,7 @@
 
 module Profile = Pp_core.Profile
 module Profile_io = Pp_core.Profile_io
+module Crc32 = Pp_core.Crc32
 module Ball_larus = Pp_core.Ball_larus
 module Cct = Pp_core.Cct
 module Cct_io = Pp_core.Cct_io
@@ -273,22 +274,24 @@ let test_io_parse_errors () =
   bad "";
   bad "nonsense\n";
   bad "profile 2 h flow+hw dcache_misses instructions\n";
-  bad "profile 1 h flow+hw dcache_misses instructions\npath 0 1 2 3\n";
-  bad "profile 1 h flow+hw dcache_misses instructions\nproc f\n"
+  bad (Crc32.frame "profile 2 h flow+hw dc_miss insts" [ "path 0 1 2 3" ]);
+  bad (Crc32.frame "profile 2 h flow+hw dc_miss insts" [ "proc f" ])
 
-(* A bad %-escape in a name is a located parse error, in both format
-   versions' headers and records. *)
+(* A bad %-escape in a name is a located parse error, in the header and
+   in a record whose checksum holds (not reported as damage). *)
 let test_io_bad_escape () =
   let at line text =
     match Profile_io.of_string text with
-    | exception Profile_io.Parse_error (l, _) ->
-        Alcotest.(check int) (String.escaped text) line l
+    | exception Profile_io.Parse_error (l, msg) ->
+        Alcotest.(check int) (String.escaped text) line l;
+        Alcotest.(check bool) msg true
+          (String.starts_with ~prefix:"bad escape" msg)
     | _ -> Alcotest.failf "accepted %S" text
   in
-  at 2 "profile 1 h flow-hw dc_miss insts\nproc %zz 3\n";
-  at 2 "profile 1 h flow-hw dc_miss insts\nfeasible a%4 3\n";
-  at 1 "profile 1 h flow%zz dc_miss insts\n";
-  at 1 "profile 1 h flow-hw dc%g1 insts\n"
+  at 2 (Crc32.frame "profile 2 h flow-hw dc_miss insts" [ "proc %zz 3" ]);
+  at 2 (Crc32.frame "profile 2 h flow-hw dc_miss insts" [ "feasible a%4 3" ]);
+  at 1 (Crc32.frame "profile 2 h flow%zz dc_miss insts" []);
+  at 1 (Crc32.frame "profile 2 h flow-hw dc%g1 insts" [])
 
 (* {2 Cct.merge} *)
 
