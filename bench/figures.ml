@@ -120,12 +120,12 @@ let pp_cct_text cct =
   List.iter (visit 0) (Cct.children (Cct.root cct))
 
 let trace_structures trace =
-  let dct = Dct.create ~make_data:(fun ~proc:_ -> ()) () in
+  let dct = Dct.create () in
   let dcg = Dcg.create () in
   let cct = Cct.create ~make_data:(fun ~proc:_ ~nsites:_ -> ()) () in
   trace
     ~enter:(fun proc site ->
-      ignore (Dct.enter dct ~proc);
+      Dct.enter dct ~proc;
       Dcg.enter dcg ~proc;
       ignore (Cct.enter cct ~proc ~nsites:4 ~site ~kind:Cct.Direct))
     ~exit:(fun () ->

@@ -43,7 +43,6 @@ let targets : (string * string * (unit -> unit)) list =
       Overheads.run );
     ("sampling", "stack sampling vs CCT (7.2)", Sampling.run);
     ("hall", "Hall iterative call-path profiling vs CCT (7.2)", Hall.run);
-    ("micro", "bechamel micro-benchmarks", Micro.run);
     ( "engine",
       "interpreted vs compiled engine throughput (writes BENCH_engine.json)",
       Engines.run );

@@ -455,8 +455,6 @@ let analyze ?conf (cfg : Cfg.t) =
 
 (* ---- client access ---- *)
 
-let conf t = t.conf
-let reached t l = t.entries.(l) <> None
 let entry_env t l = t.entries.(l)
 
 let ireg env r = env.ivals.(r)
@@ -478,8 +476,6 @@ let iter_block t l f =
           (0, env) b.Block.instrs
       in
       Some env
-
-let term_env t l = iter_block t l (fun ~pos:_ _ _ -> ())
 
 (* Concretization membership for the runtime oracle: does machine value
    [x] (with the activation's frame pointer [frame] and a resolver for

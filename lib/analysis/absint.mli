@@ -61,12 +61,7 @@ val config :
 type t
 
 val analyze : ?conf:config -> Pp_ir.Cfg.t -> t
-val conf : t -> config
-val reached : t -> Pp_ir.Block.label -> bool
 val entry_env : t -> Pp_ir.Block.label -> env option
-
-(** Environment in force at the terminator of a reached block. *)
-val term_env : t -> Pp_ir.Block.label -> env option
 
 (** Replay a reached block with the fixpoint's transfer functions: [f]
     sees the environment immediately before each instruction.  Returns
@@ -82,9 +77,6 @@ val ftaint : env -> Pp_ir.Instr.freg -> Taint.t
 
 (** Abstract address of [base + off]. *)
 val address : env -> base:Pp_ir.Instr.ireg -> off:int -> value
-
-(** Abstract result of loading [base + off]. *)
-val loaded : config -> env -> base:Pp_ir.Instr.ireg -> off:int -> value
 
 (** Whether an address-offset interval lies entirely inside the
     instrumentation-owned frame-slot range of the policy. *)

@@ -211,21 +211,6 @@ let step geom s access =
       let s = age_affected geom s tgt ~evict:true in
       { s with may = may_add tgt s.may }
 
-let pp ppf s =
-  let ages m = IMap.fold (fun k v acc -> (k, v) :: acc) m [] |> List.rev in
-  Format.fprintf ppf "@[<v>must-lines: %a@,must-frame: %a@,may: %d lines, %d slots%s%s%s@]"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf " ")
-       (fun ppf (l, a) -> Format.fprintf ppf "%d@%d" l a))
-    (ages s.m_abs)
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf " ")
-       (fun ppf (o, a) -> Format.fprintf ppf "+%d@%d" o a))
-    (ages s.m_fr) (ISet.cardinal s.may.abs) (ISet.cardinal s.may.fr)
-    (if s.may.prof then " prof" else "")
-    (if s.may.frtop then " frtop" else "")
-    (if s.may.top then " top" else "")
-
 type solution = { block_in : state array; block_out : state array }
 
 let solve geom ~nblocks ~entry:entry_block ~succs ~events ~cold =

@@ -53,7 +53,7 @@ type access =
   | Write of target
   | Havoc
       (** a call boundary: the callee may have filled or evicted
-          anything ({!step} applies {!havoc}) *)
+          anything ({!step} empties must and makes may top) *)
 
 type classification = Hit | Miss | Unknown
 
@@ -64,20 +64,11 @@ type state
     machine); otherwise nothing is known ([may] is top). *)
 val entry : cold:bool -> state
 
-(** State after a call: must is emptied, may becomes top — the callee may
-    have filled or evicted anything. *)
-val havoc : state -> state
-
-val join : state -> state -> state
-val equal : state -> state -> bool
-
 val classify : Config.cache_geometry -> state -> access -> classification
 
 (** Transfer of one access.  [step] refines ages and residency exactly as
     the LRU set the access maps to would. *)
 val step : Config.cache_geometry -> state -> access -> state
-
-val pp : Format.formatter -> state -> unit
 
 (** {2 Per-procedure fixpoint}
 

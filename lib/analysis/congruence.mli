@@ -12,7 +12,6 @@ type t
 
 val top : t
 val const : int -> t
-val is_top : t -> bool
 val is_const : t -> int option
 val equal : t -> t -> bool
 val leq : t -> t -> bool

@@ -15,8 +15,6 @@ type value =
   | Top  (** unknown / any value *)
   | Const of int
 
-val join : value -> value -> value
-
 type t
 
 val analyze : Pp_ir.Cfg.t -> t

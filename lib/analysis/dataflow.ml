@@ -52,7 +52,6 @@ module Bitset = struct
     t
 
   let copy t = { t with bits = Bytes.copy t.bits }
-  let size t = t.size
 
   let check t i =
     if i < 0 || i >= t.size then invalid_arg "Bitset: index out of range"
@@ -87,10 +86,6 @@ module Bitset = struct
   let diff = map2 (fun x y -> x land lnot y)
   let equal a b = a.size = b.size && Bytes.equal a.bits b.bits
 
-  let is_empty t =
-    let rec go i = i >= Bytes.length t.bits || (Bytes.get t.bits i = '\000' && go (i + 1)) in
-    go 0
-
   let iter f t =
     for i = 0 to t.size - 1 do
       if mem t i then f i
@@ -101,12 +96,6 @@ module Bitset = struct
     iter (fun i -> acc := i :: !acc) t;
     List.rev !acc
 
-  let pp ppf t =
-    Format.fprintf ppf "{%a}"
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
-         Format.pp_print_int)
-      (elements t)
 end
 
 module Gen_kill = struct

@@ -41,22 +41,17 @@ module Bitset : sig
 
   val full : int -> t
   val copy : t -> t
-  val size : t -> int
   val add : t -> int -> unit
   val remove : t -> int -> unit
   val mem : t -> int -> bool
   val union : t -> t -> t
   val diff : t -> t -> t
   val equal : t -> t -> bool
-  val is_empty : t -> bool
   val elements : t -> int list
-  val iter : (int -> unit) -> t -> unit
-  val pp : Format.formatter -> t -> unit
 end
 
-(** Gen/kill bitvector problems with union confluence (liveness, reaching
-    definitions, may-be-uninitialised registers):
-    [out = gen ∪ (in \ kill)]. *)
+(** Gen/kill bitvector problems with union confluence (liveness,
+    may-be-uninitialised registers): [out = gen ∪ (in \ kill)]. *)
 module Gen_kill : sig
   type result
 

@@ -26,7 +26,7 @@ type t
 val analyze : ?max_enumerate:int -> Pp_ir.Cfg.t -> Pp_core.Ball_larus.t -> t
 
 (** Whether the full path table was enumerated (a prerequisite for
-    {!prune}). *)
+    {!pruner} to offer a pruning). *)
 val enumerated : t -> bool
 
 (** The underlying constant-propagation fixpoint. *)
@@ -43,9 +43,6 @@ val infeasible_sums : t -> int list
 
 (** CFG edges proven never-executable, in edge-id order. *)
 val infeasible_edges : t -> Pp_graph.Digraph.edge list
-
-(** @raise Invalid_argument when not {!enumerated}. *)
-val prune : t -> Pp_core.Ball_larus.pruned
 
 (** One-shot convenience with the signature {!Pp_instrument.Instrument.run}
     expects for its [?pruner] argument; [None] when the path table is too

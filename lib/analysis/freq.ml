@@ -116,4 +116,3 @@ let block_freq t l = t.vfreq.(Cfg.vertex_of_label t.cfg l)
 let edge_prob t (e : Digraph.edge) = t.prob.(e.id)
 let edge_freq t (e : Digraph.edge) = t.vfreq.(e.src) *. t.prob.(e.id)
 let loop_depth t v = Loops.depth t.loops v
-let loops t = t.loops

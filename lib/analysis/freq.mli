@@ -24,4 +24,3 @@ val edge_prob : t -> Pp_graph.Digraph.edge -> float
 val edge_freq : t -> Pp_graph.Digraph.edge -> float
 
 val loop_depth : t -> Pp_graph.Digraph.vertex -> int
-val loops : t -> Pp_graph.Loops.t

@@ -10,5 +10,4 @@
       [main], treating an [Iconst_sym] of a procedure name as an
       address-taken (hence possible indirect) call. *)
 
-val lint_proc : Pp_ir.Proc.t -> Pp_ir.Diag.t list
 val run : Pp_ir.Program.t -> Pp_ir.Diag.t list

@@ -108,8 +108,6 @@ type t = {
   mutable tails : (string, tail) Hashtbl.t option;
 }
 
-let config t = t.config
-
 (* ------------------------------------------------------------------ *)
 (* Micro extraction *)
 

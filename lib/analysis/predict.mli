@@ -72,8 +72,6 @@ val create :
   unit ->
   t
 
-val config : t -> Config.t
-
 (** The numbering predictions are keyed by — built on the {e original}
     CFG, identical to the instrumenter's. *)
 val numbering : t -> string -> Ball_larus.t option

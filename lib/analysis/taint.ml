@@ -11,7 +11,6 @@ type t = Clean | Tainted
 
 let join a b = match (a, b) with Clean, Clean -> Clean | _ -> Tainted
 let equal (a : t) b = a = b
-let leq a b = a = Clean || b = Tainted
 
 let pp ppf = function
   | Clean -> Format.pp_print_string ppf "clean"

@@ -26,14 +26,6 @@
     All findings are {!Pp_ir.Diag} errors with block/instruction
     locations.  An empty list means the instrumentation is correct. *)
 
-val verify_proc :
-  mode:Pp_instrument.Instrument.mode ->
-  options:Pp_instrument.Instrument.options ->
-  original:Pp_ir.Proc.t ->
-  instrumented:Pp_ir.Proc.t ->
-  info:Pp_instrument.Instrument.proc_info ->
-  Pp_ir.Diag.t list
-
 (** Verify every procedure pair plus the counter-table globals. *)
 val verify_program :
   original:Pp_ir.Program.t ->

@@ -37,9 +37,6 @@ val np : t -> Digraph.vertex -> int
     from ENTRY), in edge-id order. *)
 val backedges : t -> Digraph.edge list
 
-(** Whether [e] is one of the backedges of {!backedges}. *)
-val is_backedge : t -> Digraph.edge -> bool
-
 (** The backedge from [src] to [dst], if the CFG has one — how runtime
     observers (the [pp predict] measurement oracle) recognise that a
     block-to-block transition closed a path. *)

@@ -33,7 +33,6 @@ val unescape : string -> string option
 (** Unit payload (encodes to the empty string). *)
 val unit_codec : unit codec
 
-val write : codec:'a codec -> Buffer.t -> 'a Cct.t -> unit
 val to_string : codec:'a codec -> 'a Cct.t -> string
 
 (** {!to_string} through {!Crc32.write_atomic}. *)

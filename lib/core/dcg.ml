@@ -26,10 +26,6 @@ let exit t =
   | [ _ ] | [] -> invalid_arg "Dcg.exit: only the root is active"
   | _ :: rest -> t.stack <- rest
 
-let procs t =
-  Hashtbl.fold (fun p _ acc -> p :: acc) t.entries []
-  |> List.sort_uniq compare
-
 let calls t ~caller ~callee =
   match Hashtbl.find_opt t.edges (caller, callee) with
   | Some r -> !r

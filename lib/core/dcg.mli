@@ -10,9 +10,6 @@ val create : unit -> t
 val enter : t -> proc:string -> unit
 val exit : t -> unit
 
-(** All procedures seen, sorted. *)
-val procs : t -> string list
-
 (** [calls t ~caller ~callee] is the traversal count of that edge (0 when
     absent). *)
 val calls : t -> caller:string -> callee:string -> int

@@ -1,25 +1,15 @@
-type 'a node = {
-  node_proc : string;
-  node_data : 'a;
-  mutable rev_children : 'a node list;
-}
+type node = { node_proc : string; mutable rev_children : node list }
 
-type 'a t = {
-  make_data : proc:string -> 'a;
+type t = {
   max_nodes : int;
-  root_node : 'a node;
-  mutable stack : 'a node list;
+  root_node : node;
+  mutable stack : node list;
   mutable n_nodes : int;
 }
 
-let create ?(max_nodes = 1_000_000) ~make_data () =
-  let root_node =
-    { node_proc = "<root>"; node_data = make_data ~proc:"<root>";
-      rev_children = [] }
-  in
-  { make_data; max_nodes; root_node; stack = [ root_node ]; n_nodes = 1 }
-
-let root t = t.root_node
+let create ?(max_nodes = 1_000_000) () =
+  let root_node = { node_proc = "<root>"; rev_children = [] } in
+  { max_nodes; root_node; stack = [ root_node ]; n_nodes = 1 }
 
 let current t =
   match t.stack with n :: _ -> n | [] -> assert false
@@ -28,21 +18,16 @@ let enter t ~proc =
   if t.n_nodes >= t.max_nodes then
     invalid_arg "Dct.enter: node budget exhausted";
   let parent = current t in
-  let node =
-    { node_proc = proc; node_data = t.make_data ~proc; rev_children = [] }
-  in
+  let node = { node_proc = proc; rev_children = [] } in
   parent.rev_children <- node :: parent.rev_children;
   t.n_nodes <- t.n_nodes + 1;
-  t.stack <- node :: t.stack;
-  node
+  t.stack <- node :: t.stack
 
 let exit t =
   match t.stack with
   | [ _ ] | [] -> invalid_arg "Dct.exit: only the root is active"
   | _ :: rest -> t.stack <- rest
 
-let proc n = n.node_proc
-let data n = n.node_data
 let children n = List.rev n.rev_children
 let num_nodes t = t.n_nodes
 

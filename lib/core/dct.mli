@@ -4,28 +4,19 @@
     — so it exists here as the reference structure for tests, figures and
     small examples, with an optional node budget to keep it honest. *)
 
-type 'a t
-type 'a node
+type t
 
 (** @raise Invalid_argument if more than [max_nodes] activations occur. *)
-val create : ?max_nodes:int -> make_data:(proc:string -> 'a) -> unit -> 'a t
+val create : ?max_nodes:int -> unit -> t
 
-val enter : 'a t -> proc:string -> 'a node
-val exit : 'a t -> unit
-val root : 'a t -> 'a node
-val current : 'a t -> 'a node
-val proc : _ node -> string
-val data : 'a node -> 'a
-
-(** Children in call order. *)
-val children : 'a node -> 'a node list
-
-val num_nodes : _ t -> int
+val enter : t -> proc:string -> unit
+val exit : t -> unit
+val num_nodes : t -> int
 
 (** All distinct calling contexts (root excluded from the chains), each with
     its number of occurrences.  The set of DCT paths equals the set of CCT
     vertices when there is no recursion — the property tests rely on this. *)
-val contexts : _ t -> (string list * int) list
+val contexts : t -> (string list * int) list
 
 (** Depth-first pretty print, Figure-4 style. *)
-val pp : Format.formatter -> _ t -> unit
+val pp : Format.formatter -> t -> unit

@@ -105,16 +105,3 @@ let reconstruct t ~counts =
                connected through the tree?)")
     t.helper []
   |> List.rev
-
-let block_counts t ~counts =
-  let edges = reconstruct t ~counts in
-  let table = Hashtbl.create 16 in
-  List.iter
-    (fun ((e : Digraph.edge), c) ->
-      match Cfg.label_of_vertex t.cfg e.dst with
-      | Some l ->
-          Hashtbl.replace table l
-            (c + Option.value ~default:0 (Hashtbl.find_opt table l))
-      | None -> ())
-    edges;
-  Hashtbl.fold (fun l c acc -> (l, c) :: acc) table [] |> List.sort compare

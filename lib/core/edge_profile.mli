@@ -32,6 +32,3 @@ val merge_counts : t -> int array -> int array -> int array
     tree.  [counts.(i)] is chord [i]'s counter.
     @raise Invalid_argument if [counts] has the wrong length. *)
 val reconstruct : t -> counts:int array -> (Digraph.edge * int) list
-
-(** Derived per-block execution counts (sum of in-edge counts). *)
-val block_counts : t -> counts:int array -> (Pp_ir.Block.label * int) list

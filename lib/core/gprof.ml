@@ -33,5 +33,3 @@ let attributed t ~caller ~callee =
     float_of_int (self_cost t callee)
     *. float_of_int (calls t ~caller ~callee)
     /. float_of_int total_calls
-
-let procs t = Dcg.procs t.dcg

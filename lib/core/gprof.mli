@@ -23,14 +23,8 @@ val enter : t -> proc:string -> unit
 
 val exit : t -> cost:int -> unit
 
-(** Total self cost of a procedure over all contexts. *)
-val self_cost : t -> string -> int
-
 (** [attributed t ~caller ~callee] — the cost of [callee] that gprof's rule
     assigns to [caller]:
     [self_cost callee * calls(caller→callee) / total calls to callee]
     (as a float). *)
 val attributed : t -> caller:string -> callee:string -> float
-
-val calls : t -> caller:string -> callee:string -> int
-val procs : t -> string list

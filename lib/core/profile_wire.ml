@@ -379,5 +379,3 @@ let next r =
           end
         end
       end
-
-let leftover r = pending r

@@ -27,13 +27,6 @@
 
 module Event = Pp_machine.Event
 
-(** Wire format version inside the hello frame (currently 1). *)
-val version : int
-
-(** Frames advertising a payload longer than this (16 MiB) are rejected
-    as corrupt before any allocation. *)
-val max_payload : int
-
 type header = {
   program_hash : string;
   mode : string;
@@ -96,6 +89,3 @@ val feed : reader -> string -> unit
     detected (bad kind byte, oversized length, checksum mismatch,
     malformed payload); sticky. *)
 val next : reader -> [ `Frame of frame | `Need_more | `Corrupt of string ]
-
-(** Unconsumed buffered bytes (diagnostic). *)
-val leftover : reader -> int

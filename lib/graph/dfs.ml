@@ -51,7 +51,6 @@ let run g ~root =
   { graph = g; discovery; finish; tree_edge_of; post }
 
 let discovery t v = t.discovery.(v)
-let finish t v = t.finish.(v)
 let reachable t v = t.discovery.(v) >= 0
 
 let classify t (e : Digraph.edge) =
@@ -73,15 +72,5 @@ let back_edges t =
     t.graph []
   |> List.rev
 
-let postorder t = Array.to_list t.post
-
 let reverse_postorder t =
   Array.fold_left (fun acc v -> v :: acc) [] t.post
-
-let pp_edge_kind ppf k =
-  Format.pp_print_string ppf
-    (match k with
-    | Tree -> "tree"
-    | Back -> "back"
-    | Forward -> "forward"
-    | Cross -> "cross")

@@ -20,9 +20,6 @@ val run : Digraph.t -> root:Digraph.vertex -> t
 (** Discovery (preorder) time, or [-1] if unreachable. *)
 val discovery : t -> Digraph.vertex -> int
 
-(** Finish (postorder) time, or [-1] if unreachable. *)
-val finish : t -> Digraph.vertex -> int
-
 val reachable : t -> Digraph.vertex -> bool
 
 (** Classification of an edge whose source was visited.
@@ -35,8 +32,3 @@ val back_edges : t -> Digraph.edge list
 (** Reachable vertices in reverse postorder (a topological order when the
     graph is acyclic). *)
 val reverse_postorder : t -> Digraph.vertex list
-
-(** Reachable vertices in postorder. *)
-val postorder : t -> Digraph.vertex list
-
-val pp_edge_kind : Format.formatter -> edge_kind -> unit

@@ -90,13 +90,6 @@ let iter_vertices f g =
     f v
   done
 
-let fold_vertices f g init =
-  let acc = ref init in
-  for v = 0 to g.n_vertices - 1 do
-    acc := f v !acc
-  done;
-  !acc
-
 let iter_edges f g =
   for i = 0 to g.n_edges - 1 do
     f g.edges.(i)
@@ -128,18 +121,3 @@ let copy g =
     edges = Array.copy g.edges;
     n_edges = g.n_edges;
   }
-
-let pp ppf g =
-  Format.fprintf ppf "@[<v>digraph (%d vertices, %d edges)" g.n_vertices
-    g.n_edges;
-  iter_vertices
-    (fun v ->
-      let ss = succs g v in
-      if ss <> [] then
-        Format.fprintf ppf "@,%d -> %a" v
-          Format.(
-            pp_print_list ~pp_sep:(fun ppf () -> pp_print_string ppf ", ")
-              pp_print_int)
-          ss)
-    g;
-  Format.fprintf ppf "@]"

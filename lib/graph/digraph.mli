@@ -34,9 +34,6 @@ val add_edge : t -> vertex -> vertex -> edge
 val num_vertices : t -> int
 val num_edges : t -> int
 
-(** [mem_vertex g v] is true iff [v] was allocated by [add_vertex]. *)
-val mem_vertex : t -> vertex -> bool
-
 (** [edge g id] retrieves an edge by its id.
     @raise Invalid_argument if [id] is out of range. *)
 val edge : t -> int -> edge
@@ -55,7 +52,6 @@ val succs : t -> vertex -> vertex list
 val preds : t -> vertex -> vertex list
 
 val iter_vertices : (vertex -> unit) -> t -> unit
-val fold_vertices : (vertex -> 'a -> 'a) -> t -> 'a -> 'a
 
 (** Iterates edges in increasing id order. *)
 val iter_edges : (edge -> unit) -> t -> unit
@@ -72,6 +68,3 @@ val reverse : t -> t
 
 (** A deep copy sharing no mutable state with the original. *)
 val copy : t -> t
-
-(** Pretty-prints as a vertex/edge listing, for debugging. *)
-val pp : Format.formatter -> t -> unit

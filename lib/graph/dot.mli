@@ -1,15 +1,5 @@
 (** Graphviz (dot) rendering of digraphs, for documentation and debugging. *)
 
-(** [output ppf g ~name ~vertex_label ~edge_label] prints a dot digraph.
-    Empty edge labels are omitted. *)
-val output :
-  Format.formatter ->
-  Digraph.t ->
-  name:string ->
-  vertex_label:(Digraph.vertex -> string) ->
-  edge_label:(Digraph.edge -> string) ->
-  unit
-
 (** Convenience wrapper returning the dot source as a string. *)
 val to_string :
   Digraph.t ->

@@ -5,8 +5,6 @@ type t
 (** [create n] makes [n] singleton sets labelled [0 .. n-1]. *)
 val create : int -> t
 
-val find : t -> int -> int
-
 (** [union t a b] merges the sets of [a] and [b]; returns [false] when they
     were already the same set (no change made). *)
 val union : t -> int -> int -> bool

@@ -73,10 +73,6 @@ type proc_info = {
     procedure's path table was too large to certify. *)
 type pruner = Pp_ir.Cfg.t -> Ball_larus.t -> Ball_larus.pruned option
 
-(** The counter-array global used by a procedure's edge/path table, if
-    any. *)
-val table_global_name : string -> string
-
 type manifest = {
   mode : mode;
   options : options;

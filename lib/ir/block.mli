@@ -27,5 +27,4 @@ val successors : t -> label list
 (** Instruction slots occupied, terminator included. *)
 val slots : t -> int
 
-val pp_terminator : Format.formatter -> terminator -> unit
 val pp : Format.formatter -> t -> unit

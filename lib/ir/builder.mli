@@ -32,8 +32,6 @@ val new_block : t -> Block.label
     @raise Invalid_argument if the block was already terminated. *)
 val switch_to : t -> Block.label -> unit
 
-val current : t -> Block.label
-
 (** @raise Invalid_argument if no block is current. *)
 val emit : t -> Instr.t -> unit
 

@@ -50,19 +50,7 @@ let role t (e : Digraph.edge) =
     invalid_arg "Cfg.role: edge not part of the original CFG";
   t.roles.(e.id)
 
-let is_entry t v = v = t.entry
-let is_exit t v = v = t.exit
-
 let vertex_name t v =
   if v = t.entry then "ENTRY"
   else if v = t.exit then "EXIT"
   else Printf.sprintf "L%d" v
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>cfg of %s:" t.proc.Proc.name;
-  Digraph.iter_edges
-    (fun e ->
-      Format.fprintf ppf "@,%s -> %s" (vertex_name t e.src)
-        (vertex_name t e.dst))
-    t.graph;
-  Format.fprintf ppf "@]"

@@ -30,10 +30,6 @@ val label_of_vertex : t -> Pp_graph.Digraph.vertex -> Block.label option
 
 val vertex_of_label : t -> Block.label -> Pp_graph.Digraph.vertex
 val role : t -> Pp_graph.Digraph.edge -> edge_role
-val is_entry : t -> Pp_graph.Digraph.vertex -> bool
-val is_exit : t -> Pp_graph.Digraph.vertex -> bool
 
 (** Human-readable vertex name: ["ENTRY"], ["EXIT"] or ["L<n>"]. *)
 val vertex_name : t -> Pp_graph.Digraph.vertex -> string
-
-val pp : Format.formatter -> t -> unit

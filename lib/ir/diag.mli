@@ -29,6 +29,3 @@ val warning : loc -> ('a, Format.formatter, unit, t) format4 -> 'a
 
 (** ["proc/L3/2: message"]-style rendering. *)
 val to_string : t -> string
-
-val pp_loc : Format.formatter -> loc -> unit
-val pp : Format.formatter -> t -> unit

@@ -1,9 +1,9 @@
 (** A textual form of whole programs — the assembler/disassembler layer.
 
-    {!emit} and {!parse} round-trip exactly: [parse (emit p)] rebuilds [p]
-    (same procedures, blocks, instructions, globals and call sites), which
-    the test suite checks on every workload.  The concrete syntax is what
-    {!emit} prints:
+    {!to_string} and {!parse} round-trip exactly: [parse (to_string p)]
+    rebuilds [p] (same procedures, blocks, instructions, globals and call
+    sites), which the test suite checks on every workload.  The concrete
+    syntax is what {!to_string} prints:
 
     {v
     program main=main
@@ -17,7 +17,6 @@
 
     The [pp] tool accepts this format for files ending in [.ppir]. *)
 
-val emit : Format.formatter -> Program.t -> unit
 val to_string : Program.t -> string
 
 exception Parse_error of int * string

@@ -1,5 +1,4 @@
 let data_base = 0x0002_0000
-let heap_base = 0x0200_0000
 let prof_base = 0x0800_0000
 let stack_limit = 0x1000_0000
 let stack_base = 0x1040_0000

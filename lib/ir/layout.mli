@@ -14,7 +14,6 @@
     - [code_base]: instructions (fetch-only; never read as data). *)
 
 val data_base : int
-val heap_base : int
 val prof_base : int
 val stack_base : int
 
@@ -34,9 +33,6 @@ val linkage_bytes : int
 (** Words of a calling-context record in simulated memory (ID, parent,
     three metric words, one callee slot per call site). *)
 val record_words : int -> int
-
-(** Bytes per instruction slot (4). *)
-val instr_bytes : int
 
 type t
 

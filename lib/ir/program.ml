@@ -58,11 +58,3 @@ let map_procs f t =
 
 let size_slots t =
   Array.fold_left (fun acc p -> acc + Proc.size_slots p) 0 t.procs
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>program (main=%s)" t.main;
-  Array.iter
-    (fun g -> Format.fprintf ppf "@,global %s[%d]" g.gname g.size_words)
-    t.globals;
-  Array.iter (fun p -> Format.fprintf ppf "@,%a" Proc.pp p) t.procs;
-  Format.fprintf ppf "@]"

@@ -34,5 +34,3 @@ val map_procs : (Proc.t -> Proc.t) -> t -> t
 
 (** Total static instruction slots over all procedures. *)
 val size_slots : t -> int
-
-val pp : Format.formatter -> t -> unit

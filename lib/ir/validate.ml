@@ -98,8 +98,3 @@ let run prog =
         p.blocks;
       check_flow p)
     prog.Program.procs
-
-let check prog =
-  match run prog with () -> Ok () | exception Invalid d -> Error d
-
-let check_message prog = Result.map_error Diag.to_string (check prog)

@@ -17,10 +17,3 @@ exception Invalid of Diag.t
     Register indices need no check here: {!Proc.make} keeps them in
     range (see the invariant on {!Proc.t}). *)
 val run : Program.t -> unit
-
-(** [check prog] is [run] packaged as a result. *)
-val check : Program.t -> (unit, Diag.t) result
-
-(** [check_message prog] is [check] with the diagnostic rendered to a
-    string, for callers that only report. *)
-val check_message : Program.t -> (unit, string) result

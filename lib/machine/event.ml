@@ -59,11 +59,6 @@ let all =
     Stores;
   ]
 
-let of_int i =
-  match List.nth_opt all i with
-  | Some e -> e
-  | None -> invalid_arg (Printf.sprintf "Event.of_int: %d" i)
-
 let name = function
   | Cycles -> "cycles"
   | Instructions -> "insts"

@@ -33,9 +33,6 @@ val count : int
 (** Dense index in [0 .. count-1]. *)
 val to_int : t -> int
 
-(** @raise Invalid_argument outside [0 .. count-1]. *)
-val of_int : int -> t
-
 val all : t list
 val name : t -> string
 

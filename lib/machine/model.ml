@@ -1,11 +1,8 @@
-let is_pow2 n = n > 0 && n land (n - 1) = 0
-
 let num_sets (g : Config.cache_geometry) =
   g.size_bytes / (g.line_bytes * g.associativity)
 
 let line_of (g : Config.cache_geometry) addr = addr / g.line_bytes
 let set_of_line g line = line mod num_sets g
-let set_of_addr g addr = set_of_line g (line_of g addr)
 let same_set g l1 l2 = set_of_line g l1 = set_of_line g l2
 
 let lines_of_range g ~addr ~bytes =
@@ -24,10 +21,3 @@ let fp_stall_bound (c : Config.t) =
   max c.fp_add_latency (max c.fp_mul_latency c.fp_div_latency)
 
 let mispredict_bound (c : Config.t) = c.mispredict_penalty
-
-let cycles (c : Config.t) ~instructions ~icache_misses ~dcache_read_misses
-    ~mispredict_stalls ~store_buffer_stalls ~fp_stalls =
-  instructions
-  + (c.icache_miss_penalty * icache_misses)
-  + (c.dcache_miss_penalty * dcache_read_misses)
-  + mispredict_stalls + store_buffer_stalls + fp_stalls

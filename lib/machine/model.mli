@@ -15,13 +15,7 @@
     - {!fp_stall_bound} bounds {!Fp_unit.use}/[issue]: a source's ready
       stamp was set to [issue_time + latency] with [issue_time <= now]
       (accounted stalls advance the clock), so the residual wait is at
-      most the largest latency;
-    - {!cycles} restates the machine's exact cycle identity: every cycle
-      the simulator spends is one instruction fetch, a cache-miss
-      penalty, or an accounted stall — there are no other clock sources
-      in {!Machine}. *)
-
-val is_pow2 : int -> bool
+      most the largest latency. *)
 
 (** Number of sets of a geometry ([size / (line * associativity)]). *)
 val num_sets : Config.cache_geometry -> int
@@ -32,8 +26,6 @@ val line_of : Config.cache_geometry -> int -> int
 
 (** Set a line maps to ([line mod num_sets]). *)
 val set_of_line : Config.cache_geometry -> int -> int
-
-val set_of_addr : Config.cache_geometry -> int -> int
 
 (** Whether two lines compete for the same set. *)
 val same_set : Config.cache_geometry -> int -> int -> bool
@@ -54,21 +46,3 @@ val fp_stall_bound : Config.t -> int
 
 (** Stall of one mispredicted branch; a predicted branch stalls zero. *)
 val mispredict_bound : Config.t -> int
-
-(** {2 The cycle identity}
-
-    [Cycles = Instructions + icache_miss_penalty * Icache_misses
-            + dcache_miss_penalty * Dcache_read_misses
-            + Mispredict_stalls + Store_buffer_stalls + Fp_stalls].
-
-    Write misses add no penalty cycles (write-through, non-allocating);
-    their cost surfaces only through store-buffer drain stalls. *)
-val cycles :
-  Config.t ->
-  instructions:int ->
-  icache_misses:int ->
-  dcache_read_misses:int ->
-  mispredict_stalls:int ->
-  store_buffer_stalls:int ->
-  fp_stalls:int ->
-  int

@@ -75,5 +75,3 @@ let ty_name = function
   | Tfloat -> "float"
   | Tvoid -> "void"
   | Tfunptr -> "funptr"
-
-let pp_ty ppf ty = Format.pp_print_string ppf (ty_name ty)

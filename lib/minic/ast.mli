@@ -93,5 +93,4 @@ type func = {
 
 type program = { globals : global_decl list; funcs : func list }
 
-val pp_ty : Format.formatter -> ty -> unit
 val ty_name : ty -> string

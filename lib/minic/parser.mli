@@ -1,7 +1,5 @@
-(** Recursive-descent parser for MiniC.
+(** Recursive-descent parser for MiniC: [parse_string src] parses the
+    tokens of [Lexer.tokenize src].
 
     @raise Errors.Error on syntax errors. *)
-val parse : (Token.t * Ast.pos) list -> Ast.program
-
-(** Convenience: [parse_string src] is [parse (Lexer.tokenize src)]. *)
 val parse_string : string -> Ast.program

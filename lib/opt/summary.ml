@@ -26,8 +26,6 @@ type t = {
   global_heat : (string * int) list;
 }
 
-let find t name = List.assoc_opt name t.procs
-
 (* --- static global-reference tracking --- *)
 
 (* Registers whose only definitions in the whole procedure load the address

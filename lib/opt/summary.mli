@@ -54,8 +54,6 @@ type t = {
           recorded no misses), reference frequency for [Flat] ones *)
 }
 
-val find : t -> string -> proc_summary option
-
 (** [of_paths ~cct prog profile] summarises a flow+hardware profiling run.
     [profile]'s [m0] accumulators are read as D-cache misses (the Table 4
     configuration); [cct] supplies the per-(caller, site, callee) call
@@ -78,10 +76,3 @@ val block_counts :
   Pp_core.Edge_profile.t ->
   (Pp_graph.Digraph.edge * int) list ->
   (Pp_ir.Block.label * int) list
-
-(** The static global-reference table behind the heat attribution: for
-    each block of [p], the globals its loads and stores provably address
-    (via [Iconst_sym] tracking through address arithmetic) with their
-    reference counts. *)
-val block_refs :
-  Pp_ir.Program.t -> Pp_ir.Proc.t -> (string * int) list array

@@ -61,8 +61,6 @@ val summary : plan -> string
     [["shard 0: crash"; "shard 3: bit flip"]]. *)
 val describe_plan : plan -> string list
 
-val describe : fault -> string
-
 (** {2 Deterministic mixing}
 
     The hash the plans (and the pool's backoff jitter) are built on:

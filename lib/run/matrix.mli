@@ -34,15 +34,6 @@ val tasks : ?workloads:string list -> ?configs:config list -> unit -> task list
 
 val default_budget : int
 
-(** Measure one task in the calling process.  Also records deterministic
-    per-cell metrics ([matrix.cells], [matrix.<config>.instructions],
-    [matrix.cycles]) into [Pp_telemetry.Metrics.default], which the pool
-    ships back from workers.  [engine] selects the execution tier
-    (default {!Pp_vm.Engine.default}); both tiers produce byte-identical
-    cells, so the choice only affects speed.
-    @raise Failure on an unknown workload; traps propagate. *)
-val measure : ?budget:int -> ?engine:Pp_vm.Engine.kind -> task -> cell
-
 (** Measure every task, [jobs] at a time (default 1 = in-process). *)
 val run :
   ?jobs:int ->

@@ -53,6 +53,14 @@ type job = {
 
 let chunk = Bytes.create 65536
 
+(* What a task that raised reports after "crashed: ": the failure in the
+   pool's own words, not the OCaml path of the exception that carried it
+   (which would change the output whenever the exception moves). *)
+let crash_message = function
+  | Failure msg -> msg
+  | Pp_core.Crc32.Killed_mid_write -> "killed mid-write"
+  | e -> Printexc.to_string e
+
 (* One worker: fork, evaluate, marshal the result (or the exception's
    rendering) back over a pipe together with the worker's metrics delta,
    and exit without running at_exit handlers.  The delta is against the
@@ -81,7 +89,7 @@ let spawn ~index ~deadline f x =
       let payload =
         match f x with
         | v -> Ok v
-        | exception e -> Error (Printexc.to_string e)
+        | exception e -> Error (crash_message e)
       in
       let delta = Metrics.diff (Metrics.snapshot Metrics.default) at_fork in
       let bytes = Marshal.to_bytes (payload, delta) [] in
@@ -230,7 +238,7 @@ let map_inline f xs =
       let outcome =
         match f x with
         | v -> Done v
-        | exception e -> Crashed (Printexc.to_string e)
+        | exception e -> Crashed (crash_message e)
       in
       (outcome, Unix.gettimeofday () -. t0))
     xs

@@ -15,8 +15,10 @@
 type 'a outcome =
   | Done of 'a
   | Crashed of string
-      (** the task raised (rendered exception), exited nonzero, or died on a
-          signal *)
+      (** the task raised, exited nonzero, or died on a signal.  A raised
+          [Failure msg] reads [msg] and {!Pp_core.Crc32.Killed_mid_write}
+          reads ["killed mid-write"]; any other exception is rendered by
+          [Printexc.to_string]. *)
   | Timed_out of float  (** killed after running this many seconds *)
 
 type task_stat = {

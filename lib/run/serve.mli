@@ -59,14 +59,6 @@ val agg_finish : agg -> Profile_io.saved option
 
 (** {2 Client side} *)
 
-(** Connect and run [f]; retries the connect briefly (default patience
-    10 s) so clients racing the daemon's bind do not fail spuriously. *)
-val with_connection :
-  ?patience:float ->
-  socket:string ->
-  (Unix.file_descr -> (unit, string) result) ->
-  (unit, string) result
-
 (** Stream one shard into the socket as wire frames.
     [corrupt_after (Some k)] simulates a client damaged mid-stream: the
     first [k] frames go out intact, then garbage, then the connection

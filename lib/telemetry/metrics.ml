@@ -76,8 +76,6 @@ let snapshot t =
   Hashtbl.fold (fun name c acc -> (name, snap_cell c) :: acc) t.cells []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let is_empty (s : snapshot) = s = []
-
 (* Bucket lists are sparse assoc lists sorted by index; combine pointwise. *)
 let combine_buckets op a b =
   let rec go a b =

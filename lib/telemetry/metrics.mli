@@ -58,7 +58,6 @@ val bucket_of : int -> int
 
 val empty : snapshot
 val snapshot : t -> snapshot
-val is_empty : snapshot -> bool
 
 (** Commutative, associative, [empty]-identity.
     @raise Invalid_argument when a name carries different kinds. *)

@@ -19,13 +19,6 @@ type category =
   | Cct_probe  (** CCT enter/exit bookkeeping *)
   | Counter_read  (** PIC reads/writes by hardware-metric probes *)
 
-val categories : category list
-val category_name : category -> string
-
-(** Relative weight of one probe of this category, in simulated slots —
-    the model used to split the measured delta across categories. *)
-val unit_cost : category -> float
-
 type attribution = {
   category : category;
   probes : int;  (** exact executed-probe count for this category *)
@@ -39,7 +32,7 @@ type mode_row = {
   instructions : int;
   delta_cycles : int;  (** instrumented minus baseline *)
   delta_instructions : int;
-  attributions : attribution list;  (** one per {!categories}, in order *)
+  attributions : attribution list;  (** one per {!category}, in declaration order *)
   counters : (string * int) list;  (** every event counter after the run *)
 }
 
@@ -62,26 +55,6 @@ type report = {
     (largest-remainder rounding; ties broken by lower index).  When all
     weights are zero the entire total lands on the last index. *)
 val apportion : total:int -> float array -> int array
-
-(** Run the uninstrumented program once under the machine model.
-    [budget] bounds instructions (as [max_instructions]); [engine]
-    selects the execution tier (default {!Pp_vm.Engine.default} — both
-    tiers measure byte-identically, so the choice only affects speed).
-    @raise Pp_vm.Interp.Trap *)
-val measure_base :
-  ?budget:int -> ?engine:Pp_vm.Engine.kind -> Pp_ir.Program.t -> base
-
-(** Instrument for one mode, run, decode exact probe counts from the
-    resulting profile, and apportion the delta against [base].  The row
-    is marshalable, so this is what pool workers return.
-    @raise Pp_vm.Interp.Trap *)
-val measure_mode :
-  ?budget:int ->
-  ?engine:Pp_vm.Engine.kind ->
-  base:base ->
-  Pp_ir.Program.t ->
-  Pp_instrument.Instrument.mode ->
-  mode_row
 
 (** Measure the baseline once, then every requested mode (default
     {!Pp_instrument.Instrument.all_modes}), fanning out over

@@ -751,7 +751,7 @@ let compile_block st (cprocs : cproc array) (cp : cproc) label =
     let body = fuse (Array.of_list (List.rev !pieces)) in
     fun fr ->
       if h.Interp.hooks then
-        Interp.block_entered st entry ~fp:fr.fp ~iregs:fr.iregs;
+        Interp.block_entered entry ~fp:fr.fp ~iregs:fr.iregs;
       body fr;
       if h.Interp.epilogue || Array.unsafe_get tot ix_insts > maxi then
         Interp.block_epilogue st;
@@ -767,7 +767,7 @@ let compile_block st (cprocs : cproc array) (cp : cproc) label =
     | Bulk _ when n = 0 ->
         fun fr ->
           if h.Interp.hooks then
-            Interp.block_entered st entry ~fp:fr.fp ~iregs:fr.iregs;
+            Interp.block_entered entry ~fp:fr.fp ~iregs:fr.iregs;
           if h.Interp.epilogue || Array.unsafe_get tot ix_insts > maxi then
             Interp.block_epilogue st;
           Machine.fetch_term mach ~addr:taddr ~probe:term_probe;
@@ -775,7 +775,7 @@ let compile_block st (cprocs : cproc array) (cp : cproc) label =
     | Bulk { leaders; nloads } ->
         fun fr ->
           if h.Interp.hooks then
-            Interp.block_entered st entry ~fp:fr.fp ~iregs:fr.iregs;
+            Interp.block_entered entry ~fp:fr.fp ~iregs:fr.iregs;
           (try body fr
            with e ->
              replay fr.trap_ix;
@@ -788,7 +788,7 @@ let compile_block st (cprocs : cproc array) (cp : cproc) label =
     | Ordered { ops; loads; stores; fpops } ->
         fun fr ->
           if h.Interp.hooks then
-            Interp.block_entered st entry ~fp:fr.fp ~iregs:fr.iregs;
+            Interp.block_entered entry ~fp:fr.fp ~iregs:fr.iregs;
           (try body fr
            with e ->
              replay fr.trap_ix;

@@ -21,10 +21,10 @@ type result = {
   instructions : int;
 }
 
-(* A block's entry hook: the trace ring's key and the block probe staged
-   for this block.  [fire] is a no-op until a probe is installed, then a
-   stub that stages the probe on the block's first entry and replaces
-   itself with the staged closure. *)
+(* A block's entry hook: the block probe staged for this block.  [fire]
+   is a no-op until a probe is installed, then a stub that stages the
+   probe on the block's first entry and replaces itself with the staged
+   closure. *)
 type entry = {
   eproc : string;
   elabel : int;
@@ -43,14 +43,13 @@ type image = {
 }
 
 (* State the compiled tier polls once per block: [hooks] covers the
-   block-entry hooks (trace ring, block probe), [epilogue] the block-end
+   block-entry hook (the block probe), [epilogue] the block-end
    ones (stack sampling, telemetry).  Compiled closures capture this
    record and skip the hook calls while a flag is false; every hook
    setter refreshes both. *)
 type hot = { mutable hooks : bool; mutable epilogue : bool }
 
 type t = {
-  prog : Program.t;
   layout : Layout.t;
   machine : Machine.t;
   memory : Memory.t;
@@ -68,9 +67,6 @@ type t = {
   mutable next_sample : int;
   samples : (string list, int ref) Hashtbl.t;
   (* Block-entry ring buffer for post-mortem diagnostics. *)
-  mutable trace : (string * int) array;  (* empty = off *)
-  mutable trace_next : int;
-  mutable trace_filled : bool;
   (* Self-telemetry: periodic counter samples into a trace sink. *)
   mutable telemetry : Pp_telemetry.Trace.t;
   mutable tl_interval : int;  (* simulated cycles; 0 = off *)
@@ -159,7 +155,6 @@ let create ?(config = Pp_machine.Config.default)
     | None -> invalid_arg "Interp.create: no main"
   in
   {
-    prog;
     layout;
     machine;
     memory;
@@ -175,9 +170,6 @@ let create ?(config = Pp_machine.Config.default)
     sample_interval = 0;
     next_sample = 0;
     samples = Hashtbl.create 64;
-    trace = [||];
-    trace_next = 0;
-    trace_filled = false;
     telemetry = Pp_telemetry.Trace.null;
     tl_interval = 0;
     tl_next = 0;
@@ -187,7 +179,7 @@ let create ?(config = Pp_machine.Config.default)
   }
 
 let refresh_hot t =
-  t.hot.hooks <- Array.length t.trace > 0 || t.probed;
+  t.hot.hooks <- t.probed;
   t.hot.epilogue <- t.sample_interval > 0 || t.tl_interval > 0
 
 let set_block_probe t probe =
@@ -208,34 +200,6 @@ let set_block_probe t probe =
 (* No [refresh_hot]: the gate sits inside [exec_prof], not in the
    per-block hooks, so the compiled tier needs no extra polling. *)
 let set_sampling t s = t.sampling <- Some s
-let sampling t = t.sampling
-
-let enable_block_trace t ~capacity =
-  if capacity <= 0 then invalid_arg "Interp.enable_block_trace: capacity";
-  t.trace <- Array.make capacity ("", -1);
-  t.trace_next <- 0;
-  t.trace_filled <- false;
-  refresh_hot t
-
-let recent_blocks t =
-  let cap = Array.length t.trace in
-  if cap = 0 then []
-  else begin
-    let count = if t.trace_filled then cap else t.trace_next in
-    List.init count (fun i ->
-        t.trace.((t.trace_next - 1 - i + (2 * cap)) mod cap))
-  end
-
-let record_block t proc label =
-  let cap = Array.length t.trace in
-  if cap > 0 then begin
-    t.trace.(t.trace_next) <- (proc, label);
-    t.trace_next <- t.trace_next + 1;
-    if t.trace_next >= cap then begin
-      t.trace_next <- 0;
-      t.trace_filled <- true
-    end
-  end
 
 let enable_sampling t ~interval =
   if interval <= 0 then invalid_arg "Interp.enable_sampling: interval <= 0";
@@ -284,7 +248,6 @@ let machine t = t.machine
 let memory t = t.memory
 let runtime t = t.runtime
 let layout t = t.layout
-let program t = t.prog
 
 type ret_value = Vint of int | Vfloat of float | Vvoid
 
@@ -345,8 +308,7 @@ let check_budget t =
     > t.max_instructions
   then trap "instruction budget exhausted (%d)" t.max_instructions
 
-let block_entered t e ~fp ~iregs =
-  if Array.length t.trace > 0 then record_block t e.eproc e.elabel;
+let block_entered e ~fp ~iregs =
   e.fire ~frame:(fp + Layout.linkage_bytes) ~iregs
 
 (* Execute one procedure activation; returns its value. *)
@@ -365,7 +327,7 @@ let rec exec_proc t image ~iargs ~fargs =
   Machine.fp_frame t.machine ~nregs:(max nfregs 1);
   let mach = t.machine in
   let rec run_block label =
-    if t.hot.hooks then block_entered t image.entries.(label) ~fp ~iregs;
+    if t.hot.hooks then block_entered image.entries.(label) ~fp ~iregs;
     let code = image.code.(label) in
     let addrs = image.addrs.(label) in
     let n = Array.length code in
@@ -608,11 +570,3 @@ let read_table_cells t ~global ~index ~cells =
   let base = Layout.global_addr t.layout global in
   Array.init cells (fun i ->
       Memory.read_int t.memory (base + (8 * ((index * cells) + i))))
-
-let pp_output ppf items =
-  List.iter
-    (fun item ->
-      match item with
-      | Oint n -> Format.fprintf ppf "%d@," n
-      | Ofloat x -> Format.fprintf ppf "%.6g@," x)
-    items

@@ -43,20 +43,6 @@ val machine : t -> Pp_machine.Machine.t
 val memory : t -> Memory.t
 val runtime : t -> Runtime.t
 val layout : t -> Pp_ir.Layout.t
-val program : t -> Pp_ir.Program.t
-
-(** {2 Execution tracing}
-
-    A bounded ring of recently entered (procedure, block) pairs — cheap
-    enough to leave on, and the first thing to consult when a workload
-    traps. *)
-
-(** Record the last [capacity] block entries.
-    @raise Invalid_argument if [capacity <= 0]. *)
-val enable_block_trace : t -> capacity:int -> unit
-
-(** Most recent first; empty when tracing is off. *)
-val recent_blocks : t -> (string * Pp_ir.Block.label) list
 
 (** {2 Self-telemetry}
 
@@ -93,13 +79,9 @@ val samples : t -> (string list * int) list
     table write), except that a skipped hardware commit still re-anchors
     the PICs so counter state stays identical to an exhaustive run.  The
     gate sits in the shared prof dispatch, so it covers both engines.
-    Install before {!run}; the controller's toggles ({!Sampling.set_duty},
-    {!Sampling.set_enabled}) take effect mid-run. *)
+    Install before {!run}. *)
 
 val set_sampling : t -> Sampling.t -> unit
-
-(** The installed controller, if any. *)
-val sampling : t -> Sampling.t option
 
 (** {2 Block-entry probe}
 
@@ -117,9 +99,8 @@ val sampling : t -> Sampling.t option
     checks VM-observed register values against derived intervals, and
     the [pp predict] measurement oracle ([Pp_run.Predict_run]) attributes
     counter deltas to Ball–Larus path windows.  Off by default: an
-    un-probed block pays one flag test on entry, the same test the trace
-    ring uses, and a probe does not make a compiled block run the full
-    {!block_epilogue}. *)
+    un-probed block pays one flag test on entry, and a probe does not
+    make a compiled block run the full {!block_epilogue}. *)
 val set_block_probe :
   t ->
   (proc:string -> label:Pp_ir.Block.label ->
@@ -131,8 +112,6 @@ val set_block_probe :
     returns the [cells] consecutive words at entry [index]. *)
 val read_table_cells : t -> global:string -> index:int -> cells:int -> int array
 
-val pp_output : Format.formatter -> output_item list -> unit
-
 (** {2 Engine internals}
 
     The shared-state surface the closure-threaded {!Compile} engine
@@ -140,8 +119,7 @@ val pp_output : Format.formatter -> output_item list -> unit
     memory image, machine model, runtime and hook set — which is what
     makes their results bit-comparable.  Not intended for general use. *)
 
-(** A block's entry hook: its trace-ring key and its staged block
-    probe. *)
+(** A block's entry hook: its staged block probe. *)
 type entry
 
 (** Per-procedure execution image: per-block instruction arrays, the
@@ -183,7 +161,7 @@ val push_activation : t -> string -> unit
 val pop_activation : t -> unit
 
 (** Two flags over the per-block hooks, maintained by the hook setters:
-    [hooks] covers the entry hooks (trace ring, block probe), [epilogue]
+    [hooks] covers the entry hook (the block probe), [epilogue]
     the block-end ones (stack sampling, telemetry).  Compiled blocks
     capture the record once and poll the fields — while [hooks] is
     [false], {!block_entered} is a no-op, and while [epilogue] is
@@ -193,10 +171,10 @@ type hot = private { mutable hooks : bool; mutable epilogue : bool }
 
 val hot : t -> hot
 
-(** Block-entry bookkeeping for the block of [entry]: the trace ring and
-    the staged block probe, in the interpreter's order.  [fp] is the raw
-    frame pointer (the probe sees [fp + Pp_ir.Layout.linkage_bytes]). *)
-val block_entered : t -> entry -> fp:int -> iregs:int array -> unit
+(** Block-entry bookkeeping for the block of [entry]: its staged block
+    probe.  [fp] is the raw frame pointer (the probe sees
+    [fp + Pp_ir.Layout.linkage_bytes]). *)
+val block_entered : entry -> fp:int -> iregs:int array -> unit
 
 (** Block-end bookkeeping: budget check, stack sampling, telemetry —
     exactly what the interpreter runs between a block's last instruction
@@ -214,14 +192,6 @@ val collect_result : t -> result
 
 (** Raise {!Trap} with a formatted message. *)
 val trap : ('a, Format.formatter, unit, 'b) format4 -> 'a
-
-(** Scalar instruction semantics, shared verbatim by both engines.
-    @raise Trap on division/remainder by zero. *)
-val exec_ibinop : Pp_ir.Instr.ibinop -> int -> int -> int
-
-val exec_icmp : Pp_ir.Instr.cmp -> int -> int -> int
-val exec_fcmp : Pp_ir.Instr.cmp -> float -> float -> int
-val exec_fbinop : Pp_ir.Instr.fbinop -> float -> float -> float
 
 (** FP unit op class of an FP arithmetic instruction. *)
 val fp_class : Pp_ir.Instr.fbinop -> Pp_machine.Fp_unit.op_class

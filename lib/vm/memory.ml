@@ -1,6 +1,6 @@
 exception Fault of string
 
-type segment = { name : string; base : int; bytes : Bytes.t }
+type segment = { base : int; bytes : Bytes.t }
 
 type t = {
   segments : segment array;
@@ -9,7 +9,7 @@ type t = {
          frames, a hot table), so the common case skips the scan *)
 }
 
-let no_segment = { name = "<none>"; base = min_int; bytes = Bytes.empty }
+let no_segment = { base = min_int; bytes = Bytes.empty }
 
 let create specs =
   List.iter
@@ -35,8 +35,7 @@ let create specs =
   let segments =
     Array.of_list
       (List.map
-         (fun (name, base, size) ->
-           { name; base; bytes = Bytes.make size '\000' })
+         (fun (_, base, size) -> { base; bytes = Bytes.make size '\000' })
          sorted)
   in
   {
@@ -109,8 +108,3 @@ let valid t addr =
   && Array.exists
        (fun s -> addr >= s.base && addr < s.base + Bytes.length s.bytes)
        t.segments
-
-let clear_segment t name =
-  match Array.find_opt (fun s -> s.name = name) t.segments with
-  | Some s -> Bytes.fill s.bytes 0 (Bytes.length s.bytes) '\000'
-  | None -> raise (Fault (Printf.sprintf "no segment named %s" name))

@@ -30,6 +30,3 @@ val write_float_from : t -> int -> float array -> int -> unit
 
 (** Is the address mapped and aligned? *)
 val valid : t -> int -> bool
-
-(** Zero-fill a whole segment (fresh segments are already zeroed). *)
-val clear_segment : t -> string -> unit

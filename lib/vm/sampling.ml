@@ -1,13 +1,13 @@
 (* The sampled-instrumentation controller (Metz & Lencevicius style):
    instead of recording every path commit, whole bursts of consecutive
    commits are enabled or disabled by a seed-deterministic draw against a
-   per-procedure duty cycle.  The VM consults [decide] once per gateable
+   duty cycle.  The VM consults [decide] once per gateable
    probe; a disabled probe skips its runtime dispatch entirely, so the
    machine model never charges its fetches, loads or stores — the saved
    work is exactly the measured overhead reduction.
 
    Determinism contract: the decision for the [n]-th commit of procedure
-   [p] is a pure function of (seed, p, n / burst, duty p).  Tick streams
+   [p] is a pure function of (seed, p, n / burst, duty).  Tick streams
    are per procedure, so interleavings — different engines, different
    shard orders, different [--jobs] — cannot perturb the schedule. *)
 
@@ -34,9 +34,7 @@ type window = { mutable sampled : int; mutable total : int }
 type t = {
   seed : int;
   burst : int;
-  mutable duty : float;
-  per_proc : (string, float) Hashtbl.t;
-  mutable enabled : bool;
+  duty : float;
   ticks : (string, int ref) Hashtbl.t;
   coverage : (string, window) Hashtbl.t;
 }
@@ -51,26 +49,10 @@ let create ?(burst = default_burst) ?(duty = 1.0) ~seed () =
     seed;
     burst;
     duty;
-    per_proc = Hashtbl.create 8;
-    enabled = true;
     ticks = Hashtbl.create 32;
     coverage = Hashtbl.create 32;
   }
 
-let set_duty t ?proc duty =
-  if duty < 0.0 || duty > 1.0 then
-    invalid_arg "Sampling.set_duty: duty outside [0, 1]";
-  match proc with
-  | None -> t.duty <- duty
-  | Some p -> Hashtbl.replace t.per_proc p duty
-
-let duty_of t proc =
-  match Hashtbl.find_opt t.per_proc proc with
-  | Some d -> d
-  | None -> t.duty
-
-let set_enabled t on = t.enabled <- on
-let enabled t = t.enabled
 let seed t = t.seed
 let burst t = t.burst
 
@@ -97,13 +79,10 @@ let decide t ~proc =
         0
   in
   let on =
-    (not t.enabled)
-    ||
-    let duty = duty_of t proc in
-    if duty >= 1.0 then true
-    else if duty <= 0.0 then false
+    if t.duty >= 1.0 then true
+    else if t.duty <= 0.0 then false
     else
-      unit_float (mix [ t.seed; Hashtbl.hash proc; tick / t.burst ]) < duty
+      unit_float (mix [ t.seed; Hashtbl.hash proc; tick / t.burst ]) < t.duty
   in
   let w = window_of t proc in
   w.total <- w.total + 1;

@@ -1,9 +1,9 @@
-(** Sampled instrumentation: a runtime-togglable controller that gates
-    the path-commit probes (Metz & Lencevicius, "Efficient
-    Instrumentation for Performance Profiling").
+(** Sampled instrumentation: a controller that gates the path-commit
+    probes (Metz & Lencevicius, "Efficient Instrumentation for
+    Performance Profiling").
 
     Installed on a VM with {!Interp.set_sampling}, the controller decides
-    — per procedure, per burst of consecutive commits — whether each
+    — per burst of a procedure's consecutive commits — whether each
     path-commit probe records or is skipped.  A skipped probe never
     reaches {!Runtime}, so the machine model charges none of its fetches,
     loads or stores: lowering the duty cycle buys back real (simulated)
@@ -20,7 +20,7 @@
     {2 Determinism}
 
     The decision for the [n]-th commit of procedure [p] is a pure
-    function of [(seed, p, n / burst, duty p)].  Tick streams are kept
+    function of [(seed, p, n / burst, duty)].  Tick streams are kept
     per procedure, so the schedule is independent of engine choice,
     shard interleaving and [--jobs]: the same seed and duty yield
     byte-identical sampled profiles anywhere, and duty [1.0] is
@@ -39,26 +39,12 @@ type t
 (** The burst length {!create} defaults to (64). *)
 val default_burst : int
 
-(** [create ~seed ()] — [duty] (default [1.0]) is the global duty cycle
-    in [\[0, 1\]]; [burst] (default 64) is the number of consecutive
-    commits sharing one decision.
+(** [create ~seed ()] — [duty] (default [1.0]) is the duty cycle in
+    [\[0, 1\]], fixed for the controller's life; [burst] (default 64)
+    is the number of consecutive commits sharing one decision.
     @raise Invalid_argument on a duty outside [\[0, 1\]] or [burst <= 0]. *)
 val create : ?burst:int -> ?duty:float -> seed:int -> unit -> t
 
-(** Change the global duty cycle, or (with [?proc]) override one
-    procedure's.  Takes effect at the next burst boundary — callable
-    mid-run. *)
-val set_duty : t -> ?proc:string -> float -> unit
-
-(** The duty cycle [decide] uses for [proc]. *)
-val duty_of : t -> string -> float
-
-(** Master toggle: while [false] every probe records (the controller is
-    bypassed but coverage is still counted), so profiling can be forced
-    exhaustive mid-run without uninstalling the controller. *)
-val set_enabled : t -> bool -> unit
-
-val enabled : t -> bool
 val seed : t -> int
 val burst : t -> int
 
@@ -67,9 +53,8 @@ val burst : t -> int
     probe on both engines. *)
 val decide : t -> proc:string -> bool
 
-(** Exact enabled-window coverage, per procedure, sorted:
-    [(proc, (sampled, total))] — [sampled] commits recorded out of
-    [total] executed. *)
+(** Exact coverage, per procedure, sorted: [(proc, (sampled, total))]
+    — [sampled] commits recorded out of [total] executed. *)
 val coverage : t -> (string * (int * int)) list
 
 (** The frequency scale factor a [(sampled, total)] window certifies:

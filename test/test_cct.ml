@@ -56,8 +56,8 @@ let test_fig4_dcg_infeasible () =
     (Dcg.path_exists g [ "M"; "D"; "A"; "B"; "C" ])
 
 let test_fig4_dct () =
-  let d = Dct.create ~make_data:(fun ~proc:_ -> ()) () in
-  fig4_trace (fun p _ -> ignore (Dct.enter d ~proc:p)) (fun () -> Dct.exit d);
+  let d = Dct.create () in
+  fig4_trace (fun p _ -> Dct.enter d ~proc:p) (fun () -> Dct.exit d);
   check Alcotest.int "activations (root incl.)" 8 (Dct.num_nodes d);
   let ctxs = List.map fst (Dct.contexts d) in
   Alcotest.(check bool) "DCT has M.A.B.C" true
@@ -232,7 +232,7 @@ let random_trace ~seed ~nprocs ~max_depth ~fanout cct dct =
         let p = Printf.sprintf "p%d" (Random.State.int rng nprocs) in
         let site = Random.State.int rng 4 in
         ignore (Cct.enter cct ~proc:p ~nsites:4 ~site ~kind:Cct.Direct);
-        ignore (Dct.enter dct ~proc:p);
+        Dct.enter dct ~proc:p;
         go (depth + 1);
         Cct.exit cct;
         Dct.exit dct
@@ -240,7 +240,7 @@ let random_trace ~seed ~nprocs ~max_depth ~fanout cct dct =
     end
   in
   ignore (Cct.enter cct ~proc:"main" ~nsites:4 ~site:0 ~kind:Cct.Direct);
-  ignore (Dct.enter dct ~proc:"main");
+  Dct.enter dct ~proc:"main";
   go 0;
   Cct.exit cct;
   Dct.exit dct
@@ -250,7 +250,7 @@ let prop_invariants =
     QCheck.(int_range 0 100_000)
     (fun seed ->
       let cct = make_cct () in
-      let dct = Dct.create ~make_data:(fun ~proc:_ -> ()) () in
+      let dct = Dct.create () in
       random_trace ~seed ~nprocs:6 ~max_depth:5 ~fanout:4 cct dct;
       Cct.check_invariants cct;
       true)
@@ -266,7 +266,7 @@ let prop_dct_cct_contexts =
     QCheck.(int_range 0 100_000)
     (fun seed ->
       let cct = make_cct ~merge_call_sites:true () in
-      let dct = Dct.create ~make_data:(fun ~proc:_ -> ()) () in
+      let dct = Dct.create () in
       random_trace ~seed ~nprocs:12 ~max_depth:4 ~fanout:3 cct dct;
       let dct_contexts = List.map fst (Dct.contexts dct) in
       let recursed =

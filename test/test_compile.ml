@@ -535,15 +535,22 @@ let test_block_probe_parity () =
     (entries Engine.Compiled = reference)
 
 (* A probe is staged: its outer stage runs at most once per (procedure,
-   block) per VM, its inner stage once per block entry — in the order
-   the block trace records them. *)
+   block) per VM, its inner stage once per block entry — in the order a
+   probe that keeps no staging state sees them on a fresh VM. *)
 let test_block_probe_staging () =
   let prog = compile_mc "hooks" hook_src in
+  let recorded kind =
+    let vm = Interp.create ~max_instructions:10_000_000 prog in
+    let entries = ref [] in
+    Interp.set_block_probe vm (fun ~proc ~label ->
+        fun ~frame:_ ~iregs:_ -> entries := (proc, label) :: !entries);
+    ignore (Engine.run (Engine.of_vm ~kind vm));
+    !entries
+  in
   List.iter
     (fun kind ->
       let name = Engine.kind_name kind in
       let vm = Interp.create ~max_instructions:10_000_000 prog in
-      Interp.enable_block_trace vm ~capacity:100_000;
       let staged = Hashtbl.create 16 and entries = ref [] in
       Interp.set_block_probe vm (fun ~proc ~label ->
           let n = Hashtbl.find_opt staged (proc, label) in
@@ -554,7 +561,7 @@ let test_block_probe_staging () =
       ignore (Engine.run eng);
       Alcotest.(check bool) (name ^ ": each block staged once") true (once ());
       Alcotest.(check bool) (name ^ ": one inner call per entry") true
-        (!entries <> [] && !entries = Interp.recent_blocks vm);
+        (!entries <> [] && !entries = recorded kind);
       Alcotest.(check int) (name ^ ": only entered blocks staged")
         (List.length (List.sort_uniq compare !entries))
         (Hashtbl.length staged);
@@ -586,19 +593,6 @@ let test_block_probe_late () =
         (Engine.kind_name kind ^ ": late probe fires")
         reference (fired kind ~late:true))
     Engine.kinds
-
-let test_block_trace_parity () =
-  let prog = compile_mc "hooks" hook_src in
-  let recent kind =
-    let vm = Interp.create ~max_instructions:10_000_000 prog in
-    Interp.enable_block_trace vm ~capacity:64;
-    ignore (Engine.run (Engine.of_vm ~kind vm));
-    Interp.recent_blocks vm
-  in
-  let reference = recent Engine.Interpreted in
-  Alcotest.(check bool) "trace recorded" true (reference <> []);
-  Alcotest.(check bool) "block trace parity" true
-    (recent Engine.Compiled = reference)
 
 (* {2 Engine API} *)
 
@@ -665,6 +659,5 @@ let suite =
         test_block_probe_staging;
       Alcotest.test_case "block probe: installed after a run" `Quick
         test_block_probe_late;
-      Alcotest.test_case "block trace parity" `Quick test_block_trace_parity;
       Alcotest.test_case "engine api" `Quick test_engine_api;
     ]

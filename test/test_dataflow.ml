@@ -6,7 +6,6 @@ module Dataflow = Pp_analysis.Dataflow
 module Bitset = Dataflow.Bitset
 module Liveness = Pp_analysis.Liveness
 module Uninit = Pp_analysis.Uninit
-module Reaching_defs = Pp_analysis.Reaching_defs
 module Lint = Pp_analysis.Lint
 module Ball_larus = Pp_core.Ball_larus
 
@@ -301,52 +300,6 @@ let test_uninit () =
   check Alcotest.int "one-armed define still flagged" 1
     (List.length (Uninit.warnings u))
 
-let test_reaching_defs () =
-  (* L0: r1 <- 0; jmp L1.  L1: br r0 ? L2 : L3.
-     L2: r1 <- r1 + r0; jmp L1 (backedge).  L3: ret r1. *)
-  let b =
-    Builder.create ~name:"reach" ~iparams:1 ~fparams:0
-      ~returns:Proc.Returns_int
-  in
-  let l0 = Builder.new_block b in
-  let l1 = Builder.new_block b in
-  let l2 = Builder.new_block b in
-  let l3 = Builder.new_block b in
-  ignore l0;
-  Builder.emit b (Instr.Iconst (1, 0));
-  Builder.terminate b (Block.Jmp l1);
-  Builder.switch_to b l1;
-  Builder.terminate b (Block.Br (0, l2, l3));
-  Builder.switch_to b l2;
-  Builder.emit b (Instr.Ibinop (Instr.Add, 1, 1, 0));
-  Builder.terminate b (Block.Jmp l1);
-  Builder.switch_to b l3;
-  Builder.terminate b (Block.Ret (Block.Ret_int 1));
-  let rd = Reaching_defs.compute (Cfg.of_proc (Builder.finish b)) in
-  let defs_of_reg l reg =
-    match Reaching_defs.reaching_in rd l with
-    | None -> Alcotest.fail "unreachable"
-    | Some sites ->
-        List.filter (fun (s : Reaching_defs.site) -> s.reg = reg) sites
-        |> List.map (fun (s : Reaching_defs.site) -> (s.block, s.index))
-        |> List.sort compare
-  in
-  (* both the init in L0 and the update in L2 reach the loop head and the
-     return block; only the init reaches L0's own body *)
-  check
-    Alcotest.(list (pair int int))
-    "r1 defs at head"
-    [ (0, 0); (2, 0) ]
-    (defs_of_reg l1 1);
-  check
-    Alcotest.(list (pair int int))
-    "r1 defs at return"
-    [ (0, 0); (2, 0) ]
-    (defs_of_reg l3 1);
-  (* the parameter's pseudo-site (index -1) reaches everywhere *)
-  check Alcotest.bool "param site" true
-    (List.exists (fun (_, i) -> i = -1) (defs_of_reg l3 0))
-
 let test_lint_unused () =
   let main =
     let b =
@@ -390,6 +343,5 @@ let suite =
     Alcotest.test_case "liveness" `Quick test_liveness;
     Alcotest.test_case "dead stores" `Quick test_dead_stores;
     Alcotest.test_case "uninitialised reads" `Quick test_uninit;
-    Alcotest.test_case "reaching definitions" `Quick test_reaching_defs;
     Alcotest.test_case "unused functions" `Quick test_lint_unused;
   ]

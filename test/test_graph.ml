@@ -100,22 +100,6 @@ let test_topo () =
   | exception Topo.Cycle _ -> ()
   | _ -> Alcotest.fail "expected Cycle"
 
-let test_scc () =
-  (* Two 2-cycles and an isolated vertex. *)
-  let g = Digraph.create () in
-  ignore (Digraph.add_vertices g 5);
-  ignore (Digraph.add_edge g 0 1);
-  ignore (Digraph.add_edge g 1 0);
-  ignore (Digraph.add_edge g 2 3);
-  ignore (Digraph.add_edge g 3 2);
-  ignore (Digraph.add_edge g 1 2);
-  let comps = Scc.components g in
-  check Alcotest.int "three components" 3 (List.length comps);
-  check Alcotest.int "two nontrivial" 2 (List.length (Scc.nontrivial g));
-  let ids = Scc.component_of g in
-  Alcotest.(check bool) "0 and 1 together" true (ids.(0) = ids.(1));
-  Alcotest.(check bool) "1 and 2 apart" true (ids.(1) <> ids.(2))
-
 let test_union_find () =
   let uf = Union_find.create 5 in
   Alcotest.(check bool) "fresh union" true (Union_find.union uf 0 1);
@@ -197,7 +181,6 @@ let suite =
     Alcotest.test_case "dfs survives deep graphs" `Quick
       test_dfs_deep_no_overflow;
     Alcotest.test_case "topological sort" `Quick test_topo;
-    Alcotest.test_case "strongly connected components" `Quick test_scc;
     Alcotest.test_case "union-find" `Quick test_union_find;
     Alcotest.test_case "spanning tree and chords" `Quick test_spanning_tree;
     QCheck_alcotest.to_alcotest prop_spanning_tree_connects;

@@ -49,6 +49,21 @@ let test_crash_isolation_in_process () =
       Alcotest.failf "unexpected outcomes: %s"
         (String.concat "; " (List.map Pool.describe outcomes))
 
+(* A crashed task reads as the failure, not as the OCaml path of the
+   exception that carried it, in a forked worker and in process alike. *)
+let test_crash_messages () =
+  let task = function
+    | 0 -> raise Pp_core.Crc32.Killed_mid_write
+    | _ -> failwith "injected crash"
+  in
+  List.iter
+    (fun jobs ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "footers at --jobs %d" jobs)
+        [ "crashed: killed mid-write"; "crashed: injected crash" ]
+        (List.map Pool.describe (Pool.map ~jobs task [ 0; 1 ])))
+    [ 1; 2 ]
+
 let test_timeout () =
   let outcomes =
     Pool.map ~jobs:2 ~timeout:0.3
@@ -89,6 +104,8 @@ let suite =
     Alcotest.test_case "crash isolation (forked)" `Quick test_crash_isolation;
     Alcotest.test_case "crash isolation (in-process)" `Quick
       test_crash_isolation_in_process;
+    Alcotest.test_case "crash messages name the failure" `Quick
+      test_crash_messages;
     Alcotest.test_case "timeout kills the shard" `Quick test_timeout;
     Alcotest.test_case "empty and singleton inputs" `Quick
       test_empty_and_singleton;

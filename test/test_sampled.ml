@@ -87,16 +87,6 @@ let test_duty_one_exhaustive () =
         = []))
     Engine.kinds
 
-(* A disabled controller gates nothing: runtime-toggling sampling off
-   mid-deployment degrades to the exhaustive profiler. *)
-let test_disabled_is_exhaustive () =
-  let exhaustive = shard_string () in
-  let s = Sampling.create ~duty:0.2 ~seed:11 () in
-  Sampling.set_enabled s false;
-  Alcotest.(check string) "disabled controller records everything"
-    exhaustive
-    (shard_string ~sampling:s ())
-
 (* {2 determinism: same seed + duty -> byte-identical} *)
 
 let prop_reproducible =
@@ -233,8 +223,6 @@ let suite =
   [
     Alcotest.test_case "duty 1.0 == exhaustive (both engines)" `Slow
       test_duty_one_exhaustive;
-    Alcotest.test_case "disabled controller == exhaustive" `Slow
-      test_disabled_is_exhaustive;
     Alcotest.test_case "forked workers sample like inline runs" `Slow
       test_jobs_independent;
     Alcotest.test_case "coverage roundtrip and merge law" `Slow

@@ -151,34 +151,9 @@ let test_cost_model_consistency () =
           (Pp_ir.Instr.Cct_call { site = 0; indirect = false })))
     (insts () - before)
 
-let test_block_trace () =
-  let src =
-    {|
-int f(int z) { return 10 / z; }
-void main() {
-  print(f(5));
-  print(f(0));   // traps here
-}
-|}
-  in
-  let prog = Pp_minic.Compile.program ~name:"t" src in
-  let vm = Pp_vm.Interp.create prog in
-  Pp_vm.Interp.enable_block_trace vm ~capacity:8;
-  (match Pp_vm.Interp.run vm with
-  | exception Pp_vm.Interp.Trap _ -> ()
-  | _ -> Alcotest.fail "expected trap");
-  let recent = Pp_vm.Interp.recent_blocks vm in
-  Alcotest.(check bool) "trace nonempty" true (recent <> []);
-  (* The trap happened inside f. *)
-  (match recent with
-  | (proc, _) :: _ -> Alcotest.(check string) "trapping proc" "f" proc
-  | [] -> ());
-  Alcotest.(check bool) "bounded" true (List.length recent <= 8)
-
 let suite =
   [
     Alcotest.test_case "memory read/write" `Quick test_memory_rw;
-    Alcotest.test_case "block trace ring" `Quick test_block_trace;
     Alcotest.test_case "memory faults" `Quick test_memory_faults;
     Alcotest.test_case "segments must be disjoint" `Quick
       test_memory_segments_disjoint;
