@@ -41,45 +41,78 @@ let vconst ?taint n = vnum ?taint (Interval.const n) (Congruence.const n)
    that leaked it). *)
 let vunknown ?taint () = vnum ?taint Interval.top Congruence.top
 
-let vjoin a b =
-  let taint = Taint.join a.taint b.taint in
-  if a.base = b.base then
-    {
-      base = a.base;
-      itv = Interval.join a.itv b.itv;
-      cong = Congruence.join a.cong b.cong;
-      taint;
-    }
-  else vtop ~taint ()
-
-let vwiden a b =
-  let taint = Taint.join a.taint b.taint in
-  if a.base = b.base then
-    {
-      base = a.base;
-      itv = Interval.widen a.itv b.itv;
-      cong = Congruence.widen a.cong b.cong;
-      taint;
-    }
-  else vtop ~taint ()
+let base_equal a b =
+  match (a, b) with
+  | Bnum, Bnum | Bframe, Bframe | Bany, Bany -> true
+  | Bglobal g, Bglobal h -> String.equal g h
+  | (Bnum | Bglobal _ | Bframe | Bany), _ -> false
 
 let vequal a b =
-  a.base = b.base
-  && Interval.equal a.itv b.itv
-  && Congruence.equal a.cong b.cong
-  && Taint.equal a.taint b.taint
+  a == b
+  || base_equal a.base b.base
+     && Interval.equal a.itv b.itv
+     && Congruence.equal a.cong b.cong
+     && Taint.equal a.taint b.taint
+
+(* Joins and widenings return [a] itself whenever the result equals it
+   (both are idempotent, so equal inputs settle at once): a fixpoint's
+   environments then share their settled values physically, and [vequal]
+   decides those at its first test. *)
+let unchanged a v = if vequal a v then a else v
+
+let vjoin a b =
+  if vequal a b then a
+  else
+    let taint = Taint.join a.taint b.taint in
+    unchanged a
+      (if base_equal a.base b.base then
+         {
+           base = a.base;
+           itv = Interval.join a.itv b.itv;
+           cong = Congruence.join a.cong b.cong;
+           taint;
+         }
+       else vtop ~taint ())
+
+let vwiden a b =
+  if vequal a b then a
+  else
+    let taint = Taint.join a.taint b.taint in
+    unchanged a
+      (if base_equal a.base b.base then
+         {
+           base = a.base;
+           itv = Interval.widen a.itv b.itv;
+           cong = Congruence.widen a.cong b.cong;
+           taint;
+         }
+       else vtop ~taint ())
 
 (* Per-program-point environment: integer registers, float-register
    taints, tracked frame slots (byte offset -> value, strong updates on
    constant offsets) and the escape hull — the range of frame offsets
    whose address may have left the procedure (stored to memory or passed
-   to a call); callees may write anywhere inside it. *)
+   to a call); callees may write anywhere inside it.
+
+   The transfer functions update an environment in place.  Every walk
+   over a block takes one private copy of its entry environment first
+   ([copy_env]), so an environment the fixpoint has stored — an entry,
+   or a block's out-state shared by several successors — is never
+   mutated. *)
 type env = {
   ivals : value array;
   ftaints : Taint.t array;
-  frame : value Imap.t;
-  escaped : (int * int) option;
+  mutable frame : value Imap.t;
+  mutable escaped : (int * int) option;
 }
+
+let copy_env e =
+  {
+    ivals = Array.copy e.ivals;
+    ftaints = Array.copy e.ftaints;
+    frame = e.frame;
+    escaped = e.escaped;
+  }
 
 let hull_join a b =
   match (a, b) with
@@ -126,7 +159,8 @@ let env_widen old next =
   }
 
 let env_equal a b =
-  Array.length a.ivals = Array.length b.ivals
+  a == b
+  || Array.length a.ivals = Array.length b.ivals
   && Array.for_all2 vequal a.ivals b.ivals
   && Array.for_all2 Taint.equal a.ftaints b.ftaints
   && Imap.equal vequal a.frame b.frame
@@ -166,6 +200,9 @@ let config ?(budget = 2_000_000_000) ?(policy = Taint.none) ?(tables = []) ()
   }
 
 let table_size conf g = List.assoc_opt g conf.tables
+
+(* [names n o]: [o = Some n], without the polymorphic compare. *)
+let names n = function Some m -> m = n | None -> false
 
 (* ---- transfer functions ---- *)
 
@@ -232,7 +269,7 @@ let loaded conf env ~base ~off =
               ~default:(vunknown ())
           in
           let v =
-            if conf.policy.Taint.path_slot = Some c then
+            if names c conf.policy.Taint.path_slot then
               { v with taint = Taint.Tainted }
             else v
           in
@@ -250,65 +287,47 @@ let loaded conf env ~base ~off =
 let escape env v =
   match v.base with
   | Bframe ->
-      { env with
-        escaped =
-          hull_join env.escaped (Some (Interval.lo v.itv, Interval.hi v.itv));
-      }
-  | Bany -> { env with escaped = Some (min_int, max_int) }
-  | Bnum | Bglobal _ -> env
+      env.escaped <-
+        hull_join env.escaped (Some (Interval.lo v.itv, Interval.hi v.itv))
+  | Bany -> env.escaped <- Some (min_int, max_int)
+  | Bnum | Bglobal _ -> ()
 
 let set conf env r v =
-  let v =
-    if conf.policy.Taint.path_reg = Some r then
-      { v with taint = Taint.Tainted }
-    else v
-  in
-  let ivals = Array.copy env.ivals in
-  ivals.(r) <- v;
-  { env with ivals }
+  env.ivals.(r) <-
+    (if names r conf.policy.Taint.path_reg then
+       { v with taint = Taint.Tainted }
+     else v)
 
-let fset env f t =
-  let ftaints = Array.copy env.ftaints in
-  ftaints.(f) <- t;
-  { env with ftaints }
+let fset env f t = env.ftaints.(f) <- t
 
 let store env ~v ~base ~off =
   let a = address env ~base ~off in
-  let env = escape env v in
+  escape env v;
   match a.base with
   | Bframe -> (
       match Interval.is_const a.itv with
-      | Some c -> { env with frame = Imap.add c v env.frame }
+      | Some c -> env.frame <- Imap.add c v env.frame
       | None ->
           let lo = Interval.lo a.itv and hi = Interval.hi a.itv in
-          { env with
-            frame = Imap.filter (fun k _ -> k < lo || k > hi) env.frame;
-          })
-  | Bany -> { env with frame = Imap.empty }
-  | Bglobal _ | Bnum -> env
+          env.frame <- Imap.filter (fun k _ -> k < lo || k > hi) env.frame)
+  | Bany -> env.frame <- Imap.empty
+  | Bglobal _ | Bnum -> ()
 
 let call conf env ~target ~args ~ret =
-  let env =
-    List.fold_left (fun e r -> escape e e.ivals.(r)) env args
-  in
-  let env =
-    match target with Some r -> escape env env.ivals.(r) | None -> env
-  in
+  List.iter (fun r -> escape env env.ivals.(r)) args;
+  Option.iter (fun r -> escape env env.ivals.(r)) target;
   (* the callee may write through any escaped frame pointer *)
-  let env =
-    match env.escaped with
-    | None -> env
-    | Some (lo, hi) ->
-        { env with
-          frame = Imap.filter (fun k _ -> k < lo || k > hi) env.frame;
-        }
-  in
+  (match env.escaped with
+  | None -> ()
+  | Some (lo, hi) ->
+      env.frame <- Imap.filter (fun k _ -> k < lo || k > hi) env.frame);
   match (ret : I.ret_dest) with
   | I.Rint rd -> set conf env rd (vunknown ())
   | I.Rfloat fd -> fset env fd Taint.Clean
-  | I.Rnone -> env
+  | I.Rnone -> ()
 
-let transfer conf env (instr : I.t) =
+(* The transfer of one instruction, in place. *)
+let exec conf env (instr : I.t) =
   let get r = env.ivals.(r) in
   let ft f = env.ftaints.(f) in
   match instr with
@@ -353,7 +372,12 @@ let transfer conf env (instr : I.t) =
       set conf env rd
         (vmake Bframe (Interval.const off) (Congruence.const off))
   | I.Hwzero | I.Hwwrite _ | I.Print_int _ | I.Print_float _ | I.Prof _ ->
-      env
+      ()
+
+let transfer conf env instr =
+  let env = copy_env env in
+  exec conf env instr;
+  env
 
 (* ---- fixpoint ---- *)
 
@@ -385,7 +409,9 @@ let entry0 conf (p : Proc.t) =
   }
 
 let exec_block conf env (b : Block.t) =
-  List.fold_left (transfer conf) env b.Block.instrs
+  let env = copy_env env in
+  List.iter (exec conf env) b.Block.instrs;
+  env
 
 let succ_labels (b : Block.t) = Block.successors b
 
@@ -460,21 +486,21 @@ let entry_env t l = t.entries.(l)
 let ireg env r = env.ivals.(r)
 let ftaint env f = env.ftaints.(f)
 
-(* Replay a reached block: [f] sees the environment in force immediately
-   before each instruction.  Returns the environment before the
-   terminator; [None] when the block is unreached. *)
-let iter_block t l f =
+(* Replay a reached block on one private copy of its entry: [f] sees the
+   environment in force immediately before each instruction, [post] the
+   one right after it.  Returns the environment before the terminator;
+   [None] when the block is unreached. *)
+let iter_block t l ?(post = fun ~pos:_ _ _ -> ()) f =
   match t.entries.(l) with
   | None -> None
   | Some env ->
-      let b = t.cfg.Cfg.proc.Proc.blocks.(l) in
-      let _, env =
-        List.fold_left
-          (fun (pos, env) instr ->
-            f ~pos env instr;
-            (pos + 1, transfer t.conf env instr))
-          (0, env) b.Block.instrs
-      in
+      let env = copy_env env in
+      List.iteri
+        (fun pos instr ->
+          f ~pos env instr;
+          exec t.conf env instr;
+          post ~pos env instr)
+        t.cfg.Cfg.proc.Proc.blocks.(l).Block.instrs;
       Some env
 
 (* Concretization membership for the runtime oracle: does machine value

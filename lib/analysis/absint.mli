@@ -64,11 +64,19 @@ val analyze : ?conf:config -> Pp_ir.Cfg.t -> t
 val entry_env : t -> Pp_ir.Block.label -> env option
 
 (** Replay a reached block with the fixpoint's transfer functions: [f]
-    sees the environment immediately before each instruction.  Returns
-    the environment before the terminator. *)
+    sees the environment immediately before each instruction, [post] the
+    environment immediately after it.  Returns the environment before the
+    terminator, or [None] when the block is unreached.
+
+    The replay transfers one private copy of the block's entry
+    environment in place, so the environment a callback receives is
+    transient: read it during the call, and do not keep it — the next
+    instruction overwrites it.  The stored {!entry_env} is never
+    changed. *)
 val iter_block :
   t ->
   Pp_ir.Block.label ->
+  ?post:(pos:int -> env -> Pp_ir.Instr.t -> unit) ->
   (pos:int -> env -> Pp_ir.Instr.t -> unit) ->
   env option
 
@@ -82,6 +90,8 @@ val address : env -> base:Pp_ir.Instr.ireg -> off:int -> value
     instrumentation-owned frame-slot range of the policy. *)
 val in_fresh_slots : config -> Interval.t -> bool
 
+(** The transfer of one instruction, as a new environment: [env] is left
+    as it was. *)
 val transfer : config -> env -> Pp_ir.Instr.t -> env
 
 (** Concretization membership for the runtime oracle: does machine value

@@ -26,8 +26,12 @@ type may = {
   top : bool;
 }
 
+(* The must state is kept per cache set: an LRU access only ages the
+   lines of its own set, so an exact reference touches one inner map.
+   Canonical — no set maps to an empty inner map — so structural
+   equality is the lattice's equality. *)
 type state = {
-  m_abs : int IMap.t;  (* line -> LRU age upper bound, < associativity *)
+  m_abs : int IMap.t IMap.t;  (* set -> line -> LRU age upper bound, < aw *)
   m_fr : int IMap.t;  (* frame byte offset -> age upper bound *)
   may : may;
 }
@@ -44,15 +48,23 @@ let entry ~cold =
 let havoc s =
   { m_abs = IMap.empty; m_fr = IMap.empty; may = { s.may with top = true } }
 
+let meet_ages m1 m2 =
+  IMap.merge
+    (fun _ x y ->
+      match (x, y) with Some x, Some y -> Some (Int.max x y) | _ -> None)
+    m1 m2
+
 let join a b =
-  let meet_ages m1 m2 =
-    IMap.merge
-      (fun _ x y ->
-        match (x, y) with Some x, Some y -> Some (max x y) | _ -> None)
-      m1 m2
-  in
   {
-    m_abs = meet_ages a.m_abs b.m_abs;
+    m_abs =
+      IMap.merge
+        (fun _ x y ->
+          match (x, y) with
+          | Some x, Some y ->
+              let m = meet_ages x y in
+              if IMap.is_empty m then None else Some m
+          | _ -> None)
+        a.m_abs b.m_abs;
     m_fr = meet_ages a.m_fr b.m_fr;
     may =
       {
@@ -65,8 +77,8 @@ let join a b =
   }
 
 let equal a b =
-  IMap.equal ( = ) a.m_abs b.m_abs
-  && IMap.equal ( = ) a.m_fr b.m_fr
+  IMap.equal (IMap.equal Int.equal) a.m_abs b.m_abs
+  && IMap.equal Int.equal a.m_fr b.m_fr
   && ISet.equal a.may.abs b.may.abs
   && ISet.equal a.may.fr b.may.fr
   && a.may.prof = b.may.prof
@@ -86,9 +98,14 @@ let fr_same_set_possible geom o o' =
   let lb = geom.Config.line_bytes in
   d < lb || d >= (Model.num_sets geom - 1) * lb
 
-let must_hit s = function
-  | Line l -> IMap.mem l s.m_abs
-  | Lines ls -> ls <> [] && List.for_all (fun l -> IMap.mem l s.m_abs) ls
+let must_line geom s l =
+  match IMap.find_opt (Model.set_of_line geom l) s.m_abs with
+  | Some m -> IMap.mem l m
+  | None -> false
+
+let must_hit geom s = function
+  | Line l -> must_line geom s l
+  | Lines ls -> ls <> [] && List.for_all (must_line geom s) ls
   | Frame o -> IMap.mem o s.m_fr
   | Top_prof | Top_frame | Top -> false
 
@@ -113,71 +130,93 @@ let classify geom s access =
   match access with
   | Havoc -> Unknown
   | Read t | Read_maybe t | Write t ->
-      if must_hit s t then Hit
+      if must_hit geom s t then Hit
       else if not (may_hit geom s t) then Miss
       else Unknown
 
-(* Set indices a target can map to; [None] = unknown (any set). *)
-let target_sets geom = function
-  | Line l -> Some (ISet.singleton (Model.set_of_line geom l))
-  | Lines ls ->
-      Some
-        (List.fold_left
-           (fun s l -> ISet.add (Model.set_of_line geom l) s)
-           ISet.empty ls)
-  | Frame _ | Top_prof | Top_frame | Top -> None
+(* Age the entries of one age map except those [skip] names (the exactly
+   named target, which the caller re-inserts or promotes, and frame slots
+   that cannot share its set).  [evict] distinguishes a possible fill
+   (ages can cross associativity and the entry leaves must) from a pure
+   promotion (capped: no line entered the set, so true ages stay below
+   associativity). *)
+let age_map ~aw ~evict ~skip m =
+  IMap.filter_map
+    (fun k age ->
+      if skip k then Some age
+      else if evict then if age + 1 >= aw then None else Some (age + 1)
+      else Some (Int.min (age + 1) (aw - 1)))
+    m
 
-let abs_affected geom sets l =
-  match sets with
-  | None -> true
-  | Some ss -> ISet.mem (Model.set_of_line geom l) ss
+let skip_none _ = false
 
-let fr_affected geom tgt o' =
-  match tgt with
-  | Frame o -> fr_same_set_possible geom o o'
-  | Line _ | Lines _ | Top_prof | Top_frame | Top -> true
+(* Age one set of the must map, dropping it when it empties. *)
+let age_set ~aw ~evict ~skip m_abs set =
+  match IMap.find_opt set m_abs with
+  | None -> m_abs
+  | Some m ->
+      let m' = age_map ~aw ~evict ~skip m in
+      if IMap.is_empty m' then IMap.remove set m_abs
+      else IMap.add set m' m_abs
 
-(* Age every entry that shares a set with the access (except the exactly
-   named target, which the caller re-inserts or promotes).  [evict]
-   distinguishes a possible fill (ages can cross associativity and the
-   entry leaves must) from a pure promotion (capped: no line entered the
-   set, so true ages stay below associativity). *)
+(* Age every entry that shares a set with the access.  An exact [Line]
+   ages its own set, [Lines] only theirs; a symbolic target may map to
+   any set, so it ages all of them — for a direct-mapped cache ([aw = 1])
+   that empties must on a possible fill and changes nothing on a
+   promotion.  A concrete line's frame position is unknown, so every
+   access but a [Frame] ages all frame entries. *)
 let age_affected geom s tgt ~evict =
   let aw = geom.Config.associativity in
-  let sets = target_sets geom tgt in
-  let keep_exact_line l =
-    match tgt with Line l' -> l = l' | _ -> false
-  in
-  let keep_exact_fr o = match tgt with Frame o' -> o = o' | _ -> false in
-  let bump age = if evict then age + 1 else min (age + 1) (aw - 1) in
   let m_abs =
-    IMap.filter_map
-      (fun l age ->
-        if keep_exact_line l || not (abs_affected geom sets l) then Some age
-        else
-          let age = bump age in
-          if age >= aw then None else Some age)
-      s.m_abs
+    if IMap.is_empty s.m_abs then s.m_abs
+    else
+      match tgt with
+      | Line l ->
+          age_set ~aw ~evict ~skip:(Int.equal l) s.m_abs
+            (Model.set_of_line geom l)
+      | Lines ls ->
+          List.sort_uniq Int.compare (List.map (Model.set_of_line geom) ls)
+          |> List.fold_left (age_set ~aw ~evict ~skip:skip_none) s.m_abs
+      | Frame _ | Top_prof | Top_frame | Top ->
+          if aw = 1 then if evict then IMap.empty else s.m_abs
+          else
+            IMap.filter_map
+              (fun _ m ->
+                let m' = age_map ~aw ~evict ~skip:skip_none m in
+                if IMap.is_empty m' then None else Some m')
+              s.m_abs
   in
   let m_fr =
-    IMap.filter_map
-      (fun o age ->
-        if keep_exact_fr o || not (fr_affected geom tgt o) then Some age
-        else
-          let age = bump age in
-          if age >= aw then None else Some age)
-      s.m_fr
+    if IMap.is_empty s.m_fr then s.m_fr
+    else
+      match tgt with
+      | Frame o ->
+          age_map ~aw ~evict
+            ~skip:(fun o' -> o' = o || not (fr_same_set_possible geom o o'))
+            s.m_fr
+      | Line _ | Lines _ | Top_prof | Top_frame | Top ->
+          age_map ~aw ~evict ~skip:skip_none s.m_fr
   in
   { s with m_abs; m_fr }
 
+let add_line geom l m_abs =
+  IMap.update (Model.set_of_line geom l)
+    (function
+      | None -> Some (IMap.singleton l 0) | Some m -> Some (IMap.add l 0 m))
+    m_abs
+
 let may_add tgt may =
   match tgt with
-  | Line l -> { may with abs = ISet.add l may.abs }
-  | Lines ls -> { may with abs = List.fold_left (Fun.flip ISet.add) may.abs ls }
-  | Frame o -> { may with fr = ISet.add o may.fr }
-  | Top_prof -> { may with prof = true }
-  | Top_frame -> { may with frtop = true }
-  | Top -> { may with top = true }
+  | Line l ->
+      if ISet.mem l may.abs then may else { may with abs = ISet.add l may.abs }
+  | Lines ls ->
+      if List.for_all (fun l -> ISet.mem l may.abs) ls then may
+      else { may with abs = List.fold_left (Fun.flip ISet.add) may.abs ls }
+  | Frame o ->
+      if ISet.mem o may.fr then may else { may with fr = ISet.add o may.fr }
+  | Top_prof -> if may.prof then may else { may with prof = true }
+  | Top_frame -> if may.frtop then may else { may with frtop = true }
+  | Top -> if may.top then may else { may with top = true }
 
 let step geom s access =
   match access with
@@ -190,26 +229,28 @@ let step geom s access =
       (match tgt with
       | Frame o when IMap.mem o s.m_fr ->
           { s with m_fr = IMap.add o 0 s.m_fr }
-      | Line l when IMap.mem l s.m_abs ->
-          { s with m_abs = IMap.add l 0 s.m_abs }
+      | Line l when must_line geom s l ->
+          { s with m_abs = add_line geom l s.m_abs }
       | _ -> s)
   | Read tgt ->
-      let hit = must_hit s tgt in
+      let hit = must_hit geom s tgt in
       let s = age_affected geom s tgt ~evict:(not hit) in
       (* After a read the referenced line is resident (hit or fill), so an
          exactly named target enters must at age 0. *)
       let s =
         match tgt with
-        | Line l -> { s with m_abs = IMap.add l 0 s.m_abs }
+        | Line l -> { s with m_abs = add_line geom l s.m_abs }
         | Frame o -> { s with m_fr = IMap.add o 0 s.m_fr }
         | Lines _ | Top_prof | Top_frame | Top -> s
       in
-      { s with may = may_add tgt s.may }
+      let may = may_add tgt s.may in
+      if may == s.may then s else { s with may }
   | Read_maybe tgt ->
       (* May or may not execute: its possible fill ages neighbours, but
          nothing becomes guaranteed-resident. *)
       let s = age_affected geom s tgt ~evict:true in
-      { s with may = may_add tgt s.may }
+      let may = may_add tgt s.may in
+      if may == s.may then s else { s with may }
 
 type solution = { block_in : state array; block_out : state array }
 

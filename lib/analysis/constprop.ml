@@ -81,7 +81,6 @@ let transfer state (instr : I.t) =
       List.iter (fun rd -> set rd Top) (I.idefs instr)
 
 type t = {
-  cfg : Cfg.t;
   entry_states : value array option array;  (* per block label *)
   exit_states : value array option array;
   branch_vals : value option array;  (* Br condition value, per label *)
@@ -151,7 +150,7 @@ let analyze (cfg : Cfg.t) =
     Dataflow.solve ~size:nblocks ~start:proc.Proc.entry
       ~init:(Array.make nregs Top) ~step ~merge
   in
-  { cfg; entry_states; exit_states; branch_vals; edge_exec }
+  { entry_states; exit_states; branch_vals; edge_exec }
 
 let reachable t l = t.entry_states.(l) <> None
 let edge_executable t (e : Digraph.edge) = t.edge_exec.(e.Digraph.id)

@@ -76,11 +76,40 @@ let i_access_of = function
   | Md _ | Mdslack _ | Mcount _ | Mislack _ | Mfp _ | Mbr -> None
 
 (* ------------------------------------------------------------------ *)
+(* The walk's accumulator *)
+
+type acc = {
+  mutable ni_lo : int;
+  mutable ni_hi : int option;  (* instructions *)
+  mutable rm_lo : int;
+  mutable rm_hi : int option;  (* dcache read misses *)
+  mutable wm_lo : int;
+  mutable wm_hi : int option;  (* dcache write misses *)
+  mutable im_lo : int;
+  mutable im_hi : int option;  (* icache misses *)
+  mutable st_hi : int option;  (* stall cycles; the lower bound is 0 *)
+  mutable rm_once : int;
+  mutable im_once : int;
+}
+
+(* The walk's state at one block boundary. *)
+type snapshot = {
+  s_label : Block.label;  (* the block just walked *)
+  s_acc : acc;  (* a private copy, never mutated *)
+  s_d : C.state;
+  s_i : C.state;
+}
+
+(* The last walk from one path source: [snaps.(k)] is the state after its
+   first [k + 1] blocks, for [k < depth].  A stack, not a trie — memory is
+   O(path length). *)
+type trail = { mutable snaps : snapshot array; mutable depth : int }
+
+(* ------------------------------------------------------------------ *)
 (* Per-procedure context *)
 
 type pctx = {
   pname : string;
-  orig : Proc.t;
   inst : Proc.t;
   n_orig : int;
   ocfg : Cfg.t;  (* original CFG: the numbering's coordinate system *)
@@ -96,6 +125,8 @@ type pctx = {
   persist_memo : (bool * int * int, bool) Hashtbl.t;
       (* (icache?, loop index, line) -> cannot be evicted from the body *)
   cache : (int, exec_bounds) Hashtbl.t;
+  trails : (int, trail) Hashtbl.t;
+      (* by path source: -1 from the entry, else the backedge's id *)
 }
 
 type t = {
@@ -106,6 +137,9 @@ type t = {
   cold_main : string option;  (* main's name when it provably runs on a
                                  fresh machine and is never re-entered *)
   mutable tails : (string, tail) Hashtbl.t option;
+  store_bound : int;  (* the machine's stall bounds, per site *)
+  fp_bound : int;
+  br_bound : int;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -327,20 +361,6 @@ let block_micros t ~wbound ~ab (inst : Proc.t) (b : Block.t) =
 (* The walk: fold micros over the two abstract cache states, counting
    certified interval contributions for one window execution. *)
 
-type acc = {
-  mutable ni_lo : int;
-  mutable ni_hi : int option;  (* instructions *)
-  mutable rm_lo : int;
-  mutable rm_hi : int option;  (* dcache read misses *)
-  mutable wm_lo : int;
-  mutable wm_hi : int option;  (* dcache write misses *)
-  mutable im_lo : int;
-  mutable im_hi : int option;  (* icache misses *)
-  mutable st_hi : int option;  (* stall cycles; the lower bound is 0 *)
-  mutable rm_once : int;
-  mutable im_once : int;
-}
-
 let acc_create () =
   {
     ni_lo = 0;
@@ -362,11 +382,9 @@ type walk_state = { mutable d : C.state; mutable i : C.state }
    entry instead of once per execution?" — set only while walking the
    loop-body blocks of an After_backedge path. *)
 let step_micro t acc ws ~live ~persist m =
-  let gd = t.config.Config.dcache and gi = t.config.Config.icache in
-  let store_bound = Model.store_stall_bound t.config in
-  let fp_bound = Model.fp_stall_bound t.config in
-  (match m with
+  match m with
   | Mi a ->
+      let gi = t.config.Config.icache in
       if live then begin
         let c = C.classify gi ws.i a in
         match a with
@@ -383,19 +401,25 @@ let step_micro t acc ws ~live ~persist m =
         | C.Read_maybe _ ->
             if c <> C.Hit then acc.im_hi <- acc.im_hi +? Some 1
         | C.Write _ | C.Havoc -> ()
-      end
+      end;
+      ws.i <- C.step gi ws.i a
   | Mcount (lo, hi) ->
       if live then begin
         acc.ni_lo <- acc.ni_lo + lo;
         acc.ni_hi <- acc.ni_hi +? hi
       end
   | Md (write, certain, tgt) ->
+      let gd = t.config.Config.dcache in
+      (* [classify] reads only the target, so the stepped access serves *)
+      let a =
+        if not certain then C.Read_maybe tgt
+        else if write then C.Write tgt
+        else C.Read tgt
+      in
       if live then begin
-        let c =
-          C.classify gd ws.d (if write then C.Write tgt else C.Read tgt)
-        in
+        let c = C.classify gd ws.d a in
         if write then begin
-          acc.st_hi <- acc.st_hi +? Some store_bound;
+          acc.st_hi <- acc.st_hi +? Some t.store_bound;
           (match (certain, c) with
           | true, C.Miss ->
               acc.wm_lo <- acc.wm_lo + 1;
@@ -415,33 +439,30 @@ let step_micro t acc ws ~live ~persist m =
               else acc.rm_hi <- acc.rm_hi +? Some 1
           | false, (C.Miss | C.Unknown) -> acc.rm_hi <- acc.rm_hi +? Some 1
           | _, C.Hit -> ()
-      end
-  | Mdslack n -> if live then acc.rm_hi <- acc.rm_hi +? n
+      end;
+      ws.d <- C.step gd ws.d a
+  | Mdslack n ->
+      if live then acc.rm_hi <- acc.rm_hi +? n;
+      ws.d <- C.step t.config.Config.dcache ws.d C.Havoc
   | Mislack n -> if live then acc.im_hi <- acc.im_hi +? n
-  | Mfp n -> if live then acc.st_hi <- acc.st_hi +? Some (n * fp_bound)
-  | Mbr ->
-      if live then
-        acc.st_hi <- acc.st_hi +? Some (Model.mispredict_bound t.config)
-  | Mcall _ -> ());
-  (match d_access_of m with Some a -> ws.d <- C.step gd ws.d a | None -> ());
-  match i_access_of m with Some a -> ws.i <- C.step gi ws.i a | None -> ()
+  | Mfp n -> if live then acc.st_hi <- acc.st_hi +? Some (n * t.fp_bound)
+  | Mbr -> if live then acc.st_hi <- acc.st_hi +? Some t.br_bound
+  | Mcall _ ->
+      ws.d <- C.step t.config.Config.dcache ws.d C.Havoc;
+      ws.i <- C.step t.config.Config.icache ws.i C.Havoc
 
 let no_persist ~icache:_ _ = false
 
-(* Walk whole blocks.  Accrual stops at a call (the block's remaining
-   events belong to the callee's To_exit window) and resumes at the next
-   block — the states keep stepping throughout so the caches stay
-   sound. *)
-let walk_blocks t ctx acc ws ~persist labels =
-  List.iter
-    (fun l ->
-      let live = ref true in
-      Array.iter
-        (fun m ->
-          step_micro t acc ws ~live:!live ~persist:(persist l) m;
-          match m with Mcall _ -> live := false | _ -> ())
-        ctx.micros.(l))
-    labels
+(* Walk one block.  Accrual stops at a call (the block's remaining events
+   belong to the callee's To_exit window) and resumes at the next block —
+   the states keep stepping throughout so the caches stay sound. *)
+let walk_block t acc ws ~persist micros =
+  let live = ref true in
+  for k = 0 to Array.length micros - 1 do
+    let m = micros.(k) in
+    step_micro t acc ws ~live:!live ~persist m;
+    match m with Mcall _ -> live := false | _ -> ()
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Instrumented-CFG navigation *)
@@ -549,7 +570,6 @@ let build_pctx t ~wbound (orig : Proc.t) (inst : Proc.t) =
   let loops = Loops.analyze icfg.Cfg.graph ~root:icfg.Cfg.entry in
   {
     pname = orig.Proc.name;
-    orig;
     inst;
     n_orig = Proc.num_blocks orig;
     ocfg;
@@ -564,6 +584,7 @@ let build_pctx t ~wbound (orig : Proc.t) (inst : Proc.t) =
     loops;
     persist_memo = Hashtbl.create 32;
     cache = Hashtbl.create 64;
+    trails = Hashtbl.create 8;
   }
 
 let create ?(config = Config.default) ~original ~instrumented () =
@@ -609,6 +630,9 @@ let create ?(config = Config.default) ~original ~instrumented () =
       ctxs = Hashtbl.create 16;
       cold_main;
       tails = None;
+      store_bound = Model.store_stall_bound config;
+      fp_bound = Model.fp_stall_bound config;
+      br_bound = Model.mispredict_bound config;
     }
   in
   Array.iter
@@ -785,6 +809,49 @@ let tail_bound t proc =
 (* ------------------------------------------------------------------ *)
 (* Per-path prediction *)
 
+let copy_acc a = { a with ni_lo = a.ni_lo }
+
+(* Walk a path's blocks from the longest prefix it shares with the last
+   walk from the same source.  The state after a prefix depends only on
+   the source and the prefix, so the answer does not depend on the order
+   of the queries; a Ball–Larus sum order is a DFS order of the path DAG,
+   so consecutive sums share long prefixes. *)
+let walk_shared t ctx ~key ~dstate ~istate ~persist labels =
+  let tr =
+    match Hashtbl.find_opt ctx.trails key with
+    | Some tr -> tr
+    | None ->
+        let tr = { snaps = [||]; depth = 0 } in
+        Hashtbl.add ctx.trails key tr;
+        tr
+  in
+  let rec shared k = function
+    | l :: rest when k < tr.depth && tr.snaps.(k).s_label = l ->
+        shared (k + 1) rest
+    | rest -> (k, rest)
+  in
+  let k, rest = shared 0 labels in
+  let acc, ws =
+    if k = 0 then (acc_create (), { d = dstate; i = istate })
+    else
+      let s = tr.snaps.(k - 1) in
+      (copy_acc s.s_acc, { d = s.s_d; i = s.s_i })
+  in
+  tr.depth <- k;
+  List.iter
+    (fun l ->
+      walk_block t acc ws ~persist:(persist l) ctx.micros.(l);
+      let snap =
+        { s_label = l; s_acc = copy_acc acc; s_d = ws.d; s_i = ws.i }
+      in
+      if tr.depth = Array.length tr.snaps then
+        tr.snaps <-
+          Array.append tr.snaps (Array.make (Int.max 8 tr.depth) snap);
+      tr.snaps.(tr.depth) <- snap;
+      tr.depth <- tr.depth + 1)
+    rest;
+  acc
+
 let path_labels ctx (trav : Ball_larus.traversal) =
   let p = trav.Ball_larus.path in
   let blocks = p.Ball_larus.blocks in
@@ -844,24 +911,29 @@ let predict t ~proc ~sum =
             let h = e.Digraph.dst in
             (d, i, Some h, loop_of_header ctx h)
       in
-      let in_body =
+      (* [persist l], resolved once per block [l]. *)
+      let persist =
         match loop with
-        | None -> fun _ -> false
-        | Some li -> fun l -> Loops.in_loop ctx.loops li l
-      in
-      let persist l ~icache tgt =
-        match (loop, tgt) with
-        | Some li, C.Line line when in_body l ->
-            let geom =
-              if icache then t.config.Config.icache
-              else t.config.Config.dcache
+        | None -> fun _ -> no_persist
+        | Some li ->
+            let persistent ~icache = function
+              | C.Line line ->
+                  let geom =
+                    if icache then t.config.Config.icache
+                    else t.config.Config.dcache
+                  in
+                  persistent_in ctx ~icache geom li line
+              | _ -> false
             in
-            persistent_in ctx ~icache geom li line
-        | _ -> false
+            fun l ->
+              if Loops.in_loop ctx.loops li l then persistent else no_persist
       in
-      let acc = acc_create () in
-      let ws = { d = dstate; i = istate } in
-      walk_blocks t ctx acc ws ~persist labels;
+      let key =
+        match path.Ball_larus.source with
+        | Ball_larus.From_entry -> -1
+        | Ball_larus.After_backedge e -> e.Digraph.id
+      in
+      let acc = walk_shared t ctx ~key ~dstate ~istate ~persist labels in
       let mk lo hi = { lo; hi } in
       let dc_pen = t.config.Config.dcache_miss_penalty in
       let ic_pen = t.config.Config.icache_miss_penalty in

@@ -1099,13 +1099,17 @@ let prove_proc ~budget ~(original : Proc.t) ~(instrumented : Proc.t)
   let aconf = Absint.config ~budget ~policy ~tables () in
   let ai = Absint.analyze ~conf:aconf (Cfg.of_proc instrumented) in
   let diags = ref [] in
+  (* An instruction's findings on what it reads are made before it runs
+     and reported after those on what it defines. *)
+  let uses = ref [] in
   let pname = instrumented.Proc.name in
-  let err loc fmt =
+  let report into loc fmt =
     Format.kasprintf
       (fun message ->
-        diags := { Diag.severity = Diag.Error; loc; message } :: !diags)
+        into := { Diag.severity = Diag.Error; loc; message } :: !into)
       fmt
   in
+  let err loc fmt = report uses loc fmt in
   let orig_ireg r = r < original.Proc.niregs in
   let orig_freg f = f < original.Proc.nfregs in
   (* A value is program-invisible ("offending" at a sink) when it is
@@ -1160,16 +1164,15 @@ let prove_proc ~budget ~(original : Proc.t) ~(instrumented : Proc.t)
         err loc "indirect-call target depends on instrumentation state"
     | _ -> ()
   in
-  let check_instr l ~pos env (instr : I.t) =
+  (* program-visible register definitions, on the state after [instr] *)
+  let check_defs l ~pos post (instr : I.t) =
     let loc = Diag.instr_loc pname l pos in
-    let post = Absint.transfer aconf env instr in
-    (* program-visible register definitions *)
     List.iter
       (fun rd ->
         if orig_ireg rd then
           let v = Absint.ireg post rd in
           if offending v then
-            err loc
+            report diags loc
               "instrumentation state flows into program register r%d (%a)"
               rd Absint.pp_value v)
       (I.idefs instr);
@@ -1179,8 +1182,14 @@ let prove_proc ~budget ~(original : Proc.t) ~(instrumented : Proc.t)
           orig_freg fd
           && Taint.equal (Absint.ftaint post fd) Taint.Tainted
         then
-          err loc "instrumentation state flows into program register f%d" fd)
+          report diags loc
+            "instrumentation state flows into program register f%d" fd)
       (I.fdefs instr);
+    diags := !uses @ !diags;
+    uses := []
+  in
+  let check_uses l ~pos env (instr : I.t) =
+    let loc = Diag.instr_loc pname l pos in
     match instr with
     | I.Load (_, rb, off) | I.Fload (_, rb, off) -> (
         match table_access env rb off with
@@ -1257,20 +1266,24 @@ let prove_proc ~budget ~(original : Proc.t) ~(instrumented : Proc.t)
     match term with
     | Block.Br (r, _, _) ->
         if offending (Absint.ireg env r) then
-          err loc "branch condition depends on instrumentation state (r%d)"
-            r
+          report diags loc
+            "branch condition depends on instrumentation state (r%d)" r
     | Block.Ret (Block.Ret_int r) ->
         if offending (Absint.ireg env r) then
-          err loc "return value depends on instrumentation state (r%d)" r
+          report diags loc
+            "return value depends on instrumentation state (r%d)" r
     | Block.Ret (Block.Ret_float f) ->
         if Taint.equal (Absint.ftaint env f) Taint.Tainted then
-          err loc "return value depends on instrumentation state (f%d)" f
+          report diags loc
+            "return value depends on instrumentation state (f%d)" f
     | Block.Jmp _ | Block.Ret Block.Ret_void -> ()
   in
   Array.iter
     (fun (b : Block.t) ->
       let l = b.Block.label in
-      match Absint.iter_block ai l (fun ~pos env i -> check_instr l ~pos env i) with
+      match
+        Absint.iter_block ai l ~post:(check_defs l) (check_uses l)
+      with
       | None -> ()
       | Some tenv -> check_term l tenv b.Block.term)
     instrumented.Proc.blocks;

@@ -7,7 +7,7 @@ type 'a node = {
   node_depth : int;
   node_id : int;
   node_data : 'a;
-  mutable slots : 'a edge list array;
+  slots : 'a edge list array;
       (* per call site, most recently used first (the paper's move-to-front
          on indirect-call lists) *)
 }

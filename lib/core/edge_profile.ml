@@ -6,7 +6,6 @@ type t = {
   cfg : Cfg.t;
   helper : Digraph.t;  (* cfg graph + fictional EXIT->ENTRY edge *)
   fictional : Digraph.edge;
-  tree_ids : (int, unit) Hashtbl.t;  (* helper edge ids in the tree *)
   chords : (Digraph.edge * int) list;  (* real cfg edges, counter index *)
 }
 
@@ -29,7 +28,7 @@ let plan ?(weights = fun (_ : Digraph.edge) -> 1) (cfg : Cfg.t) =
     |> List.rev
     |> List.mapi (fun i e -> (Digraph.edge cfg.Cfg.graph e.Digraph.id, i))
   in
-  { cfg; helper; fictional; tree_ids; chords }
+  { cfg; helper; fictional; chords }
 
 let cfg t = t.cfg
 let chords t = t.chords

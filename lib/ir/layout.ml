@@ -17,7 +17,6 @@ let instr_bytes = 4
 
 type proc_layout = {
   base : int;
-  block_base : int array;  (* per label: address of first slot *)
   instr_off : int array array;  (* per label, per instruction index
                                    (terminator = last), byte offset *)
   limit : int;  (* first address past the procedure *)
@@ -32,12 +31,10 @@ type t = {
 
 let layout_proc base (p : Proc.t) =
   let nb = Proc.num_blocks p in
-  let block_base = Array.make nb 0 in
   let instr_off = Array.make nb [||] in
   let cursor = ref base in
   Array.iter
     (fun (b : Block.t) ->
-      block_base.(b.label) <- !cursor;
       let offs =
         Array.make (List.length b.instrs + 1) 0
       in
@@ -51,7 +48,7 @@ let layout_proc base (p : Proc.t) =
       (* terminator slot *)
       instr_off.(b.label) <- offs)
     p.blocks;
-  ({ base; block_base; instr_off; limit = !cursor }, !cursor)
+  ({ base; instr_off; limit = !cursor }, !cursor)
 
 let build (prog : Program.t) =
   let procs = Hashtbl.create 16 in

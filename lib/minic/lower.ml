@@ -23,7 +23,6 @@ type ctx = {
   vars : (string, value) Hashtbl.t;  (* scalar locals/params -> register *)
   arrays : (string, int) Hashtbl.t;  (* local arrays -> frame byte offset *)
   mutable loops : loop_targets list;
-  ret : Ast.ty;
 }
 
 (* --- expressions --- *)
@@ -444,8 +443,7 @@ let lower_func (f : tfunc) =
   in
   let b = B.create ~name:f.tfname ~iparams ~fparams ~returns in
   let ctx =
-    { b; vars = Hashtbl.create 16; arrays = Hashtbl.create 4; loops = [];
-      ret = f.tret }
+    { b; vars = Hashtbl.create 16; arrays = Hashtbl.create 4; loops = [] }
   in
   (* Bind parameters to their arrival registers, per class. *)
   let next_i = ref 0 and next_f = ref 0 in

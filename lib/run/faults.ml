@@ -37,7 +37,6 @@ type plan = {
   kind : kind;
   seed : int;
   tasks : int;
-  stall : float;
   max_attempt : int;
   faults : fault option array;  (* by task index *)
 }
@@ -74,7 +73,6 @@ let none =
     kind = Mixed;
     seed = 0;
     tasks = 0;
-    stall = 0.0;
     max_attempt = 0;
     faults = [||];
   }
@@ -85,7 +83,6 @@ let seeded ?(stall = 30.0) ?(max_attempt = 1) kind ~seed ~tasks =
     kind;
     seed;
     tasks;
-    stall;
     max_attempt;
     faults =
       Array.init tasks (fun task -> draw ~kind ~stall (mix [ seed; task ]));

@@ -18,6 +18,7 @@ module Feasibility = Pp_analysis.Feasibility
 module Registry = Pp_workloads.Registry
 module Workload = Pp_workloads.Workload
 module Pipeline = Pp_run.Pipeline
+module Matrix = Pp_run.Matrix
 module I = Instr
 
 (* ---- domain unit tests ---- *)
@@ -208,8 +209,8 @@ let mutate kind ~original instrumented manifest =
   | Error msg -> Alcotest.failf "nothing to mutate: %s" msg
 
 (* Bump one path-register edge increment: commit sums now exceed the
-   table. *)
-let bump_increment prog (manifest : Instrument.manifest) =
+   table.  [None] when no procedure keeps its path in a register. *)
+let bumped_increment prog (manifest : Instrument.manifest) =
   let victims =
     List.filter_map
       (fun (info : Instrument.proc_info) ->
@@ -245,10 +246,17 @@ let bump_increment prog (manifest : Instrument.manifest) =
                in
                Proc.with_blocks p blocks)
   in
-  if not !bumped then Alcotest.fail "no path-register increment to bump";
-  Program.make ~procs
-    ~globals:(Array.to_list prog.Program.globals)
-    ~main:prog.Program.main
+  if not !bumped then None
+  else
+    Some
+      (Program.make ~procs
+         ~globals:(Array.to_list prog.Program.globals)
+         ~main:prog.Program.main)
+
+let bump_increment prog manifest =
+  match bumped_increment prog manifest with
+  | Some mutant -> mutant
+  | None -> Alcotest.fail "no path-register increment to bump"
 
 let test_seeded_bounds () =
   let prog = branchy_program () in
@@ -285,6 +293,120 @@ let test_seeded_increment () =
   expect_flagged ~what:"bumped increment"
     (Verifier.prove_program ~original:prog ~manifest mutant)
 
+(* ---- the certifier's analyses ---- *)
+
+(* Every instrumented procedure's abstract interpretation, configured as
+   the certifier configures it: (procedure, config, analysis). *)
+let certifier_analyses ~budget ~original ~instrumented
+    (manifest : Instrument.manifest) =
+  let infos = Array.of_list manifest.Instrument.infos in
+  Array.to_list
+    (Array.mapi
+       (fun i (op : Proc.t) ->
+         let ip = instrumented.Program.procs.(i) in
+         let info = infos.(i) in
+         let state = Instrument.state ~original:op ~instrumented:ip info in
+         let policy = Taint.of_state state in
+         let tables =
+           match info.Instrument.table with
+           | Instrument.Array_table { global; _ }
+           | Instrument.Edge_table { global; _ } -> (
+               match Program.find_global instrumented global with
+               | Some g -> [ (global, g.Program.size_words) ]
+               | None -> [])
+           | _ -> []
+         in
+         let conf = Absint.config ~budget ~policy ~tables () in
+         (ip, conf, Absint.analyze ~conf (Cfg.of_proc ip)))
+       original.Program.procs)
+
+let each_workload_mode f =
+  List.iter
+    (fun (w : Workload.t) ->
+      let prog = Workload.compile w in
+      List.iter
+        (fun mode ->
+          let instrumented, manifest =
+            Instrument.run ~pruner:Feasibility.pruner ~mode prog
+          in
+          f
+            (Printf.sprintf "%s/%s" w.Workload.name (Instrument.mode_name mode))
+            prog instrumented manifest)
+        Instrument.all_modes)
+    Registry.all
+
+(* A block walk transfers one private copy of the entry in place: the
+   stored entry must come out untouched, and the walk must see exactly
+   what a fold of the pure [transfer] computes, before and after every
+   instruction. *)
+let test_block_walk_private () =
+  let image env = Marshal.to_string env [ Marshal.No_sharing ] in
+  each_workload_mode (fun what prog instrumented manifest ->
+      List.iter
+        (fun ((ip : Proc.t), conf, t) ->
+          Array.iter
+            (fun (b : Block.t) ->
+              let l = b.Block.label in
+              let where = Printf.sprintf "%s %s/L%d" what ip.Proc.name l in
+              match Absint.entry_env t l with
+              | None ->
+                  if Absint.iter_block t l (fun ~pos:_ _ _ -> ()) <> None then
+                    Alcotest.failf "%s: unreached block replayed" where
+              | Some entry ->
+                  let before = image entry in
+                  let pure = ref entry in
+                  let same ~pos ~phase env =
+                    if image env <> image !pure then
+                      Alcotest.failf "%s: %s instruction %d differs from \
+                                      the pure transfer"
+                        where phase pos
+                  in
+                  let last =
+                    Absint.iter_block t l
+                      ~post:(fun ~pos env instr ->
+                        pure := Absint.transfer conf !pure instr;
+                        same ~pos ~phase:"after" env)
+                      (fun ~pos env _ -> same ~pos ~phase:"before" env)
+                  in
+                  (match last with
+                  | Some env when image env = image !pure -> ()
+                  | _ ->
+                      Alcotest.failf "%s: returned environment differs" where);
+                  if image entry <> before then
+                    Alcotest.failf "%s: the walk mutated the stored entry"
+                      where)
+            ip.Proc.blocks)
+        (certifier_analyses ~budget:Matrix.default_budget ~original:prog
+           ~instrumented manifest))
+
+(* The certifier's findings — none on clean instrumentation, the seeded
+   violations' on mutants — over every workload and mode, as rendered
+   and ordered, hashed.  The digest was taken before block walks
+   transferred in place and the check pass read its post-states from the
+   walk; it pins the exact diagnostics. *)
+let prove_diagnostics_md5 = "6eee4cec310de8e382b3bee370999097"
+
+let test_prove_diagnostics_pinned () =
+  let buf = Buffer.create 4096 in
+  let emit what diags =
+    Printf.bprintf buf "%s %d\n" what (List.length diags);
+    List.iter (fun d -> Printf.bprintf buf "%s\n" (Diag.to_string d)) diags
+  in
+  each_workload_mode (fun what prog instrumented manifest ->
+      let prove p = Verifier.prove_program ~original:prog ~manifest p in
+      emit what (prove instrumented);
+      List.iter
+        (fun (name, kind) ->
+          match Pipeline.inject kind ~original:prog ~manifest instrumented with
+          | Ok mutant -> emit (what ^ " " ^ name) (prove mutant)
+          | Error msg -> Printf.bprintf buf "%s %s: %s\n" what name msg)
+        [ ("bounds", Pipeline.Bounds); ("taint", Pipeline.Taint) ];
+      match bumped_increment instrumented manifest with
+      | Some mutant -> emit (what ^ " increment") (prove mutant)
+      | None -> Printf.bprintf buf "%s increment: none\n" what);
+  Alcotest.(check string) "diagnostics digest" prove_diagnostics_md5
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 (* ---- runtime soundness oracle ---- *)
 
 (* Execute a workload with a block-entry probe that checks every VM
@@ -296,28 +418,11 @@ let oracle_run ~mode ~max_instructions wname =
     Driver.prepare ~pruner:Feasibility.pruner ~max_instructions ~mode prog
   in
   let analyses = Hashtbl.create 16 in
-  let infos = Array.of_list session.Driver.manifest.Instrument.infos in
-  Array.iteri
-    (fun i (op : Proc.t) ->
-      let ip = session.Driver.instrumented.Program.procs.(i) in
-      let info = infos.(i) in
-      let state = Instrument.state ~original:op ~instrumented:ip info in
-      let policy = Taint.of_state state in
-      let tables =
-        match info.Instrument.table with
-        | Instrument.Array_table { global; _ }
-        | Instrument.Edge_table { global; _ } -> (
-            match Program.find_global session.Driver.instrumented global with
-            | Some g -> [ (global, g.Program.size_words) ]
-            | None -> [])
-        | _ -> []
-      in
-      let conf =
-        Absint.config ~budget:max_instructions ~policy ~tables ()
-      in
-      Hashtbl.replace analyses ip.Proc.name
-        (Absint.analyze ~conf (Cfg.of_proc ip)))
-    session.Driver.original.Program.procs;
+  List.iter
+    (fun ((ip : Proc.t), _, t) -> Hashtbl.replace analyses ip.Proc.name t)
+    (certifier_analyses ~budget:max_instructions
+       ~original:session.Driver.original
+       ~instrumented:session.Driver.instrumented session.Driver.manifest);
   let layout = Interp.layout session.Driver.vm in
   let global_base g =
     match Layout.global_addr layout g with
@@ -474,6 +579,10 @@ let suite =
     Alcotest.test_case "prove: path leak flagged" `Quick test_seeded_taint;
     Alcotest.test_case "prove: bumped increment flagged" `Quick
       test_seeded_increment;
+    Alcotest.test_case "prove: diagnostics pinned, workloads x modes" `Slow
+      test_prove_diagnostics_pinned;
+    Alcotest.test_case "iter_block: private copy, equals pure transfer" `Slow
+      test_block_walk_private;
     Alcotest.test_case "oracle: registry, flow-hw" `Slow
       test_oracle_registry;
     Alcotest.test_case "oracle: two workloads, all modes" `Slow

@@ -6,6 +6,9 @@ module Engine = Pp_vm.Engine
 module Driver = Pp_instrument.Driver
 module Registry = Pp_workloads.Registry
 module Workload = Pp_workloads.Workload
+module Predict = Pp_analysis.Predict
+module Feasibility = Pp_analysis.Feasibility
+module Ball_larus = Pp_core.Ball_larus
 
 let budget = 300_000
 
@@ -174,6 +177,103 @@ let test_inject () =
         (Predict_run.exit_code [ o ]))
     Predict_run.injects
 
+(* ------------------------------------------------------------------ *)
+(* Exact outputs of the static predictor.                              *)
+
+(* Every feasible path of every procedure whose table [pp predict] would
+   tabulate (at most the array threshold), as the static bench asks. *)
+let tabulated t =
+  List.concat_map
+    (fun proc ->
+      match (Predict.numbering t proc, Predict.feasibility t proc) with
+      | Some bl, fs
+        when Ball_larus.num_paths bl
+             <= Instrument.default_options.Instrument.array_threshold ->
+          List.filter
+            (fun sum ->
+              match fs with
+              | Some fs -> Feasibility.feasible fs sum
+              | None -> true)
+            (List.init (Ball_larus.num_paths bl) Fun.id)
+          |> List.map (fun sum -> (proc, sum))
+      | _ -> [])
+    (Predict.procs t)
+
+let bound_opt = function Some x -> string_of_int x | None -> "inf"
+
+let render_bounds ((proc, sum), (b : Predict.exec_bounds)) =
+  let itv (i : Predict.itv) = Printf.sprintf "%d..%s" i.lo (bound_opt i.hi) in
+  let m = b.per_exec in
+  Printf.sprintf
+    "%s %d cycles %s dmiss %s imiss %s stalls %s once %d %d %d %s %b" proc sum
+    (itv m.cycles) (itv m.dmiss) (itv m.imiss) (itv m.stalls) b.dmiss_once
+    b.imiss_once b.cycles_once
+    (match b.header with Some h -> string_of_int h | None -> "-")
+    b.to_exit
+
+let render_tail proc (tl : Predict.tail) =
+  Printf.sprintf "%s tail %s %s %s %s" proc (bound_opt tl.t_cycles)
+    (bound_opt tl.t_dmiss) (bound_opt tl.t_imiss) (bound_opt tl.t_stalls)
+
+let predictor ~mode prog =
+  let instrumented, _ =
+    Instrument.run ~pruner:Feasibility.pruner ~mode prog
+  in
+  Predict.create ~original:prog ~instrumented ()
+
+(* Every bound and tail over every workload and mode, hashed.  The digest
+   was taken before the must state was kept per cache set and path walks
+   shared prefixes; it pins the predictor's exact output. *)
+let predict_md5 = "ad1071380caf8ef1cf0d20289151c636"
+
+let test_pinned () =
+  let buf = Buffer.create 65536 in
+  List.iter
+    (fun (w : Workload.t) ->
+      let prog = Workload.compile w in
+      List.iter
+        (fun mode ->
+          let t = predictor ~mode prog in
+          Printf.bprintf buf "%s/%s\n" w.name (Instrument.mode_name mode);
+          List.iter
+            (fun (proc, sum) ->
+              Printf.bprintf buf "%s\n"
+                (render_bounds ((proc, sum), Predict.predict t ~proc ~sum)))
+            (tabulated t);
+          List.iter
+            (fun proc ->
+              Printf.bprintf buf "%s\n"
+                (render_tail proc (Predict.tail_bound t proc)))
+            (Predict.procs t))
+        Instrument.all_modes)
+    Registry.all;
+  Alcotest.(check string) "bounds digest" predict_md5
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+(* A walk restarts from the longest prefix it shares with the last walk
+   from the same source, so the answers must not depend on the order the
+   paths are asked in. *)
+let test_order_independent () =
+  let prog = workload "go_like" in
+  let queries = tabulated (predictor ~mode:Instrument.Flow_hw prog) in
+  let shuffled =
+    let rng = Random.State.make [| 23 |] in
+    List.map (fun q -> (Random.State.bits rng, q)) queries
+    |> List.sort compare |> List.map snd
+  in
+  let answers order =
+    let t = predictor ~mode:Instrument.Flow_hw prog in
+    List.map
+      (fun (proc, sum) -> ((proc, sum), Predict.predict t ~proc ~sum))
+      order
+    |> List.sort compare |> List.map render_bounds
+  in
+  let ascending = answers queries in
+  Alcotest.(check bool) "many paths" true (List.length queries > 100);
+  Alcotest.(check (list string)) "descending" ascending
+    (answers (List.rev queries));
+  Alcotest.(check (list string)) "shuffled" ascending (answers shuffled)
+
 let suite =
   [
     Alcotest.test_case "soundness: workloads x modes" `Slow test_soundness;
@@ -182,4 +282,7 @@ let suite =
       test_probe_after_compile;
     Alcotest.test_case "demo: hot path exact" `Quick test_demo_exact;
     Alcotest.test_case "demo: injected faults refuted" `Quick test_inject;
+    Alcotest.test_case "bounds pinned, workloads x modes" `Slow test_pinned;
+    Alcotest.test_case "bounds independent of query order" `Quick
+      test_order_independent;
   ]
