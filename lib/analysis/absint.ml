@@ -170,9 +170,6 @@ type config = {
   budget : int;  (** VM instruction budget the caps derive from *)
   pic_cap : int;  (** upper bound on any PIC reading *)
   cell_cap : int;  (** upper bound on any table-cell value *)
-  widen_delay : int;  (** joins at a loop header before widening *)
-  fuel : int;  (** joins anywhere before safety-net widening *)
-  descend : int;  (** post-fixpoint narrowing passes *)
   policy : Taint.policy;
   tables : (string * int) list;  (** table global -> size in words *)
 }
@@ -192,9 +189,6 @@ let config ?(budget = 2_000_000_000) ?(policy = Taint.none) ?(tables = []) ()
     budget;
     pic_cap = cap;
     cell_cap = cap;
-    widen_delay = 3;
-    fuel = 48;
-    descend = 2;
     policy;
     tables;
   }
@@ -415,6 +409,12 @@ let exec_block conf env (b : Block.t) =
 
 let succ_labels (b : Block.t) = Block.successors b
 
+(* Joins at a loop header before widening, joins anywhere before the
+   safety-net widening, and post-fixpoint narrowing passes. *)
+let widen_delay = 3
+let fuel = 48
+let descend = 2
+
 let analyze ?conf (cfg : Cfg.t) =
   let conf = match conf with Some c -> c | None -> config () in
   let p = cfg.Cfg.proc in
@@ -424,8 +424,8 @@ let analyze ?conf (cfg : Cfg.t) =
   let merge l old env =
     joins.(l) <- joins.(l) + 1;
     let widen_now =
-      (Loops.is_header loops l && joins.(l) > conf.widen_delay)
-      || joins.(l) > conf.fuel
+      (Loops.is_header loops l && joins.(l) > widen_delay)
+      || joins.(l) > fuel
     in
     let next =
       if widen_now then env_widen old (env_join old env) else env_join old env
@@ -448,12 +448,12 @@ let analyze ?conf (cfg : Cfg.t) =
      reverse postorder — each block's predecessors are re-executed against
      the entries already narrowed this pass, so recovery crosses a whole
      forward chain per pass instead of one edge per pass (backedges still
-     need one pass each, hence [conf.descend] > 1). *)
+     need one pass each, hence [descend] > 1). *)
   let rpo =
     Dfs.reverse_postorder (Dfs.run cfg.Cfg.graph ~root:cfg.Cfg.entry)
     |> List.filter_map (Cfg.label_of_vertex cfg)
   in
-  for _ = 1 to conf.descend do
+  for _ = 1 to descend do
     List.iter
       (fun l ->
         if entries.(l) <> None then begin
@@ -481,7 +481,6 @@ let analyze ?conf (cfg : Cfg.t) =
 
 (* ---- client access ---- *)
 
-let entry_env t l = t.entries.(l)
 
 let ireg env r = env.ivals.(r)
 let ftaint env f = env.ftaints.(f)

@@ -40,9 +40,6 @@ type config = {
   budget : int;  (** VM instruction budget the caps derive from *)
   pic_cap : int;  (** upper bound on any PIC reading *)
   cell_cap : int;  (** upper bound on any table-cell value *)
-  widen_delay : int;  (** joins at a loop header before widening *)
-  fuel : int;  (** joins anywhere before safety-net widening *)
-  descend : int;  (** post-fixpoint narrowing passes *)
   policy : Taint.policy;
   tables : (string * int) list;  (** table global -> size in words *)
 }
@@ -61,7 +58,6 @@ val config :
 type t
 
 val analyze : ?conf:config -> Pp_ir.Cfg.t -> t
-val entry_env : t -> Pp_ir.Block.label -> env option
 
 (** Replay a reached block with the fixpoint's transfer functions: [f]
     sees the environment immediately before each instruction, [post] the
@@ -71,7 +67,7 @@ val entry_env : t -> Pp_ir.Block.label -> env option
     The replay transfers one private copy of the block's entry
     environment in place, so the environment a callback receives is
     transient: read it during the call, and do not keep it — the next
-    instruction overwrites it.  The stored {!entry_env} is never
+    instruction overwrites it.  The stored entry environment is never
     changed. *)
 val iter_block :
   t ->
@@ -93,6 +89,7 @@ val in_fresh_slots : config -> Interval.t -> bool
 (** The transfer of one instruction, as a new environment: [env] is left
     as it was. *)
 val transfer : config -> env -> Pp_ir.Instr.t -> env
+[@@test_only "the pure reference the in-place block walk is checked against"]
 
 (** Concretization membership for the runtime oracle: does machine value
     [x], given the activation's frame pointer and a resolver for global
@@ -100,5 +97,6 @@ val transfer : config -> env -> Pp_ir.Instr.t -> env
     cannot resolve answer [true] — only definite violations count. *)
 val admits :
   global_base:(string -> int option) -> frame:int -> value -> int -> bool
+[@@test_only "the runtime soundness oracle: concretization membership checked on real executions"]
 
 val pp_value : Format.formatter -> value -> unit

@@ -155,9 +155,6 @@ let analyze (cfg : Cfg.t) =
 let reachable t l = t.entry_states.(l) <> None
 let edge_executable t (e : Digraph.edge) = t.edge_exec.(e.Digraph.id)
 
-let entry_state t l =
-  Option.map Array.copy t.entry_states.(l)
-
 let exit_state t l =
   Option.map Array.copy t.exit_states.(l)
 

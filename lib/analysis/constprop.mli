@@ -27,10 +27,8 @@ val reachable : t -> Pp_ir.Block.label -> bool
     edges are exactly the statically infeasible ones. *)
 val edge_executable : t -> Pp_graph.Digraph.edge -> bool
 
-(** Register state on entry to / exit from a reached block (a fresh copy);
-    [None] when the block is unreached. *)
-val entry_state : t -> Pp_ir.Block.label -> value array option
-
+(** Register state on exit from a reached block (a fresh copy); [None]
+    when the block is unreached. *)
 val exit_state : t -> Pp_ir.Block.label -> value array option
 
 (** For a reached block ending in [Br], the condition register's abstract

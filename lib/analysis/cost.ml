@@ -122,7 +122,7 @@ let return_freq cfg freq =
 
 exception Fail of Diag.t
 
-let compute ?(options = Instrument.default_options) ?max_enumerate ~mode
+let compute ?(options = Instrument.default_options) ~mode
     ?profile (prog : Program.t) =
   try
     (match profile with
@@ -154,7 +154,7 @@ let compute ?(options = Instrument.default_options) ?max_enumerate ~mode
           | Some bl ->
               (* Path-profiled procedure: feasibility + frequency. *)
               let cfg = Ball_larus.cfg bl in
-              let fs = Feasibility.analyze ?max_enumerate cfg bl in
+              let fs = Feasibility.analyze cfg bl in
               let cp = Feasibility.constprop fs in
               let freq = Freq.estimate ~cp cfg in
               let placement = placement_of ~options bl in

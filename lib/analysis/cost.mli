@@ -63,7 +63,6 @@ val measured_breakdown :
 
 val compute :
   ?options:Pp_instrument.Instrument.options ->
-  ?max_enumerate:int ->
   mode:Pp_instrument.Instrument.mode ->
   ?profile:Pp_core.Profile_io.saved ->
   Pp_ir.Program.t ->

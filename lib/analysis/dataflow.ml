@@ -85,17 +85,6 @@ module Bitset = struct
   let union = map2 (fun x y -> x lor y)
   let diff = map2 (fun x y -> x land lnot y)
   let equal a b = a.size = b.size && Bytes.equal a.bits b.bits
-
-  let iter f t =
-    for i = 0 to t.size - 1 do
-      if mem t i then f i
-    done
-
-  let elements t =
-    let acc = ref [] in
-    iter (fun i -> acc := i :: !acc) t;
-    List.rev !acc
-
 end
 
 module Gen_kill = struct

@@ -44,10 +44,6 @@ module Bitset : sig
   val add : t -> int -> unit
   val remove : t -> int -> unit
   val mem : t -> int -> bool
-  val union : t -> t -> t
-  val diff : t -> t -> t
-  val equal : t -> t -> bool
-  val elements : t -> int list
 end
 
 (** Gen/kill bitvector problems with union confluence (liveness,

@@ -34,7 +34,8 @@ type t = {
   table : verdict array option;  (* per path sum, when enumerated *)
 }
 
-let default_max_enumerate = 4096
+(* The largest path table classified up front. *)
+let max_enumerate = 4096
 
 (* The CFG edge each path block leaves through, in path order.  The last
    block exits through the Return edge (already in [real_edges]) or the
@@ -107,7 +108,7 @@ let check_sum cfg bl cp sum =
              Feasible
            with Contradiction v -> v))
 
-let analyze ?(max_enumerate = default_max_enumerate) cfg bl =
+let analyze cfg bl =
   let cp = Constprop.analyze cfg in
   let table =
     let n = Ball_larus.num_paths bl in
@@ -145,18 +146,11 @@ let infeasible_sums t =
       done;
       !acc
 
-let infeasible_edges t =
-  Digraph.fold_edges
-    (fun e acc ->
-      if Constprop.edge_executable t.cp e then acc else e :: acc)
-    t.cfg.Cfg.graph []
-  |> List.rev
-
 let prune t =
   if not (enumerated t) then
     invalid_arg "Feasibility.prune: path table too large to enumerate";
   Ball_larus.prune t.bl ~feasible:(feasible t)
 
-let pruner ?max_enumerate cfg bl =
-  let t = analyze ?max_enumerate cfg bl in
+let pruner cfg bl =
+  let t = analyze cfg bl in
   if enumerated t then Some (prune t) else None

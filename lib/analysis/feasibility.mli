@@ -20,10 +20,10 @@ type verdict =
 type t
 
 (** [analyze cfg bl] runs constant propagation once and, when
-    [Ball_larus.num_paths bl <= max_enumerate] (default 4096), classifies
-    every path sum up front; beyond that bound, per-sum queries are
-    answered lazily and no pruning is offered. *)
-val analyze : ?max_enumerate:int -> Pp_ir.Cfg.t -> Pp_core.Ball_larus.t -> t
+    [Ball_larus.num_paths bl <= 4096], classifies every path sum up
+    front; beyond that bound, per-sum queries are answered lazily and no
+    pruning is offered. *)
+val analyze : Pp_ir.Cfg.t -> Pp_core.Ball_larus.t -> t
 
 (** Whether the full path table was enumerated (a prerequisite for
     {!pruner} to offer a pruning). *)
@@ -41,14 +41,10 @@ val num_feasible : t -> int
 (** Ascending; empty when not enumerated. *)
 val infeasible_sums : t -> int list
 
-(** CFG edges proven never-executable, in edge-id order. *)
-val infeasible_edges : t -> Pp_graph.Digraph.edge list
-
 (** One-shot convenience with the signature {!Pp_instrument.Instrument.run}
     expects for its [?pruner] argument; [None] when the path table is too
     large to enumerate. *)
 val pruner :
-  ?max_enumerate:int ->
   Pp_ir.Cfg.t ->
   Pp_core.Ball_larus.t ->
   Pp_core.Ball_larus.pruned option

@@ -24,7 +24,6 @@ module Loops = Pp_graph.Loops
 
 type t = {
   cfg : Cfg.t;
-  loops : Loops.t;
   prob : float array;  (* per edge id: branch probability out of src *)
   vfreq : float array;  (* per vertex: estimated executions per invocation *)
 }
@@ -109,10 +108,7 @@ let estimate ?cp (cfg : Cfg.t) =
         let d = min (Loops.depth loops v) max_depth in
         lfreq.(v) *. (loop_scale ** float_of_int d))
   in
-  { cfg; loops; prob; vfreq }
+  { cfg; prob; vfreq }
 
-let vertex_freq t v = t.vfreq.(v)
 let block_freq t l = t.vfreq.(Cfg.vertex_of_label t.cfg l)
-let edge_prob t (e : Digraph.edge) = t.prob.(e.id)
 let edge_freq t (e : Digraph.edge) = t.vfreq.(e.src) *. t.prob.(e.id)
-let loop_depth t v = Loops.depth t.loops v

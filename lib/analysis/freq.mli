@@ -12,15 +12,10 @@ type t
 
 val estimate : ?cp:Constprop.t -> Pp_ir.Cfg.t -> t
 
-(** Estimated executions per invocation; ENTRY is 1.0 by construction. *)
-val vertex_freq : t -> Pp_graph.Digraph.vertex -> float
-
+(** Estimated executions of a block per invocation. *)
 val block_freq : t -> Pp_ir.Block.label -> float
 
-(** Probability the edge is taken when control is at its source. *)
-val edge_prob : t -> Pp_graph.Digraph.edge -> float
-
-(** [vertex_freq src * edge_prob e]. *)
+(** Estimated traversals of an edge per invocation: its source's
+    frequency times the probability that the edge is taken when control
+    is at its source. *)
 val edge_freq : t -> Pp_graph.Digraph.edge -> float
-
-val loop_depth : t -> Pp_graph.Digraph.vertex -> int

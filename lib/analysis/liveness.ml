@@ -37,7 +37,6 @@ let compute (cfg : Cfg.t) =
 
 let live_in t label = Gen_kill.before t.result label
 let live_out t label = Gen_kill.after t.result label
-let reg_name t id = Regs.name t.regs id
 
 (* An instruction whose only observable effect is its register result.
    Division can trap, loads can fault, everything else with a side effect
@@ -59,7 +58,7 @@ let trivial_init = function
   | I.Iconst (_, 0) | I.Fconst (_, 0.0) -> true
   | _ -> false
 
-let dead_stores ?(flag_zero_init = false) t =
+let dead_stores t =
   let p = t.cfg.Cfg.proc in
   let diags = ref [] in
   Array.iter
@@ -79,7 +78,7 @@ let dead_stores ?(flag_zero_init = false) t =
             in
             if
               dead && pure instr
-              && (flag_zero_init || not (trivial_init instr))
+              && not (trivial_init instr)
             then
               diags :=
                 Diag.warning

@@ -1,25 +1,17 @@
 (** Backward live-register analysis over both register classes.
 
     Registers are numbered densely: integer register [r] is [r], float
-    register [f] is [niregs + f]; {!reg_name} renders an index back to
+    register [f] is [niregs + f]; diagnostics render an index back to
     ["r3"] / ["f1"] form. *)
 
 type t
 
 val compute : Pp_ir.Cfg.t -> t
 
-(** Registers live on entry to / exit from a block ([None] when the block
-    is unreachable). *)
-val live_in : t -> Pp_ir.Block.label -> Dataflow.Bitset.t option
-
-val live_out : t -> Pp_ir.Block.label -> Dataflow.Bitset.t option
-val reg_name : t -> int -> string
-
 (** Side-effect-free instructions whose results are never read.  Implicit
-    zero initialisers ([Iconst (r, 0)] / [Fconst (f, 0.)]) are skipped
-    unless [flag_zero_init] — the MiniC frontend emits one per
-    uninitialised declaration. *)
-val dead_stores : ?flag_zero_init:bool -> t -> Pp_ir.Diag.t list
+    zero initialisers ([Iconst (r, 0)] / [Fconst (f, 0.)]) are skipped —
+    the MiniC frontend emits one per uninitialised declaration. *)
+val dead_stores : t -> Pp_ir.Diag.t list
 
 (** Parameters whose incoming value is never read on any path (either
     redefined first or never touched). *)

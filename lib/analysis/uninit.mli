@@ -9,5 +9,4 @@
 type t
 
 val compute : Pp_ir.Cfg.t -> t
-val maybe_uninit_in : t -> Pp_ir.Block.label -> Dataflow.Bitset.t option
 val warnings : t -> Pp_ir.Diag.t list

@@ -299,19 +299,6 @@ let prune t ~feasible =
   { numbering = t; sums = Array.of_list !keep }
 
 let num_feasible p = Array.length p.sums
-let feasible_sums p = Array.copy p.sums
-let sum_of_index p i = p.sums.(i)
-
-let index_of_sum p sum =
-  let lo = ref 0 and hi = ref (Array.length p.sums - 1) in
-  let found = ref None in
-  while !found = None && !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    if p.sums.(mid) = sum then found := Some mid
-    else if p.sums.(mid) < sum then lo := mid + 1
-    else hi := mid - 1
-  done;
-  !found
 
 (* {2 Steps} *)
 

@@ -142,16 +142,6 @@ val prune : t -> feasible:(int -> bool) -> pruned
 
 val num_feasible : pruned -> int
 
-(** A fresh copy of the kept sums, ascending. *)
-val feasible_sums : pruned -> int array
-
-(** Dense index of a feasible sum, [None] when the sum was pruned. *)
-val index_of_sum : pruned -> int -> int option
-
-(** Inverse of {!index_of_sum}.
-    @raise Invalid_argument when the index is out of range. *)
-val sum_of_index : pruned -> int -> int
-
 (** {2 Instrumentation placement}
 
     Placements are abstract: they name original CFG edges and the constants

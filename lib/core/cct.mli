@@ -44,9 +44,6 @@ val root : 'a t -> 'a node
 (** The record of the procedure currently executing. *)
 val current : 'a t -> 'a node
 
-(** Activation-stack depth (root = 0, so [depth t >= 1] after one enter). *)
-val depth : 'a t -> int
-
 (** [enter t ~proc ~nsites ~site ~kind] records a call to [proc] (which has
     [nsites] call sites of its own) through call site [site] of the current
     record, returning the callee's record.
@@ -65,8 +62,10 @@ val has_edge : 'a t -> proc:string -> site:int -> bool
 val exit : 'a t -> unit
 
 (** Non-local return (longjmp / exception): pop activations until [depth]
-    remains.  @raise Invalid_argument if deeper than the current depth. *)
+    remain (the root is depth 0).  @raise Invalid_argument if deeper than
+    the current depth. *)
 val unwind_to_depth : 'a t -> int -> unit
+[@@test_only "PLDI'97 non-local returns; MiniC has no longjmp, so no production path unwinds yet"]
 
 (** {2 Node accessors} *)
 
@@ -166,3 +165,4 @@ val merge :
     targets an ancestor; every non-root record is its parent's child.
     @raise Invalid_argument on violation. *)
 val check_invariants : 'a t -> unit
+[@@test_only "the checker tests run over every CCT that construction and merge build"]

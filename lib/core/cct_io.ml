@@ -14,7 +14,6 @@ let metrics_codec =
                (String.split_on_char ' ' (String.trim s))));
   }
 
-let unit_codec = { encode = (fun () -> ""); decode = (fun _ -> ()) }
 
 (* Procedure names may contain anything but whitespace in practice; escape
    defensively anyway ('%' then spaces/newlines/percents as %XX). *)
@@ -227,15 +226,14 @@ let escape_label s =
        (function '"' -> "\\\"" | c -> String.make 1 c)
        (List.of_seq (String.to_seq s)))
 
-let to_dot ?label cct =
-  let label = Option.value ~default:(fun n -> Cct.proc n) label in
+let to_dot cct =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "digraph cct {\n  node [shape=box];\n";
   Cct.iter
     (fun node ->
       Buffer.add_string buf
         (Printf.sprintf "  n%d [label=\"%s\"];\n" (Cct.id node)
-           (escape_label (label node))))
+           (escape_label (Cct.proc node))))
     cct;
   Cct.iter
     (fun node ->

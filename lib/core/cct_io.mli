@@ -30,9 +30,6 @@ val escape : string -> string
     digits. *)
 val unescape : string -> string option
 
-(** Unit payload (encodes to the empty string). *)
-val unit_codec : unit codec
-
 val to_string : codec:'a codec -> 'a Cct.t -> string
 
 (** {!to_string} through {!Crc32.write_atomic}. *)
@@ -50,8 +47,6 @@ exception Parse_error of int * string
     count that differs from the header's (at the header's line) *)
 val of_string : codec:'a codec -> string -> 'a Cct.t
 
-val of_file : codec:'a codec -> string -> 'a Cct.t
-
 (** Sum the metric CCTs saved in [paths] (by [pp profile --cct-out]),
     reading them in order: metric arrays add pointwise, a record only
     one tree has keeps its own.  [Error (`Read msg)] on the first
@@ -63,6 +58,5 @@ val merge_files :
   string list ->
   (int array Cct.t, [ `Read of string | `Conflict of Pp_ir.Diag.t ]) result
 
-(** Graphviz rendering; [label] decorates each record (default: the
-    procedure name). *)
-val to_dot : ?label:('a Cct.node -> string) -> 'a Cct.t -> string
+(** Graphviz rendering, each record labelled with its procedure name. *)
+val to_dot : 'a Cct.t -> string

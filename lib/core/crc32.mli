@@ -13,23 +13,14 @@
     (fits in 32 bits). *)
 val digest : string -> int
 
-(** [tag line] appends the CRC token: ["content"] becomes
-    ["content <8-hex-digit-crc>"].  [line] must not contain a
-    newline. *)
-val tag : string -> string
-
-(** [untag line] verifies and strips the CRC token: [Some content] when
-    the last space-separated token of [line] is the CRC-32 of everything
-    before the separating space, [None] on a missing or mismatching
-    token (the line was damaged). *)
-val untag : string -> string option
-
 (** {2 Checked-line files}
 
     The framing every checked-line format shares: a header line whose
     last field is the count of the record lines that follow, every line
-    {!tag}ged and newline-terminated.  A format supplies only its header
-    fields and its record syntax. *)
+    newline-terminated and tagged with a CRC token (["content"] becomes
+    ["content <8-hex-digit-crc>"], the CRC-32 of everything before the
+    separating space).  A format supplies only its header fields and its
+    record syntax. *)
 
 (** [frame header records]: [header] plus the record count, then the
     records (none may contain a newline). *)

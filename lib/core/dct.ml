@@ -1,21 +1,23 @@
 type node = { node_proc : string; mutable rev_children : node list }
 
 type t = {
-  max_nodes : int;
   root_node : node;
   mutable stack : node list;
   mutable n_nodes : int;
 }
 
-let create ?(max_nodes = 1_000_000) () =
+(* The node budget that keeps the unbounded tree honest. *)
+let max_nodes = 1_000_000
+
+let create () =
   let root_node = { node_proc = "<root>"; rev_children = [] } in
-  { max_nodes; root_node; stack = [ root_node ]; n_nodes = 1 }
+  { root_node; stack = [ root_node ]; n_nodes = 1 }
 
 let current t =
   match t.stack with n :: _ -> n | [] -> assert false
 
 let enter t ~proc =
-  if t.n_nodes >= t.max_nodes then
+  if t.n_nodes >= max_nodes then
     invalid_arg "Dct.enter: node budget exhausted";
   let parent = current t in
   let node = { node_proc = proc; rev_children = [] } in

@@ -2,13 +2,13 @@
 
     Precise but unbounded — its size is proportional to the number of calls
     — so it exists here as the reference structure for tests, figures and
-    small examples, with an optional node budget to keep it honest. *)
+    small examples, with a node budget to keep it honest. *)
 
 type t
 
-(** @raise Invalid_argument if more than [max_nodes] activations occur. *)
-val create : ?max_nodes:int -> unit -> t
+val create : unit -> t
 
+(** @raise Invalid_argument past a million activations. *)
 val enter : t -> proc:string -> unit
 val exit : t -> unit
 val num_nodes : t -> int
@@ -17,6 +17,7 @@ val num_nodes : t -> int
     its number of occurrences.  The set of DCT paths equals the set of CCT
     vertices when there is no recursion — the property tests rely on this. *)
 val contexts : t -> (string list * int) list
+[@@test_only "the reference context set that CCT vertices are checked against (paper section 4.1)"]
 
 (** Depth-first pretty print, Figure-4 style. *)
 val pp : Format.formatter -> t -> unit

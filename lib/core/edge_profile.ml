@@ -34,15 +34,6 @@ let cfg t = t.cfg
 let chords t = t.chords
 let num_counters t = List.length t.chords
 
-let merge_counts t a b =
-  let n = num_counters t in
-  if Array.length a <> n || Array.length b <> n then
-    invalid_arg
-      (Printf.sprintf
-         "Edge_profile.merge_counts: expected %d counters, got %d and %d" n
-         (Array.length a) (Array.length b));
-  Array.init n (fun i -> a.(i) + b.(i))
-
 let reconstruct t ~counts =
   if Array.length counts <> num_counters t then
     invalid_arg "Edge_profile.reconstruct: wrong counter count";

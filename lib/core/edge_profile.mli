@@ -21,12 +21,6 @@ val chords : t -> (Digraph.edge * int) list
 
 val num_counters : t -> int
 
-(** [merge_counts t a b] sums two shards' chord-counter vectors.  Since
-    {!reconstruct} solves a linear system, reconstructing the merged
-    counters equals summing the per-shard reconstructions edge by edge.
-    @raise Invalid_argument on a length mismatch. *)
-val merge_counts : t -> int array -> int array -> int array
-
 (** [reconstruct t ~counts] recovers every CFG edge's execution count from
     the chord counters by solving the flow-conservation equations over the
     tree.  [counts.(i)] is chord [i]'s counter.

@@ -63,7 +63,8 @@ type proc_classes = {
   cold_procs : proc_class_stats;
 }
 
-let classify_procs ?(threshold = 0.01) (prof : Profile.t) =
+let classify_procs (prof : Profile.t) =
+  let threshold = 0.01 in
   let total_misses, _, avg_ratio = totals prof in
   let buckets = Hashtbl.create 4 in
   List.iter
@@ -119,8 +120,8 @@ let hot_paths ?(threshold = 0.01) (prof : Profile.t) =
   |> List.sort (fun (_, _, a) (_, _, b) ->
          compare b.Profile.m0 a.Profile.m0)
 
-let avg_paths_through_hot_blocks ?(threshold = 0.01) (prof : Profile.t) =
-  let hot = hot_paths ~threshold prof in
+let avg_paths_through_hot_blocks (prof : Profile.t) =
+  let hot = hot_paths prof in
   (* Per procedure: paths through each block (over all executed paths). *)
   let through = Hashtbl.create 64 in  (* (proc, block) -> count *)
   List.iter

@@ -39,7 +39,8 @@ type proc_classes = {
   cold_procs : proc_class_stats;
 }
 
-val classify_procs : ?threshold:float -> Profile.t -> proc_classes
+(** At the default 1% threshold. *)
+val classify_procs : Profile.t -> proc_classes
 
 (** Every (procedure, path sum) whose misses reach the threshold, sorted by
     decreasing misses. *)
@@ -48,8 +49,9 @@ val hot_paths :
 
 (** §6.4.3: the average number of distinct executed paths that cross a basic
     block, over the blocks lying on hot paths — the reason statement-level
-    miss counts cannot isolate path behaviour. *)
-val avg_paths_through_hot_blocks : ?threshold:float -> Profile.t -> float
+    miss counts cannot isolate path behaviour.  Hot at the default 1%
+    threshold. *)
+val avg_paths_through_hot_blocks : Profile.t -> float
 
 val pp_path_classes : Format.formatter -> path_classes -> unit
 val pp_proc_classes : Format.formatter -> proc_classes -> unit

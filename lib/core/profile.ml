@@ -16,89 +16,12 @@ let sum_over f t =
       List.fold_left (fun acc (_, m) -> acc + f m) acc p.paths)
     0 t.procs
 
-let total_freq = sum_over (fun m -> m.freq)
 let total_m0 = sum_over (fun m -> m.m0)
 let total_m1 = sum_over (fun m -> m.m1)
 
 let find_proc t name = List.find_opt (fun p -> p.proc = name) t.procs
 
-let empty ~pic0 ~pic1 = { pic0; pic1; procs = [] }
-
-let add_metrics (a : path_metrics) (b : path_metrics) =
-  { freq = a.freq + b.freq; m0 = a.m0 + b.m0; m1 = a.m1 + b.m1 }
-
-(* Sum two path tables of the same procedure; output sorted by path sum. *)
-let merge_paths pa pb =
-  let table = Hashtbl.create 16 in
-  let feed =
-    List.iter (fun (sum, m) ->
-        let cur =
-          Option.value ~default:{ freq = 0; m0 = 0; m1 = 0 }
-            (Hashtbl.find_opt table sum)
-        in
-        Hashtbl.replace table sum (add_metrics cur m))
-  in
-  feed pa;
-  feed pb;
-  Hashtbl.fold (fun sum m acc -> (sum, m) :: acc) table []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let merge_proc (a : proc_profile) (b : proc_profile) =
-  if Ball_larus.num_paths a.numbering <> Ball_larus.num_paths b.numbering
-  then
-    invalid_arg
-      (Printf.sprintf
-         "Profile.merge: %s numbered with %d paths in one shard, %d in the \
-          other"
-         a.proc
-         (Ball_larus.num_paths a.numbering)
-         (Ball_larus.num_paths b.numbering));
-  { a with paths = merge_paths a.paths b.paths }
-
-let merge a b =
-  if a.pic0 <> b.pic0 || a.pic1 <> b.pic1 then
-    invalid_arg
-      (Printf.sprintf "Profile.merge: PIC selections differ (%s/%s vs %s/%s)"
-         (Event.name a.pic0) (Event.name a.pic1) (Event.name b.pic0)
-         (Event.name b.pic1));
-  let procs =
-    List.map
-      (fun (pa : proc_profile) ->
-        match List.find_opt (fun pb -> pb.proc = pa.proc) b.procs with
-        | Some pb -> merge_proc pa pb
-        | None -> { pa with paths = merge_paths pa.paths [] })
-      a.procs
-    @ List.filter_map
-        (fun (pb : proc_profile) ->
-          if List.exists (fun pa -> pa.proc = pb.proc) a.procs then None
-          else Some { pb with paths = merge_paths pb.paths [] })
-        b.procs
-    |> List.sort (fun pa pb -> compare pa.proc pb.proc)
-  in
-  { pic0 = a.pic0; pic1 = a.pic1; procs }
-
 let decode p sum = Ball_larus.decode p.numbering sum
-
-let observed_infeasible p ~feasible =
-  List.filter (fun (sum, _) -> not (feasible sum)) p.paths
 
 let ranked_paths p =
   List.sort (fun (_, a) (_, b) -> compare b.m0 a.m0) p.paths
-
-let pp_top ~n ppf t =
-  Format.fprintf ppf "@[<v>";
-  List.iter
-    (fun p ->
-      if p.paths <> [] then begin
-        Format.fprintf ppf "%s (%d executed paths):@," p.proc
-          (List.length p.paths);
-        List.iteri
-          (fun i (sum, m) ->
-            if i < n then
-              Format.fprintf ppf "  path %d: freq=%d %a=%d %a=%d  [%a]@," sum
-                m.freq Event.pp t.pic0 m.m0 Event.pp t.pic1 m.m1
-                Ball_larus.pp_path (decode p sum))
-          (ranked_paths p)
-      end)
-    t.procs;
-  Format.fprintf ppf "@]"

@@ -18,36 +18,13 @@ type t = {
   procs : proc_profile list;
 }
 
-val total_freq : t -> int
 val total_m0 : t -> int
 val total_m1 : t -> int
 
 val find_proc : t -> string -> proc_profile option
 
-(** The identity of {!merge}: no procedures, no paths. *)
-val empty : pic0:Event.t -> pic1:Event.t -> t
-
-(** [merge a b] sums the two profiles: the union of their procedures, each
-    path's frequency and metric accumulators added per path sum.  The result
-    is canonical — procedures sorted by name, paths by path sum — so merge is
-    commutative and associative up to that order, with {!empty} as identity.
-    Numbering is taken from the first operand that profiles the procedure.
-    @raise Invalid_argument if the PIC selections differ, or if a procedure
-    is numbered with a different path count in the two profiles (the shards
-    came from different programs). *)
-val merge : t -> t -> t
-
 (** Decode a path sum of a profiled procedure. *)
 val decode : proc_profile -> int -> Ball_larus.path
 
-(** Executed paths the predicate rejects — the empty list is exactly the
-    soundness condition a static feasibility pruner must satisfy against
-    every dynamic profile. *)
-val observed_infeasible :
-  proc_profile -> feasible:(int -> bool) -> (int * path_metrics) list
-
 (** Executed paths of one procedure sorted by decreasing [m0]. *)
 val ranked_paths : proc_profile -> (int * path_metrics) list
-
-(** Pretty-print the top [n] paths of every procedure. *)
-val pp_top : n:int -> Format.formatter -> t -> unit

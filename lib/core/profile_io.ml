@@ -355,15 +355,6 @@ let of_string text =
                 readers can recover the valid prefix)"
                rep.recovered rep.total ))
 
-(* The pseudo-procedure "<shard>" locates whole-file damage, the same
-   way merge mismatches sit at "<header>". *)
-let salvage_diag ~file rep =
-  Diag.error (Diag.proc_loc "<shard>")
-    "%s:%d: salvaged %d of %d records; dropped %d damaged or missing \
-     record%s"
-    file rep.first_bad_line rep.recovered rep.total (rep.total - rep.recovered)
-    (if rep.total - rep.recovered = 1 then "" else "s")
-
 let salvage_string text =
   match scan text with
   | Ok (s, damage, _) -> Ok (s, damage)

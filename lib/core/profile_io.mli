@@ -105,12 +105,6 @@ exception Parse_error of int * string
 (** Line number and message.  On a damaged shard the message says how
     many records are intact; use {!salvage_string} to recover them. *)
 
-(** Strict reader: verifies every CRC and the record count.  A record
-    whose CRC holds but which does not parse raises its own error at its
-    line (e.g. [bad escape in "%zz"]), not a damage report.
-    @raise Parse_error on malformed input or any detected damage. *)
-val of_string : string -> saved
-
 (** {2 Salvage: recovering damaged shards} *)
 
 (** What a damaged shard's salvage kept: see {!Crc32.damage}. *)
@@ -131,15 +125,14 @@ val salvage_string : string -> (saved * salvage_report option, Pp_ir.Diag.t) res
 (** {!salvage_string} on a file; unreadable files are [Error]. *)
 val salvage_file : string -> (saved * salvage_report option, Pp_ir.Diag.t) result
 
-(** Render a report as a structured diagnostic at the pseudo-procedure
-    ["<shard>"] (the convention {!merge} uses for ["<header>"]). *)
-val salvage_diag : file:string -> salvage_report -> Pp_ir.Diag.t
-
 (** {2 Files} *)
 
 (** [Crc32.write_atomic path (to_string s)]. *)
 val to_file : string -> saved -> unit
 
-(** Strict file reader ({!of_string} semantics).
-    @raise Parse_error on damage; [Sys_error] on unreadable files. *)
+(** Strict reader: verifies every CRC and the record count.  A record
+    whose CRC holds but which does not parse raises its own error at its
+    line (e.g. [bad escape in "%zz"]), not a damage report.
+    @raise Parse_error on malformed input or any detected damage;
+    [Sys_error] on unreadable files. *)
 val of_file : string -> saved

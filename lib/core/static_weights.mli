@@ -8,15 +8,11 @@
 
 module Digraph = Pp_graph.Digraph
 
-(** [loop_depths cfg] — for every vertex, the number of natural loops
-    containing it (ENTRY/EXIT are at depth 0).  A natural loop of backedge
-    [v -> w] — counted only when [w] dominates [v] — is [w] plus every
-    vertex that reaches [v] without passing through [w].  Retreating edges
-    of irreducible regions contribute no loop. *)
-val loop_depths : Pp_ir.Cfg.t -> int array
-
 (** [edge_weight cfg] estimates an edge's execution frequency as
     [8^depth] (capped), where the edge's depth is the {e smaller} of its
     endpoints' loop depths (an edge entering or leaving a loop executes at
-    the outer rate). *)
+    the outer rate).  A vertex's loop depth counts the natural backedges
+    [v -> w] ([w] dominates [v]) whose loop — [w] plus every vertex that
+    reaches [v] without passing through [w] — contains it; retreating
+    edges of irreducible regions contribute no loop. *)
 val edge_weight : Pp_ir.Cfg.t -> Digraph.edge -> int

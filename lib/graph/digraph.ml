@@ -74,10 +74,6 @@ let in_edges g v =
   check_vertex g v;
   List.rev g.in_adj.(v)
 
-let out_degree g v =
-  check_vertex g v;
-  List.length g.out_adj.(v)
-
 let in_degree g v =
   check_vertex g v;
   List.length g.in_adj.(v)
@@ -101,9 +97,6 @@ let fold_edges f g init =
     acc := f g.edges.(i) !acc
   done;
   !acc
-
-let find_edges g src dst =
-  List.filter (fun e -> e.dst = dst) (out_edges g src)
 
 let reverse g =
   let r = create () in

@@ -45,7 +45,6 @@ val out_edges : t -> vertex -> edge list
 (** In-edges of [v] in insertion order. *)
 val in_edges : t -> vertex -> edge list
 
-val out_degree : t -> vertex -> int
 val in_degree : t -> vertex -> int
 
 val succs : t -> vertex -> vertex list
@@ -57,9 +56,6 @@ val iter_vertices : (vertex -> unit) -> t -> unit
 val iter_edges : (edge -> unit) -> t -> unit
 
 val fold_edges : (edge -> 'a -> 'a) -> t -> 'a -> 'a
-
-(** All edges from [src] to [dst], in insertion order. *)
-val find_edges : t -> vertex -> vertex -> edge list
 
 (** [reverse g] is a fresh graph with the same vertices and every edge
     flipped.  Edges are inserted in id order, so a reversed edge keeps the

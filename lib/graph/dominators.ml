@@ -46,9 +46,6 @@ let compute g ~root =
 
 let compute_post g ~exit = compute (Digraph.reverse g) ~root:exit
 
-let idom t v =
-  if v = t.root || t.idom.(v) < 0 then None else Some t.idom.(v)
-
 let reachable t v = t.rpo_index.(v) >= 0
 
 let dominates t d v =
@@ -58,18 +55,7 @@ let dominates t d v =
     climb v
   end
 
-let dominator_chain t v =
-  if not (reachable t v) then
-    invalid_arg "Dominators.dominator_chain: unreachable vertex";
-  let rec up v acc =
-    if v = t.root then v :: acc else up t.idom.(v) (v :: acc)
-  in
-  up v []
-
 let natural_backedges t dfs =
   List.filter
     (fun (e : Digraph.edge) -> dominates t e.dst e.src)
     (Dfs.back_edges dfs)
-
-let is_reducible t dfs =
-  List.length (natural_backedges t dfs) = List.length (Dfs.back_edges dfs)

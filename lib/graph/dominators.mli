@@ -17,21 +17,10 @@ val compute : Digraph.t -> root:Digraph.vertex -> t
     through [d].  Vertices that cannot reach [exit] have no information. *)
 val compute_post : Digraph.t -> exit:Digraph.vertex -> t
 
-(** Immediate dominator; [None] for the root and for unreachable
-    vertices. *)
-val idom : t -> Digraph.vertex -> Digraph.vertex option
-
 (** [dominates t d v] — true when [d] is on every root→[v] path ([d = v]
     included).  False if either vertex is unreachable. *)
 val dominates : t -> Digraph.vertex -> Digraph.vertex -> bool
 
-(** The root-to-[v] dominator chain, root first.
-    @raise Invalid_argument on an unreachable vertex. *)
-val dominator_chain : t -> Digraph.vertex -> Digraph.vertex list
-
 (** Backedges whose target dominates their source — the loops a reducible
     CFG analysis may treat as natural. *)
 val natural_backedges : t -> Dfs.t -> Digraph.edge list
-
-(** A graph is reducible iff every DFS back edge is a natural backedge. *)
-val is_reducible : t -> Dfs.t -> bool

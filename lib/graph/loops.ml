@@ -17,7 +17,6 @@ type t = {
   loops : loop array;
   member : bool array array;  (* member.(l).(v) *)
   vdepth : int array;
-  vinner : int array;  (* innermost loop index, -1 if none *)
 }
 
 let body_of g ~header backedges n =
@@ -104,14 +103,9 @@ let analyze g ~root =
     ignore (depth_of j)
   done;
   let vdepth = Array.make n 0 in
-  let vinner = Array.make n (-1) in
   for v = 0 to n - 1 do
     for l = 0 to nl - 1 do
-      if member.(l).(v) then begin
-        vdepth.(v) <- vdepth.(v) + 1;
-        if vinner.(v) < 0 || body_size.(l) < body_size.(vinner.(v)) then
-          vinner.(v) <- l
-      end
+      if member.(l).(v) then vdepth.(v) <- vdepth.(v) + 1
     done
   done;
   let loops =
@@ -131,13 +125,10 @@ let analyze g ~root =
            })
          headers)
   in
-  { loops; member; vdepth; vinner }
+  { loops; member; vdepth }
 
 let loops t = t.loops
-let num_loops t = Array.length t.loops
 let depth t v = t.vdepth.(v)
-
-let innermost t v = if t.vinner.(v) < 0 then None else Some t.vinner.(v)
 
 let in_loop t l v = t.member.(l).(v)
 

@@ -21,13 +21,8 @@ val analyze : Digraph.t -> root:Digraph.vertex -> t
 (** Loops indexed densely; order follows first backedge discovery. *)
 val loops : t -> loop array
 
-val num_loops : t -> int
-
 (** Number of loop bodies containing [v]; [0] outside any loop. *)
 val depth : t -> Digraph.vertex -> int
-
-(** Index of the smallest loop containing [v], if any. *)
-val innermost : t -> Digraph.vertex -> int option
 
 (** [in_loop t l v] — membership of [v] in the body of loop [l]. *)
 val in_loop : t -> int -> Digraph.vertex -> bool

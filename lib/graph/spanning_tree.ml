@@ -14,66 +14,3 @@ let maximum g ~weight =
     (fun (e : Digraph.edge) ->
       e.src <> e.dst && Union_find.union uf e.src e.dst)
     edges
-
-let chords g ~tree =
-  let in_tree = Hashtbl.create 16 in
-  List.iter (fun (e : Digraph.edge) -> Hashtbl.replace in_tree e.id ()) tree;
-  Digraph.fold_edges
-    (fun e acc -> if Hashtbl.mem in_tree e.id then acc else e :: acc)
-    g []
-  |> List.rev
-
-type step = { edge : Digraph.edge; forward : bool }
-
-type forest = {
-  n : int;
-  adj : (Digraph.edge * bool) list array;
-      (* per vertex: incident tree edges; bool = vertex is the edge's src *)
-}
-
-let of_edges g edges =
-  let n = Digraph.num_vertices g in
-  let adj = Array.make n [] in
-  List.iter
-    (fun (e : Digraph.edge) ->
-      adj.(e.src) <- (e, true) :: adj.(e.src);
-      adj.(e.dst) <- (e, false) :: adj.(e.dst))
-    edges;
-  { n; adj }
-
-let path f ~src ~dst =
-  if src = dst then []
-  else begin
-    (* BFS from src recording the step used to reach each vertex. *)
-    let visited = Array.make f.n false in
-    let how = Array.make f.n None in
-    let queue = Queue.create () in
-    visited.(src) <- true;
-    Queue.add src queue;
-    let found = ref false in
-    while (not !found) && not (Queue.is_empty queue) do
-      let v = Queue.pop queue in
-      List.iter
-        (fun ((e : Digraph.edge), v_is_src) ->
-          let w = if v_is_src then e.dst else e.src in
-          if not visited.(w) then begin
-            visited.(w) <- true;
-            how.(w) <- Some { edge = e; forward = v_is_src };
-            if w = dst then found := true else Queue.add w queue
-          end)
-        f.adj.(v)
-    done;
-    if not !found then raise Not_found;
-    let rec rebuild v acc =
-      if v = src then acc
-      else
-        match how.(v) with
-        | None -> assert false
-        | Some step ->
-            let prev =
-              if step.forward then step.edge.src else step.edge.dst
-            in
-            rebuild prev (step :: acc)
-    in
-    rebuild dst []
-  end

@@ -3,27 +3,10 @@
     The Ball–Larus optimized increment placement [Ball 94, BL96] instruments
     only the chords of a spanning tree, choosing a maximum-weight tree so
     that frequently executed edges escape instrumentation.  This module
-    supplies the tree, its chords, and undirected tree paths (needed to
-    compute each chord's increment as a signed sum of edge values around its
-    unique tree cycle). *)
+    supplies the tree. *)
 
 (** [maximum g ~weight] computes a maximum-weight spanning forest of [g]
     viewed as an undirected graph (Kruskal).  Parallel edges are considered
     individually; at most one of them can be a tree edge. *)
 val maximum :
   Digraph.t -> weight:(Digraph.edge -> int) -> Digraph.edge list
-
-(** [chords g ~tree] lists the edges of [g] not in [tree], in id order. *)
-val chords : Digraph.t -> tree:Digraph.edge list -> Digraph.edge list
-
-type forest
-
-val of_edges : Digraph.t -> Digraph.edge list -> forest
-
-(** One step of an undirected tree path: the edge, and whether it is
-    traversed in its natural direction (src towards dst). *)
-type step = { edge : Digraph.edge; forward : bool }
-
-(** [path f ~src ~dst] is the unique undirected path in the forest, or raises
-    [Not_found] when [src] and [dst] lie in different trees. *)
-val path : forest -> src:Digraph.vertex -> dst:Digraph.vertex -> step list

@@ -4,7 +4,7 @@ exception Cycle of Digraph.vertex
    reachable from one root; topological sorts here must cover the whole
    graph (the Ball–Larus passes run on transformed CFGs whose every vertex
    is reachable, but the generic utility should not assume that). *)
-let sort g =
+let reverse_sort g =
   let n = Digraph.num_vertices g in
   let indeg = Array.make n 0 in
   Digraph.iter_edges (fun e -> indeg.(e.dst) <- indeg.(e.dst) + 1) g;
@@ -31,9 +31,7 @@ let sort g =
       g;
     raise (Cycle !witness)
   end;
-  List.rev !order
-
-let reverse_sort g = List.rev (sort g)
+  !order
 
 let is_acyclic g =
-  match sort g with _ -> true | exception Cycle _ -> false
+  match reverse_sort g with _ -> true | exception Cycle _ -> false

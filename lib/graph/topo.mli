@@ -3,14 +3,9 @@
 exception Cycle of Digraph.vertex
 (** Raised (with a vertex on some cycle) when the graph is cyclic. *)
 
-(** [sort g] lists all vertices so that every edge goes from an earlier to a
-    later vertex.
-    @raise Cycle when the graph contains a directed cycle. *)
-val sort : Digraph.t -> Digraph.vertex list
-
-(** [reverse_sort g] is [List.rev (sort g)]: every edge goes from a later to
-    an earlier vertex.  This is the visit order of the Ball–Larus labelling
-    passes.
+(** [reverse_sort g] lists all vertices so that every edge goes from a
+    later to an earlier vertex.  This is the visit order of the Ball–Larus
+    labelling passes.
     @raise Cycle when the graph contains a directed cycle. *)
 val reverse_sort : Digraph.t -> Digraph.vertex list
 

@@ -23,5 +23,3 @@ let union t a b =
     end;
     true
   end
-
-let same t a b = find t a = find t b

@@ -8,5 +8,3 @@ val create : int -> t
 (** [union t a b] merges the sets of [a] and [b]; returns [false] when they
     were already the same set (no change made). *)
 val union : t -> int -> int -> bool
-
-val same : t -> int -> int -> bool

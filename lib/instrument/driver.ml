@@ -94,9 +94,8 @@ let run session =
   Trace.with_span session.trace "execute" (fun () ->
       Engine.run session.engine)
 
-let run_baseline ?config ?max_instructions ?(pics = default_pics) ?engine
-    prog =
-  let eng = Engine.create ?kind:engine ?config ?max_instructions prog in
+let run_baseline ?max_instructions ?(pics = default_pics) ?engine prog =
+  let eng = Engine.create ?kind:engine ?max_instructions prog in
   let pic0, pic1 = pics in
   Interp.select_pics (Engine.vm eng) ~pic0 ~pic1;
   Engine.run eng

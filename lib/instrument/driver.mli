@@ -69,7 +69,6 @@ val run : session -> Pp_vm.Interp.result
 (** Execute the {e uninstrumented} program under the same machine model —
     the paper's sampled baseline. *)
 val run_baseline :
-  ?config:Pp_machine.Config.t ->
   ?max_instructions:int ->
   ?pics:Event.t * Event.t ->
   ?engine:Pp_vm.Engine.kind ->

@@ -122,8 +122,6 @@ let fuses = function
   | Hwzero | Hwwrite _ | Frameaddr _ | Print_int _ | Prof _ ->
       []
 
-let is_load = function Load _ | Fload _ -> true | _ -> false
-let is_store = function Store _ | Fstore _ -> true | _ -> false
 let is_call = function Call _ | Callind _ -> true | _ -> false
 
 (* Footprints of the runtime stubs the pseudo-ops stand for, in instruction

@@ -122,12 +122,6 @@ val iuses : t -> ireg list
 val fdefs : t -> freg list
 val fuses : t -> freg list
 
-(** True for [Load]/[Fload]. *)
-val is_load : t -> bool
-
-(** True for [Store]/[Fstore]. *)
-val is_store : t -> bool
-
 val is_call : t -> bool
 
 (** Code-size footprint in instruction slots.  Ordinary instructions occupy

@@ -19,12 +19,10 @@ type proc_layout = {
   base : int;
   instr_off : int array array;  (* per label, per instruction index
                                    (terminator = last), byte offset *)
-  limit : int;  (* first address past the procedure *)
 }
 
 type t = {
   procs : (string, proc_layout) Hashtbl.t;
-  proc_order : (int * string) list;  (* sorted by base address *)
   globals : (string, int) Hashtbl.t;
   data_end : int;
 }
@@ -48,17 +46,15 @@ let layout_proc base (p : Proc.t) =
       (* terminator slot *)
       instr_off.(b.label) <- offs)
     p.blocks;
-  ({ base; instr_off; limit = !cursor }, !cursor)
+  ({ base; instr_off }, !cursor)
 
 let build (prog : Program.t) =
   let procs = Hashtbl.create 16 in
   let cursor = ref code_base in
-  let order = ref [] in
   Array.iter
     (fun (p : Proc.t) ->
       let pl, next = layout_proc !cursor p in
       Hashtbl.replace procs p.name pl;
-      order := (pl.base, p.name) :: !order;
       (* Align procedures to 32 bytes (an I-cache line), as linkers do. *)
       cursor := (next + 31) land lnot 31)
     prog.procs;
@@ -69,12 +65,7 @@ let build (prog : Program.t) =
       Hashtbl.replace globals g.gname !dcursor;
       dcursor := !dcursor + (g.size_words * word))
     prog.globals;
-  {
-    procs;
-    proc_order = List.sort compare !order;
-    globals;
-    data_end = !dcursor;
-  }
+  { procs; globals; data_end = !dcursor }
 
 let proc_layout t name =
   match Hashtbl.find_opt t.procs name with
@@ -106,15 +97,3 @@ let resolve t name =
       match Hashtbl.find_opt t.globals name with
       | Some a -> a
       | None -> raise Not_found)
-
-let proc_of_addr t addr =
-  (* proc_order is sorted by base; find the last base <= addr and check the
-     address lies within that procedure. *)
-  let rec search best = function
-    | [] -> best
-    | (base, name) :: rest ->
-        if base <= addr then search (Some name) rest else best
-  in
-  match search None t.proc_order with
-  | Some name when addr < (proc_layout t name).limit -> Some name
-  | Some _ | None -> None

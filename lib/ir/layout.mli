@@ -20,8 +20,6 @@ val stack_base : int
 (** Lowest legal stack address. *)
 val stack_limit : int
 
-val code_base : int
-
 (** Bytes per memory word (8). *)
 val word : int
 
@@ -55,7 +53,3 @@ val data_end : t -> int
 (** Resolve a symbol: a procedure name to its code address, or a global to
     its data address.  @raise Not_found *)
 val resolve : t -> string -> int
-
-(** The procedure whose code spans the given address, if any — the inverse
-    of [proc_addr], used to decode function-pointer values. *)
-val proc_of_addr : t -> int -> string option

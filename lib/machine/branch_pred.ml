@@ -20,6 +20,3 @@ let[@inline] predict_and_update t ~addr ~taken =
      else if c > 0 then c - 1
      else 0);
   predicted_taken = taken
-
-let clear t =
-  Array.fill t.counters 0 (Array.length t.counters) weakly_taken

@@ -9,5 +9,3 @@ val create : table_size:int -> t
     updates the counter with the actual outcome, and returns whether the
     prediction was correct. *)
 val predict_and_update : t -> addr:int -> taken:bool -> bool
-
-val clear : t -> unit

@@ -5,8 +5,6 @@ type t = {
   tags : int array;  (* sets * ways; -1 = invalid *)
   stamp : int array;  (* LRU recency stamps, parallel to tags *)
   mutable clock : int;
-  mutable accesses : int;
-  mutable misses : int;
 }
 
 let log2 n =
@@ -22,11 +20,8 @@ let create (g : Config.cache_geometry) =
     tags = Array.make (n_sets * g.associativity) (-1);
     stamp = Array.make (n_sets * g.associativity) 0;
     clock = 0;
-    accesses = 0;
-    misses = 0;
   }
 
-let sets t = (t.set_mask + 1 : int)
 let line t addr = addr lsr t.line_shift
 
 let find t addr =
@@ -54,38 +49,33 @@ let victim t base =
   !best
 
 let read t addr =
-  t.accesses <- t.accesses + 1;
   let base, line, hit = find t addr in
   match hit with
   | Some slot ->
       touch t slot;
       true
   | None ->
-      t.misses <- t.misses + 1;
       let slot = victim t base in
       t.tags.(slot) <- line;
       touch t slot;
       false
 
 let write t addr =
-  t.accesses <- t.accesses + 1;
   let _base, _line, hit = find t addr in
   match hit with
   | Some slot ->
       touch t slot;
       true
   | None ->
-      t.misses <- t.misses + 1;
       false
 
 (* Allocation-free variants of [read]/[write], the probes the machine
-   model makes.  Same observable behaviour — accesses, misses, tags,
-   stamps and clock advance exactly as in the reference [read]/[write]
+   model makes.  Same observable behaviour — hits, tags, stamps and
+   clock advance exactly as in the reference [read]/[write]
    above — but the way scan is inlined so no option or tuple is boxed
    per probe. *)
 
 let read_hot t addr =
-  t.accesses <- t.accesses + 1;
   let line = addr lsr t.line_shift in
   let ways = t.ways in
   if ways = 1 then begin
@@ -97,7 +87,6 @@ let read_hot t addr =
     Array.unsafe_set t.stamp set clock;
     if Array.unsafe_get t.tags set = line then true
     else begin
-      t.misses <- t.misses + 1;
       Array.unsafe_set t.tags set line;
       false
     end
@@ -116,7 +105,6 @@ let read_hot t addr =
       true
     end
     else begin
-      t.misses <- t.misses + 1;
       (* LRU victim; ties pick the first way, as [victim] does. *)
       let v =
         if Array.unsafe_get stamp (base + 1) < Array.unsafe_get stamp base
@@ -133,8 +121,7 @@ let read_hot t addr =
     let tags = t.tags in
     let rec scan i =
       if i >= ways then begin
-        t.misses <- t.misses + 1;
-        let slot = victim t base in
+          let slot = victim t base in
         Array.unsafe_set tags slot line;
         touch t slot;
         false
@@ -149,7 +136,6 @@ let read_hot t addr =
   end
 
 let write_hot t addr =
-  t.accesses <- t.accesses + 1;
   let line = addr lsr t.line_shift in
   let ways = t.ways in
   if ways = 1 then begin
@@ -161,10 +147,7 @@ let write_hot t addr =
       Array.unsafe_set t.stamp set clock;
       true
     end
-    else begin
-      t.misses <- t.misses + 1;
-      false
-    end
+    else false
   end
   else if ways = 2 then begin
     let base = (line land t.set_mask) * 2 in
@@ -181,19 +164,13 @@ let write_hot t addr =
       Array.unsafe_set t.stamp (base + 1) clock;
       true
     end
-    else begin
-      t.misses <- t.misses + 1;
-      false
-    end
+    else false
   end
   else begin
     let base = (line land t.set_mask) * ways in
     let tags = t.tags in
     let rec scan i =
-      if i >= ways then begin
-        t.misses <- t.misses + 1;
-        false
-      end
+      if i >= ways then false
       else if Array.unsafe_get tags (base + i) = line then begin
         touch t (base + i);
         true
@@ -223,8 +200,6 @@ let read_many_direct t addrs n =
     Array.unsafe_set stamp set !clock
   done;
   t.clock <- !clock;
-  t.accesses <- t.accesses + n;
-  t.misses <- t.misses + !misses;
   !misses
 
 let read_many_2way t addrs n =
@@ -253,31 +228,19 @@ let read_many_2way t addrs n =
     Array.unsafe_set stamp slot !clock
   done;
   t.clock <- !clock;
-  t.accesses <- t.accesses + n;
-  t.misses <- t.misses + !misses;
   !misses
 
 let read_many t addrs n =
   if t.ways = 1 then read_many_direct t addrs n
   else if t.ways = 2 then read_many_2way t addrs n
   else begin
-    let misses0 = t.misses in
+    let misses = ref 0 in
     for i = 0 to n - 1 do
-      ignore (read_hot t (Array.unsafe_get addrs i))
+      if not (read_hot t (Array.unsafe_get addrs i)) then incr misses
     done;
-    t.misses - misses0
+    !misses
   end
 
 let probe t addr =
   let _, _, hit = find t addr in
   hit <> None
-
-let clear t =
-  Array.fill t.tags 0 (Array.length t.tags) (-1);
-  Array.fill t.stamp 0 (Array.length t.stamp) 0;
-  t.clock <- 0;
-  t.accesses <- 0;
-  t.misses <- 0
-
-let accesses t = t.accesses
-let misses t = t.misses

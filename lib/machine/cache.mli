@@ -14,10 +14,12 @@ val create : Config.cache_geometry -> t
 (** [read t addr] touches the line containing [addr]; a miss fills it.
     Returns [true] on hit. *)
 val read : t -> int -> bool
+[@@test_only "the reference LRU model read_hot and read_many are checked against"]
 
 (** [write t addr] is a non-allocating write probe: recency is updated on a
     hit, and a miss leaves the cache unchanged.  Returns [true] on hit. *)
 val write : t -> int -> bool
+[@@test_only "the reference LRU model write_hot is checked against"]
 
 (** Allocation-free [read], the probe {!Machine} makes for every engine.
     Observable behaviour is identical to {!read}, which stays as the
@@ -38,11 +40,4 @@ val line : t -> int -> int
 
 (** [probe t addr] tests for presence without disturbing any state. *)
 val probe : t -> int -> bool
-
-val clear : t -> unit
-
-val accesses : t -> int
-val misses : t -> int
-
-(** Number of sets (for tests). *)
-val sets : t -> int
+[@@test_only "reads the contents that tests compare between the reference and hot paths"]

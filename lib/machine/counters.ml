@@ -28,8 +28,6 @@ let select t ~pic0 ~pic1 =
 
 let selection t = (t.pic0_event, t.pic1_event)
 
-let bump t e n = t.totals.(Event.to_int e) <- t.totals.(Event.to_int e) + n
-
 (* The dense index of an event into [raw_totals], resolved once by
    callers that bump the totals array in place. *)
 let ix e = Event.to_int e
@@ -51,8 +49,3 @@ let write_pic t k v =
   | 0 -> t.pic0_base <- total t t.pic0_event - v
   | 1 -> t.pic1_base <- total t t.pic1_event - v
   | k -> invalid_arg (Printf.sprintf "Counters.write_pic: %d" k)
-
-let clear t =
-  Array.fill t.totals 0 Event.count 0;
-  t.pic0_base <- 0;
-  t.pic1_base <- 0

@@ -17,15 +17,13 @@ val select : t -> pic0:Event.t -> pic1:Event.t -> unit
 
 val selection : t -> Event.t * Event.t
 
-val bump : t -> Event.t -> int -> unit
-
 (** The dense index of an event into {!raw_totals}, resolved once by a
     caller that then bumps the array in place. *)
 val ix : Event.t -> int
 
 (** The live totals array itself, indexed by {!ix} — {!Machine} caches
-    it once and bumps entries in place, which is observably identical to
-    {!bump}.  Treat as write-only; use {!total} to read. *)
+    it once and bumps entries in place.  Treat as write-only; use
+    {!total} to read. *)
 val raw_totals : t -> int array
 
 (** Full 63-bit total since creation (harness view). *)
@@ -44,6 +42,3 @@ val zero_pics : t -> unit
     whatever accrues after the write) — the save/restore path of §3.1, where
     a callee restores its caller's counter values before returning. *)
 val write_pic : t -> int -> int -> unit
-
-(** Reset every total and the PICs. *)
-val clear : t -> unit

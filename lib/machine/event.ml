@@ -80,4 +80,4 @@ let name = function
 
 let of_name s = List.find_opt (fun e -> name e = s) all
 
-let pp ppf e = Format.pp_print_string ppf (name e)
+

@@ -38,5 +38,3 @@ val name : t -> string
 
 (** Inverse of {!name}. *)
 val of_name : string -> t option
-
-val pp : Format.formatter -> t -> unit

@@ -42,7 +42,6 @@ let create config =
 
 let config t = t.config
 let counters t = t.counters
-let icache_probe t ~addr = Cache.probe t.icache addr
 let now t = t.cycles
 
 (* Pre-resolved counter indices: every entry point below bumps the
@@ -303,11 +302,3 @@ let block_step t ops ~dyn =
     | Bfp_define dst -> fp_define t ~dst
   done
 
-let reset t =
-  Cache.clear t.dcache;
-  Cache.clear t.icache;
-  Branch_pred.clear t.branch_pred;
-  Store_buffer.clear t.store_buffer;
-  Fp_unit.clear t.fp;
-  Counters.clear t.counters;
-  t.cycles <- 0

@@ -18,10 +18,6 @@ val counters : t -> Counters.t
 (** Current cycle count. *)
 val now : t -> int
 
-(** Whether the line holding code address [addr] is in the I-cache;
-    disturbs no state (see {!Cache.probe}). *)
-val icache_probe : t -> addr:int -> bool
-
 (** Fetch one instruction slot at a code address. *)
 val fetch : t -> addr:int -> unit
 
@@ -49,9 +45,6 @@ val fp_define : t -> dst:int -> unit
     (called on procedure entry; the model does not track FP pipelining
     across calls). *)
 val fp_frame : t -> nregs:int -> unit
-
-(** Reset all state: caches, predictor, buffers, counters, clock. *)
-val reset : t -> unit
 
 (** {2 Batched per-block events}
 

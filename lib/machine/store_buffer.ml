@@ -51,12 +51,3 @@ let push t ~now ~drain =
   Array.unsafe_set t.buf tail completion;
   t.len <- t.len + 1;
   stall
-
-let clear t =
-  t.head <- 0;
-  t.len <- 0;
-  t.last_completion <- 0
-
-let occupancy t ~now =
-  drain_completed t ~now;
-  t.len

@@ -13,8 +13,3 @@ val create : entries:int -> t
     [drain] cycles to leave the buffer; returns the stall cycles incurred
     (0 when a slot is free). *)
 val push : t -> now:int -> drain:int -> int
-
-val clear : t -> unit
-
-(** Entries still in flight at cycle [now] (for tests). *)
-val occupancy : t -> now:int -> int

@@ -12,18 +12,6 @@
     [key] (program and budget) loads as [None]: the shard reruns, so
     resumption can never poison a result. *)
 
-(** [DIR/shard-<k>.ckpt]. *)
-val path : dir:string -> int -> string
-
-(** Atomically write shard [k]'s result under [key] (no spaces),
-    creating [dir] if needed.
-    @raise Sys_error if the directory cannot be created or written. *)
-val save : dir:string -> key:string -> int -> Pp_vm.Interp.result -> unit
-
-(** Shard [k]'s result: [None] if absent, damaged in any way, or saved
-    under a different [key]. *)
-val load : dir:string -> key:string -> int -> Pp_vm.Interp.result option
-
 (** Execute the program once, uninstrumented, recording [run.instructions]
     and [run.cycles] in [Pp_telemetry.Metrics.default].
     @raise Pp_vm.Interp.Trap when the program traps. *)

@@ -9,12 +9,6 @@ let kind_name = function
   | Corruption_heavy -> "corruption-heavy"
   | Mixed -> "mixed"
 
-let kind_of_name = function
-  | "crash-heavy" | "crash" -> Some Crash_heavy
-  | "corruption-heavy" | "corruption" -> Some Corruption_heavy
-  | "mixed" -> Some Mixed
-  | _ -> None
-
 (* SplitMix64 finalizer over a fold of the inputs: avalanche quality is
    what makes per-(seed, task, attempt) draws independent.  Kept within
    62 bits (OCaml int) and masked non-negative. *)
@@ -37,7 +31,6 @@ type plan = {
   kind : kind;
   seed : int;
   tasks : int;
-  max_attempt : int;
   faults : fault option array;  (* by task index *)
 }
 
@@ -68,28 +61,18 @@ let draw ~kind ~stall h =
     | Corruption_heavy -> Some corrupt_fault
     | Mixed -> Some (if pick land 8 = 0 then crash_fault else corrupt_fault)
 
-let none =
-  {
-    kind = Mixed;
-    seed = 0;
-    tasks = 0;
-    max_attempt = 0;
-    faults = [||];
-  }
-
-let seeded ?(stall = 30.0) ?(max_attempt = 1) kind ~seed ~tasks =
+let seeded ?(stall = 30.0) kind ~seed ~tasks =
   if tasks < 0 then invalid_arg "Faults.seeded: negative task count";
   {
     kind;
     seed;
     tasks;
-    max_attempt;
     faults =
       Array.init tasks (fun task -> draw ~kind ~stall (mix [ seed; task ]));
   }
 
 let fault_for plan ~task ~attempt =
-  if attempt > plan.max_attempt || task < 0 || task >= Array.length plan.faults
+  if attempt > 1 || task < 0 || task >= Array.length plan.faults
   then None
   else plan.faults.(task)
 

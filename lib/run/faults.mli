@@ -8,9 +8,9 @@
     reproducible from its seed — the same shards fail the same way in the
     same attempts, so CI can assert byte-identical recovery.
 
-    Plans only inject on attempts [<= max_attempt] (default 1), so any
-    retry budget of [max_attempt + 1] or more is guaranteed to converge:
-    the fault fires, the retry runs clean. *)
+    Plans only inject on the first attempt, so any retry budget of 2 or
+    more is guaranteed to converge: the fault fires, the retry runs
+    clean. *)
 
 (** One injected failure.  [Crash] and [Stall] fire before the task does
     any work; a [Write] fault is passed to {!Pp_core.Crc32.write_atomic}
@@ -28,30 +28,18 @@ type kind =
   | Corruption_heavy  (** torn writes, bit flips, truncations — data damage *)
   | Mixed
 
-val kind_name : kind -> string
-
-(** Parse ["crash-heavy"] / ["corruption-heavy"] / ["mixed"]. *)
-val kind_of_name : string -> kind option
-
 type plan
-
-(** The empty plan: injects nothing. *)
-val none : plan
 
 (** [seeded kind ~seed ~tasks] draws a deterministic plan over task
     indices [0 .. tasks-1]: roughly two thirds of the tasks get one fault
     each, of the [kind]'s mix.  [stall] is the sleep used for [Stall]
     faults (choose it longer than the pool timeout; default 30s).
-    [max_attempt] bounds the attempts faults fire on (default 1).
     @raise Invalid_argument if [tasks < 0]. *)
-val seeded : ?stall:float -> ?max_attempt:int -> kind -> seed:int -> tasks:int -> plan
+val seeded : ?stall:float -> kind -> seed:int -> tasks:int -> plan
 
 (** The fault to inject for this task on this attempt (attempts are
     1-based), or [None] to run clean. *)
 val fault_for : plan -> task:int -> attempt:int -> fault option
-
-(** Number of tasks the plan faults at all. *)
-val count : plan -> int
 
 (** Deterministic one-line plan summary, e.g.
     ["crash-heavy seed 7: 4 of 6 tasks faulted"]. *)

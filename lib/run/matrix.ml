@@ -130,9 +130,6 @@ let run_footer ?jobs ?timeout ?budget ?engine tasks =
   in
   (List.map2 (fun t o -> (t, o)) tasks outcomes, Pool.footer stats)
 
-let run ?jobs ?timeout ?budget ?engine tasks =
-  fst (run_footer ?jobs ?timeout ?budget ?engine tasks)
-
 (* The report is a pure function of the outcome list, which the pool returns
    in task order: byte-identical output at any --jobs. *)
 let report results =

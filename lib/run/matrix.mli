@@ -34,17 +34,9 @@ val tasks : ?workloads:string list -> ?configs:config list -> unit -> task list
 
 val default_budget : int
 
-(** Measure every task, [jobs] at a time (default 1 = in-process). *)
-val run :
-  ?jobs:int ->
-  ?timeout:float ->
-  ?budget:int ->
-  ?engine:Pp_vm.Engine.kind ->
-  task list ->
-  (task * cell Pool.outcome) list
-
-(** {!run} plus the pool's wall-clock summary ({!Pool.footer}): for
-    stderr, never for the deterministic report. *)
+(** Measure every task, [jobs] at a time (default 1 = in-process), with
+    the pool's wall-clock summary ({!Pool.footer}): for stderr, never for
+    the deterministic report. *)
 val run_footer :
   ?jobs:int ->
   ?timeout:float ->

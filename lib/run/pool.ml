@@ -351,9 +351,7 @@ let map_retry ?(jobs = 1) ?timeout ?(retries = 1) ?(backoff = default_backoff)
 let map_stats ?jobs ?timeout f xs =
   map_retry ?jobs ?timeout ~retries:1 (fun ~attempt:_ x -> f x) xs
 
-let map ?jobs ?timeout f xs = fst (map_stats ?jobs ?timeout f xs)
-
-let outcome_ok = function Done v -> Some v | Crashed _ | Timed_out _ -> None
+let map ?jobs f xs = fst (map_stats ?jobs f xs)
 
 let footer s =
   let buf = Buffer.create 256 in

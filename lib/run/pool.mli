@@ -58,15 +58,13 @@ type backoff = {
   seed : int;  (** jitter seed *)
 }
 
-(** 50ms base, doubling, capped at 1s, ±50% jitter, seed 0. *)
-val default_backoff : backoff
-
-(** [map ~jobs ~timeout f xs] evaluates [f] over [xs] with at most [jobs]
+(** [map ~jobs f xs] evaluates [f] over [xs] with at most [jobs]
     concurrent workers, returning outcomes in input order.
 
     With [jobs <= 1] — or on platforms without [Unix.fork] — tasks run
-    in-process (exceptions still isolate as [Crashed], but [timeout] is not
-    enforced: there is no process to kill).  Results must be marshalable
+    in-process (exceptions still isolate as [Crashed], but a [timeout]
+    given to {!map_stats} or {!map_retry} is not enforced: there is no
+    process to kill).  Results must be marshalable
     (no closures); a torn or unreadable result is reported as [Crashed],
     never silently dropped.  Result pipes are drained with a loop — a
     payload larger than the pipe capacity arrives as many partial reads,
@@ -76,7 +74,7 @@ val default_backoff : backoff
     to a private capture, replayed in one atomic write when the worker
     is reaped, so concurrent workers' diagnostics (and the parent's
     {!footer}) never interleave mid-line. *)
-val map : ?jobs:int -> ?timeout:float -> ('a -> 'b) -> 'a list -> 'b outcome list
+val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b outcome list
 
 (** {!map} plus per-task wall times and outcome counts for the summary
     footer.  Also bumps the [pool.*] counters in [Metrics.default]
@@ -92,7 +90,8 @@ val map_stats :
 
 (** [map_retry ~retries f xs] is {!map_stats} with a per-task attempt
     budget: a task whose outcome is [Crashed] or [Timed_out] is rerun —
-    after the {!backoff} delay — up to [retries] times total (default 1,
+    after the {!backoff} delay (default: a 50ms base, doubling, capped
+    at 1s, ±50% jitter, seed 0) — up to [retries] times total (default 1,
     i.e. no retry; values [< 1] are clamped to 1).  A task that exhausts
     the budget is {e quarantined}: its last failure stands in the
     outcome list and [stats.quarantined] counts it.
@@ -126,9 +125,6 @@ val map_retry :
     slowest task, and one line per crashed or timed-out task.  Wall-clock
     dependent — print to stderr, never into golden stdout. *)
 val footer : stats -> string
-
-(** [Some v] for [Done v]. *)
-val outcome_ok : 'a outcome -> 'a option
 
 (** Human-readable status, e.g. ["crashed: Stack_overflow"]. *)
 val describe : _ outcome -> string

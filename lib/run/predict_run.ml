@@ -613,23 +613,17 @@ let certify ~config ~injected ~vacuous_slack (session : Driver.session) =
     mean_slack;
   }
 
-let run ?options ?(config = Config.default) ?inject ?engine ?budget
-    ?(vacuous_slack = 8.0) ~mode prog =
-  let config = Config.validate config in
+let run ?inject ?engine ?budget ?(vacuous_slack = 8.0) ~mode prog =
+  let config = Config.default in
   let exec_config =
     match inject with None -> config | Some inj -> apply_inject inj config
   in
   let session =
-    Driver.prepare ?options ~config:exec_config ?max_instructions:budget ?engine
-      ~mode prog
+    Driver.prepare ~config:exec_config ?max_instructions:budget ?engine ~mode
+      prog
   in
   certify ~config ~injected:(Option.map inject_name inject) ~vacuous_slack
     session
-
-let measure (session : Driver.session) =
-  certify
-    ~config:(Machine.config (Interp.machine session.vm))
-    ~injected:None ~vacuous_slack:8.0 session
 
 let exit_code outcomes =
   if List.exists (fun o -> o.refuted > 0 || o.anomalies <> []) outcomes then 2

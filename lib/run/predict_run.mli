@@ -58,8 +58,6 @@ module Predict = Pp_analysis.Predict
 
 type verdict = Confirmed | Refuted | Vacuous
 
-val verdict_name : verdict -> string
-
 (** One metric of one path: measurement vs certified total bounds. *)
 type mstat = {
   metric : string;  (** ["cycles"], ["dmiss"], ["imiss"] or ["stalls"] *)
@@ -107,17 +105,13 @@ type inject =
 val injects : inject list
 val inject_name : inject -> string
 val inject_of_string : string -> inject option
-val apply_inject : inject -> Config.t -> Config.t
 
 (** Instrument for [mode], execute (on the [inject]-mutated geometry if
-    any) with the oracle attached, and certify.  [config] is the
-    modelled machine (default {!Config.default}); [budget] bounds
-    executed instructions; [vacuous_slack] (default 8.0) is the
-    looseness threshold above which a bounded verdict degrades to
-    [Vacuous]. *)
+    any) with the oracle attached, and certify against the modelled
+    machine, {!Config.default}.  [budget] bounds executed instructions;
+    [vacuous_slack] (default 8.0) is the looseness threshold above which
+    a bounded verdict degrades to [Vacuous]. *)
 val run :
-  ?options:Instrument.options ->
-  ?config:Config.t ->
   ?inject:inject ->
   ?engine:Engine.kind ->
   ?budget:int ->
@@ -125,11 +119,6 @@ val run :
   mode:Instrument.mode ->
   Pp_ir.Program.t ->
   outcome
-
-(** {!run} on a session prepared by the caller, not yet run: attach the
-    oracle, execute and certify against the session machine's own
-    configuration. *)
-val measure : Pp_instrument.Driver.session -> outcome
 
 (** 2 when any outcome has a refuted row or an anomaly, else 0. *)
 val exit_code : outcome list -> int

@@ -46,9 +46,6 @@ type agg = {
     @raise Invalid_argument if [max_records <= 0]. *)
 val agg_create : ?max_records:int -> ?spill_dir:string -> unit -> agg
 
-(** Resident path-record count of the in-memory table. *)
-val agg_resident : agg -> int
-
 (** Fold one shard in, then enforce the memory budget.  [Error d] on a
     merge conflict (also latched into [conflict]). *)
 val agg_add : agg -> Profile_io.saved -> (unit, Diag.t) result
@@ -59,17 +56,11 @@ val agg_finish : agg -> Profile_io.saved option
 
 (** {2 Client side} *)
 
-(** Stream one shard into the socket as wire frames.
-    [corrupt_after (Some k)] simulates a client damaged mid-stream: the
-    first [k] frames go out intact, then garbage, then the connection
-    drops — the aggregator must salvage the [k]-frame prefix. *)
-val send_saved :
-  ?corrupt_after:int ->
-  socket:string ->
-  Profile_io.saved ->
-  (unit, string) result
-
-(** Read (salvaging if damaged) a v2 text shard and stream it. *)
+(** Read (salvaging if damaged) a v2 text shard and stream it into the
+    socket as wire frames.  [corrupt_after (Some k)] simulates a client
+    damaged mid-stream: the first [k] frames go out intact, then garbage,
+    then the connection drops — the aggregator must salvage the [k]-frame
+    prefix. *)
 val send_file :
   ?corrupt_after:int -> socket:string -> string -> (unit, string) result
 

@@ -18,9 +18,7 @@ type vsnap =
 
 type snapshot = (string * vsnap) list
 
-let create () = { cells = Hashtbl.create 64 }
-let default = create ()
-let reset t = Hashtbl.reset t.cells
+let default = { cells = Hashtbl.create 64 }
 
 let kind_error name =
   invalid_arg (Printf.sprintf "Metrics: %s is registered as another kind" name)
@@ -60,8 +58,6 @@ let observe t name v =
   let b = bucket_of v in
   h.buckets.(b) <- h.buckets.(b) + 1
 
-let empty : snapshot = []
-
 let snap_cell = function
   | Ccounter r -> Counter !r
   | Cgauge r -> Gauge !r
@@ -91,30 +87,6 @@ let combine_buckets op a b =
   in
   go a b
 
-let merge_cell name a b =
-  match (a, b) with
-  | Counter x, Counter y -> Counter (x + y)
-  | Gauge x, Gauge y -> Gauge (max x y)
-  | Histogram a, Histogram b ->
-      Histogram
-        {
-          count = a.count + b.count;
-          sum = a.sum + b.sum;
-          buckets = combine_buckets ( + ) a.buckets b.buckets;
-        }
-  | _ -> kind_error name
-
-let merge (a : snapshot) (b : snapshot) : snapshot =
-  let rec go a b =
-    match (a, b) with
-    | [], rest | rest, [] -> rest
-    | ((na, va) as ca) :: ra, ((nb, vb) as cb) :: rb ->
-        if na < nb then ca :: go ra b
-        else if nb < na then cb :: go a rb
-        else (na, merge_cell na va vb) :: go ra rb
-  in
-  go a b
-
 let diff_cell name after before =
   match (after, before) with
   | Counter a, Counter b -> if a = b then None else Some (Counter (a - b))
@@ -135,7 +107,7 @@ let diff (after : snapshot) (before : snapshot) : snapshot =
   let rec go after before =
     match (after, before) with
     | rest, [] -> rest
-    | [], _ -> []  (* a reset registry never shrinks in practice *)
+    | [], _ -> []  (* a registry never shrinks *)
     | ((na, va) as ca) :: ra, (nb, vb) :: rb ->
         if na < nb then ca :: go ra before
         else if nb < na then go after rb

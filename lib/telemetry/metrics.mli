@@ -3,14 +3,16 @@
     merge so per-worker metrics can flow back through the {!Pp_run.Pool}
     pipe protocol and aggregate in the parent.
 
-    Merge algebra (the same laws {!Pp_core.Profile.merge} obeys, tested in
-    [test_telemetry.ml]):
+    Merge algebra of {!absorb} (the same laws {!Pp_core.Profile_io.merge}
+    obeys, tested in [test_telemetry.ml]):
     - counters add, histograms add bucket-wise, gauges take the max —
-      all three commutative and associative, with {!empty} as identity;
+      all three commutative and associative, with the empty snapshot as
+      identity;
     - [diff after before] is the inverse on counters and histograms:
-      [merge (diff after before) before = after] whenever [after] grew
-      from [before].  A forked worker sends [diff (snapshot r) at_fork]
-      so values inherited from the parent never double-count.
+      absorbing [before] then [diff after before] gives [after] whenever
+      [after] grew from [before].  A forked worker sends
+      [diff (snapshot r) at_fork] so values inherited from the parent
+      never double-count.
 
     Determinism contract: a dump contains no wall-clock or pid-dependent
     values unless a caller records them, so registries populated by
@@ -34,14 +36,9 @@ type vsnap =
 (** Sorted by name; at most one entry per name. *)
 type snapshot = (string * vsnap) list
 
-val create : unit -> t
-
 (** The process-global registry — what the pool ships between workers and
     what [--telemetry FILE] dumps. *)
 val default : t
-
-(** Forget every metric. *)
-val reset : t -> unit
 
 (** [incr t name n] adds [n] to counter [name] (created at 0).
     @raise Invalid_argument if [name] is registered as another kind. *)
@@ -53,15 +50,7 @@ val set_gauge : t -> string -> int -> unit
 (** [observe t name v] adds [v] to histogram [name]. *)
 val observe : t -> string -> int -> unit
 
-(** The bucket index {!observe} files [v] under. *)
-val bucket_of : int -> int
-
-val empty : snapshot
 val snapshot : t -> snapshot
-
-(** Commutative, associative, [empty]-identity.
-    @raise Invalid_argument when a name carries different kinds. *)
-val merge : snapshot -> snapshot -> snapshot
 
 (** [diff after before]: what was recorded between the two snapshots.
     Counters and histogram cells subtract; a gauge keeps its [after]
@@ -69,7 +58,8 @@ val merge : snapshot -> snapshot -> snapshot
 val diff : snapshot -> snapshot -> snapshot
 
 (** Merge a snapshot into a live registry (the parent side of the pool
-    protocol). *)
+    protocol).  @raise Invalid_argument when a name carries different
+    kinds. *)
 val absorb : t -> snapshot -> unit
 
 (** Canonical dump: one line per metric, sorted by name, e.g.

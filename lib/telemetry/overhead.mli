@@ -50,12 +50,6 @@ type report = {
   failures : (string * string) list;  (** (mode name, reason) *)
 }
 
-(** [apportion ~total weights] splits [total] into integer shares
-    proportional to [weights], summing exactly to [total]
-    (largest-remainder rounding; ties broken by lower index).  When all
-    weights are zero the entire total lands on the last index. *)
-val apportion : total:int -> float array -> int array
-
 (** Measure the baseline once, then every requested mode (default
     {!Pp_instrument.Instrument.all_modes}), fanning out over
     {!Pp_run.Pool.map} ([jobs] at a time; in-process by default).  A mode that traps or crashes lands

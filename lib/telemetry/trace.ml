@@ -12,7 +12,6 @@ type t = {
   mutable next : int;  (* insertion cursor *)
   mutable count : int;  (* live events, <= capacity *)
   mutable dropped : int;
-  mutable depth : int;
 }
 
 let dummy = Instant { name = ""; ts = 0.0 }
@@ -27,7 +26,6 @@ let create ?(clock = Unix.gettimeofday) ?(capacity = 65536) () =
     next = 0;
     count = 0;
     dropped = 0;
-    depth = 0;
   }
 
 let null =
@@ -39,11 +37,9 @@ let null =
     next = 0;
     count = 0;
     dropped = 0;
-    depth = 0;
   }
 
 let enabled t = t.on
-let depth t = t.depth
 let dropped t = t.dropped
 
 let now t = t.clock () -. t.t0
@@ -54,23 +50,11 @@ let push t e =
   t.next <- (t.next + 1) mod cap;
   if t.count < cap then t.count <- t.count + 1 else t.dropped <- t.dropped + 1
 
-let begin_span t name =
-  if t.on then begin
-    t.depth <- t.depth + 1;
-    push t (Begin { name; ts = now t })
-  end
-
-let end_span t name =
-  if t.on then begin
-    t.depth <- max 0 (t.depth - 1);
-    push t (End { name; ts = now t })
-  end
-
 let with_span t name f =
   if not t.on then f ()
   else begin
-    begin_span t name;
-    Fun.protect ~finally:(fun () -> end_span t name) f
+    push t (Begin { name; ts = now t });
+    Fun.protect ~finally:(fun () -> push t (End { name; ts = now t })) f
   end
 
 let counter t name values =

@@ -34,17 +34,11 @@ val null : t
 
 val enabled : t -> bool
 
-(** Current span nesting depth (begins minus ends so far). *)
-val depth : t -> int
-
 (** Events dropped by the full ring. *)
 val dropped : t -> int
 
 (** Recorded events, oldest first. *)
 val events : t -> event list
-
-val begin_span : t -> string -> unit
-val end_span : t -> string -> unit
 
 (** [with_span t name f] brackets [f ()] in a span; the end event is
     recorded even when [f] raises. *)

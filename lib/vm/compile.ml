@@ -678,8 +678,7 @@ let compile_block st (cprocs : cproc array) (cp : cproc) label =
   let n = Array.length code in
   (* Per-block fixed costs, pre-resolved: the hook flags are polled as
      captured-record field reads, and the budget check is one array read
-     against the live totals ([Counters.clear] fills in place, so the
-     array stays valid across {!Machine.reset}).  An entry hook runs
+     against the live totals.  An entry hook runs
      through the block's own [Interp.entry], where the block probe is
      staged.  When an epilogue hook is active or the budget is exhausted,
      [Interp.block_epilogue] runs in full — including the trap with the

@@ -17,9 +17,8 @@ type t = {
 
 let of_vm ?(kind = default) vm = { vm; kind; compiled = None }
 
-let create ?(kind = default) ?config ?max_instructions ?merge_call_sites
-    prog =
-  of_vm ~kind (Interp.create ?config ?max_instructions ?merge_call_sites prog)
+let create ?(kind = default) ?config ?max_instructions prog =
+  of_vm ~kind (Interp.create ?config ?max_instructions prog)
 
 let vm t = t.vm
 let kind t = t.kind
@@ -31,9 +30,6 @@ let compiled t =
       let c = Compile.create t.vm in
       t.compiled <- Some c;
       c
-
-let compile t =
-  match t.kind with Interpreted -> () | Compiled -> ignore (compiled t)
 
 let run t =
   match t.kind with

@@ -32,7 +32,6 @@ val create :
   ?kind:kind ->
   ?config:Pp_machine.Config.t ->
   ?max_instructions:int ->
-  ?merge_call_sites:bool ->
   Pp_ir.Program.t ->
   t
 
@@ -40,10 +39,6 @@ val create :
 val vm : t -> Interp.t
 
 val kind : t -> kind
-
-(** Translate the program now rather than on the first {!run}; a no-op
-    for {!Interpreted} and for an engine already translated. *)
-val compile : t -> unit
 
 (** Execute [main] to completion on the selected engine.
     @raise Interp.Trap *)

@@ -102,9 +102,3 @@ let write_float_from t addr (src : float array) i =
   check_aligned addr;
   let s = locate t addr in
   Bytes.set_int64_le s.bytes (addr - s.base) (Int64.bits_of_float src.(i))
-
-let valid t addr =
-  addr land 7 = 0
-  && Array.exists
-       (fun s -> addr >= s.base && addr < s.base + Bytes.length s.bytes)
-       t.segments

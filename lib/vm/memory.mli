@@ -27,6 +27,3 @@ val write_float : t -> int -> float -> unit
 val read_float_into : t -> int -> float array -> int -> unit
 
 val write_float_from : t -> int -> float array -> int -> unit
-
-(** Is the address mapped and aligned? *)
-val valid : t -> int -> bool

@@ -2,6 +2,25 @@
 
 open Pp_ir
 
+(* The strict shard reader production uses, [Profile_io.of_file], on
+   [text] written to a temporary file. *)
+let read_shard text =
+  let path = Filename.temp_file "pp_shard" ".pprof" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      Pp_core.Profile_io.of_file path)
+
+(* [Some v] for a pool task that produced [v]. *)
+let outcome_ok = function Pp_run.Pool.Done v -> Some v | _ -> None
+
+(* All edges from [src] to [dst] of [g], in insertion order. *)
+let edges_between g src dst =
+  List.filter
+    (fun (e : Pp_graph.Digraph.edge) -> e.dst = dst)
+    (Pp_graph.Digraph.out_edges g src)
+
 (* The CFG of PLDI'97 Figure 1: six A-to-F paths with path sums
    ACDF=0, ACDEF=1, ABCDF=2, ABCDEF=3, ABDF=4, ABDEF=5.
    Block labels: A=0, B=1, C=2, D=3, E=4, F=5.

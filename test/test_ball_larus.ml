@@ -58,7 +58,7 @@ let test_fig1_edge_vals () =
   let t = build_fig1 () in
   let cfg = Ball_larus.cfg t in
   let val_of src dst =
-    match Digraph.find_edges cfg.Cfg.graph src dst with
+    match Fixtures.edges_between cfg.Cfg.graph src dst with
     | [ e ] -> Ball_larus.edge_val t e
     | _ -> Alcotest.fail "expected exactly one edge"
   in
@@ -161,7 +161,7 @@ let committed_sum t placement (path : Ball_larus.path) =
                 (List.exists
                    (fun (b : Digraph.edge) -> b.id = e.id)
                    (Ball_larus.backedges t)))
-            (Digraph.find_edges cfg.Cfg.graph u w)
+            (Fixtures.edges_between cfg.Cfg.graph u w)
         in
         r := !r + inc_of e;
         walk rest

@@ -87,14 +87,16 @@ let test_fig5_recursion () =
   let b = Option.get (Cct.find_context t [ "M"; "A"; "B" ]) in
   let backs = List.filter (fun e -> e.Cct.is_backedge) (Cct.edges b) in
   check Alcotest.int "one backedge" 1 (List.length backs);
-  (* Unwind out of the recursion: stack depth is 4 (M A B A). *)
-  check Alcotest.int "depth" 4 (Cct.depth t);
+  (* Unwind out of the recursion: the stack is M A B A. *)
   Cct.exit t;
   Alcotest.(check bool) "back in B" true (Cct.current t == b);
   Cct.exit t;
   Cct.exit t;
   Cct.exit t;
-  check Alcotest.int "depth 0" 0 (Cct.depth t)
+  Alcotest.(check bool) "back at the root" true (Cct.current t == Cct.root t);
+  match Cct.exit t with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "exit past the root"
 
 (* Deep mutual recursion must keep the node count bounded by the number of
    procedures even for thousands of activations. *)
@@ -107,9 +109,14 @@ let test_recursion_bounded () =
   done;
   Cct.check_invariants t;
   check Alcotest.int "nodes bounded" 3 (Cct.num_nodes t);
-  check Alcotest.int "depth tracks stack" 4001 (Cct.depth t);
+  (* The stack is 4001 deep: unwinding to 4001 pops nothing, to 4002
+     is an error. *)
+  Cct.unwind_to_depth t 4001;
+  (match Cct.unwind_to_depth t 4002 with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "unwound to beyond the stack");
   Cct.unwind_to_depth t 0;
-  check Alcotest.int "unwound" 0 (Cct.depth t)
+  Alcotest.(check bool) "unwound" true (Cct.current t == Cct.root t)
 
 let test_merge_call_sites () =
   (* Same callee from two different sites: distinguished mode makes two

@@ -40,7 +40,7 @@ let edge_counts_from_paths (p : Profile.proc_profile) cfg =
   let real_edge u w =
     List.find
       (fun (e : Digraph.edge) -> not (List.mem e.Digraph.id backedges))
-      (Digraph.find_edges cfg.Cfg.graph u w)
+      (Fixtures.edges_between cfg.Cfg.graph u w)
   in
   List.iter
     (fun (sum, (m : Profile.path_metrics)) ->

@@ -24,24 +24,41 @@ let test_crc_vector () =
   Alcotest.(check int) "crc32(123456789)" 0xcbf43926 (Crc32.digest "123456789");
   Alcotest.(check int) "crc32 of empty" 0 (Crc32.digest "")
 
+(* The header and the records [Crc32.unframe] accepts from [text]. *)
+let unframe text =
+  let records = ref [] in
+  let record _ r =
+    records := r :: !records;
+    true
+  in
+  Result.map
+    (fun (header, damage) -> (header, List.rev !records, damage))
+    (Crc32.unframe ~record text)
+
 let test_crc_tag_untag () =
   let line = "path 3 14 15 926" in
-  Alcotest.(check (option string)) "roundtrip" (Some line)
-    (Crc32.untag (Crc32.tag line));
-  Alcotest.(check (option string)) "no token" None (Crc32.untag line);
-  Alcotest.(check (option string)) "empty" None (Crc32.untag "")
+  let framed = Crc32.frame "shard" [ line ] in
+  Alcotest.(check bool) "roundtrip" true
+    (unframe framed = Ok ("shard", [ line ], None));
+  (* A record line without its checksum token is damage. *)
+  let header = List.hd (String.split_on_char '\n' framed) in
+  (match unframe (header ^ "\n" ^ line ^ "\n") with
+  | Ok (_, [], Some _) -> ()
+  | _ -> Alcotest.fail "an untagged record was accepted");
+  Alcotest.(check bool) "empty" true (Result.is_error (unframe ""))
 
 let test_crc_detects_single_bit_flips () =
-  (* CRC-32 detects every single-bit error; untag must reject all of
-     them, whether the flip lands in the content or the token. *)
-  let tagged = Bytes.of_string (Crc32.tag "proc alpha 8") in
-  for bit = 0 to (8 * Bytes.length tagged) - 1 do
-    let b = Bytes.copy tagged in
+  (* CRC-32 detects every single-bit error: a framed file must never read
+     back clean after one, whether the flip lands in a line's content, its
+     token or a newline. *)
+  let framed = Bytes.of_string (Crc32.frame "shard" [ "proc alpha 8" ]) in
+  for bit = 0 to (8 * Bytes.length framed) - 1 do
+    let b = Bytes.copy framed in
     let i = bit / 8 in
     Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (bit mod 8))));
-    match Crc32.untag (Bytes.to_string b) with
-    | None -> ()
-    | Some _ -> Alcotest.failf "flip of bit %d went undetected" bit
+    match unframe (Bytes.to_string b) with
+    | Ok (_, _, None) -> Alcotest.failf "flip of bit %d went undetected" bit
+    | Ok (_, _, Some _) | Error _ -> ()
   done
 
 (* {2 A synthetic saved profile, big enough to damage interestingly} *)
@@ -77,7 +94,7 @@ let records_of (s : Profile_io.saved) =
 let test_v2_roundtrip () =
   let s = saved () in
   Alcotest.(check bool) "roundtrip" true
-    (Profile_io.of_string (Profile_io.to_string s) = s);
+    (Fixtures.read_shard (Profile_io.to_string s) = s);
   match Profile_io.salvage_string (Profile_io.to_string s) with
   | Ok (s', None) ->
       Alcotest.(check bool) "salvage of intact = identity" true (s' = s)
@@ -87,7 +104,7 @@ let test_v2_roundtrip () =
 let test_strict_reader_rejects_damage () =
   let text = Profile_io.to_string (saved ()) in
   let damaged = String.sub text 0 (String.length text - 10) in
-  match Profile_io.of_string damaged with
+  match Fixtures.read_shard damaged with
   | exception Profile_io.Parse_error (_, msg) ->
       Alcotest.(check bool) "message counts intact records" true
         (String.length msg > 0)
@@ -196,13 +213,7 @@ let test_salvage_golden () =
       Alcotest.(check int) "prefix procs + feasible" 2
         (List.length s'.Profile_io.feasible)
   | Ok (_, None) -> Alcotest.fail "damage went unreported"
-  | Error d -> Alcotest.failf "unexpected: %s" (Diag.to_string d));
-  (* The diag renders at the "<shard>" pseudo-procedure. *)
-  match Profile_io.salvage_string (String.sub text 0 cut) with
-  | Ok (_, Some rep) ->
-      let d = Profile_io.salvage_diag ~file:"x.pprof" rep in
-      Alcotest.(check string) "diag loc" "<shard>" d.Diag.loc.Diag.proc
-  | _ -> Alcotest.fail "expected a report"
+  | Error d -> Alcotest.failf "unexpected: %s" (Diag.to_string d))
 
 (* {2 Atomic writes and injected write faults} *)
 
@@ -289,7 +300,7 @@ let test_plan_determinism () =
 
 let test_plan_respects_max_attempt () =
   let p = Faults.seeded Faults.Crash_heavy ~seed:7 ~tasks:12 in
-  Alcotest.(check bool) "faults something" true (Faults.count p > 0);
+  Alcotest.(check bool) "faults something" true (Faults.describe_plan p <> []);
   for task = 0 to 11 do
     (* Attempts past the budget run clean: retries must converge. *)
     Alcotest.(check bool) "attempt 2 clean" true
@@ -297,8 +308,10 @@ let test_plan_respects_max_attempt () =
   done;
   Alcotest.(check bool) "out of range" true
     (Faults.fault_for p ~task:99 ~attempt:1 = None);
-  Alcotest.(check bool) "none plan" true
-    (Faults.fault_for Faults.none ~task:0 ~attempt:1 = None)
+  Alcotest.(check bool) "empty plan" true
+    (Faults.fault_for (Faults.seeded Faults.Mixed ~seed:7 ~tasks:0) ~task:0
+       ~attempt:1
+    = None)
 
 let test_plan_kinds () =
   let crashy =
@@ -325,9 +338,8 @@ let test_plan_kinds () =
         Alcotest.(check bool) "data faults are write faults" true
           (match f with Faults.Write _ -> true | _ -> false)
   done;
-  Alcotest.(check (option string)) "kind name roundtrip"
-    (Some "crash-heavy")
-    (Option.map Faults.kind_name (Faults.kind_of_name "crash-heavy"))
+  Alcotest.(check bool) "kind named in the summary" true
+    (String.starts_with ~prefix:"corruption-heavy seed 3:" (Faults.summary p))
 
 (* {2 Pool retry / backoff / quarantine} *)
 
@@ -339,17 +351,16 @@ let test_retry_converges () =
     Pool.map_retry ~jobs:1 ~retries:3 ~sleep f [ 0; 1; 2; 3; 4; 5 ]
   in
   Alcotest.(check (list int)) "all converge" [ 0; 10; 20; 30; 40; 50 ]
-    (List.filter_map Pool.outcome_ok outcomes);
+    (List.filter_map Fixtures.outcome_ok outcomes);
   Alcotest.(check int) "retried" 3 stats.Pool.retried;
   Alcotest.(check int) "quarantined" 0 stats.Pool.quarantined;
   Alcotest.(check int) "attempts" 9 stats.Pool.attempts;
   Alcotest.(check int) "one backoff round" 1 (List.length !sleeps);
-  let b = Pool.default_backoff in
+  (* The default backoff: a 50ms base with ±50% jitter. *)
   List.iter
     (fun d ->
       Alcotest.(check bool) "delay within jitter bounds" true
-        (d >= b.Pool.base *. (1.0 -. b.Pool.jitter)
-        && d <= b.Pool.base *. (1.0 +. b.Pool.jitter)))
+        (d >= 0.025 && d <= 0.075))
     !sleeps
 
 let test_retry_deterministic_schedule () =
@@ -416,7 +427,7 @@ let test_parent_verify_demotes_and_retries () =
       [ 1; 2; 3 ]
   in
   Alcotest.(check (list int)) "all accepted" [ 2; 4; 6 ]
-    (List.filter_map Pool.outcome_ok outcomes);
+    (List.filter_map Fixtures.outcome_ok outcomes);
   Alcotest.(check int) "the rejected task retried" 1 stats.Pool.retried;
   Alcotest.(check int) "attempts" 4 stats.Pool.attempts
 
@@ -425,7 +436,7 @@ let test_map_stats_single_attempt_compat () =
     Pool.map_stats ~jobs:1 (fun x -> x + 1) [ 1; 2; 3 ]
   in
   Alcotest.(check (list int)) "results" [ 2; 3; 4 ]
-    (List.filter_map Pool.outcome_ok outcomes);
+    (List.filter_map Fixtures.outcome_ok outcomes);
   Alcotest.(check int) "attempts = tasks" 3 stats.Pool.attempts;
   Alcotest.(check int) "no retries" 0 stats.Pool.retried;
   List.iter
@@ -434,14 +445,6 @@ let test_map_stats_single_attempt_compat () =
     stats.Pool.task_stats
 
 (* {2 Checkpoints} *)
-
-let ckpt_result () =
-  {
-    Interp.instructions = 123456;
-    cycles = 654321;
-    output = [ Interp.Oint 42; Interp.Ofloat (0.1 +. 0.2); Interp.Oint (-7) ];
-    counters = [ (Event.Cycles, 654321); (Event.Dcache_misses, 99) ];
-  }
 
 let with_ckpt_dir f =
   let dir =
@@ -458,45 +461,55 @@ let with_ckpt_dir f =
       end)
     (fun () -> f dir)
 
+(* Where [Checkpoint.run] saves shard [k]. *)
+let ckpt_path dir k = Filename.concat dir (Printf.sprintf "shard-%d.ckpt" k)
+
+(* Prints a float that only an exact (hex) encoding brings back. *)
+let ckpt_program =
+  lazy
+    (Pp_minic.Compile.program ~name:"ckpt_fixture"
+       {|
+void main() {
+  float x;
+  x = 0.1 + 0.2;
+  print(x);
+  print(42);
+}
+|})
+
+let ckpt_run ?(budget = 2_000_000) ~dir shards =
+  Checkpoint.run ~dir ~budget ~jobs:1 ~shards (Lazy.force ckpt_program)
+
 let test_checkpoint_roundtrip () =
   with_ckpt_dir (fun dir ->
-      let r = ckpt_result () in
-      Checkpoint.save ~dir ~key:"k1" 3 r;
+      let fresh = ckpt_run ~dir 2 in
       (* Floats round-trip exactly (hex notation), so a resumed run
          reprints byte-identical output. *)
+      let again = ckpt_run ~dir 2 in
+      Alcotest.(check int) "both resumed" 2 again.Checkpoint.resumed;
       Alcotest.(check bool) "roundtrip" true
-        (Checkpoint.load ~dir ~key:"k1" 3 = Some r);
-      Alcotest.(check bool) "absent shard" true
-        (Checkpoint.load ~dir ~key:"k1" 4 = None);
-      Alcotest.(check bool) "different key rejected" true
-        (Checkpoint.load ~dir ~key:"k2" 3 = None))
+        (again.Checkpoint.total = fresh.Checkpoint.total);
+      Alcotest.(check int) "absent shard runs" 2
+        (ckpt_run ~dir 3).Checkpoint.resumed;
+      (* The key is the program and the budget. *)
+      Alcotest.(check int) "different key rejected" 0
+        (ckpt_run ~budget:3_000_000 ~dir 2).Checkpoint.resumed)
 
 let test_checkpoint_rejects_damage () =
   with_ckpt_dir (fun dir ->
-      let r = ckpt_result () in
-      Checkpoint.save ~dir ~key:"k1" 0 r;
-      let path = Checkpoint.path ~dir 0 in
-      let text =
-        let ic = open_in_bin path in
-        let s = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        s
-      in
+      let fresh = ckpt_run ~dir 1 in
+      let path = ckpt_path dir 0 in
+      let text = In_channel.with_open_bin path In_channel.input_all in
       (* Any single corrupt byte must void the checkpoint, never load
-         wrong data. *)
+         wrong data: the shard reruns and the total is unchanged.  (A flip
+         cannot cancel out: xor 0x10 never restores the byte.) *)
       for o = 0 to String.length text - 1 do
         let b = Bytes.of_string text in
         Bytes.set b o (Char.chr (Char.code (Bytes.get b o) lxor 0x10));
-        let oc = open_out_bin path in
-        output_bytes oc b;
-        close_out oc;
-        match Checkpoint.load ~dir ~key:"k1" 0 with
-        | None -> ()
-        | Some r' ->
-            if r' <> r then
-              Alcotest.failf "corrupt byte %d loaded as wrong data" o
-            (* (a flip may cancel out only by restoring the byte — it
-               cannot here, xor 0x10 never fixes itself) *)
+        Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b);
+        let r = ckpt_run ~dir 1 in
+        if r.Checkpoint.resumed <> 0 || r.Checkpoint.total <> fresh.Checkpoint.total
+        then Alcotest.failf "corrupt byte %d loaded" o
       done)
 
 (* {2 Chaos: the end-to-end invariant} *)
@@ -546,15 +559,15 @@ let test_checkpoint_resume () =
         (4 * (Checkpoint.run_once ~budget:2_000_000 prog).Interp.instructions)
         (total fresh).Interp.instructions;
       (* A run killed after two shards: only the other two rerun. *)
-      Sys.remove (Checkpoint.path ~dir 1);
-      Sys.remove (Checkpoint.path ~dir 3);
+      Sys.remove (ckpt_path dir 1);
+      Sys.remove (ckpt_path dir 3);
       let resumed, ran = run () in
       Alcotest.(check (pair int int)) "missing shards rerun" (2, 2)
         (resumed.Checkpoint.resumed, ran);
       Alcotest.(check bool) "resumed total = fresh total" true
         (total resumed = total fresh);
       (* One flipped byte voids exactly that shard's checkpoint. *)
-      let path = Checkpoint.path ~dir 2 in
+      let path = ckpt_path dir 2 in
       let text = In_channel.with_open_bin path In_channel.input_all in
       let b = Bytes.of_string text in
       Bytes.set b 20 (Char.chr (Char.code (Bytes.get b 20) lxor 0x10));
@@ -581,7 +594,7 @@ let test_checkpoint_crash_points () =
       let fresh = run () in
       let saved =
         Array.init shards (fun k ->
-            In_channel.with_open_bin (Checkpoint.path ~dir k)
+            In_channel.with_open_bin (ckpt_path dir k)
               In_channel.input_all)
       in
       let clear () =
@@ -602,9 +615,9 @@ let test_checkpoint_crash_points () =
           (fun fault ->
             clear ();
             for j = 0 to k - 1 do
-              Crc32.write_atomic (Checkpoint.path ~dir j) saved.(j)
+              Crc32.write_atomic (ckpt_path dir j) saved.(j)
             done;
-            (match Crc32.write_atomic ?fault (Checkpoint.path ~dir k) text with
+            (match Crc32.write_atomic ?fault (ckpt_path dir k) text with
             | exception Crc32.Killed_mid_write -> ()
             | () ->
                 if fault <> None then Alcotest.fail "the write was not killed");
@@ -643,7 +656,8 @@ let with_chaos_dir f =
 let run_chaos ~dir ~retries ~seed ~kind =
   let shards = 4 in
   let plan = Faults.seeded ~stall:0.0 kind ~seed ~tasks:shards in
-  Alcotest.(check bool) "plan faults something" true (Faults.count plan > 0);
+  Alcotest.(check bool) "plan faults something" true
+    (Faults.describe_plan plan <> []);
   match
     Chaos.run ~dir ~budget:2_000_000 ~jobs:1 ~retries
       ~sleep:(fun _ -> ())

@@ -24,13 +24,14 @@ let test_digraph_basics () =
   check (Alcotest.list Alcotest.int) "succs in insertion order" [ 1; 2 ]
     (Digraph.succs g 0);
   check (Alcotest.list Alcotest.int) "preds" [ 1; 2 ] (Digraph.preds g 3);
-  check Alcotest.int "out degree" 2 (Digraph.out_degree g 0);
+  check Alcotest.int "out edges" 2 (List.length (Digraph.out_edges g 0));
   check Alcotest.int "in degree" 2 (Digraph.in_degree g 3);
   (* parallel edges allowed and distinct *)
   let e1 = Digraph.add_edge g 0 1 in
   let e2 = Digraph.add_edge g 0 1 in
   Alcotest.(check bool) "distinct ids" true (e1.Digraph.id <> e2.Digraph.id);
-  check Alcotest.int "find_edges" 3 (List.length (Digraph.find_edges g 0 1))
+  check Alcotest.int "parallel out edges" 4
+    (List.length (Digraph.out_edges g 0))
 
 let test_digraph_copy_isolated () =
   let g = diamond () in
@@ -52,25 +53,28 @@ let test_dfs_classification () =
   (* 0 -> 1 -> 2 -> 0 (cycle), 0 -> 2 (forward-ish), 1 -> 1 (self). *)
   let g = Digraph.create () in
   ignore (Digraph.add_vertices g 3);
-  let _t1 = Digraph.add_edge g 0 1 in
-  let t2 = Digraph.add_edge g 1 2 in
+  ignore (Digraph.add_edge g 0 1);
+  ignore (Digraph.add_edge g 1 2);
   let back = Digraph.add_edge g 2 0 in
-  let fwd = Digraph.add_edge g 0 2 in
+  ignore (Digraph.add_edge g 0 2);
   let self = Digraph.add_edge g 1 1 in
   let dfs = Dfs.run g ~root:0 in
-  check Alcotest.bool "tree" true (Dfs.classify dfs t2 = Dfs.Tree);
-  check Alcotest.bool "back" true (Dfs.classify dfs back = Dfs.Back);
-  check Alcotest.bool "self is back" true (Dfs.classify dfs self = Dfs.Back);
-  check Alcotest.bool "forward" true (Dfs.classify dfs fwd = Dfs.Forward);
-  check Alcotest.int "two backedges" 2 (List.length (Dfs.back_edges dfs))
+  (* Tree and forward edges are not back edges; the self-loop is. *)
+  check (Alcotest.list Alcotest.int) "back and self only"
+    [ back.Digraph.id; self.Digraph.id ]
+    (List.map (fun (e : Digraph.edge) -> e.Digraph.id) (Dfs.back_edges dfs))
 
 let test_dfs_unreachable () =
   let g = Digraph.create () in
   ignore (Digraph.add_vertices g 3);
   ignore (Digraph.add_edge g 0 1);
+  ignore (Digraph.add_edge g 2 2);
   let dfs = Dfs.run g ~root:0 in
   Alcotest.(check bool) "2 unreachable" false (Dfs.reachable dfs 2);
-  check Alcotest.int "discovery -1" (-1) (Dfs.discovery dfs 2)
+  check Alcotest.int "unreachable self-loop is no back edge" 0
+    (List.length (Dfs.back_edges dfs));
+  check (Alcotest.list Alcotest.int) "postorder covers the reachable" [ 0; 1 ]
+    (Dfs.reverse_postorder dfs)
 
 let test_dfs_deep_no_overflow () =
   (* A 200k-deep chain must not blow the OCaml stack. *)
@@ -85,18 +89,18 @@ let test_dfs_deep_no_overflow () =
 
 let test_topo () =
   let g = diamond () in
-  let order = Topo.sort g in
+  let order = Topo.reverse_sort g in
   let pos = Array.make 4 0 in
   List.iteri (fun i v -> pos.(v) <- i) order;
   Digraph.iter_edges
     (fun e ->
-      if pos.(e.Digraph.src) >= pos.(e.Digraph.dst) then
-        Alcotest.fail "edge violates topological order")
+      if pos.(e.Digraph.src) <= pos.(e.Digraph.dst) then
+        Alcotest.fail "edge violates reverse topological order")
     g;
   Alcotest.(check bool) "acyclic" true (Topo.is_acyclic g);
   ignore (Digraph.add_edge g 3 0);
   Alcotest.(check bool) "cyclic detected" false (Topo.is_acyclic g);
-  match Topo.sort g with
+  match Topo.reverse_sort g with
   | exception Topo.Cycle _ -> ()
   | _ -> Alcotest.fail "expected Cycle"
 
@@ -106,22 +110,20 @@ let test_union_find () =
   Alcotest.(check bool) "repeat union" false (Union_find.union uf 1 0);
   ignore (Union_find.union uf 2 3);
   ignore (Union_find.union uf 1 3);
-  Alcotest.(check bool) "transitively same" true (Union_find.same uf 0 2);
-  Alcotest.(check bool) "4 isolated" false (Union_find.same uf 0 4)
+  Alcotest.(check bool) "transitively same" false (Union_find.union uf 0 2);
+  Alcotest.(check bool) "4 isolated" true (Union_find.union uf 0 4)
 
 let test_spanning_tree () =
   let g = diamond () in
   let tree = Spanning_tree.maximum g ~weight:(fun e -> e.Digraph.id) in
   check Alcotest.int "tree edges = v - 1" 3 (List.length tree);
-  let chords = Spanning_tree.chords g ~tree in
-  check Alcotest.int "one chord" 1 (List.length chords);
-  (* Path between any two vertices exists and is simple. *)
-  let forest = Spanning_tree.of_edges g tree in
-  let path = Spanning_tree.path forest ~src:1 ~dst:2 in
-  Alcotest.(check bool) "nonempty path" true (path <> []);
-  check (Alcotest.list Alcotest.int) "path to self" []
-    (List.map (fun (s : Spanning_tree.step) -> s.Spanning_tree.edge.Digraph.id)
-       (Spanning_tree.path forest ~src:1 ~dst:1))
+  (* Maximum weight: the lightest edge (id 0) is the one chord. *)
+  check (Alcotest.list Alcotest.int) "heaviest edges, by weight" [ 3; 2; 1 ]
+    (List.map (fun (e : Digraph.edge) -> e.Digraph.id) tree);
+  (* A self-loop is never a tree edge. *)
+  ignore (Digraph.add_edge g 1 1);
+  check Alcotest.int "self-loop skipped" 3
+    (List.length (Spanning_tree.maximum g ~weight:(fun _ -> 9)))
 
 let prop_spanning_tree_connects =
   QCheck.Test.make ~name:"max spanning tree spans reachable graphs"
@@ -144,13 +146,13 @@ let prop_spanning_tree_connects =
       let tree =
         Spanning_tree.maximum g ~weight:(fun e -> e.Digraph.id mod 7)
       in
+      (* n - 1 edges that never close a cycle span all n vertices. *)
       List.length tree = n - 1
       &&
-      let forest = Spanning_tree.of_edges g tree in
-      (* Every vertex connects to vertex 0. *)
+      let uf = Union_find.create n in
       List.for_all
-        (fun v -> v = 0 || Spanning_tree.path forest ~src:0 ~dst:v <> [])
-        (List.init n (fun i -> i)))
+        (fun (e : Digraph.edge) -> Union_find.union uf e.Digraph.src e.Digraph.dst)
+        tree)
 
 let test_dot_output () =
   let g = diamond () in

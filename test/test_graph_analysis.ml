@@ -73,24 +73,6 @@ let prop_postdominators_oracle =
             (vertices g))
         (vertices g))
 
-let prop_idom_is_strict_dominator =
-  QCheck.Test.make
-    ~name:"idom strictly dominates and appears in the chain" ~count:40
-    QCheck.(int_range 0 1_000_000)
-    (fun seed ->
-      let cfg = cyclic_cfg seed in
-      let g = cfg.Cfg.graph and root = cfg.Cfg.entry in
-      let dom = Dominators.compute g ~root in
-      List.for_all
-        (fun v ->
-          match Dominators.idom dom v with
-          | None -> true
-          | Some d ->
-              d <> v
-              && Dominators.dominates dom d v
-              && List.mem d (Dominators.dominator_chain dom v))
-        (vertices g))
-
 let prop_loops_well_formed =
   QCheck.Test.make ~name:"natural loops: headers dominate their bodies"
     ~count:40
@@ -128,10 +110,7 @@ let prop_loop_depth_is_containment_count =
             Array.to_list arr
             |> List.filter (fun (l : Loops.loop) -> List.mem v l.Loops.body)
           in
-          Loops.depth loops v = List.length containing
-          && (match Loops.innermost loops v with
-             | None -> containing = []
-             | Some i -> List.mem v (Loops.loops loops).(i).Loops.body))
+          Loops.depth loops v = List.length containing)
         (vertices g))
 
 let prop_loop_parent_strictly_contains =
@@ -161,7 +140,7 @@ let prop_dag_has_no_loops =
     (fun seed ->
       let cfg = dag_cfg seed in
       let loops = Loops.analyze cfg.Cfg.graph ~root:cfg.Cfg.entry in
-      Loops.num_loops loops = 0
+      Array.length (Loops.loops loops) = 0
       && List.for_all
            (fun v -> Loops.depth loops v = 0)
            (vertices cfg.Cfg.graph))
@@ -190,7 +169,7 @@ let test_fixture_loops () =
   let cfg = Cfg.of_proc (Fixtures.two_backedges_proc ()) in
   let loops = Loops.analyze cfg.Cfg.graph ~root:cfg.Cfg.entry in
   Alcotest.(check int) "backedges merge into one loop" 1
-    (Loops.num_loops loops);
+    (Array.length (Loops.loops loops));
   let l = (Loops.loops loops).(0) in
   Alcotest.(check int) "two backedges" 2 (List.length l.Loops.backedges);
   Alcotest.(check int) "depth 1" 1 l.Loops.depth;
@@ -219,7 +198,6 @@ let suite =
     [
       prop_dominators_oracle;
       prop_postdominators_oracle;
-      prop_idom_is_strict_dominator;
       prop_loops_well_formed;
       prop_loop_depth_is_containment_count;
       prop_loop_parent_strictly_contains;

@@ -54,149 +54,15 @@ let profile_in mode =
 
 let fixture = lazy (profile_in Instrument.Flow_hw)
 
-(* {2 Profile.merge laws} *)
+(* {2 Profile_io.merge laws}
 
-let view (p : Profile.t) =
-  List.map
-    (fun (pp : Profile.proc_profile) ->
-      ( pp.Profile.proc,
-        List.map
-          (fun (s, m) ->
-            (s, m.Profile.freq, m.Profile.m0, m.Profile.m1))
-          pp.Profile.paths ))
-    p.Profile.procs
-
-(* The order [merge] promises, applied by hand — so a raw (run-ordered)
-   profile can be compared against a merged one. *)
-let canonical_view p =
-  view p
-  |> List.map (fun (name, paths) -> (name, List.sort compare paths))
-  |> List.sort compare
-
-let pics = (Event.Dcache_misses, Event.Instructions)
-
-let empty_profile () =
-  Profile.empty ~pic0:(fst pics) ~pic1:(snd pics)
-
-(* Random profiles over the fixture's genuine numberings: a random subset
-   of procedures, random executed-path subsets in random order. *)
-let gen_profile st =
-  let base = Lazy.force fixture in
-  let procs =
-    List.filter_map
-      (fun (pp : Profile.proc_profile) ->
-        if Random.State.int st 4 = 0 then None
-        else
-          let np = Ball_larus.num_paths pp.Profile.numbering in
-          let nsums = 1 + Random.State.int st 6 in
-          let sums =
-            List.init nsums (fun _ -> Random.State.int st np)
-            |> List.sort_uniq compare
-          in
-          let paths =
-            List.map
-              (fun s ->
-                ( s,
-                  {
-                    Profile.freq = Random.State.int st 100;
-                    m0 = Random.State.int st 100;
-                    m1 = Random.State.int st 100;
-                  } ))
-              sums
-          in
-          (* random order: merge must not depend on input ordering *)
-          let paths =
-            if Random.State.bool st then List.rev paths else paths
-          in
-          Some { pp with Profile.paths })
-      base.Profile.procs
-  in
-  { Profile.pic0 = fst pics; pic1 = snd pics; procs }
-
-let totals p =
-  (Profile.total_freq p, Profile.total_m0 p, Profile.total_m1 p)
-
-let add3 (a, b, c) (d, e, f) = (a + d, b + e, c + f)
-
-let prop_merge_commutes =
-  QCheck.Test.make ~name:"profile merge commutes" ~count:50
-    QCheck.(pair small_nat small_nat)
-    (fun (s1, s2) ->
-      let st = Random.State.make [| s1; s2; 11 |] in
-      let a = gen_profile st and b = gen_profile st in
-      view (Profile.merge a b) = view (Profile.merge b a))
-
-let prop_merge_assoc =
-  QCheck.Test.make ~name:"profile merge associates" ~count:50
-    QCheck.(pair small_nat small_nat)
-    (fun (s1, s2) ->
-      let st = Random.State.make [| s1; s2; 13 |] in
-      let a = gen_profile st
-      and b = gen_profile st
-      and c = gen_profile st in
-      view (Profile.merge (Profile.merge a b) c)
-      = view (Profile.merge a (Profile.merge b c)))
-
-let prop_merge_identity =
-  QCheck.Test.make ~name:"empty profile is the merge identity" ~count:50
-    QCheck.small_nat
-    (fun seed ->
-      let st = Random.State.make [| seed; 17 |] in
-      let a = gen_profile st in
-      let e = empty_profile () in
-      view (Profile.merge a e) = canonical_view a
-      && view (Profile.merge e a) = canonical_view a)
-
-let prop_merge_conserves =
-  QCheck.Test.make
-    ~name:"merge conserves frequencies and counter totals" ~count:50
-    QCheck.(pair small_nat small_nat)
-    (fun (s1, s2) ->
-      let st = Random.State.make [| s1; s2; 19 |] in
-      let a = gen_profile st and b = gen_profile st in
-      totals (Profile.merge a b) = add3 (totals a) (totals b))
-
-let test_merge_real_run () =
-  (* Merging a run's profile with itself doubles every accumulator. *)
-  let p = Lazy.force fixture in
-  let m = Profile.merge p p in
-  Alcotest.(check bool) "doubled totals" true
-    (totals m = add3 (totals p) (totals p));
-  Alcotest.(check bool) "same paths" true
-    (canonical_view m
-    = List.map
-        (fun (name, paths) ->
-          ( name,
-            List.map (fun (s, f, m0, m1) -> (s, 2 * f, 2 * m0, 2 * m1))
-              paths ))
-        (canonical_view p))
-
-let test_merge_pic_mismatch () =
-  let p = Lazy.force fixture in
-  let e = Profile.empty ~pic0:Event.Instructions ~pic1:Event.Instructions in
-  match Profile.merge p e with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected Invalid_argument on PIC mismatch"
-
-let test_merge_numbering_mismatch () =
-  let p = Lazy.force fixture in
-  match p.Profile.procs with
-  | pa :: pb :: _ when
-      Ball_larus.num_paths pa.Profile.numbering
-      <> Ball_larus.num_paths pb.Profile.numbering -> (
-      (* Claim [pa]'s paths were collected under [pb]'s numbering. *)
-      let forged =
-        {
-          p with
-          Profile.procs = [ { pa with Profile.numbering = pb.Profile.numbering } ];
-        }
-      in
-      match Profile.merge p forged with
-      | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.fail "expected Invalid_argument on path-count mismatch")
-  | _ -> Alcotest.fail "fixture needs two procs with distinct path counts"
-
-(* {2 Profile_io: the on-disk shard format} *)
+   The merge [pp merge], [pp serve] and checkpoints sum shards with.
+   Random canonical shards share one header and the fixture's genuine
+   procedure names and path counts; each carries random path tables,
+   [feasible] annotations, sampled [coverage] windows (sampled = the
+   shard's recorded commits for the procedure, as a sampled run writes
+   them) and procedures that appear only in annotations, with no path
+   records.  Shards compare through their serialised text. *)
 
 let saved_fixture () =
   let p = Lazy.force fixture in
@@ -205,9 +71,143 @@ let saved_fixture () =
     ~mode:(Instrument.mode_name Instrument.Flow_hw)
     p
 
+(* The commits a shard recorded for procedure [name]: its frequency sum. *)
+let commits procs name =
+  match List.find_opt (fun (n, _, _) -> n = name) procs with
+  | Some (_, _, paths) ->
+      List.fold_left (fun acc (_, m) -> acc + m.Profile.freq) 0 paths
+  | None -> 0
+
+let gen_shard st =
+  let base = saved_fixture () in
+  let pick () = Random.State.int st 3 = 0 in
+  let procs =
+    List.filter_map
+      (fun (name, np, _) ->
+        if Random.State.int st 4 = 0 then None
+        else
+          let sums =
+            List.init (1 + Random.State.int st 6) (fun _ ->
+                Random.State.int st np)
+            |> List.sort_uniq compare
+          in
+          let metric () = Random.State.int st 100 in
+          Some
+            ( name,
+              np,
+              List.map
+                (fun s ->
+                  ( s,
+                    { Profile.freq = 1 + metric (); m0 = metric (); m1 = metric () }
+                  ))
+                sums ))
+      base.Profile_io.procs
+  in
+  let names = List.map (fun (n, _, _) -> n) base.Profile_io.procs in
+  Profile_io.canonical
+    {
+      base with
+      Profile_io.procs;
+      (* A procedure's feasible count is fixed, so shards agree on it. *)
+      feasible =
+        List.filter_map
+          (fun n -> if pick () then Some (n, String.length n) else None)
+          names;
+      coverage =
+        List.filter_map
+          (fun n ->
+            if pick () then
+              let c = commits procs n in
+              Some (n, (c, c + 1 + Random.State.int st 50))
+            else None)
+          names;
+    }
+
+let merged a b =
+  match Profile_io.merge a b with
+  | Ok m -> m
+  | Error d -> QCheck.Test.fail_reportf "merge refused: %s" (Diag.to_string d)
+
+let text = Profile_io.to_string
+
+let add3 (a, b, c) (d, e, f) = (a + d, b + e, c + f)
+
+let prop_merge_commutes =
+  QCheck.Test.make ~name:"profile merge commutes" ~count:50
+    QCheck.(pair small_nat small_nat)
+    (fun (s1, s2) ->
+      let st = Random.State.make [| s1; s2; 11 |] in
+      let a = gen_shard st and b = gen_shard st in
+      text (merged a b) = text (merged b a))
+
+let prop_merge_assoc =
+  QCheck.Test.make ~name:"profile merge associates" ~count:50
+    QCheck.(pair small_nat small_nat)
+    (fun (s1, s2) ->
+      let st = Random.State.make [| s1; s2; 13 |] in
+      let a = gen_shard st and b = gen_shard st and c = gen_shard st in
+      text (merged (merged a b) c) = text (merged a (merged b c)))
+
+let prop_merge_identity =
+  QCheck.Test.make ~name:"empty profile is the merge identity" ~count:50
+    QCheck.small_nat
+    (fun seed ->
+      let st = Random.State.make [| seed; 17 |] in
+      let a = gen_shard st in
+      let e = { a with Profile_io.procs = []; feasible = []; coverage = [] } in
+      text (merged a e) = text a && text (merged e a) = text a)
+
+let prop_merge_conserves =
+  QCheck.Test.make
+    ~name:"merge conserves frequencies and counter totals" ~count:50
+    QCheck.(pair small_nat small_nat)
+    (fun (s1, s2) ->
+      let st = Random.State.make [| s1; s2; 19 |] in
+      let a = gen_shard st and b = gen_shard st in
+      let m = merged a b in
+      (* A shard without a window for a procedure ran it exhaustively. *)
+      let window s n =
+        match List.assoc_opt n s.Profile_io.coverage with
+        | Some w -> w
+        | None ->
+            let c = commits s.Profile_io.procs n in
+            (c, c)
+      in
+      let covered =
+        List.sort_uniq compare
+          (List.map fst (a.Profile_io.coverage @ b.Profile_io.coverage))
+      in
+      Profile_io.totals m = add3 (Profile_io.totals a) (Profile_io.totals b)
+      && List.map fst m.Profile_io.coverage = covered
+      && List.for_all
+           (fun n ->
+             let sa, ta = window a n and sb, tb = window b n in
+             List.assoc n m.Profile_io.coverage = (sa + sb, ta + tb))
+           covered)
+
+(* Summing a real run's shard with itself doubles every accumulator. *)
+let test_merge_real_run () =
+  let s = saved_fixture () in
+  let m = merged s s in
+  Alcotest.(check bool) "same paths, doubled" true
+    (m.Profile_io.procs
+    = List.map
+        (fun (name, np, paths) ->
+          ( name,
+            np,
+            List.map
+              (fun (sum, (pm : Profile.path_metrics)) ->
+                ( sum,
+                  { Profile.freq = 2 * pm.freq; m0 = 2 * pm.m0; m1 = 2 * pm.m1 }
+                ))
+              paths ))
+        s.Profile_io.procs)
+
+(* {2 Profile_io: the on-disk shard format} *)
+
 let test_io_roundtrip () =
   let s = saved_fixture () in
-  let s' = Profile_io.of_string (Profile_io.to_string s) in
+  let s' = Fixtures.read_shard (Profile_io.to_string s) in
   Alcotest.(check bool) "string roundtrip" true (s' = Profile_io.canonical s);
   let path = Filename.temp_file "profile" ".txt" in
   Fun.protect
@@ -220,7 +220,14 @@ let test_io_roundtrip () =
 let test_io_totals () =
   let p = Lazy.force fixture in
   Alcotest.(check bool) "totals survive the strip" true
-    (Profile_io.totals (saved_fixture ()) = totals p)
+    (Profile_io.totals (saved_fixture ())
+    = ( List.fold_left
+          (fun acc (pp : Profile.proc_profile) ->
+            List.fold_left (fun acc (_, m) -> acc + m.Profile.freq) acc
+              pp.Profile.paths)
+          0 p.Profile.procs,
+        Profile.total_m0 p,
+        Profile.total_m1 p ))
 
 let test_io_merge_self () =
   let s = saved_fixture () in
@@ -267,7 +274,7 @@ let test_io_merge_npaths_mismatch () =
 
 let test_io_parse_errors () =
   let bad text =
-    match Profile_io.of_string text with
+    match Fixtures.read_shard text with
     | exception Profile_io.Parse_error _ -> ()
     | _ -> Alcotest.fail "expected parse error"
   in
@@ -281,7 +288,7 @@ let test_io_parse_errors () =
    in a record whose checksum holds (not reported as damage). *)
 let test_io_bad_escape () =
   let at line text =
-    match Profile_io.of_string text with
+    match Fixtures.read_shard text with
     | exception Profile_io.Parse_error (l, msg) ->
         Alcotest.(check int) (String.escaped text) line l;
         Alcotest.(check bool) msg true
@@ -432,38 +439,37 @@ let test_cct_merge_no_aliasing () =
 (* Defect 1: on paths both shards executed, the first shard's accumulators
    win and the second's are silently dropped. *)
 let mutant_drop_sum a b =
-  let m = Profile.merge a b in
+  let m = merged a b in
   {
     m with
-    Profile.procs =
+    Profile_io.procs =
       List.map
-        (fun (pp : Profile.proc_profile) ->
-          match Profile.find_proc a pp.Profile.proc with
-          | None -> pp
-          | Some pa ->
-              {
-                pp with
-                Profile.paths =
-                  List.map
-                    (fun (s, mm) ->
-                      match List.assoc_opt s pa.Profile.paths with
-                      | Some ma -> (s, ma)
-                      | None -> (s, mm))
-                    pp.Profile.paths;
-              })
-        m.Profile.procs;
+        (fun (name, np, paths) ->
+          match List.find_opt (fun (n, _, _) -> n = name) a.Profile_io.procs with
+          | None -> (name, np, paths)
+          | Some (_, _, pa) ->
+              ( name,
+                np,
+                List.map
+                  (fun (s, mm) ->
+                    match List.assoc_opt s pa with
+                    | Some ma -> (s, ma)
+                    | None -> (s, mm))
+                  paths ))
+        m.Profile_io.procs;
   }
 
 let profile_laws_hold merge a b =
-  view (merge a b) = view (merge b a)
-  && totals (merge a b) = add3 (totals a) (totals b)
+  text (merge a b) = text (merge b a)
+  && Profile_io.totals (merge a b)
+     = add3 (Profile_io.totals a) (Profile_io.totals b)
 
 let test_mutant_dropped_sum () =
-  let p = Lazy.force fixture in
+  let s = saved_fixture () in
   Alcotest.(check bool) "correct merge passes the laws" true
-    (profile_laws_hold Profile.merge p p);
+    (profile_laws_hold merged s s);
   Alcotest.(check bool) "dropped accumulator sum is caught" false
-    (profile_laws_hold mutant_drop_sum p p)
+    (profile_laws_hold mutant_drop_sum s s)
 
 (* Text-level corruption of a serialised CCT shard, as a buggy disk/merge
    pipeline would produce it. *)
@@ -530,9 +536,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_merge_conserves;
     Alcotest.test_case "merge of a real run's profile" `Quick
       test_merge_real_run;
-    Alcotest.test_case "PIC mismatch rejected" `Quick test_merge_pic_mismatch;
-    Alcotest.test_case "numbering mismatch rejected" `Quick
-      test_merge_numbering_mismatch;
     Alcotest.test_case "saved profile roundtrip" `Quick test_io_roundtrip;
     Alcotest.test_case "saved profile totals" `Quick test_io_totals;
     Alcotest.test_case "shard merge sums" `Quick test_io_merge_self;

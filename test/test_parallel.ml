@@ -16,7 +16,7 @@ let test_map_order () =
     Alcotest.(list (option int))
     "results in input order"
     (List.map (fun x -> Some (x * x)) [ 1; 2; 3; 4; 5; 6; 7 ])
-    (List.map Pool.outcome_ok outcomes)
+    (List.map Fixtures.outcome_ok outcomes)
 
 let test_crash_isolation () =
   let outcomes =
@@ -65,8 +65,8 @@ let test_crash_messages () =
     [ 1; 2 ]
 
 let test_timeout () =
-  let outcomes =
-    Pool.map ~jobs:2 ~timeout:0.3
+  let outcomes, _ =
+    Pool.map_stats ~jobs:2 ~timeout:0.3
       (fun x ->
         if x = 1 then Unix.sleepf 5.0;
         x)
@@ -92,8 +92,8 @@ let test_empty_and_singleton () =
    the serial one. *)
 let test_golden_parallel_report () =
   let tasks = Matrix.tasks ~workloads:[ "li_like"; "m88k_like" ] () in
-  let serial = Matrix.run ~jobs:1 tasks in
-  let parallel = Matrix.run ~jobs:4 tasks in
+  let serial = fst (Matrix.run_footer ~jobs:1 tasks) in
+  let parallel = fst (Matrix.run_footer ~jobs:4 tasks) in
   Alcotest.(check bool) "no shard failed" true (Matrix.failures parallel = []);
   Alcotest.(check string) "jobs 4 report byte-identical to serial"
     (Matrix.report serial) (Matrix.report parallel)

@@ -33,7 +33,6 @@ let sample () =
 
 let test_totals () =
   let p = sample () in
-  check Alcotest.int "freq" 16 (Profile.total_freq p);
   check Alcotest.int "m0" 41 (Profile.total_m0 p);
   check Alcotest.int "m1" 1050 (Profile.total_m1 p)
 
@@ -52,19 +51,6 @@ let test_decode_through_profile () =
   (* Path 3 = ABCDEF. *)
   check (Alcotest.list Alcotest.int) "blocks" [ 0; 1; 2; 3; 4; 5 ]
     path.Ball_larus.blocks
-
-let test_pp_top () =
-  let p = sample () in
-  let text = Format.asprintf "%a" (Profile.pp_top ~n:2) p in
-  Alcotest.(check bool) "mentions proc and metric" true
-    (let has sub =
-       let n = String.length text and m = String.length sub in
-       let rec go i =
-         i + m <= n && (String.sub text i m = sub || go (i + 1))
-       in
-       go 0
-     in
-     has "fig1" && has "dc_miss")
 
 (* Driving the Figure-1 program through all selector values exercises all
    six paths exactly as the figure enumerates them. *)
@@ -93,7 +79,6 @@ let suite =
     Alcotest.test_case "ranking and lookup" `Quick test_ranked;
     Alcotest.test_case "decode through profile" `Quick
       test_decode_through_profile;
-    Alcotest.test_case "pp_top" `Quick test_pp_top;
     Alcotest.test_case "figure-1 program covers all paths" `Quick
       test_figure1_program_covers_all_paths;
   ]

@@ -121,7 +121,7 @@ let test_jobs_independent () =
   in
   let inline = List.map job [ 1; 2; 3; 4 ] in
   let forked =
-    Pool.map ~jobs:2 job [ 1; 2; 3; 4 ] |> List.map Pool.outcome_ok
+    Pool.map ~jobs:2 job [ 1; 2; 3; 4 ] |> List.map Fixtures.outcome_ok
   in
   List.iter2
     (fun a b ->
@@ -167,7 +167,7 @@ let test_coverage_merge () =
     shard ~sampling:(Sampling.create ~duty:0.3 ~seed:5 ()) ()
   in
   let exhaustive = shard () in
-  let reloaded = Profile_io.of_string (Profile_io.to_string sampled) in
+  let reloaded = Fixtures.read_shard (Profile_io.to_string sampled) in
   Alcotest.(check string) "coverage roundtrips"
     (Profile_io.to_string sampled)
     (Profile_io.to_string reloaded);

@@ -158,7 +158,15 @@ let test_agg_eviction_degrades () =
   let agg = Serve.agg_create ~max_records:3 () in
   List.iter (fun s -> ignore (Serve.agg_add agg s)) ss;
   Alcotest.(check bool) "eviction happened" true (agg.Serve.evicted > 0);
-  Alcotest.(check bool) "budget respected" true (Serve.agg_resident agg <= 3);
+  let resident =
+    match agg.Serve.merged with
+    | None -> 0
+    | Some s ->
+        List.fold_left
+          (fun acc (_, _, paths) -> acc + List.length paths)
+          0 s.Profile_io.procs
+  in
+  Alcotest.(check bool) "budget respected" true (resident <= 3);
   (* Deterministic: the same fold evicts the same records. *)
   let agg2 = Serve.agg_create ~max_records:3 () in
   List.iter (fun s -> ignore (Serve.agg_add agg2 s)) ss;
@@ -200,6 +208,15 @@ let temp_socket () =
   Sys.remove path;
   path
 
+(* Stream shard [s] as a client does: from its file. *)
+let send ?corrupt_after ~socket s =
+  let path = Filename.temp_file "pp-client" ".pprof" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Profile_io.to_file path s;
+      Serve.send_file ?corrupt_after ~socket path)
+
 (* Fork one sender per shard (children must _exit: they share the test
    runner's state) and aggregate in this process. *)
 let e2e ?corrupt_first ss =
@@ -211,7 +228,7 @@ let e2e ?corrupt_first ss =
         | 0 ->
             let corrupt_after = if i = 0 then corrupt_first else None in
             let code =
-              match Serve.send_saved ?corrupt_after ~socket s with
+              match send ?corrupt_after ~socket s with
               | Ok () -> 0
               | Error _ -> 1
               | exception _ -> 1
@@ -277,7 +294,7 @@ let test_e2e_rejects_incompatible () =
         | Some fd -> ignore (Unix.read fd (Bytes.create 1) 0 1)
         | None -> ());
         let code =
-          match Serve.send_saved ~socket s with
+          match send ~socket s with
           | Ok () -> 0
           | Error _ -> 1
           | exception _ -> 1

@@ -1,9 +1,9 @@
-(* Every export has a caller.
+(* Every export has a production caller.
 
    Reads the typed trees ([.cmti] and [.cmt]) that [dune build @check]
    leaves under [_build/default] and prints [file:line name] for each
-   value exported from [lib/] that no other compilation unit calls.
-   Exits 1 if there is any.
+   value exported from [lib/] that no production unit calls.  Exits 1
+   if there is any.
 
    - An export is a [val] of a [lib/] interface, or a top-level [let]
      of a [lib/] implementation that has no interface.
@@ -14,7 +14,15 @@
    - A unit coerced to a signature (a functor argument,
      [module _ : S = M], a packed module) calls every value that
      signature requires.  A plain alias such as [module P = M] calls
-     nothing. *)
+     nothing.
+   - Only production units call: a unit whose source is under [test/]
+     calls nothing.
+   - An export that only tests call stays if its [val] carries
+     [[@@test_only "reason"]]: a checker or reference implementation
+     that tests compare production results against, or a paper
+     mechanism no production path reaches yet.  The annotation is
+     itself checked: it needs a reason, and it is wrong on an export
+     that a production unit calls. *)
 
 open Typedtree
 
@@ -30,13 +38,23 @@ let rec files dir acc =
       else acc)
     acc (Sys.readdir dir)
 
-let in_lib = function
-  | Some src -> String.starts_with ~prefix:"lib/" src
+let under dir = function
+  | Some src -> String.starts_with ~prefix:dir src
   | None -> false
 
+(* How an export's [val] is annotated: not at all, [[@@test_only
+   "reason"]], or [[@@test_only] ] with no reason string. *)
+type test_only = No | Reason | Bare
+
 (* An export, keyed by where it is declared: its unit, its name (prefixed
-   by any submodule) and its line. *)
-type export = { unit : string; name : string; file : string; line : int }
+   by any submodule), its line and its annotation. *)
+type export = {
+  unit : string;
+  name : string;
+  file : string;
+  line : int;
+  test_only : test_only;
+}
 
 let key (p : Lexing.position) = (p.pos_fname, p.pos_cnum)
 let exports : (string * int, export) Hashtbl.t = Hashtbl.create 512
@@ -46,10 +64,24 @@ let called : (string * int, unit) Hashtbl.t = Hashtbl.create 4096
 let modtypes : (string, Types.module_type) Hashtbl.t = Hashtbl.create 64
 let units : (string, unit) Hashtbl.t = Hashtbl.create 256
 
-let add unit prefix name (loc : Location.t) =
+let add ?(test_only = No) unit prefix name (loc : Location.t) =
   let p = loc.loc_start in
   Hashtbl.replace exports (key p)
-    { unit; name = prefix ^ name; file = p.pos_fname; line = p.pos_lnum }
+    { unit; name = prefix ^ name; file = p.pos_fname; line = p.pos_lnum; test_only }
+
+let test_only (attrs : Parsetree.attributes) =
+  match List.find_opt (fun (a : Parsetree.attribute) -> a.attr_name.txt = "test_only") attrs with
+  | None -> No
+  | Some a -> (
+      match a.attr_payload with
+      | PStr
+          [ { pstr_desc =
+                Pstr_eval
+                  ({ pexp_desc = Pexp_constant (Pconst_string (r, _, _)); _ }, _);
+              _ } ]
+        when String.trim r <> "" ->
+          Reason
+      | _ -> Bare)
 
 let add_modtype unit prefix name = function
   | Some mty -> Hashtbl.replace modtypes (unit ^ "." ^ prefix ^ name) mty.mty_type
@@ -59,7 +91,9 @@ let rec of_signature unit prefix (s : signature) =
   List.iter
     (fun item ->
       match item.sig_desc with
-      | Tsig_value vd -> add unit prefix vd.val_name.txt vd.val_val.val_loc
+      | Tsig_value vd ->
+          add ~test_only:(test_only vd.val_attributes) unit prefix vd.val_name.txt
+            vd.val_val.val_loc
       | Tsig_module
           { md_name = { txt = Some m; _ };
             md_type = { mty_desc = Tmty_signature s; _ }; _ } ->
@@ -165,7 +199,7 @@ let () =
     cmts;
   List.iter
     (fun (c : Cmt_format.cmt_infos) ->
-      let lib = in_lib c.cmt_sourcefile in
+      let lib = under "lib/" c.cmt_sourcefile in
       match c.cmt_annots with
       | Interface s when lib -> of_signature c.cmt_modname "" s
       | Implementation s ->
@@ -176,13 +210,20 @@ let () =
   let by_name = Hashtbl.create 512 in
   Hashtbl.iter (fun k e -> Hashtbl.replace by_name (e.unit, e.name) k) exports;
   List.iter
-    (fun (c : Cmt_format.cmt_infos) -> scan by_name c.cmt_modname c.cmt_annots)
+    (fun (c : Cmt_format.cmt_infos) ->
+      if not (under "test/" c.cmt_sourcefile) then
+        scan by_name c.cmt_modname c.cmt_annots)
     cmts;
-  let uncalled =
+  let faults =
     Hashtbl.fold
-      (fun k e acc -> if Hashtbl.mem called k then acc else e :: acc)
+      (fun k e acc ->
+        match (Hashtbl.mem called k, e.test_only) with
+        | false, No -> (e, "") :: acc
+        | _, Bare -> (e, ": [@@test_only] needs a reason string") :: acc
+        | true, Reason -> (e, ": [@@test_only] but a production unit calls it") :: acc
+        | true, No | false, Reason -> acc)
       exports []
-    |> List.sort (fun a b -> compare (a.file, a.line) (b.file, b.line))
+    |> List.sort (fun (a, _) (b, _) -> compare (a.file, a.line) (b.file, b.line))
   in
-  List.iter (fun e -> Printf.printf "%s:%d %s\n" e.file e.line e.name) uncalled;
-  if uncalled <> [] then exit 1
+  List.iter (fun (e, why) -> Printf.printf "%s:%d %s%s\n" e.file e.line e.name why) faults;
+  if faults <> [] then exit 1
