@@ -13,7 +13,7 @@ module Report = Pp_core.Report
 
 let heading title = Printf.printf "\n==== %s ====\n\n" title
 
-let budget = 400_000_000
+let budget = Pp_run.Matrix.default_budget
 
 let workload name = Option.get (Registry.find name)
 

@@ -12,7 +12,7 @@ module Cost = Pp_analysis.Cost
 
 let heading title = Printf.printf "\n==== %s ====\n\n" title
 
-let budget = 400_000_000
+let budget = Pp_run.Matrix.default_budget
 
 let run () =
   heading

@@ -38,17 +38,8 @@ let targets : (string * string * (unit -> unit)) list =
       "edge vs path profiling overhead (BL94)",
       Ablations.ablation_edge );
     ("estimator", "static probe-cost estimates vs measured", Estimator.run);
-    ( "overhead",
-      "self-measured overhead attribution (writes OVERHEAD.json)",
-      Overheads.run );
     ("sampling", "stack sampling vs CCT (7.2)", Sampling.run);
     ("hall", "Hall iterative call-path profiling vs CCT (7.2)", Hall.run);
-    ( "engine",
-      "interpreted vs compiled engine throughput (writes BENCH_engine.json)",
-      Engines.run );
-    ( "predict",
-      "per-path bound certification sweep (writes BENCH_predict.json)",
-      Predict.run );
     ( "serve",
       "sampled accuracy vs overhead frontier (writes BENCH_serve.json)",
       Serve.run );

@@ -20,7 +20,7 @@ module Report = Pp_core.Report
 module Pgo = Pp_opt.Pgo
 module Pipeline = Pp_run.Pipeline
 
-let budget = 400_000_000
+let budget = Pp_run.Matrix.default_budget
 
 (* A workload may regress by at most this factor before the floor trips:
    layout is heuristic, so tiny I-cache noise is tolerated, real
@@ -111,19 +111,18 @@ let run () =
       if i > 0 then Buffer.add_string json ",";
       Buffer.add_string json
         (Printf.sprintf
-           "\n  {\"workload\": %S, \"cycles_base\": %d, \"cycles_cct\": \
+           "\n  {\"workload\": \"%s\", \"cycles_base\": %d, \"cycles_cct\": \
             %d, \"cycles_flat\": %d, \"dmiss_base\": %d, \"dmiss_cct\": \
             %d, \"inlined_cct\": %d, \"reduction_cct_pct\": %.4f, \
             \"reduction_flat_pct\": %.4f}"
-           r.name r.cycles_base r.cycles_cct r.cycles_flat r.dmiss_base
-           r.dmiss_cct r.inlined_cct
+           (Pp_telemetry.Trace.json_escape r.name)
+           r.cycles_base r.cycles_cct r.cycles_flat r.dmiss_base r.dmiss_cct
+           r.inlined_cct
            (pct r.cycles_base r.cycles_cct)
            (pct r.cycles_base r.cycles_flat)))
     rows;
   Buffer.add_string json "\n]\n";
-  let oc = open_out "BENCH_pgo.json" in
-  output_string oc (Buffer.contents json);
-  close_out oc;
+  Pp_core.Crc32.write_atomic "BENCH_pgo.json" (Buffer.contents json);
   let mean =
     List.fold_left (fun a r -> a +. pct r.cycles_base r.cycles_cct) 0.0 rows
     /. float_of_int (List.length rows)

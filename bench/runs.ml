@@ -13,7 +13,7 @@ module Profile = Pp_core.Profile
 module Cct = Pp_core.Cct
 module Cct_stats = Pp_core.Cct_stats
 
-let budget = 400_000_000
+let budget = Pp_run.Matrix.default_budget
 
 type config = Base | Flow_hw | Context_hw | Context_flow
 
@@ -79,9 +79,7 @@ let measure_mode (w : W.t) config =
     | Base -> assert false
   in
   let session =
-    Driver.prepare ~max_instructions:budget
-      ~pics:(Event.Dcache_misses, Event.Instructions)
-      ~mode (program_of w)
+    Driver.prepare ~max_instructions:budget ~mode (program_of w)
   in
   let r = Driver.run session in
   let profile = if want_profile then Some (Driver.path_profile session)

@@ -28,16 +28,14 @@ module Profile = Pp_core.Profile
 module Profile_io = Pp_core.Profile_io
 module Sv = Pp_run.Serve
 
-let budget = 400_000_000
+let budget = Pp_run.Matrix.default_budget
 let duties = [ 0.125; 0.25; 0.5; 1.0 ]
 let mode = Instrument.Flow_hw
 let corr_floor = 0.5
 
-(* Sampled sessions force the zero array threshold; the exhaustive
-   reference must use the same options or the comparison confounds
-   sampling with commit layout. *)
-let zero_opts =
-  { Instrument.default_options with Instrument.array_threshold = 0 }
+(* The exhaustive reference must use the sampled sessions' options or
+   the comparison confounds sampling with commit layout. *)
+let zero_opts = Driver.sampled_options None
 
 let selected_workloads () =
   match Sys.getenv_opt "PP_SERVE_WORKLOADS" with
@@ -183,18 +181,17 @@ let run () =
           Buffer.add_string json
             (Printf.sprintf
                "\n\
-               \  {\"workload\": %S, \"duty\": %.3f, \"baseline\": %d, \
+               \  {\"workload\": \"%s\", \"duty\": %.3f, \"baseline\": %d, \
                 \"instrumented\": %d, \"overhead_pct\": %.4f, \
                 \"rank_correlation\": %.4f, \"relative_error\": %.4f, \
                 \"peak_records\": %d, \"paths\": %d, \"trapped\": %b}"
-               w.W.name duty base instrs overhead corr err peak
-               (List.length approx) trapped))
+               (Pp_telemetry.Trace.json_escape w.W.name)
+               duty base instrs overhead corr err peak (List.length approx)
+               trapped))
         duties)
     (selected_workloads ());
   Buffer.add_string json "\n]\n";
-  let oc = open_out "BENCH_serve.json" in
-  output_string oc (Buffer.contents json);
-  close_out oc;
+  Pp_core.Crc32.write_atomic "BENCH_serve.json" (Buffer.contents json);
   Printf.printf "wrote BENCH_serve.json\n";
   match !violations with
   | [] -> ()

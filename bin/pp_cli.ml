@@ -35,7 +35,7 @@ module Serve = Pp_run.Serve
 module Diag = Pp_ir.Diag
 module Trace = Pp_telemetry.Trace
 module Metrics = Pp_telemetry.Metrics
-module Overhead = Pp_overhead.Overhead
+module Overhead = Pp_run.Overhead
 module Predict_run = Pp_run.Predict_run
 module Pipeline = Pp_run.Pipeline
 
@@ -177,7 +177,7 @@ let workload_opt =
                  file.")
 
 let budget =
-  positive_opt ~default:400_000_000 [ "budget" ] ~docv:"N"
+  positive_opt ~default:Matrix.default_budget [ "budget" ] ~docv:"N"
     ~doc:"Maximum simulated instructions before trapping."
 
 (* --engine: parsed by hand instead of Arg.enum so an invalid value exits
@@ -528,11 +528,11 @@ let profile_cmd =
     0
   in
   let pic0 =
-    Arg.(value & opt event_conv Event.Dcache_misses
+    Arg.(value & opt event_conv (fst Driver.default_pics)
          & info [ "pic0" ] ~docv:"EVENT" ~doc:"Event on counter 0.")
   in
   let pic1 =
-    Arg.(value & opt event_conv Event.Instructions
+    Arg.(value & opt event_conv (snd Driver.default_pics)
          & info [ "pic1" ] ~docv:"EVENT" ~doc:"Event on counter 1.")
   in
   let top = positive_opt ~default:10 [ "top"; "n" ] ~docv:"N" ~doc:"Rows to print." in

@@ -86,15 +86,9 @@ let breakdown_of ~is_increment ~init_needed bl paths =
     backedge_commits = !backedge_commits;
   }
 
-let placement_of ~options bl =
-  if options.Instrument.optimize_placement then
-    let weights = Pp_core.Static_weights.edge_weight (Ball_larus.cfg bl) in
-    Ball_larus.optimized_placement ~weights bl
-  else Ball_larus.simple_placement bl
-
 let measured_breakdown ?(options = Instrument.default_options) bl paths =
   let cfg = Ball_larus.cfg bl in
-  let placement = placement_of ~options bl in
+  let placement = Instrument.placement options bl in
   let is_increment = Array.make (Digraph.num_edges cfg.Cfg.graph) false in
   List.iter
     (fun ((e : Digraph.edge), _) -> is_increment.(e.id) <- true)
@@ -157,7 +151,7 @@ let compute ?(options = Instrument.default_options) ~mode
               let fs = Feasibility.analyze cfg bl in
               let cp = Feasibility.constprop fs in
               let freq = Freq.estimate ~cp cfg in
-              let placement = placement_of ~options bl in
+              let placement = Instrument.placement options bl in
               let is_increment =
                 Array.make (Digraph.num_edges cfg.Cfg.graph) false
               in

@@ -12,9 +12,9 @@
    Edge weights normalize into branch probabilities; block frequencies
    propagate acyclically in reverse postorder (backedges dropped, their
    probability mass renormalized away) starting from ENTRY = 1.0, then
-   scale by 8^depth per loop-nesting level — the same 8x-per-level
-   convention {!Pp_core.Static_weights} uses for placement weights, so the
-   two estimators agree on what "hot" means. *)
+   scale by 8^depth per {!Pp_graph.Loops} nesting level — the nesting and
+   8x-per-level convention {!Pp_core.Static_weights} reads for placement
+   weights, so the two estimators agree on what "hot" means. *)
 
 module Cfg = Pp_ir.Cfg
 module Digraph = Pp_graph.Digraph

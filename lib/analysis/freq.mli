@@ -5,8 +5,8 @@
     heuristics (backedge taken x7, post-dominating successor x3,
     statically infeasible edge 0 when a {!Constprop} fixpoint is
     supplied), acyclic propagation from ENTRY in reverse postorder, and an
-    8x-per-loop-nesting-level scale matching
-    {!Pp_core.Static_weights}. *)
+    8x-per-level scale over the {!Pp_graph.Loops} nesting
+    {!Pp_core.Static_weights} also reads. *)
 
 type t
 

@@ -124,7 +124,6 @@ type pctx = {
   loops : Loops.t;  (* over the instrumented graph *)
   persist_memo : (bool * int * int, bool) Hashtbl.t;
       (* (icache?, loop index, line) -> cannot be evicted from the body *)
-  cache : (int, exec_bounds) Hashtbl.t;
   trails : (int, trail) Hashtbl.t;
       (* by path source: -1 from the entry, else the backedge's id *)
 }
@@ -242,15 +241,15 @@ let prof_micros t ~op_addr ~wbound emit op =
     wr C.Top_prof
   in
   match op with
-  | I.Cct_call _ -> fixed 2
+  | I.Cct_call _ -> fixed I.cct_call_slots
   | I.Cct_enter { nsites; _ } ->
-      (* Load of the parent's callee slot, 8 base + 3-per-ancestor walk
+      (* Load of the parent's callee slot, the base and per-ancestor walk
          charges, the walked headers, conditional record initialisation,
          then the three unconditional stores. *)
       rd C.Top_prof;
-      fixed 8;
+      fixed I.cct_enter_base;
       stub_fetches ~geom_i ~op_addr ~slots emit ~certain:false ~count_lo:0
-        ~count_hi:(scale 3 wbound);
+        ~count_hi:(scale I.cct_enter_per_ancestor wbound);
       (match wbound with
       | Some w ->
           for _ = 1 to w do
@@ -264,36 +263,36 @@ let prof_micros t ~op_addr ~wbound emit op =
       wr C.Top_prof;
       wr (C.Frame fr_gcsp)
   | I.Cct_exit ->
-      fixed 3;
+      fixed I.cct_exit_slots;
       rd (C.Frame fr_gcsp)
   | I.Cct_metric_enter ->
-      fixed 4;
+      fixed I.metric_enter_slots;
       wr (C.Frame fr_pic0);
       wr (C.Frame fr_pic1)
   | I.Cct_metric_exit ->
-      fixed 10;
+      fixed I.metric_exit_slots;
       rd (C.Frame fr_pic0);
       rd (C.Frame fr_pic1);
       accumulate ()
   | I.Cct_metric_backedge ->
-      fixed 12;
+      fixed I.metric_backedge_slots;
       rd (C.Frame fr_pic0);
       rd (C.Frame fr_pic1);
       accumulate ();
       wr (C.Frame fr_pic0);
       wr (C.Frame fr_pic1)
   | I.Path_commit_hash _ ->
-      fixed 12;
+      fixed I.commit_hash_slots;
       rd C.Top_prof;
       wr C.Top_prof
   | I.Path_commit_hash_hw _ ->
-      fixed 18;
+      fixed I.commit_hash_hw_slots;
       rd C.Top_prof;
       wr C.Top_prof;
       rd C.Top_prof;
       wr C.Top_prof
   | I.Path_commit_cct _ ->
-      fixed 10;
+      fixed I.commit_cct_slots;
       rd C.Top_prof;
       wr C.Top_prof
 
@@ -583,7 +582,6 @@ let build_pctx t ~wbound (orig : Proc.t) (inst : Proc.t) =
     isol;
     loops;
     persist_memo = Hashtbl.create 32;
-    cache = Hashtbl.create 64;
     trails = Hashtbl.create 8;
   }
 
@@ -888,76 +886,68 @@ let path_labels ctx (trav : Ball_larus.traversal) =
 
 let predict t ~proc ~sum =
   let ctx = ctx_exn t proc in
-  match Hashtbl.find_opt ctx.cache sum with
-  | Some b -> b
-  | None ->
-      let bl =
-        match ctx.bl with
-        | Some bl -> bl
-        | None ->
-            invalid_arg
-              (Printf.sprintf "Predict: %s has no path numbering" proc)
-      in
-      let trav = Ball_larus.traverse bl sum in
-      let path = trav.Ball_larus.path in
-      let labels = path_labels ctx trav in
-      let cold = t.cold_main = Some proc in
-      let dstate, istate, header, loop =
-        match path.Ball_larus.source with
-        | Ball_larus.From_entry ->
-            (C.entry ~cold, C.entry ~cold, None, None)
-        | Ball_larus.After_backedge e ->
-            let d, i, _ = backedge_states ctx e in
-            let h = e.Digraph.dst in
-            (d, i, Some h, loop_of_header ctx h)
-      in
-      (* [persist l], resolved once per block [l]. *)
-      let persist =
-        match loop with
-        | None -> fun _ -> no_persist
-        | Some li ->
-            let persistent ~icache = function
-              | C.Line line ->
-                  let geom =
-                    if icache then t.config.Config.icache
-                    else t.config.Config.dcache
-                  in
-                  persistent_in ctx ~icache geom li line
-              | _ -> false
-            in
-            fun l ->
-              if Loops.in_loop ctx.loops li l then persistent else no_persist
-      in
-      let key =
-        match path.Ball_larus.source with
-        | Ball_larus.From_entry -> -1
-        | Ball_larus.After_backedge e -> e.Digraph.id
-      in
-      let acc = walk_shared t ctx ~key ~dstate ~istate ~persist labels in
-      let mk lo hi = { lo; hi } in
-      let dc_pen = t.config.Config.dcache_miss_penalty in
-      let ic_pen = t.config.Config.icache_miss_penalty in
-      let cycles =
-        mk
-          (acc.ni_lo + (ic_pen * acc.im_lo) + (dc_pen * acc.rm_lo))
-          (acc.ni_hi +? scale ic_pen acc.im_hi +? scale dc_pen acc.rm_hi
-          +? acc.st_hi)
-      in
-      let b =
-        {
-          per_exec =
-            {
-              cycles;
-              dmiss = mk (acc.rm_lo + acc.wm_lo) (acc.rm_hi +? acc.wm_hi);
-              imiss = mk acc.im_lo acc.im_hi;
-              stalls = mk 0 acc.st_hi;
-            };
-          dmiss_once = acc.rm_once;
-          imiss_once = acc.im_once;
-          cycles_once = (dc_pen * acc.rm_once) + (ic_pen * acc.im_once);
-          header;
-          to_exit = path.Ball_larus.sink = Ball_larus.To_exit;
-        }
-      in
-      Hashtbl.replace ctx.cache sum b;
-      b
+  let bl =
+    match ctx.bl with
+    | Some bl -> bl
+    | None ->
+        invalid_arg (Printf.sprintf "Predict: %s has no path numbering" proc)
+  in
+  let trav = Ball_larus.traverse bl sum in
+  let path = trav.Ball_larus.path in
+  let labels = path_labels ctx trav in
+  let cold = t.cold_main = Some proc in
+  let dstate, istate, header, loop =
+    match path.Ball_larus.source with
+    | Ball_larus.From_entry ->
+        (C.entry ~cold, C.entry ~cold, None, None)
+    | Ball_larus.After_backedge e ->
+        let d, i, _ = backedge_states ctx e in
+        let h = e.Digraph.dst in
+        (d, i, Some h, loop_of_header ctx h)
+  in
+  (* [persist l], resolved once per block [l]. *)
+  let persist =
+    match loop with
+    | None -> fun _ -> no_persist
+    | Some li ->
+        let persistent ~icache = function
+          | C.Line line ->
+              let geom =
+                if icache then t.config.Config.icache
+                else t.config.Config.dcache
+              in
+              persistent_in ctx ~icache geom li line
+          | _ -> false
+        in
+        fun l ->
+          if Loops.in_loop ctx.loops li l then persistent else no_persist
+  in
+  let key =
+    match path.Ball_larus.source with
+    | Ball_larus.From_entry -> -1
+    | Ball_larus.After_backedge e -> e.Digraph.id
+  in
+  let acc = walk_shared t ctx ~key ~dstate ~istate ~persist labels in
+  let mk lo hi = { lo; hi } in
+  let dc_pen = t.config.Config.dcache_miss_penalty in
+  let ic_pen = t.config.Config.icache_miss_penalty in
+  let cycles =
+    mk
+      (acc.ni_lo + (ic_pen * acc.im_lo) + (dc_pen * acc.rm_lo))
+      (acc.ni_hi +? scale ic_pen acc.im_hi +? scale dc_pen acc.rm_hi
+      +? acc.st_hi)
+  in
+  {
+    per_exec =
+      {
+        cycles;
+        dmiss = mk (acc.rm_lo + acc.wm_lo) (acc.rm_hi +? acc.wm_hi);
+        imiss = mk acc.im_lo acc.im_hi;
+        stalls = mk 0 acc.st_hi;
+      };
+    dmiss_once = acc.rm_once;
+    imiss_once = acc.im_once;
+    cycles_once = (dc_pen * acc.rm_once) + (ic_pen * acc.im_once);
+    header;
+    to_exit = path.Ball_larus.sink = Ball_larus.To_exit;
+  }

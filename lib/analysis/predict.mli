@@ -83,7 +83,8 @@ val feasibility : t -> string -> Feasibility.t option
 val tail_bound : t -> string -> tail
 
 (** Certified bounds for one execution of path [sum] of [proc].
-    Memoised; walking is linear in the path's instruction count.
+    Not memoised: callers ask each sum once, and the walk shares its
+    prefix with the previous path from the same source.
     @raise Invalid_argument on an unknown procedure or sum. *)
 val predict : t -> proc:string -> sum:int -> exec_bounds
 

@@ -1,37 +1,10 @@
 module Digraph = Pp_graph.Digraph
-module Dfs = Pp_graph.Dfs
-module Dominators = Pp_graph.Dominators
+module Loops = Pp_graph.Loops
 module Cfg = Pp_ir.Cfg
 
-let loop_depths (cfg : Cfg.t) =
-  let g = cfg.Cfg.graph in
-  let n = Digraph.num_vertices g in
-  let depths = Array.make n 0 in
-  let dfs = Dfs.run g ~root:cfg.Cfg.entry in
-  let dom = Dominators.compute g ~root:cfg.Cfg.entry in
-  List.iter
-    (fun (b : Digraph.edge) ->
-      (* Members of the natural loop of backedge v -> w: w, plus everything
-         reaching v backwards without passing through the header w. *)
-      let header = b.dst in
-      let in_loop = Array.make n false in
-      in_loop.(header) <- true;
-      let rec mark v =
-        if not in_loop.(v) then begin
-          in_loop.(v) <- true;
-          List.iter mark (Digraph.preds g v)
-        end
-      in
-      mark b.src;
-      Array.iteri
-        (fun v inside -> if inside then depths.(v) <- depths.(v) + 1)
-        in_loop)
-    (Dominators.natural_backedges dom dfs);
-  depths
-
-let edge_weight cfg =
-  let depths = loop_depths cfg in
+let edge_weight (cfg : Cfg.t) =
+  let loops = Loops.analyze cfg.Cfg.graph ~root:cfg.Cfg.entry in
   fun (e : Digraph.edge) ->
-    let d = min depths.(e.src) depths.(e.dst) in
+    let d = min (Loops.depth loops e.src) (Loops.depth loops e.dst) in
     let rec pow acc k = if k <= 0 then acc else pow (acc * 8) (k - 1) in
     min (pow 1 (min d 7)) 1_000_000

@@ -11,8 +11,7 @@ module Digraph = Pp_graph.Digraph
 (** [edge_weight cfg] estimates an edge's execution frequency as
     [8^depth] (capped), where the edge's depth is the {e smaller} of its
     endpoints' loop depths (an edge entering or leaving a loop executes at
-    the outer rate).  A vertex's loop depth counts the natural backedges
-    [v -> w] ([w] dominates [v]) whose loop — [w] plus every vertex that
-    reaches [v] without passing through [w] — contains it; retreating
-    edges of irreducible regions contribute no loop. *)
+    the outer rate).  A vertex's loop depth is {!Pp_graph.Loops.depth}:
+    backedges sharing a header make one loop, and retreating edges of
+    irreducible regions contribute none. *)
 val edge_weight : Pp_ir.Cfg.t -> Digraph.edge -> int

@@ -22,9 +22,8 @@ type session = {
 
 let default_pics = (Event.Dcache_misses, Event.Instructions)
 
-(* Sampled sessions force every path table through the runtime-dispatched
-   commits (hash / CCT): the inline array-table commit sequences are
-   plain loads and stores the controller cannot patch out. *)
+(* The inline array-table commit sequences are plain loads and stores
+   the sampling controller cannot patch out. *)
 let sampled_options options =
   let base = Option.value ~default:Instrument.default_options options in
   { base with Instrument.array_threshold = 0 }

@@ -24,11 +24,21 @@ type session = {
           given one (installed on [vm]; its toggles work mid-run) *)
 }
 
+(** The PIC events a session selects unless told otherwise:
+    [Dcache_misses], [Instructions] — the Table 4/5 configuration. *)
+val default_pics : Event.t * Event.t
+
+(** [options] (default {!Instrument.default_options}) with the zero
+    [array_threshold] a sampled session forces, so every path table
+    commits through a gateable runtime probe.  An exhaustive reference
+    for a sampled session is prepared with these options. *)
+val sampled_options : Instrument.options option -> Instrument.options
+
 (** Instrument for [mode], build a VM, register the runtime tables and
-    select the PIC events (default: [Dcache_misses], [Instructions] — the
-    Table 4/5 configuration).  [pruner] enables static path-feasibility
-    pruning: CCT per-record path tables are sized by the certified
-    feasible count instead of the full potential-path count.
+    select the PIC events (default: {!default_pics}).  [pruner] enables
+    static path-feasibility pruning: CCT per-record path tables are sized
+    by the certified feasible count instead of the full potential-path
+    count.
 
     [telemetry] receives [instrument] / [vm.setup] / [execute] /
     [extract.profile] spans from the session's phases; when
@@ -44,11 +54,8 @@ type session = {
     the differential suite, so the choice only affects speed.
 
     [sampling] installs a {!Pp_vm.Sampling} controller
-    ({!Pp_vm.Interp.set_sampling}) and forces [array_threshold] to [0] in
-    [options], so every path table uses a runtime-dispatched (and thus
-    gateable) hash or CCT commit instead of inline array updates.
-    Compare sampled sessions against an exhaustive session prepared with
-    the same zero-threshold options. *)
+    ({!Pp_vm.Interp.set_sampling}) and replaces [options] by
+    {!sampled_options}. *)
 val prepare :
   ?options:Instrument.options ->
   ?pruner:Instrument.pruner ->

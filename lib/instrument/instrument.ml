@@ -91,6 +91,14 @@ let emit_edge_profiling ed ~global =
     (Pp_core.Edge_profile.chords plan);
   plan
 
+let placement options bl =
+  if options.optimize_placement then
+    (* Static loop-depth frequency estimates keep hot edges on the
+       spanning tree, as BL96 intends. *)
+    let weights = Pp_core.Static_weights.edge_weight (Ball_larus.cfg bl) in
+    Ball_larus.optimized_placement ~weights bl
+  else Ball_larus.simple_placement bl
+
 let instrument_proc ?pruner options mode ~table_id (p : Proc.t) =
   match options.only with
   | Some names when not (List.mem p.Proc.name names) ->
@@ -121,14 +129,7 @@ let instrument_proc ?pruner options mode ~table_id (p : Proc.t) =
          pruned view only certifies which sums can occur, letting the
          runtime size hash/CCT tables by the feasible count. *)
       let pruned = match pruner with None -> None | Some f -> f cfg bl in
-      let placement =
-        if options.optimize_placement then
-          (* Static loop-depth frequency estimates keep hot edges on the
-             spanning tree, as BL96 intends. *)
-          let weights = Pp_core.Static_weights.edge_weight (Editor.cfg ed) in
-          Ball_larus.optimized_placement ~weights bl
-        else Ball_larus.simple_placement bl
-      in
+      let placement = placement options bl in
       let num_paths = Ball_larus.num_paths bl in
       let hw = mode = Flow_hw in
       let table =

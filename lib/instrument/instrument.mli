@@ -45,6 +45,11 @@ type options = {
 
 val default_options : options
 
+(** The increment placement [options] choose for a numbering: BL96's
+    spanning-tree chords weighted by {!Pp_core.Static_weights} under
+    [optimize_placement], else one increment per labelled edge. *)
+val placement : options -> Ball_larus.t -> Ball_larus.placement
+
 type table =
   | No_table
   | Array_table of { global : string; cells : int }

@@ -124,19 +124,28 @@ let fuses = function
 
 let is_call = function Call _ | Callind _ -> true | _ -> false
 
-(* Footprints of the runtime stubs the pseudo-ops stand for, in instruction
-   slots.  These match the instruction-count cost model charged by
-   Pp_vm.Runtime (kept in sync by test_vm's cost-model test). *)
+let cct_enter_slots = 14
+let cct_enter_base = 8
+let cct_enter_per_ancestor = 3
+let cct_exit_slots = 3
+let cct_call_slots = 2
+let metric_enter_slots = 4
+let metric_exit_slots = 10
+let metric_backedge_slots = 12
+let commit_hash_slots = 12
+let commit_hash_hw_slots = 18
+let commit_cct_slots = 10
+
 let prof_slots = function
-  | Cct_enter _ -> 14
-  | Cct_exit -> 3
-  | Cct_call _ -> 2
-  | Cct_metric_enter -> 4
-  | Cct_metric_exit -> 10
-  | Cct_metric_backedge -> 12
-  | Path_commit_hash _ -> 12
-  | Path_commit_hash_hw _ -> 18
-  | Path_commit_cct _ -> 10
+  | Cct_enter _ -> cct_enter_slots
+  | Cct_exit -> cct_exit_slots
+  | Cct_call _ -> cct_call_slots
+  | Cct_metric_enter -> metric_enter_slots
+  | Cct_metric_exit -> metric_exit_slots
+  | Cct_metric_backedge -> metric_backedge_slots
+  | Path_commit_hash _ -> commit_hash_slots
+  | Path_commit_hash_hw _ -> commit_hash_hw_slots
+  | Path_commit_cct _ -> commit_cct_slots
 
 let slots = function Prof op -> prof_slots op | _ -> 1
 

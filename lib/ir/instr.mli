@@ -129,6 +129,28 @@ val is_call : t -> bool
     stand for, so that they displace I-cache lines realistically. *)
 val slots : t -> int
 
+(** {2 Probe-stub footprints}
+
+    The size, in instruction slots, of the runtime stub each profiling
+    pseudo-op stands for, stated once for the runtime that charges it
+    ([Pp_vm.Runtime]) and the analysis that bounds it
+    ([Pp_analysis.Predict]).  Every stub but [Cct_enter] executes its
+    whole footprint once per call.  [Cct_enter] executes
+    [cct_enter_base] instructions, plus [cct_enter_per_ancestor] for each
+    ancestor its slot-miss walk visits. *)
+
+val cct_enter_slots : int
+val cct_enter_base : int
+val cct_enter_per_ancestor : int
+val cct_exit_slots : int
+val cct_call_slots : int
+val metric_enter_slots : int
+val metric_exit_slots : int
+val metric_backedge_slots : int
+val commit_hash_slots : int
+val commit_hash_hw_slots : int
+val commit_cct_slots : int
+
 val pp_ibinop : Format.formatter -> ibinop -> unit
 val pp_cmp : Format.formatter -> cmp -> unit
 val pp_fbinop : Format.formatter -> fbinop -> unit

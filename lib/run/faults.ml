@@ -1,4 +1,5 @@
 module Crc32 = Pp_core.Crc32
+module Sampling = Pp_vm.Sampling
 
 type fault = Crash | Stall of float | Write of Crc32.fault
 
@@ -8,24 +9,6 @@ let kind_name = function
   | Crash_heavy -> "crash-heavy"
   | Corruption_heavy -> "corruption-heavy"
   | Mixed -> "mixed"
-
-(* SplitMix64 finalizer over a fold of the inputs: avalanche quality is
-   what makes per-(seed, task, attempt) draws independent.  Kept within
-   62 bits (OCaml int) and masked non-negative. *)
-let mask = (1 lsl 62) - 1
-
-let mix xs =
-  let golden = 0x1e3779b97f4a7c15 land mask in
-  let z =
-    List.fold_left (fun acc x -> (acc + (x land mask) + golden) land mask) 0 xs
-  in
-  let z = z lxor (z lsr 30) in
-  let z = z * 0x3f58476d1ce4e5b9 land mask in
-  let z = z lxor (z lsr 27) in
-  let z = z * 0x14d049bb133111eb land mask in
-  z lxor (z lsr 31)
-
-let unit_float h = float_of_int (h land 0xfffffff) /. float_of_int 0x10000000
 
 type plan = {
   kind : kind;
@@ -38,12 +21,12 @@ let draw ~kind ~stall h =
   (* Two thirds of tasks fault; the fault is drawn from the kind's mix.
      Write offsets are re-mixed so they do not correlate with the fault
      choice. *)
-  if unit_float (mix [ h; 1 ]) > 2.0 /. 3.0 then None
+  if Sampling.unit_float (Sampling.mix [ h; 1 ]) > 2.0 /. 3.0 then None
   else
-    let pick = mix [ h; 2 ] in
+    let pick = Sampling.mix [ h; 2 ] in
     (* Bounded so plan listings stay readable; the writer takes it mod
        the file size anyway. *)
-    let offset = mix [ h; 3 ] land 0xffff in
+    let offset = Sampling.mix [ h; 3 ] land 0xffff in
     let crash_fault =
       match pick mod 3 with
       | 0 -> Crash
@@ -68,7 +51,8 @@ let seeded ?(stall = 30.0) kind ~seed ~tasks =
     seed;
     tasks;
     faults =
-      Array.init tasks (fun task -> draw ~kind ~stall (mix [ seed; task ]));
+      Array.init tasks (fun task ->
+          draw ~kind ~stall (Sampling.mix [ seed; task ]));
   }
 
 let fault_for plan ~task ~attempt =

@@ -48,14 +48,3 @@ val summary : plan -> string
 (** Per-task fault descriptions in task order, e.g.
     [["shard 0: crash"; "shard 3: bit flip"]]. *)
 val describe_plan : plan -> string list
-
-(** {2 Deterministic mixing}
-
-    The hash the plans (and the pool's backoff jitter) are built on:
-    SplitMix64-style avalanche of a list of ints.  Exposed so other
-    deterministic choices can share the discipline. *)
-
-val mix : int list -> int
-
-(** [unit_float h] maps a hash to [0.0 <= x < 1.0]. *)
-val unit_float : int -> float

@@ -61,21 +61,21 @@ let measure_cell ?(budget = default_budget) ?engine task =
     | None -> failwith (Printf.sprintf "unknown workload %S" task.workload)
   in
   let prog = W.compile w in
-  let pics = (Event.Dcache_misses, Event.Instructions) in
+  let e0, e1 = Driver.default_pics in
   match task.config with
   | Base ->
-      let r = Driver.run_baseline ~max_instructions:budget ~pics ?engine prog in
+      let r = Driver.run_baseline ~max_instructions:budget ?engine prog in
       {
         instructions = r.Interp.instructions;
         cycles = r.Interp.cycles;
-        pic0 = counter r.Interp.counters Event.Dcache_misses;
-        pic1 = counter r.Interp.counters Event.Instructions;
+        pic0 = counter r.Interp.counters e0;
+        pic1 = counter r.Interp.counters e1;
         detail = "";
         saved = None;
       }
   | Mode mode ->
       let session =
-        Driver.prepare ~max_instructions:budget ~pics ?engine ~mode prog
+        Driver.prepare ~max_instructions:budget ?engine ~mode prog
       in
       let r = Driver.run session in
       let detail, saved =
@@ -113,8 +113,8 @@ let measure_cell ?(budget = default_budget) ?engine task =
       {
         instructions = r.Interp.instructions;
         cycles = r.Interp.cycles;
-        pic0 = counter r.Interp.counters Event.Dcache_misses;
-        pic1 = counter r.Interp.counters Event.Instructions;
+        pic0 = counter r.Interp.counters e0;
+        pic1 = counter r.Interp.counters e1;
         detail;
         saved;
       }

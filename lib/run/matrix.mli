@@ -32,6 +32,8 @@ type cell = {
     workload-major order. *)
 val tasks : ?workloads:string list -> ?configs:config list -> unit -> task list
 
+(** The simulated-instruction budget of every command's [--budget] and
+    every bench target. *)
 val default_budget : int
 
 (** Measure every task, [jobs] at a time (default 1 = in-process), with

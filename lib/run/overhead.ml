@@ -7,7 +7,6 @@ module Profile = Pp_core.Profile
 module Edge_profile = Pp_core.Edge_profile
 module Event = Pp_machine.Event
 module Cost = Pp_analysis.Cost
-module Pool = Pp_run.Pool
 module Digraph = Pp_graph.Digraph
 
 type category = Path_register | Table_commit | Cct_probe | Counter_read
@@ -63,35 +62,27 @@ type report = {
 
 (* {2 Largest-remainder apportionment} *)
 
+(* Every mode executes at least one probe on any program that runs, so
+   some weight is always positive. *)
 let apportion ~total weights =
   let n = Array.length weights in
-  if n = 0 then [||]
-  else
-    let wsum = Array.fold_left ( +. ) 0.0 weights in
-    if wsum <= 0.0 then begin
-      let out = Array.make n 0 in
-      out.(n - 1) <- total;
-      out
-    end
-    else begin
-      let exact =
-        Array.map (fun w -> float_of_int total *. w /. wsum) weights
-      in
-      let out = Array.map (fun x -> int_of_float (Float.floor x)) exact in
-      let rem = total - Array.fold_left ( + ) 0 out in
-      (* [floor] never overshoots, so 0 <= rem < n even for negative
-         totals; hand the +1s to the largest fractional parts. *)
-      let order = List.init n Fun.id in
-      let frac i = exact.(i) -. Float.floor exact.(i) in
-      let order =
-        List.sort
-          (fun i j ->
-            match compare (frac j) (frac i) with 0 -> compare i j | c -> c)
-          order
-      in
-      List.iteri (fun k i -> if k < rem then out.(i) <- out.(i) + 1) order;
-      out
-    end
+  let wsum = Array.fold_left ( +. ) 0.0 weights in
+  if wsum <= 0.0 then invalid_arg "Overhead.apportion: no probe executed";
+  let exact = Array.map (fun w -> float_of_int total *. w /. wsum) weights in
+  let out = Array.map (fun x -> int_of_float (Float.floor x)) exact in
+  let rem = total - Array.fold_left ( + ) 0 out in
+  (* [floor] never overshoots, so 0 <= rem < n even for negative totals;
+     hand the +1s to the largest fractional parts. *)
+  let order = List.init n Fun.id in
+  let frac i = exact.(i) -. Float.floor exact.(i) in
+  let order =
+    List.sort
+      (fun i j ->
+        match compare (frac j) (frac i) with 0 -> compare i j | c -> c)
+      order
+  in
+  List.iteri (fun k i -> if k < rem then out.(i) <- out.(i) + 1) order;
+  out
 
 (* {2 Exact probe decode} *)
 

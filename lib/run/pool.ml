@@ -39,7 +39,7 @@ let delay_for b ~task ~attempt =
   let raw =
     Float.min b.max_delay (b.base *. (b.factor ** float_of_int (attempt - 1)))
   in
-  let u = Faults.unit_float (Faults.mix [ b.seed; task; attempt ]) in
+  let u = Pp_vm.Sampling.(unit_float (mix [ b.seed; task; attempt ])) in
   Float.max 0.0 (raw *. (1.0 +. (b.jitter *. ((2.0 *. u) -. 1.0))))
 
 type job = {

@@ -46,7 +46,7 @@ type stats = {
     [a+1] of a task that failed attempt [a], the pool waits
     [min max_delay (base *. factor ** (a-1))] seconds, scaled by a
     deterministic jitter in [1 ± jitter] drawn from
-    [Faults.mix [seed; task; a]] — so a seeded chaos run's retry
+    [Pp_vm.Sampling.mix [seed; task; a]] — so a seeded chaos run's retry
     schedule replays exactly.  Failed tasks of a round are retried
     together after a single sleep (the longest delay any of them asks
     for). *)

@@ -2,6 +2,7 @@ module Machine = Pp_machine.Machine
 module Counters = Pp_machine.Counters
 module Cct = Pp_core.Cct
 module Layout = Pp_ir.Layout
+module I = Pp_ir.Instr
 
 type record_data = {
   addr : int;
@@ -76,6 +77,9 @@ let alloc t words = alloc_from t.cursor words
 let charge_fetches t ~op_addr ~slots ~count =
   Machine.fetch_run t.machine ~addr:op_addr ~slots ~count
 
+(* Every stub but Cct_enter executes its whole footprint once. *)
+let charge_stub t ~op_addr slots = charge_fetches t ~op_addr ~slots ~count:slots
+
 let load t addr = Machine.load t.machine ~addr
 let store t addr = Machine.store t.machine ~addr
 
@@ -91,7 +95,7 @@ let register_cct_table t ~table ~proc ~npaths =
   Hashtbl.replace t.table_of_proc proc table
 
 let cct_call t ~site ~indirect ~op_addr =
-  charge_fetches t ~op_addr ~slots:2 ~count:2;
+  charge_stub t ~op_addr I.cct_call_slots;
   t.gcsp <- Some (site, indirect)
 
 let cct_enter t ~proc_name ~nsites ~op_addr ~fp =
@@ -110,8 +114,8 @@ let cct_enter t ~proc_name ~nsites ~op_addr ~fp =
   let node = Cct.enter t.cct ~proc:proc_name ~nsites ~site ~kind in
   let data = Cct.data node in
   let allocated = Cct.num_nodes t.cct > before in
-  (* Cost model: 8 base instructions; a slot miss walks the parent chain
-     looking for a recursive instance (3 instructions per ancestor, the
+  (* Cost model: the base instructions; a slot miss walks the parent chain
+     looking for a recursive instance (the per-ancestor instructions, the
      whole chain when nothing is found and a record is allocated); a fresh
      record costs initialising stores for its header and slots. *)
   let ancestors_walked =
@@ -119,7 +123,8 @@ let cct_enter t ~proc_name ~nsites ~op_addr ~fp =
     else if allocated then Cct.node_depth parent + 1
     else Cct.node_depth parent - Cct.node_depth node + 1
   in
-  charge_fetches t ~op_addr ~slots:14 ~count:(8 + (3 * ancestors_walked));
+  charge_fetches t ~op_addr ~slots:I.cct_enter_slots
+    ~count:(I.cct_enter_base + (I.cct_enter_per_ancestor * ancestors_walked));
   (* The walk itself loads each visited ancestor's header. *)
   let rec touch n remaining =
     if remaining > 0 then begin
@@ -145,7 +150,7 @@ let cct_enter t ~proc_name ~nsites ~op_addr ~fp =
   t.gcsp <- None
 
 let cct_exit t ~op_addr ~fp =
-  charge_fetches t ~op_addr ~slots:3 ~count:3;
+  charge_stub t ~op_addr I.cct_exit_slots;
   load t fp;
   (match t.shadow with
   | act :: rest ->
@@ -157,7 +162,7 @@ let cct_exit t ~op_addr ~fp =
 let counters t = Machine.counters t.machine
 
 let cct_metric_enter t ~op_addr ~fp =
-  charge_fetches t ~op_addr ~slots:4 ~count:4;
+  charge_stub t ~op_addr I.metric_enter_slots;
   (match t.shadow with
   | act :: _ ->
       act.pic0_at_entry <- Counters.read_pic (counters t) 0;
@@ -183,7 +188,7 @@ let accumulate_deltas t act =
   store t (data.addr + (4 * Layout.word))
 
 let cct_metric_exit t ~op_addr ~fp =
-  charge_fetches t ~op_addr ~slots:10 ~count:10;
+  charge_stub t ~op_addr I.metric_exit_slots;
   load t (fp + Layout.word);
   load t (fp + (2 * Layout.word));
   match t.shadow with
@@ -191,7 +196,7 @@ let cct_metric_exit t ~op_addr ~fp =
   | [] -> invalid_arg "Runtime.cct_metric_exit: no active frame"
 
 let cct_metric_backedge t ~op_addr ~fp =
-  charge_fetches t ~op_addr ~slots:12 ~count:12;
+  charge_stub t ~op_addr I.metric_backedge_slots;
   load t (fp + Layout.word);
   load t (fp + (2 * Layout.word));
   match t.shadow with
@@ -218,8 +223,10 @@ let path_commit_hash t ~table ~key ~hw ~op_addr =
   match find_table t table with
   | Cct_table _ -> invalid_arg "Runtime.path_commit_hash: wrong table kind"
   | Hash_table { counts; buckets_addr; nbuckets } ->
-      let slots = if hw then 18 else 12 in
-      charge_fetches t ~op_addr ~slots ~count:slots;
+      let slots =
+        if hw then I.commit_hash_hw_slots else I.commit_hash_slots
+      in
+      charge_stub t ~op_addr slots;
       let baddr = bucket_addr buckets_addr nbuckets key in
       load t baddr;
       let cells =
@@ -247,7 +254,7 @@ let path_commit_cct t ~table ~key ~op_addr =
   match find_table t table with
   | Hash_table _ -> invalid_arg "Runtime.path_commit_cct: wrong table kind"
   | Cct_table { npaths } ->
-      charge_fetches t ~op_addr ~slots:10 ~count:10;
+      charge_stub t ~op_addr I.commit_cct_slots;
       let node = Cct.current t.cct in
       let data = Cct.data node in
       let cap = min npaths 4096 in

@@ -11,9 +11,9 @@
    are per procedure, so interleavings — different engines, different
    shard orders, different [--jobs] — cannot perturb the schedule. *)
 
-(* splitmix-style mixing, kept local: lib/vm sits below lib/run, so the
-   identical Faults.mix cannot be reused without inverting the
-   dependency.  Same constants, same 62-bit masking. *)
+(* SplitMix64 finalizer over a fold of the inputs: avalanche quality is
+   what makes per-(seed, proc, burst) draws independent.  Kept within
+   62 bits (OCaml int) and masked non-negative. *)
 let mask = (1 lsl 62) - 1
 
 let mix xs =

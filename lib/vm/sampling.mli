@@ -34,6 +34,17 @@
     {!Pp_core.Profile_io.saved}), from which consumers scale sampled
     frequencies by [total/sampled]. *)
 
+(** {2 Deterministic mixing}
+
+    The hash every seeded choice is built on: burst decisions here, and
+    [Pp_run]'s chaos fault plans and retry-backoff jitter.
+    SplitMix64-style avalanche of a list of ints. *)
+
+val mix : int list -> int
+
+(** [unit_float h] maps a hash to [0.0 <= x < 1.0]. *)
+val unit_float : int -> float
+
 type t
 
 (** The burst length {!create} defaults to (64). *)

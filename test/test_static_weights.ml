@@ -6,13 +6,14 @@ module Cfg = Pp_ir.Cfg
 
 let check = Alcotest.check
 
-let test_single_loop () =
-  let cfg = Cfg.of_proc (Fixtures.loop_proc ()) in
+(* Edges between two members of one loop weigh 8, every other edge 1. *)
+let check_one_loop proc members =
+  let cfg = Cfg.of_proc proc in
   let weight = Static_weights.edge_weight cfg in
-  (* L0 entry chain and L3 return are outside; head L1 and body L2 are in
-     the loop, so only the edges between them weigh 8. *)
   let inside v =
-    match Cfg.label_of_vertex cfg v with Some (1 | 2) -> true | _ -> false
+    match Cfg.label_of_vertex cfg v with
+    | Some l -> List.mem l members
+    | None -> false
   in
   Digraph.iter_edges
     (fun e ->
@@ -21,6 +22,15 @@ let test_single_loop () =
         (if inside e.Digraph.src && inside e.Digraph.dst then 8 else 1)
         (weight e))
     cfg.Cfg.graph
+
+(* L0 entry chain and L3 return are outside; head L1 and body L2 are in
+   the loop. *)
+let test_single_loop () = check_one_loop (Fixtures.loop_proc ()) [ 1; 2 ]
+
+(* L3 -> L1 and L4 -> L1 close one loop over L1..L4, not two nested
+   ones. *)
+let test_two_backedges () =
+  check_one_loop (Fixtures.two_backedges_proc ()) [ 1; 2; 3; 4 ]
 
 let test_nested_loops () =
   (* Compile a doubly nested MiniC loop and find a depth-2 vertex. *)
@@ -79,6 +89,8 @@ let test_weighted_tree_minimises_chord_mass () =
 let suite =
   [
     Alcotest.test_case "single loop depths" `Quick test_single_loop;
+    Alcotest.test_case "a loop with two backedges is one nesting level"
+      `Quick test_two_backedges;
     Alcotest.test_case "nested loop depths" `Quick test_nested_loops;
     Alcotest.test_case "weighted tree minimises chord mass" `Quick
       test_weighted_tree_minimises_chord_mass;

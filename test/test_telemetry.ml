@@ -7,7 +7,7 @@
 
 module Trace = Pp_telemetry.Trace
 module Metrics = Pp_telemetry.Metrics
-module Overhead = Pp_overhead.Overhead
+module Overhead = Pp_run.Overhead
 module Pool = Pp_run.Pool
 module Driver = Pp_instrument.Driver
 module Instrument = Pp_instrument.Instrument

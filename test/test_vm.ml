@@ -135,21 +135,77 @@ let test_runtime_prof_bytes_grow () =
   Alcotest.(check bool) "allocation accounted" true
     (Runtime.prof_bytes_allocated rt > b0)
 
-(* The pseudo-op code footprints named in Instr.slots are what the runtime
-   charges for the fixed part of each stub: an instrumented empty call
-   costs at least those instructions. *)
+(* Each stub charges the machine's instruction counter exactly the fixed
+   count Pp_ir.Instr states for it: its whole footprint. *)
 let test_cost_model_consistency () =
+  let module I = Pp_ir.Instr in
   let machine, rt = make_runtime () in
-  let insts () =
-    Counters.total (Machine.counters machine) Event.Instructions
+  let op_addr = 0x4000_0000 and fp = 0x1800 in
+  Runtime.register_hash_table rt ~table:0 ~proc:"main";
+  Runtime.register_cct_table rt ~table:1 ~proc:"main" ~npaths:4;
+  Runtime.cct_enter rt ~proc_name:"main" ~nsites:1 ~op_addr ~fp;
+  List.iter
+    (fun (what, op, stub) ->
+      let insts () =
+        Counters.total (Machine.counters machine) Event.Instructions
+      in
+      let before = insts () in
+      stub ();
+      check Alcotest.int (what ^ " charges its footprint")
+        (I.slots (I.Prof op))
+        (insts () - before))
+    [
+      ( "cct_call",
+        I.Cct_call { site = 0; indirect = false },
+        fun () -> Runtime.cct_call rt ~site:0 ~indirect:false ~op_addr );
+      ( "cct_metric_enter",
+        I.Cct_metric_enter,
+        fun () -> Runtime.cct_metric_enter rt ~op_addr ~fp );
+      ( "cct_metric_backedge",
+        I.Cct_metric_backedge,
+        fun () -> Runtime.cct_metric_backedge rt ~op_addr ~fp );
+      ( "cct_metric_exit",
+        I.Cct_metric_exit,
+        fun () -> Runtime.cct_metric_exit rt ~op_addr ~fp );
+      ( "path_commit_hash",
+        I.Path_commit_hash { table = 0; path_reg = 0 },
+        fun () ->
+          Runtime.path_commit_hash rt ~table:0 ~key:1 ~hw:false ~op_addr );
+      ( "path_commit_hash_hw",
+        I.Path_commit_hash_hw { table = 0; path_reg = 0 },
+        fun () ->
+          Runtime.path_commit_hash rt ~table:0 ~key:1 ~hw:true ~op_addr );
+      ( "path_commit_cct",
+        I.Path_commit_cct { table = 1; path_reg = 0 },
+        fun () -> Runtime.path_commit_cct rt ~table:1 ~key:1 ~op_addr );
+      ("cct_exit", I.Cct_exit, fun () -> Runtime.cct_exit rt ~op_addr ~fp);
+    ]
+
+(* Cct_enter charges its base count on a slot hit; a fresh record first
+   walks every ancestor up to the root. *)
+let test_cct_enter_footprint () =
+  let module I = Pp_ir.Instr in
+  let machine, rt = make_runtime () in
+  let op_addr = 0x4000_0000 and fp = 0x1800 in
+  let enter_cost proc =
+    let insts () =
+      Counters.total (Machine.counters machine) Event.Instructions
+    in
+    let before = insts () in
+    Runtime.cct_enter rt ~proc_name:proc ~nsites:1 ~op_addr ~fp;
+    insts () - before
   in
-  let before = insts () in
-  Runtime.cct_call rt ~site:0 ~indirect:false ~op_addr:0x4000_0000;
-  check Alcotest.int "cct_call charges its footprint"
-    (Pp_ir.Instr.slots
-       (Pp_ir.Instr.Prof
-          (Pp_ir.Instr.Cct_call { site = 0; indirect = false })))
-    (insts () - before)
+  check Alcotest.int "fresh main walks the root"
+    (I.cct_enter_base + I.cct_enter_per_ancestor)
+    (enter_cost "main");
+  Runtime.cct_call rt ~site:0 ~indirect:false ~op_addr;
+  check Alcotest.int "fresh f walks main and the root"
+    (I.cct_enter_base + (2 * I.cct_enter_per_ancestor))
+    (enter_cost "f");
+  Runtime.cct_exit rt ~op_addr ~fp;
+  Runtime.cct_call rt ~site:0 ~indirect:false ~op_addr;
+  check Alcotest.int "slot hit charges the base" I.cct_enter_base
+    (enter_cost "f")
 
 let suite =
   [
@@ -167,4 +223,6 @@ let suite =
       test_runtime_prof_bytes_grow;
     Alcotest.test_case "cost model matches footprints" `Quick
       test_cost_model_consistency;
+    Alcotest.test_case "cct_enter footprint: slot hit and fresh record"
+      `Quick test_cct_enter_footprint;
   ]
