@@ -1401,10 +1401,11 @@ let trace_cmd =
 let overhead_cmd =
   let doc =
     "Measure instrumentation overhead and perturbation against the \
-     uninstrumented baseline (the paper's Tables 1 and 2), attributing \
-     the cycle/instruction delta to probe categories using the exact \
-     executed-probe counts decoded from the profile.  Exits 2 if the \
-     per-category attributions do not sum exactly to the measured delta."
+     uninstrumented baseline (the paper's Tables 1 and 2).  The \
+     instruction delta is split by probe category, counting what the \
+     inserted code retired on the run; the cycle delta is split into \
+     those issue cycles and each event's perturbation cycles.  Exits 2 \
+     if either split fails to account exactly for the measured delta."
   in
   let action engine jobs budget file workload modes json_flag out () =
     let prog = load ~file ~workload in

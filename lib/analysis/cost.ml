@@ -41,60 +41,29 @@ type row = {
 
 type report = { mode : Instrument.mode; rows : row list }
 
-type breakdown = {
-  entry_traversals : int;
-  inits : int;
-  increments : int;
-  commits : int;
-  backedge_commits : int;
-}
-
 (* Path-probe executions under a placement: the entry init (for
    From_entry paths when the placement needs one), one increment per
    crossed increment edge, and the single commit that ends every
    traversal (backedge op or return commit).  A profile decodes into the
    precise edges each traversal crossed, so these counts are exact. *)
-let breakdown_of ~is_increment ~init_needed bl paths =
-  let entry_traversals = ref 0
-  and inits = ref 0
-  and increments = ref 0
-  and commits = ref 0
-  and backedge_commits = ref 0 in
+let measure ~is_increment ~init_needed bl paths =
+  let invocations = ref 0 and probes = ref 0 in
   List.iter
     (fun (sum, (m : Profile.path_metrics)) ->
       let trav = Ball_larus.traverse bl sum in
       let f = m.Profile.freq in
       (match trav.Ball_larus.path.Ball_larus.source with
       | Ball_larus.From_entry ->
-          entry_traversals := !entry_traversals + f;
-          if init_needed then inits := !inits + f
+          invocations := !invocations + f;
+          if init_needed then probes := !probes + f
       | Ball_larus.After_backedge _ -> ());
       List.iter
         (fun (e : Digraph.edge) ->
-          if is_increment.(e.id) then increments := !increments + f)
+          if is_increment.(e.id) then probes := !probes + f)
         trav.Ball_larus.real_edges;
-      commits := !commits + f;
-      match trav.Ball_larus.path.Ball_larus.sink with
-      | Ball_larus.Into_backedge _ -> backedge_commits := !backedge_commits + f
-      | Ball_larus.To_exit -> ())
+      probes := !probes + f)
     paths;
-  {
-    entry_traversals = !entry_traversals;
-    inits = !inits;
-    increments = !increments;
-    commits = !commits;
-    backedge_commits = !backedge_commits;
-  }
-
-let measured_breakdown ?(options = Instrument.default_options) bl paths =
-  let cfg = Ball_larus.cfg bl in
-  let placement = Instrument.placement options bl in
-  let is_increment = Array.make (Digraph.num_edges cfg.Cfg.graph) false in
-  List.iter
-    (fun ((e : Digraph.edge), _) -> is_increment.(e.id) <- true)
-    placement.Ball_larus.increments;
-  breakdown_of ~is_increment
-    ~init_needed:placement.Ball_larus.init_needed bl paths
+  { invocations = !invocations; probes = !probes }
 
 let count_call_sites (p : Proc.t) freq =
   Array.fold_left
@@ -243,14 +212,7 @@ let compute ?(options = Instrument.default_options) ~mode
                                     k
                                     (Feasibility.num_feasible fs)))
                         | _ -> ());
-                        let b =
-                          breakdown_of ~is_increment ~init_needed bl paths
-                        in
-                        Some
-                          {
-                            invocations = b.entry_traversals;
-                            probes = b.inits + b.increments + b.commits;
-                          })
+                        Some (measure ~is_increment ~init_needed bl paths))
               in
               {
                 proc = info.Instrument.proc;

@@ -35,32 +35,6 @@ type row = {
 
 type report = { mode : Pp_instrument.Instrument.mode; rows : row list }
 
-(** Exact per-category decode of a measured path profile: every profiled
-    path replays into the precise probe operations it executed under the
-    (recomputed) placement.  [commits] counts one table commit per
-    traversal — every traversal ends in exactly one — of which
-    [backedge_commits] happened inside a backedge operation (the rest are
-    return-edge commits).  The telemetry overhead accountant
-    ({!Pp_overhead.Overhead}) consumes this; {!compute} reports
-    [probes = inits + increments + commits]. *)
-type breakdown = {
-  entry_traversals : int;  (** executed [From_entry] traversals *)
-  inits : int;  (** executed entry path-register initialisations *)
-  increments : int;  (** executed path-register increments *)
-  commits : int;  (** executed table commits (one per traversal) *)
-  backedge_commits : int;  (** commits executed by backedge operations *)
-}
-
-(** [measured_breakdown bl paths] decodes a procedure's measured path
-    profile ([(path sum, metrics)] pairs as stored in
-    {!Pp_core.Profile.proc}) against the placement the given [options]
-    produce.  Exact: no modeling slack. *)
-val measured_breakdown :
-  ?options:Pp_instrument.Instrument.options ->
-  Pp_core.Ball_larus.t ->
-  (int * Pp_core.Profile.path_metrics) list ->
-  breakdown
-
 val compute :
   ?options:Pp_instrument.Instrument.options ->
   mode:Pp_instrument.Instrument.mode ->

@@ -41,6 +41,7 @@ type proc_info = {
   spilled : bool;
   path_loc : Path_instr.path_loc option;
   pruned : Ball_larus.pruned option;
+  inserted : int array array;
 }
 
 type pruner = Cfg.t -> Ball_larus.t -> Ball_larus.pruned option
@@ -84,10 +85,10 @@ let emit_edge_profiling ed ~global =
         ]
       in
       match Pp_ir.Cfg.role (Editor.cfg ed) e with
-      | Pp_ir.Cfg.Entry -> Editor.at_entry ed code
+      | Pp_ir.Cfg.Entry -> Editor.at_entry ed Editor.Table_commit code
       | Pp_ir.Cfg.Jump | Pp_ir.Cfg.Branch_true | Pp_ir.Cfg.Branch_false
       | Pp_ir.Cfg.Return ->
-          Editor.on_edge ed e code)
+          Editor.on_edge ed Editor.Table_commit e code)
     (Pp_core.Edge_profile.chords plan);
   plan
 
@@ -111,6 +112,7 @@ let instrument_proc ?pruner options mode ~table_id (p : Proc.t) =
           spilled = false;
           path_loc = None;
           pruned = None;
+          inserted = [||];
         } )
   | Some _ | None ->
   let ed = Editor.create p in
@@ -176,7 +178,8 @@ let instrument_proc ?pruner options mode ~table_id (p : Proc.t) =
   let num_paths =
     match numbering with Some bl -> Ball_larus.num_paths bl | None -> 0
   in
-  let info =
+  let p', inserted = Editor.finish ed in
+  ( p',
     {
       proc = p.Proc.name;
       numbering;
@@ -185,9 +188,8 @@ let instrument_proc ?pruner options mode ~table_id (p : Proc.t) =
       spilled;
       path_loc;
       pruned;
-    }
-  in
-  (Editor.finish ed, info)
+      inserted;
+    } )
 
 let run ?(options = default_options) ?pruner ~mode prog =
   let infos = ref [] in

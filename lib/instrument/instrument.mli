@@ -70,6 +70,11 @@ type proc_info = {
       (** statically pruned numbering from the [?pruner] callback; probe
           constants and path sums are unchanged, but the runtime sizes
           hash/CCT tables by its feasible count *)
+  inserted : int array array;
+      (** per block of the instrumented procedure, the instructions its
+          inserted code retires on each entry, by {!Editor.category}
+          ([inserted.(label).(i)] for the [i]th of
+          {!Editor.categories}; [[||]] when not instrumented) *)
 }
 
 (** A static path-feasibility analysis, supplied by callers (typically

@@ -52,9 +52,11 @@ let read_code ed preg extra =
       else (v, load @ [ I.Ibinop_imm (I.Add, v, v, extra) ])
 
 (* The commit sequence: count[r + extra]++ plus, with hardware metrics, the
-   two PIC accumulators and the re-zeroing read-after-write (§3.1). *)
+   two PIC accumulators and the re-zeroing read-after-write (§3.1), as
+   category-tagged pieces in program order. *)
 let commit_code ed ~target ~hw ~restart preg extra =
   let key, key_code = read_code ed preg extra in
+  let commit code = [ (Editor.Table_commit, code) ] in
   let body =
     match target with
     | Array_target { global; cells } ->
@@ -75,36 +77,41 @@ let commit_code ed ~target ~hw ~restart preg extra =
             I.Store (tf, ra, 0);
           ]
         in
-        if not hw then addr_code @ freq_code
+        if not hw then commit (addr_code @ freq_code)
         else begin
           let t0 = Editor.new_ireg ed in
           let t1 = Editor.new_ireg ed in
           let m0 = Editor.new_ireg ed in
           let m1 = Editor.new_ireg ed in
           let tz = Editor.new_ireg ed in
-          [ I.Hwread (t0, 0); I.Hwread (t1, 1) ]
-          @ addr_code @ freq_code
-          @ [
-              I.Load (m0, ra, 8);
-              I.Ibinop (I.Add, m0, m0, t0);
-              I.Store (m0, ra, 8);
-              I.Load (m1, ra, 16);
-              I.Ibinop (I.Add, m1, m1, t1);
-              I.Store (m1, ra, 16);
-            ]
+          (Editor.Counter_read, [ I.Hwread (t0, 0); I.Hwread (t1, 1) ])
+          :: commit
+               (addr_code @ freq_code
+               @ [
+                   I.Load (m0, ra, 8);
+                   I.Ibinop (I.Add, m0, m0, t0);
+                   I.Store (m0, ra, 8);
+                   I.Load (m1, ra, 16);
+                   I.Ibinop (I.Add, m1, m1, t1);
+                   I.Store (m1, ra, 16);
+                 ])
           @
           (* Re-arm the counters for the next path; the UltraSPARC needs a
              read after the write to force completion. *)
-          if restart then [ I.Hwzero; I.Hwread (tz, 0) ] else []
+          if restart then
+            [ (Editor.Counter_read, [ I.Hwzero; I.Hwread (tz, 0) ]) ]
+          else []
         end
     | Hash_target { id } ->
         if hw then
-          [ I.Prof (I.Path_commit_hash_hw { table = id; path_reg = key }) ]
-        else [ I.Prof (I.Path_commit_hash { table = id; path_reg = key }) ]
+          commit
+            [ I.Prof (I.Path_commit_hash_hw { table = id; path_reg = key }) ]
+        else
+          commit [ I.Prof (I.Path_commit_hash { table = id; path_reg = key }) ]
     | Cct_target { id } ->
-        [ I.Prof (I.Path_commit_cct { table = id; path_reg = key }) ]
+        commit [ I.Prof (I.Path_commit_cct { table = id; path_reg = key }) ]
   in
-  key_code @ body
+  commit key_code @ body
 
 let emit ed ~placement ~hw ~target ~spill ~caller_saves =
   let preg =
@@ -131,31 +138,35 @@ let emit ed ~placement ~hw ~target ~spill ~caller_saves =
         I.Hwread (tz, 0);
       ]
   in
-  Editor.at_entry ed (entry_hw @ set_code ed preg 0);
+  Editor.at_entry ed Editor.Counter_read entry_hw;
+  Editor.at_entry ed Editor.Path_register (set_code ed preg 0);
   (* Edge increments. *)
   List.iter
-    (fun (e, v) -> Editor.on_edge ed e (add_code ed preg v))
+    (fun (e, v) ->
+      Editor.on_edge ed Editor.Path_register e (add_code ed preg v))
     placement.Ball_larus.increments;
   (* Backedges: commit with the end value, then restart the path. *)
   List.iter
     (fun (op : Ball_larus.backedge_op) ->
-      let code =
+      let e = op.Ball_larus.backedge in
+      (* The reset's temporaries are allocated before the commit's. *)
+      let reset = set_code ed preg op.Ball_larus.reset_to in
+      let commit =
         commit_code ed ~target ~hw ~restart:true preg op.Ball_larus.end_add
-        @ set_code ed preg op.Ball_larus.reset_to
       in
-      Editor.on_edge ed op.Ball_larus.backedge code)
+      List.iter (fun (cat, code) -> Editor.on_edge ed cat e code) commit;
+      Editor.on_edge ed Editor.Path_register e reset)
     placement.Ball_larus.backedge_ops;
   (* Returns: final commit, then restore the caller's counters. *)
-  let restore =
-    if hw && not caller_saves then
-      [ I.Hwwrite (s0, 0); I.Hwwrite (s1, 1) ]
-    else []
-  in
-  Editor.before_returns ed
-    (commit_code ed ~target ~hw ~restart:false preg 0 @ restore);
+  List.iter
+    (fun (cat, code) -> Editor.before_returns ed cat code)
+    (commit_code ed ~target ~hw ~restart:false preg 0);
+  if hw && not caller_saves then
+    Editor.before_returns ed Editor.Counter_read
+      [ I.Hwwrite (s0, 0); I.Hwwrite (s1, 1) ];
   (* A3: the caller-side save/restore around every call site. *)
   if hw && caller_saves then
-    Editor.around_calls ed (fun ~site:_ ~indirect:_ ->
+    Editor.around_calls ed Editor.Counter_read (fun ~site:_ ~indirect:_ ->
         let c0 = Editor.new_ireg ed in
         let c1 = Editor.new_ireg ed in
         ( [ I.Hwread (c0, 0); I.Hwread (c1, 1) ],

@@ -149,6 +149,11 @@ let prof_slots = function
 
 let slots = function Prof op -> prof_slots op | _ -> 1
 
+let insts = function
+  | Prof (Cct_enter _) -> 1 + cct_enter_base
+  | Prof op -> 1 + prof_slots op
+  | _ -> 1
+
 let pp_ibinop ppf op =
   Format.pp_print_string ppf
     (match op with

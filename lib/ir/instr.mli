@@ -129,15 +129,24 @@ val is_call : t -> bool
     stand for, so that they displace I-cache lines realistically. *)
 val slots : t -> int
 
+(** Instructions one execution retires, as the VM counts them: one for
+    an ordinary instruction; for a pseudo-op, its own slot plus its
+    stub's fixed charge (below).  [Cct_enter]'s per-ancestor walk is
+    not included: it varies per call. *)
+val insts : t -> int
+
 (** {2 Probe-stub footprints}
 
     The size, in instruction slots, of the runtime stub each profiling
     pseudo-op stands for, stated once for the runtime that charges it
-    ([Pp_vm.Runtime]) and the analysis that bounds it
-    ([Pp_analysis.Predict]).  Every stub but [Cct_enter] executes its
-    whole footprint once per call.  [Cct_enter] executes
+    ([Pp_vm.Runtime]), the analysis that bounds it
+    ([Pp_analysis.Predict]) and the overhead accountant that counts it
+    ([Pp_run.Overhead], through {!insts}).  Every stub but [Cct_enter]
+    executes its whole footprint once per call.  [Cct_enter] executes
     [cct_enter_base] instructions, plus [cct_enter_per_ancestor] for each
-    ancestor its slot-miss walk visits. *)
+    ancestor its slot-miss walk visits; the runtime reports that variable
+    part of a run ([Pp_vm.Runtime.cct_walk_insts]), and it is the one
+    charge [Overhead] reads from the run rather than from {!insts}. *)
 
 val cct_enter_slots : int
 val cct_enter_base : int

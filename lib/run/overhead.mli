@@ -4,48 +4,50 @@
     execution-time overhead of each instrumentation mode against an
     uninstrumented baseline, Table 2 how the probes perturb the very
     hardware counters being profiled.  This module reproduces both for
-    the simulated machine, and goes one step further than the paper
-    could: because a measured path profile decodes into the {e exact}
-    probe operations executed ({!Pp_analysis.Cost.measured_breakdown}),
-    the instrumented-minus-baseline delta is attributed to probe
-    categories whose integer parts are made to sum {e exactly} to the
-    delta (largest-remainder apportionment) — checked by {!check} and
-    gated in CI via the ["attribution: ok"] line {!render} emits. *)
+    the simulated machine and splits each mode's delta by two identities,
+    each of which the run can refute:
 
-(** Where an instrumented run spends its extra work. *)
-type category =
+    - {e instructions, by probe category}.  The instrumentation template
+      that emits an inserted instruction tags its category
+      ({!Pp_instrument.Editor.category}); a block probe adds each entered
+      block's tagged count ({!Pp_instrument.Instrument.proc_info}
+      [inserted]) and the runtime reports the one variable stub charge
+      ({!Pp_vm.Runtime.cct_walk_insts}).  The categories must sum to the
+      instruction delta.
+    - {e cycles, by cause}.  Every run's cycles are its instructions (one
+      issue cycle each) plus, per event, its count times the event's
+      penalty in the machine the runs used.  So a mode's cycle delta is
+      the probes' issue cycles plus the perturbation cycles of each event
+      — Table 2's residual, in cycles.
+
+    {!check} verifies both; {!render} prints its verdict
+    (["attribution: ok"]), which CI gates on. *)
+
+(** Where an instrumented run spends its extra instructions. *)
+type category = Pp_instrument.Editor.category =
   | Path_register  (** path-register inits, increments, backedge resets *)
   | Table_commit  (** array/hash/CCT/edge-counter table updates *)
-  | Cct_probe  (** CCT enter/exit bookkeeping *)
+  | Cct_probe  (** CCT enter/call/exit bookkeeping *)
   | Counter_read  (** PIC reads/writes by hardware-metric probes *)
-
-type attribution = {
-  category : category;
-  probes : int;  (** exact executed-probe count for this category *)
-  cycles : int;  (** apportioned share of the cycle delta *)
-  instructions : int;  (** apportioned share of the instruction delta *)
-}
 
 type mode_row = {
   mode : string;  (** {!Pp_instrument.Instrument.mode_name} *)
-  cycles : int;
-  instructions : int;
-  delta_cycles : int;  (** instrumented minus baseline *)
-  delta_instructions : int;
-  attributions : attribution list;  (** one per {!category}, in declaration order *)
-  counters : (string * int) list;  (** every event counter after the run *)
-}
-
-type base = {
-  base_cycles : int;
-  base_instructions : int;
-  base_counters : (string * int) list;
+  direct : (category * int) list;
+      (** instructions the inserted code retired, per category in
+          {!Pp_instrument.Editor.categories} order; each is also that
+          category's issue cycles *)
+  counters : (Pp_machine.Event.t * int) list;
+      (** every event counter after the run *)
 }
 
 type report = {
   program : string;
   budget : int option;
-  base : base;
+  penalties : (Pp_machine.Event.t * int) list;
+      (** the cycles one occurrence of each event costs beyond issue:
+          the i-cache and d-cache read miss penalties, and 1 for each
+          stall counter *)
+  base : (Pp_machine.Event.t * int) list;  (** the baseline's counters *)
   rows : mode_row list;  (** in requested-mode order *)
   failures : (string * string) list;  (** (mode name, reason) *)
 }
@@ -55,7 +57,7 @@ type report = {
     ([jobs] at a time; in-process by default).  A mode that traps or
     crashes lands in [failures] rather than aborting the report.
     Deterministic: the simulated machine makes the report byte-identical
-    at any [jobs]. *)
+    at any [jobs] and on either engine. *)
 val compute :
   ?budget:int ->
   ?engine:Pp_vm.Engine.kind ->
@@ -65,13 +67,16 @@ val compute :
   Pp_ir.Program.t ->
   report
 
-(** [Ok ()] iff, for every row, the per-category attributions sum
-    exactly to the measured delta (cycles and instructions). *)
+(** [Ok ()] iff, for the baseline and every row, cycles equal
+    instructions plus each event's count times its penalty, and, for
+    every row, the categories' instructions sum to the instruction delta.
+    The error names the first run that fails and its residual. *)
 val check : report -> (unit, string) result
 
-(** Table 1 (overhead), the attribution table (ending in
-    ["attribution: ok"] when {!check} passes), and Table 2
-    (perturbation of every event counter).  Deterministic. *)
+(** Table 1 (overhead), the instruction split by category, the cycle
+    split into issue and per-event perturbation cycles, {!check}'s
+    verdict (["attribution: ok"] or ["attribution: MISMATCH (...)"]),
+    and Table 2 (every event counter).  Deterministic. *)
 val render : report -> string
 
 (** The same report as JSON (for [--json] / [OVERHEAD.json]). *)

@@ -41,6 +41,7 @@ type t = {
   mutable gcsp : (int * bool) option;  (* pending (site, indirect) *)
   mutable shadow : activation list;
   cursor : cursor;
+  mutable walk_insts : int;  (* Cct_enter's per-ancestor charges, summed *)
 }
 
 let alloc_from cursor words =
@@ -68,6 +69,7 @@ let create ?(merge_call_sites = false) ~machine ~memory:_ ~prof_base () =
     gcsp = None;
     shadow = [];
     cursor;
+    walk_insts = 0;
   }
 
 let alloc t words = alloc_from t.cursor words
@@ -123,8 +125,10 @@ let cct_enter t ~proc_name ~nsites ~op_addr ~fp =
     else if allocated then Cct.node_depth parent + 1
     else Cct.node_depth parent - Cct.node_depth node + 1
   in
+  let walk = I.cct_enter_per_ancestor * ancestors_walked in
+  t.walk_insts <- t.walk_insts + walk;
   charge_fetches t ~op_addr ~slots:I.cct_enter_slots
-    ~count:(I.cct_enter_base + (I.cct_enter_per_ancestor * ancestors_walked));
+    ~count:(I.cct_enter_base + walk);
   (* The walk itself loads each visited ancestor's header. *)
   let rec touch n remaining =
     if remaining > 0 then begin
@@ -278,3 +282,4 @@ let hash_table_counts t ~table =
   | Some (Cct_table _) | None -> raise Not_found
 
 let prof_bytes_allocated t = t.cursor.allocated
+let cct_walk_insts t = t.walk_insts

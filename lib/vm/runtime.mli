@@ -80,3 +80,9 @@ val hash_table_counts : t -> table:int -> (int * path_cells) list
 (** Bytes of profiling memory allocated (call records, path tables, hash
     buckets) — the basis of Table 3's Size column. *)
 val prof_bytes_allocated : t -> int
+
+(** Instructions [Cct_enter]'s slot-miss walks retired so far:
+    {!Pp_ir.Instr.cct_enter_per_ancestor} per ancestor visited.  This is
+    the one stub charge that varies per call; every other charge is the
+    fixed {!Pp_ir.Instr.insts} of the op. *)
+val cct_walk_insts : t -> int

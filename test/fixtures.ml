@@ -173,3 +173,36 @@ let random_cyclic_proc ~seed ~n =
   Builder.switch_to b ret;
   Builder.terminate b (Block.Ret Block.Ret_void);
   Builder.finish b
+
+(* A MiniC program over both default instrumentation thresholds: [mix]
+   has more than 4096 potential paths (13 diamonds, so hash-table commit
+   stubs) and uses at least 64 integer registers (so a spilled path
+   register); its loop commits on a backedge, and [main] calls it. *)
+let thresholds_src =
+  {|
+int acc;
+int mix(int x) {
+  int a = 0;
+  int i;
+  if (x % 2 == 0) { a = a + 1; }
+  if (x % 3 == 0) { a = a + 2; }
+  if (x % 5 == 0) { a = a + 3; }
+  if (x % 7 == 0) { a = a + 4; }
+  if (x % 11 == 0) { a = a + 5; }
+  if (x % 13 == 0) { a = a + 6; }
+  if (x % 17 == 0) { a = a + 7; }
+  if (x % 19 == 0) { a = a + 8; }
+  if (x % 23 == 0) { a = a + 9; }
+  if (x % 29 == 0) { a = a + 10; }
+  if (x % 31 == 0) { a = a + 11; }
+  if (x % 37 == 0) { a = a + 12; }
+  if (x % 41 == 0) { a = a + 13; }
+  for (i = 0; i < x % 4; i = i + 1) { a = a + i; }
+  return a;
+}
+void main() {
+  int i;
+  for (i = 0; i < 400; i = i + 1) { acc = acc + mix(i); }
+  print(acc);
+}
+|}

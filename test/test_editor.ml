@@ -24,8 +24,8 @@ let test_entry_preamble () =
      entry block never re-executes it. *)
   let p = Fixtures.loop_proc () in
   let ed = Editor.create p in
-  Editor.at_entry ed [ marker 1 ];
-  let p' = Editor.finish ed in
+  Editor.at_entry ed Editor.Path_register [ marker 1 ];
+  let p', _ = Editor.finish ed in
   Alcotest.(check bool) "entry moved" true (p'.Proc.entry >= Proc.num_blocks p);
   check (Alcotest.list Alcotest.int) "marker in preamble" [ p'.Proc.entry ]
     (find_marker p' 1);
@@ -44,8 +44,8 @@ let test_jump_edge_appended () =
       (fun (e : Digraph.edge) -> e.src = 2 && e.dst = 3)
       (Digraph.out_edges cfg.Cfg.graph 2)
   in
-  Editor.on_edge ed e [ marker 2 ];
-  let p' = Editor.finish ed in
+  Editor.on_edge ed Editor.Table_commit e [ marker 2 ];
+  let p', _ = Editor.finish ed in
   check (Alcotest.list Alcotest.int) "in block C" [ 2 ] (find_marker p' 2);
   check Alcotest.int "no new blocks beyond preamble"
     (Proc.num_blocks p + 1) (Proc.num_blocks p')
@@ -59,14 +59,15 @@ let test_branch_edge_prepended_or_split () =
     List.find (fun (e : Digraph.edge) -> e.dst = 1)
       (Digraph.out_edges cfg.Cfg.graph 0)
   in
-  Editor.on_edge ed a_b [ marker 3 ];
+  Editor.on_edge ed Editor.Path_register a_b [ marker 3 ];
   (* A -> C: C has in-degree 2 (from A and B), so the edge is split. *)
   let a_c =
     List.find (fun (e : Digraph.edge) -> e.dst = 2)
       (Digraph.out_edges cfg.Cfg.graph 0)
   in
-  Editor.on_edge ed a_c [ marker 4 ];
-  let p' = Editor.finish ed in
+  Editor.on_edge ed Editor.Table_commit a_c [ marker 4 ];
+  let p', counts = Editor.finish ed in
+  let tally = Alcotest.(array int) in
   check (Alcotest.list Alcotest.int) "prepended to B" [ 1 ] (find_marker p' 3);
   (match find_marker p' 4 with
   | [ l ] ->
@@ -75,6 +76,13 @@ let test_branch_edge_prepended_or_split () =
       (match (Proc.block p' l).Block.term with
       | Block.Jmp 2 -> ()
       | _ -> Alcotest.fail "trampoline must jump to C");
+      (* Per-entry counts: the split block's jump goes with its code, the
+         empty preamble's with the editor's first edit. *)
+      check tally "B retires its increment" [| 1; 0; 0; 0 |] counts.(1);
+      check tally "the split retires its commit and jump" [| 0; 2; 0; 0 |]
+        counts.(l);
+      check tally "the preamble's jump" [| 1; 0; 0; 0 |]
+        counts.(p'.Proc.entry);
       (match (Proc.block p' 0).Block.term with
       | Block.Br (_, t, _) -> check Alcotest.int "arm redirected" l t
       | _ -> Alcotest.fail "A must still branch")
@@ -94,9 +102,9 @@ let test_return_edge_and_order () =
       (fun (e : Digraph.edge) -> Cfg.role cfg e = Cfg.Return)
       (Digraph.out_edges cfg.Cfg.graph 5)
   in
-  Editor.on_edge ed ret_edge [ marker 5 ];
-  Editor.before_returns ed [ marker 6 ];
-  let p' = Editor.finish ed in
+  Editor.on_edge ed Editor.Table_commit ret_edge [ marker 5 ];
+  Editor.before_returns ed Editor.Cct_probe [ marker 6 ];
+  let p', _ = Editor.finish ed in
   (* Both in block F, return-edge code before the return code. *)
   let instrs = (Proc.block p' 5).Block.instrs in
   let pos n =
@@ -120,9 +128,9 @@ let test_around_calls () =
   Pp_ir.Builder.terminate b (Block.Ret Block.Ret_void);
   let p = Pp_ir.Builder.finish b in
   let ed = Editor.create p in
-  Editor.around_calls ed (fun ~site ~indirect:_ ->
+  Editor.around_calls ed Editor.Counter_read (fun ~site ~indirect:_ ->
       ([ marker (100 + site) ], [ marker (200 + site) ]));
-  let p' = Editor.finish ed in
+  let p', _ = Editor.finish ed in
   let instrs = (Proc.block p' 0).Block.instrs in
   let expected =
     [
@@ -141,7 +149,7 @@ let test_spill_slot_extends_frame () =
   let ed = Editor.create p in
   let off1 = Editor.alloc_spill_slot ed in
   let off2 = Editor.alloc_spill_slot ed in
-  let p' = Editor.finish ed in
+  let p', _ = Editor.finish ed in
   check Alcotest.int "offsets distinct" 8 (off2 - off1);
   check Alcotest.int "frame grew" (p.Proc.frame_words + 2)
     p'.Proc.frame_words
@@ -161,17 +169,17 @@ void main() { print(fib(15)); }
     Pp_ir.Program.map_procs
       (fun p ->
         let ed = Editor.create p in
-        Editor.at_entry ed [ marker 0 ];
-        Editor.before_returns ed [ marker 1 ];
+        Editor.at_entry ed Editor.Path_register [ marker 0 ];
+        Editor.before_returns ed Editor.Cct_probe [ marker 1 ];
         let cfg = Editor.cfg ed in
         Digraph.iter_edges
           (fun e ->
             match Cfg.role cfg e with
             | Cfg.Branch_true | Cfg.Branch_false | Cfg.Jump ->
-                Editor.on_edge ed e [ marker 2 ]
+                Editor.on_edge ed Editor.Table_commit e [ marker 2 ]
             | Cfg.Entry | Cfg.Return -> ())
           cfg.Cfg.graph;
-        Editor.finish ed)
+        fst (Editor.finish ed))
       prog
   in
   Pp_ir.Validate.run edited;

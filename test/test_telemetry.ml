@@ -1,9 +1,10 @@
 (* The self-telemetry layer: span nesting and ring-truncation repair in
    the tracer, the metrics merge algebra (the same laws Profile_io.merge
    obeys, over counters / gauges / histograms), the pool's metrics pipe
-   protocol, largest-remainder apportionment in the overhead accountant,
-   and the zero-perturbation guard: a session traced with telemetry must
-   produce a byte-identical path profile to an untraced one. *)
+   protocol, the overhead accountant's two identities (instructions by
+   probe category, cycles by cause), and the zero-perturbation guard: a
+   session traced with telemetry must produce a byte-identical path
+   profile to an untraced one. *)
 
 module Trace = Pp_telemetry.Trace
 module Metrics = Pp_telemetry.Metrics
@@ -12,6 +13,7 @@ module Pool = Pp_run.Pool
 module Driver = Pp_instrument.Driver
 module Instrument = Pp_instrument.Instrument
 module Profile_io = Pp_core.Profile_io
+module Event = Pp_machine.Event
 
 (* A clock that ticks 1ms per call: the first call (creation) reads 0,
    so event n lands at exactly n milliseconds. *)
@@ -321,10 +323,12 @@ let test_pool_metrics_no_double_count () =
 
 (* {2 Overhead accounting} *)
 
-(* Every row's shares sum exactly to its deltas, over random programs and
-   every mode: largest-remainder rounding loses nothing. *)
-let prop_apportion_exact =
-  QCheck.Test.make ~name:"apportionment sums exactly to the total" ~count:4
+(* Over random programs and every mode, the probes' counted instructions
+   sum to the instruction delta and every run's cycles are its
+   instructions plus its event penalties. *)
+let prop_attribution_identities =
+  QCheck.Test.make ~name:"attribution identities hold on random programs"
+    ~count:4
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
       let prog = Test_random_programs.compile seed in
@@ -351,6 +355,31 @@ void main() {
 
 let program = lazy (Pp_minic.Compile.program ~name:"telemetry_fixture" src)
 
+let count counters e =
+  match List.assoc_opt e counters with Some v -> v | None -> 0
+
+let check_identities (r : Overhead.report) =
+  (match Overhead.check r with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "attribution mismatch: %s" msg);
+  let delta (row : Overhead.mode_row) e =
+    count row.counters e - count r.base e
+  in
+  List.iter
+    (fun (row : Overhead.mode_row) ->
+      Alcotest.(check int)
+        (row.mode ^ " instructions counted exactly")
+        (delta row Event.Instructions)
+        (List.fold_left (fun a (_, n) -> a + n) 0 row.direct);
+      Alcotest.(check int)
+        (row.mode ^ " cycles = issue + perturbation")
+        (delta row Event.Cycles)
+        (List.fold_left (fun a (_, n) -> a + n) 0 row.direct
+        + List.fold_left
+            (fun a (e, w) -> a + (w * delta row e))
+            0 r.penalties))
+    r.rows
+
 let test_overhead_exact_attribution () =
   let r =
     Overhead.compute ~budget:50_000_000
@@ -358,23 +387,90 @@ let test_overhead_exact_attribution () =
       ~program:"telemetry_fixture" (Lazy.force program)
   in
   Alcotest.(check (list (pair string string))) "no failures" [] r.failures;
-  (match Overhead.check r with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "attribution mismatch: %s" msg);
-  List.iter
-    (fun (row : Overhead.mode_row) ->
-      let sum f = List.fold_left (fun a x -> a + f x) 0 row.attributions in
-      Alcotest.(check int)
-        (row.mode ^ " cycles attributed exactly")
-        row.delta_cycles
-        (sum (fun (a : Overhead.attribution) -> a.cycles));
-      Alcotest.(check int)
-        (row.mode ^ " instructions attributed exactly")
-        row.delta_instructions
-        (sum (fun (a : Overhead.attribution) -> a.instructions)))
-    r.rows;
+  check_identities r;
+  (* Each mode's templates emit only their own categories. *)
+  let used =
+    List.map
+      (fun (row : Overhead.mode_row) ->
+        (row.mode, List.filter_map
+                     (fun (c, n) -> if n > 0 then Some c else None)
+                     row.direct))
+      r.rows
+  in
+  Alcotest.(check bool) "categories each mode's probes use" true
+    (used
+    = [
+        ("flow-hw", [ Overhead.Path_register; Table_commit; Counter_read ]);
+        ("edge-freq", [ Overhead.Table_commit ]);
+      ]);
   Alcotest.(check bool) "render carries the CI gate line" true
     (count_sub (Overhead.render r) "attribution: ok" = 1)
+
+(* A report doctored by one d-cache read miss fails the cycle identity,
+   and one doctored probe instruction fails the instruction identity;
+   the error names the mode and the residual. *)
+let test_overhead_doctored_report_fails () =
+  let r =
+    Overhead.compute ~budget:50_000_000 ~modes:[ Instrument.Flow_hw ]
+      ~program:"telemetry_fixture" (Lazy.force program)
+  in
+  let doctor f = { r with rows = List.map f r.rows } in
+  let bump e counters =
+    List.map (fun (e', v) -> (e', if e' = e then v + 1 else v)) counters
+  in
+  let expect what r needle =
+    match Overhead.check r with
+    | Ok () -> Alcotest.failf "%s: check passed a doctored report" what
+    | Error msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %S names the mode and residual" what msg)
+          true
+          (count_sub msg "flow-hw" = 1 && count_sub msg needle = 1);
+        Alcotest.(check bool) (what ^ ": render reports the mismatch") true
+          (count_sub (Overhead.render r) "attribution: MISMATCH" = 1)
+  in
+  expect "dc_read_miss + 1"
+    (doctor (fun row ->
+         { row with counters = bump Event.Dcache_read_misses row.counters }))
+    "residual -8";
+  expect "path-register + 1"
+    (doctor (fun row ->
+         { row with direct = bump Overhead.Path_register row.direct }))
+    "residual -1"
+
+(* A program over both default thresholds: more than 4096 paths (hash
+   commit stubs) and at least 64 integer registers (a spilled path
+   register).  The identities hold in every mode, and the report is
+   byte-identical on both engines and at any [jobs]. *)
+let test_overhead_over_thresholds () =
+  let prog =
+    Pp_minic.Compile.program ~name:"thresholds" Fixtures.thresholds_src
+  in
+  let _, manifest = Instrument.run ~mode:Instrument.Flow_freq prog in
+  Alcotest.(check bool) "a hash-table, spilled procedure" true
+    (List.exists
+       (fun (i : Instrument.proc_info) ->
+         i.spilled
+         && match i.table with Instrument.Hash_table _ -> true | _ -> false)
+       manifest.Instrument.infos);
+  let json engine jobs =
+    let r =
+      Overhead.compute ~budget:50_000_000 ~engine ~jobs ~program:"thresholds"
+        prog
+    in
+    Alcotest.(check (list (pair string string))) "no failures" [] r.failures;
+    Alcotest.(check int) "all five modes" 5 (List.length r.rows);
+    check_identities r;
+    Overhead.to_json r
+  in
+  let reference = json Pp_vm.Engine.Compiled 1 in
+  List.iter
+    (fun (engine, jobs) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s at jobs %d" (Pp_vm.Engine.kind_name engine) jobs)
+        reference (json engine jobs))
+    [ (Pp_vm.Engine.Interpreted, 1); (Pp_vm.Engine.Interpreted, 2);
+      (Pp_vm.Engine.Compiled, 2) ]
 
 (* {2 Zero-perturbation guard} *)
 
@@ -436,9 +532,13 @@ let suite =
       test_pool_metrics_jobs_independent;
     Alcotest.test_case "fork inheritance never double-counts" `Quick
       test_pool_metrics_no_double_count;
-    QCheck_alcotest.to_alcotest prop_apportion_exact;
+    QCheck_alcotest.to_alcotest prop_attribution_identities;
     Alcotest.test_case "attribution sums exactly to the delta" `Quick
       test_overhead_exact_attribution;
+    Alcotest.test_case "a doctored report fails the check" `Quick
+      test_overhead_doctored_report_fails;
+    Alcotest.test_case "identities over both thresholds, any engine/jobs"
+      `Quick test_overhead_over_thresholds;
     Alcotest.test_case "telemetry does not perturb the profile" `Quick
       test_no_telemetry_byte_identical;
   ]
