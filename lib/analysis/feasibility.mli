@@ -1,12 +1,18 @@
 (** Static path feasibility for Ball–Larus numberings.
 
-    Combines {!Constprop}'s never-executable edges with a per-path symbolic
-    replay that detects branch correlation: a path whose straight-line code
-    forces a later branch condition to a constant cannot take the other
-    arm.  Both checks over-approximate concrete execution, so a path judged
-    infeasible can never be observed dynamically — pruning it from the
-    numbering is sound (the soundness property test in
-    [test/test_feasibility.ml] exercises exactly this claim). *)
+    Combines {!Constprop}'s never-executable edges with a symbolic replay
+    of each path that detects branch correlation: a path whose
+    straight-line code forces a later branch condition to a constant
+    cannot take the other arm.  Both checks over-approximate concrete
+    execution, so a path judged infeasible can never be observed
+    dynamically — pruning it from the numbering is sound (the soundness
+    property test in [test/test_feasibility.ml] exercises exactly this
+    claim).
+
+    Every verdict comes from one depth-first walk of the Ball–Larus DAG
+    (from ENTRY, and from each backedge target), so paths that share a
+    prefix share its replay; the test suite checks the walk against a
+    replay of each sum on its own. *)
 
 type verdict =
   | Feasible
@@ -21,8 +27,8 @@ type t
 
 (** [analyze cfg bl] runs constant propagation once and, when
     [Ball_larus.num_paths bl <= 4096], classifies every path sum up
-    front; beyond that bound, per-sum queries are answered lazily and no
-    pruning is offered. *)
+    front.  Beyond that bound no sum is classified: every query answers
+    [Feasible] and no pruning is offered. *)
 val analyze : Pp_ir.Cfg.t -> Pp_core.Ball_larus.t -> t
 
 (** Whether the full path table was enumerated (a prerequisite for
@@ -32,7 +38,9 @@ val enumerated : t -> bool
 (** The underlying constant-propagation fixpoint. *)
 val constprop : t -> Constprop.t
 
+(** A sum's verdict; [Feasible] for every sum when not enumerated. *)
 val check : t -> int -> verdict
+
 val feasible : t -> int -> bool
 
 (** Count of feasible sums; equals [num_paths] when not enumerated. *)

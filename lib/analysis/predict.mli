@@ -77,7 +77,8 @@ val create :
 val numbering : t -> string -> Ball_larus.t option
 
 (** Feasibility analysis of the original CFG (for marking unexecuted
-    paths in reports); [None] for procedures without a numbering. *)
+    paths in reports), built on the first call for [proc]; [None] for
+    procedures without a numbering. *)
 val feasibility : t -> string -> Feasibility.t option
 
 val tail_bound : t -> string -> tail
