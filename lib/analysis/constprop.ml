@@ -20,6 +20,8 @@ module Digraph = Pp_graph.Digraph
 
 type value = Top | Const of int
 
+(* Returns [a] itself when the join leaves it as it is, so [!=] tells a
+   change. *)
 let join a b =
   match (a, b) with
   | Const x, Const y when x = y -> a
@@ -139,7 +141,7 @@ let analyze (cfg : Cfg.t) =
     Array.iteri
       (fun i v ->
         let j = join old.(i) v in
-        if j <> old.(i) then begin
+        if j != old.(i) then begin
           old.(i) <- j;
           changed := true
         end)
