@@ -5,7 +5,7 @@ module Cfg = Pp_ir.Cfg
 module Loops = Pp_graph.Loops
 module Digraph = Pp_graph.Digraph
 module Dfs = Pp_graph.Dfs
-module Imap = Map.Make (Int)
+module Imap = Intmap
 
 (* Both numeric domains implement the shared signature. *)
 module _ : Domain.S = Interval
@@ -73,20 +73,27 @@ let vequal a b =
    interval lies inside [a]'s, join and widening both give [a]'s own. *)
 let unchanged a v = if vequal a v then a else v
 
-let vbound ~itv ~cong a b =
+let vbound ~widen a b =
   if a == b then a
   else
     let taint = Taint.join a.taint b.taint in
     if base_equal a.base b.base then
-      let i = if Interval.leq b.itv a.itv then a.itv else itv a.itv b.itv in
-      let c = cong a.cong b.cong in
+      let i =
+        if Interval.leq b.itv a.itv then a.itv
+        else if widen then Interval.widen a.itv b.itv
+        else Interval.join a.itv b.itv
+      in
+      let c =
+        if widen then Congruence.widen a.cong b.cong
+        else Congruence.join a.cong b.cong
+      in
       if i == a.itv && Congruence.equal c a.cong && Taint.equal taint a.taint
       then a
       else { base = a.base; itv = i; cong = c; taint }
     else unchanged a (vtop ~taint ())
 
-let vjoin a b = vbound ~itv:Interval.join ~cong:Congruence.join a b
-let vwiden a b = vbound ~itv:Interval.widen ~cong:Congruence.widen a b
+let vjoin a b = vbound ~widen:false a b
+let vwiden a b = vbound ~widen:true a b
 
 (* Per-program-point environment: integer registers, float-register
    taints, tracked frame slots (byte offset -> value, strong updates on
@@ -126,44 +133,63 @@ let hull_join a b =
    the result equals it, so one physical comparison per entry decides
    what changed: an array is copied at its first changed entry, the
    frame map is rebuilt only when a slot changed or dropped out, and
-   nothing is allocated when nothing changed. *)
-let join_array f old next =
+   nothing is allocated when nothing changed.  The loops below are
+   written per element type, with the joins called directly: a merge
+   visits every register, and most are physically equal to [next]'s. *)
+let join_value ~widen a b =
+  if a == b then a
+  else
+    let j = vjoin a b in
+    if widen then vwiden a j else j
+
+let join_ivals ~widen old next =
   let n = Array.length old in
   let rec scan i =
     if i = n then old
     else
-      let j = f old.(i) next.(i) in
-      if j == old.(i) then scan (i + 1)
+      let a = old.(i) in
+      let j = join_value ~widen a next.(i) in
+      if j == a then scan (i + 1)
       else begin
-        let a = Array.copy old in
-        a.(i) <- j;
+        let r = Array.copy old in
+        r.(i) <- j;
         for k = i + 1 to n - 1 do
-          a.(k) <- f old.(k) next.(k)
+          let a = old.(k) in
+          let j = join_value ~widen a next.(k) in
+          if j != a then r.(k) <- j
         done;
-        a
+        r
       end
   in
   scan 0
 
-let join_frame f old next =
-  let kept k x =
-    match Imap.find_opt k next with Some y -> f x y == x | None -> false
+let join_taints old next =
+  let n = Array.length old in
+  let rec scan i =
+    if i = n then old
+    else
+      let a = old.(i) in
+      let j = Taint.join a next.(i) in
+      if j == a then scan (i + 1)
+      else begin
+        let r = Array.copy old in
+        r.(i) <- j;
+        for k = i + 1 to n - 1 do
+          r.(k) <- Taint.join old.(k) next.(k)
+        done;
+        r
+      end
   in
-  if old == next || Imap.for_all kept old then old
-  else
-    Imap.merge
-      (fun _ x y ->
-        match (x, y) with Some x, Some y -> Some (f x y) | _ -> None)
-      old next
+  scan 0
+
+let join_frame ~widen old next =
+  if Imap.sub (fun x y -> join_value ~widen x y == x) old next then old
+  else Imap.inter (fun _ x y -> Some (join_value ~widen x y)) old next
 
 let join_env ~widen old next =
-  let value a b =
-    let j = vjoin a b in
-    if widen then vwiden a j else j
-  in
-  let ivals = join_array value old.ivals next.ivals in
-  let ftaints = join_array Taint.join old.ftaints next.ftaints in
-  let frame = join_frame value old.frame next.frame in
+  let ivals = join_ivals ~widen old.ivals next.ivals in
+  let ftaints = join_taints old.ftaints next.ftaints in
+  let frame = join_frame ~widen old.frame next.frame in
   let escaped =
     match (old.escaped, hull_join old.escaped next.escaped) with
     | o, j when o = j -> o
@@ -306,6 +332,10 @@ let set conf env r v =
 
 let fset env f t = env.ftaints.(f) <- t
 
+(* The frame map without the slots in [lo, hi]. *)
+let forget ~lo ~hi frame =
+  Imap.filter_map (fun k v -> if k < lo || k > hi then Some v else None) frame
+
 let store env ~v ~base ~off =
   let a = address env ~base ~off in
   escape env v;
@@ -315,7 +345,7 @@ let store env ~v ~base ~off =
       | Some c -> env.frame <- Imap.add c v env.frame
       | None ->
           let lo = Interval.lo a.itv and hi = Interval.hi a.itv in
-          env.frame <- Imap.filter (fun k _ -> k < lo || k > hi) env.frame)
+          env.frame <- forget ~lo ~hi env.frame)
   | Bany -> env.frame <- Imap.empty
   | Bglobal _ | Bnum -> ()
 
@@ -326,7 +356,7 @@ let call conf env ~target ~args ~ret =
   (match env.escaped with
   | None -> ()
   | Some (lo, hi) ->
-      env.frame <- Imap.filter (fun k _ -> k < lo || k > hi) env.frame);
+      env.frame <- forget ~lo ~hi env.frame);
   match (ret : I.ret_dest) with
   | I.Rint rd -> set conf env rd (vunknown ())
   | I.Rfloat fd -> fset env fd Taint.Clean

@@ -15,7 +15,11 @@
     for irreducible retreating edges, then runs a bounded number of
     descending passes to recover precision lost to widening (sound:
     applying the monotone transfer to a post-fixpoint yields another
-    over-approximation of the least fixpoint).
+    over-approximation of the least fixpoint).  Joins and widenings
+    return their left operand wherever the result equals it, so a merge
+    skips every register physically equal to the incoming one, copies
+    an environment only from its first changed entry, and allocates
+    nothing when nothing changed; the frame map is an {!Intmap}.
 
     Clients: the bounds and non-interference certifiers in [Verifier]
     (`pp prove`), and the runtime soundness oracle in the test suite. *)

@@ -1,7 +1,17 @@
 module Config = Pp_machine.Config
 module Model = Pp_machine.Model
-module IMap = Map.Make (Int)
-module ISet = Set.Make (Int)
+module IMap = Intmap
+
+(* An integer set: the keys of a [unit] map. *)
+module ISet = struct
+  let empty = Intmap.empty
+  let is_empty = Intmap.is_empty
+  let mem = Intmap.mem
+  let add k s = Intmap.add k () s
+  let union = Intmap.union
+  let exists f s = Intmap.exists (fun k () -> f k) s
+  let subset s t = Intmap.sub (fun () () -> true) s t
+end
 
 type target =
   | Line of int
@@ -19,8 +29,8 @@ type access =
 type classification = Hit | Miss | Unknown
 
 type may = {
-  abs : ISet.t;  (* concrete lines possibly resident *)
-  fr : ISet.t;  (* frame byte offsets whose line is possibly resident *)
+  abs : unit IMap.t;  (* concrete lines possibly resident *)
+  fr : unit IMap.t;  (* frame byte offsets whose line is possibly resident *)
   prof : bool;  (* some profiling-segment line possibly resident *)
   frtop : bool;  (* some stack line at an unknown offset possibly resident *)
   top : bool;
@@ -48,22 +58,15 @@ let entry ~cold =
 let havoc s =
   { m_abs = IMap.empty; m_fr = IMap.empty; may = { s.may with top = true } }
 
-let meet_ages m1 m2 =
-  IMap.merge
-    (fun _ x y ->
-      match (x, y) with Some x, Some y -> Some (Int.max x y) | _ -> None)
-    m1 m2
+let meet_ages m1 m2 = IMap.inter (fun _ x y -> Some (Int.max x y)) m1 m2
 
 let join a b =
   {
     m_abs =
-      IMap.merge
+      IMap.inter
         (fun _ x y ->
-          match (x, y) with
-          | Some x, Some y ->
-              let m = meet_ages x y in
-              if IMap.is_empty m then None else Some m
-          | _ -> None)
+          let m = meet_ages x y in
+          if IMap.is_empty m then None else Some m)
         a.m_abs b.m_abs;
     m_fr = meet_ages a.m_fr b.m_fr;
     may =
@@ -76,14 +79,19 @@ let join a b =
       };
   }
 
-let equal a b =
-  IMap.equal (IMap.equal Int.equal) a.m_abs b.m_abs
-  && IMap.equal Int.equal a.m_fr b.m_fr
-  && ISet.equal a.may.abs b.may.abs
-  && ISet.equal a.may.fr b.may.fr
-  && a.may.prof = b.may.prof
-  && a.may.frtop = b.may.frtop
-  && a.may.top = b.may.top
+(* [absorbs old out]: [join old out] is [old].  Every must entry of [old]
+   is in [out] at an age no greater, and [out]'s may state lies inside
+   [old]'s — containment answers without building the join. *)
+let no_older a b = b <= a
+
+let absorbs old out =
+  IMap.sub (IMap.sub no_older) old.m_abs out.m_abs
+  && IMap.sub no_older old.m_fr out.m_fr
+  && ISet.subset out.may.abs old.may.abs
+  && ISet.subset out.may.fr old.may.fr
+  && ((not out.may.prof) || old.may.prof)
+  && ((not out.may.frtop) || old.may.frtop)
+  && ((not out.may.top) || old.may.top)
 
 (* Two offsets from the same (unknown, word-aligned) frame base share a
    cache line only when they are less than a line apart: the address
@@ -200,10 +208,10 @@ let age_affected geom s tgt ~evict =
   { s with m_abs; m_fr }
 
 let add_line geom l m_abs =
-  IMap.update (Model.set_of_line geom l)
-    (function
-      | None -> Some (IMap.singleton l 0) | Some m -> Some (IMap.add l 0 m))
-    m_abs
+  let set = Model.set_of_line geom l in
+  match IMap.find_opt set m_abs with
+  | None -> IMap.add set (IMap.singleton l 0) m_abs
+  | Some m -> IMap.add set (IMap.add l 0 m) m_abs
 
 let may_add tgt may =
   match tgt with
@@ -211,7 +219,8 @@ let may_add tgt may =
       if ISet.mem l may.abs then may else { may with abs = ISet.add l may.abs }
   | Lines ls ->
       if List.for_all (fun l -> ISet.mem l may.abs) ls then may
-      else { may with abs = List.fold_left (Fun.flip ISet.add) may.abs ls }
+      else
+        { may with abs = List.fold_left (fun s l -> ISet.add l s) may.abs ls }
   | Frame o ->
       if ISet.mem o may.fr then may else { may with fr = ISet.add o may.fr }
   | Top_prof -> if may.prof then may else { may with prof = true }
@@ -254,26 +263,33 @@ let step geom s access =
 
 type solution = { block_in : state array; block_out : state array }
 
+(* The worklist runs a block again whenever its in-state changes, so the
+   out-state of a block's last run is the transfer of its final in-state:
+   it is kept, and only unreached blocks are transferred afterwards. *)
 let solve geom ~nblocks ~entry:entry_block ~succs ~events ~cold =
   let unknown = entry ~cold:false in
   let transfer st evs = Array.fold_left (step geom) st evs in
+  let outs = Array.make nblocks None in
   let ins =
     Dataflow.solve ~size:nblocks ~start:entry_block ~init:(entry ~cold)
       ~step:(fun b st ->
         let out = transfer st (events b) in
+        outs.(b) <- Some out;
         List.filter_map
           (fun s -> if s >= 0 && s < nblocks then Some (s, out) else None)
           (succs b))
       ~merge:(fun _ old out ->
-        let merged = join old out in
-        if equal old merged then None else Some merged)
+        if absorbs old out then None else Some (join old out))
   in
   let block_in =
     Array.init nblocks (fun b ->
         match ins.(b) with Some st -> st | None -> unknown)
   in
   let block_out =
-    Array.init nblocks (fun b -> transfer block_in.(b) (events b))
+    Array.init nblocks (fun b ->
+        match outs.(b) with
+        | Some out -> out
+        | None -> transfer unknown (events b))
   in
   { block_in; block_out }
 
@@ -295,3 +311,26 @@ let persistent geom ~body_events target =
       in
       List.for_all (fun evs -> Array.for_all benign evs) body_events
   | Lines _ | Frame _ | Top_prof | Top_frame | Top -> false
+
+type view = {
+  must_lines : (int * (int * int) list) list;
+  must_frame : (int * int) list;
+  may_lines : int list;
+  may_frame : int list;
+  may_prof : bool;
+  may_frtop : bool;
+  may_top : bool;
+}
+
+let view s =
+  let keys m = List.map fst (IMap.bindings m) in
+  {
+    must_lines =
+      List.map (fun (set, m) -> (set, IMap.bindings m)) (IMap.bindings s.m_abs);
+    must_frame = IMap.bindings s.m_fr;
+    may_lines = keys s.may.abs;
+    may_frame = keys s.may.fr;
+    may_prof = s.may.prof;
+    may_frtop = s.may.frtop;
+    may_top = s.may.top;
+  }

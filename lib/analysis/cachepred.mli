@@ -75,7 +75,14 @@ val step : Config.cache_geometry -> state -> access -> state
     A tiny CFG-shaped solver: blocks are integers, [events i] lists block
     [i]'s accesses in program order.  Kleene iteration without widening —
     must shrinks and may grows inside finite universes (the lines named by
-    the program's accesses), so the chain is finite. *)
+    the program's accesses), so the chain is finite.
+
+    A merge keeps the old in-state when it {!absorbs} the incoming one and
+    builds the {!join} only otherwise.  The worklist re-runs a block
+    whenever its in-state changes, so each block's [block_out] is the
+    out-state of its last run, kept rather than recomputed; only
+    unreached blocks are transferred after the fixpoint.  States are
+    {!Intmap} Patricia trees keyed by cache set, line and frame offset. *)
 
 type solution = {
   block_in : state array;
@@ -90,6 +97,40 @@ val solve :
   events:(int -> access array) ->
   cold:bool ->
   solution
+
+(** {2 The solver's merge}
+
+    A merge keeps the old in-state when it absorbs the incoming one, and
+    otherwise replaces it by their join.  These and a structural view of a
+    state let tests check the containment test against the join. *)
+
+(** The least upper bound: must keeps the lines of both at the larger
+    age, may is the union. *)
+val join : state -> state -> state
+[@@test_only "the solver's join, which the containment test must agree with"]
+
+(** [absorbs old out]: [join old out] equals [old].  Decided by
+    containment — every must entry of [old] is in [out] at an age no
+    greater, and [out]'s may state lies inside [old]'s — without building
+    the join. *)
+val absorbs : state -> state -> bool
+[@@test_only "the solver's unchanged test, checked against join and a structural equality"]
+
+(** A state's contents in ascending key order; equal views mean equal
+    states. *)
+type view = {
+  must_lines : (int * (int * int) list) list;
+      (** cache set -> (line, age upper bound) *)
+  must_frame : (int * int) list;  (** frame byte offset -> age upper bound *)
+  may_lines : int list;
+  may_frame : int list;
+  may_prof : bool;
+  may_frtop : bool;
+  may_top : bool;
+}
+
+val view : state -> view
+[@@test_only "a structural view the tests compare states by"]
 
 (** {2 Persistence}
 

@@ -656,6 +656,13 @@ let procs t =
     t.ctxs []
   |> List.sort String.compare
 
+let cache_solutions t proc =
+  let ctx = ctx_exn t proc in
+  [
+    (t.config.Config.dcache, ctx.d_events, ctx.dsol);
+    (t.config.Config.icache, ctx.i_events, ctx.isol);
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Tails: the caller-side segment between a procedure's return and the
    next block probe, charged to the returning procedure's last window. *)

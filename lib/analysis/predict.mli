@@ -91,3 +91,13 @@ val predict : t -> proc:string -> sum:int -> exec_bounds
 
 (** All procedure names with a numbering, sorted. *)
 val procs : t -> string list
+
+(** The data-cache and then the instruction-cache fixpoint of [proc]:
+    each cache's geometry, every instrumented block's accesses and the
+    solution. *)
+val cache_solutions :
+  t ->
+  string ->
+  (Config.cache_geometry * Cachepred.access array array * Cachepred.solution)
+  list
+[@@test_only "checks every kept out-state against a fresh transfer of its in-state"]

@@ -77,17 +77,23 @@ let rec find_ancestor (node : 'a node option) proc =
 let enter t ~proc ~nsites ~site ~kind =
   let cr = current t in
   let idx = slot_index t cr site in
+  let slot = cr.slots.(idx) in
   let existing =
-    List.find_opt (fun e -> e.target.node_proc = proc) cr.slots.(idx)
+    match slot with
+    | e :: _ when e.target.node_proc = proc -> Some e
+    | _ -> (
+        match List.find_opt (fun e -> e.target.node_proc = proc) slot with
+        | Some e ->
+            (* Move to the front of the slot list, as the paper's
+               construction does for indirect-call lists; an edge already
+               at the front stays where it is. *)
+            cr.slots.(idx) <- e :: List.filter (fun e' -> e' != e) slot;
+            Some e
+        | None -> None)
   in
   let edge =
     match existing with
-    | Some e ->
-        (* Move to the front of the slot list, as the paper's construction
-           does for indirect-call lists. *)
-        cr.slots.(idx) <-
-          e :: List.filter (fun e' -> e' != e) cr.slots.(idx);
-        e
+    | Some e -> e
     | None ->
         let target, is_backedge =
           match find_ancestor (Some cr) proc with

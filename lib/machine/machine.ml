@@ -176,26 +176,59 @@ type block_op =
   | Bfp_use of int
   | Bfp_define of int
 
+(* Read lines [first..last] of [ic] in order; the number of misses. *)
+let probe_lines ic ~lb first last =
+  let misses = ref 0 in
+  for l = first to last do
+    if not (Cache.read_hot ic (l * lb)) then incr misses
+  done;
+  !misses
+
 (* A run of [count] fetches inside a runtime stub of [slots] instruction
    slots at [addr], wrapping like a loop inside it.  Nothing else touches
    the icache during the run and nothing reads the clock, so it is
    applied as bulk bumps plus one probe per change of line: a skipped
    probe re-reads the line probed just before, which would hit and touch
    a line that is already the most recent in its set — tags, relative
-   LRU order and the miss count match [count] calls of [fetch]. *)
+   LRU order and the miss count match [count] calls of [fetch].
+
+   With lines of at least 4 bytes, consecutive slots lie in the same or
+   the next line, so a wrap probes every line from the stub's first to
+   its last once, and a stub inside one line is probed once for the
+   whole run.  Shorter lines can fall between two slots; they take the
+   per-slot walk. *)
 let fetch_run t ~addr ~slots ~count =
   if count > 0 then begin
     let tot = t.totals and ic = t.icache in
     let nslots = max 1 slots in
-    let misses = ref 0 and last = ref (-1) in
-    for i = 0 to count - 1 do
-      let a = addr + (i mod nslots * 4) in
-      let line = Cache.line ic a in
-      if line <> !last then begin
-        last := line;
-        if not (Cache.read_hot ic a) then incr misses
+    let lb = t.config.Config.icache.Config.line_bytes in
+    let misses = ref 0 in
+    if lb >= 4 then begin
+      let first = Cache.line ic addr in
+      let last = Cache.line ic (addr + ((nslots - 1) * 4)) in
+      if first = last then misses := probe_lines ic ~lb first first
+      else begin
+        for _ = 1 to count / nslots do
+          misses := !misses + probe_lines ic ~lb first last
+        done;
+        let rem = count mod nslots in
+        if rem > 0 then
+          misses :=
+            !misses
+            + probe_lines ic ~lb first (Cache.line ic (addr + ((rem - 1) * 4)))
       end
-    done;
+    end
+    else begin
+      let last = ref (-1) in
+      for i = 0 to count - 1 do
+        let a = addr + (i mod nslots * 4) in
+        let line = Cache.line ic a in
+        if line <> !last then begin
+          last := line;
+          if not (Cache.read_hot ic a) then incr misses
+        end
+      done
+    end;
     badd tot ix_insts count;
     badd tot ix_icrefs count;
     if !misses > 0 then badd tot ix_icmiss !misses;

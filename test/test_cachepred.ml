@@ -211,4 +211,74 @@ let prop_matches_reference =
       walk c ~where:"after join" cj rj c.rest;
       true)
 
-let suite = [ QCheck_alcotest.to_alcotest prop_matches_reference ]
+(* The solver's merge keeps [old] when [C.absorbs old out]; it used to
+   build [join old out] and compare it with [old] structurally.  Both
+   answers, on pairs of states reached by random walks — one side often
+   a join that contains the other. *)
+let joined_unchanged old out = C.view (C.join old out) = C.view old
+
+let prop_absorbs_matches_join =
+  QCheck.Test.make ~count:400 ~name:"absorbs == join then structural equal"
+    (QCheck.make ~print:print_case case_gen)
+    (fun c ->
+      let run st accs =
+        List.fold_left (fun st a -> C.step c.geom st (c_access a)) st accs
+      in
+      let e = C.entry ~cold:c.cold in
+      let a = run e c.left and b = run e c.right in
+      let j = C.join a b in
+      let after = run j c.rest in
+      let states = [ e; a; b; j; after; C.join after a; C.entry ~cold:false ] in
+      List.iteri
+        (fun i old ->
+          List.iteri
+            (fun k out ->
+              if C.absorbs old out <> joined_unchanged old out then
+                QCheck.Test.fail_reportf
+                  "state %d absorbs state %d: %b, join then equal: %b" i k
+                  (C.absorbs old out) (joined_unchanged old out))
+            states)
+        states;
+      true)
+
+(* The solver keeps each block's out-state from its last worklist run
+   instead of transferring every block again: for every workload, mode,
+   procedure and both caches, each kept out-state equals a fresh transfer
+   of the block's final in-state. *)
+let test_kept_outs_fresh () =
+  let checked = ref 0 in
+  List.iter
+    (fun (w : Pp_workloads.Workload.t) ->
+      let prog = Pp_workloads.Workload.compile w in
+      List.iter
+        (fun mode ->
+          let t = Test_predict.predictor ~mode prog in
+          List.iter
+            (fun proc ->
+              List.iter
+                (fun (geom, events, (sol : C.solution)) ->
+                  Array.iteri
+                    (fun b evs ->
+                      let fresh =
+                        Array.fold_left (C.step geom) sol.C.block_in.(b) evs
+                      in
+                      incr checked;
+                      if C.view fresh <> C.view sol.C.block_out.(b) then
+                        Alcotest.failf
+                          "%s/%s %s block %d: kept out-state differs" w.name
+                          (Pp_instrument.Instrument.mode_name mode)
+                          proc b)
+                    events)
+                (Pp_analysis.Predict.cache_solutions t proc))
+            (Pp_analysis.Predict.procs t))
+        Pp_instrument.Instrument.all_modes)
+    Pp_workloads.Registry.all;
+  Alcotest.(check bool) "blocks checked" true (!checked > 1000)
+
+let suite =
+  [
+    QCheck_alcotest.to_alcotest prop_matches_reference;
+    QCheck_alcotest.to_alcotest prop_absorbs_matches_join;
+    Alcotest.test_case "kept out-states == fresh transfer, workloads x modes"
+      `Slow test_kept_outs_fresh;
+  ]
