@@ -9,9 +9,11 @@
     exactly the corruption classes a torn write or a flipped disk bit
     produces. *)
 
-(** [digest s] is the CRC-32 of [s], as a non-negative [int]
-    (fits in 32 bits). *)
-val digest : string -> int
+(** [digest s] is the CRC-32 of [s], as a non-negative [int] (fits in
+    32 bits); [digest ~pos ~len s] that of [String.sub s pos len],
+    computed in place ([len] defaults to the rest of [s]).
+    @raise Invalid_argument if the range is not within [s]. *)
+val digest : ?pos:int -> ?len:int -> string -> int
 
 (** {2 Checked-line files}
 
@@ -25,6 +27,15 @@ val digest : string -> int
 (** [frame header records]: [header] plus the record count, then the
     records (none may contain a newline). *)
 val frame : string -> string list -> string
+
+(** [end_line w] tags the line written to [w] since its last newline
+    with its CRC token and ends it: the in-place form of a {!frame}
+    record, for writers that build their lines in the buffer. *)
+val end_line : Writer.t -> unit
+
+(** [line w l] writes [l] to [w] as one checked line.
+    @raise Invalid_argument if [l] contains a newline. *)
+val line : Writer.t -> string -> unit
 
 type damage = {
   total : int;  (** records the (intact) header promised *)
@@ -45,6 +56,13 @@ type damage = {
     the header is damaged or carries no count. *)
 val unframe :
   record:(int -> string -> bool) ->
+  string ->
+  (string * damage option, int * string) result
+
+(** {!unframe} with each intact record given as the cursor's current line
+    (checksum already cut off), to be read in place. *)
+val unframe_lines :
+  record:(int -> Cursor.t -> bool) ->
   string ->
   (string * damage option, int * string) result
 

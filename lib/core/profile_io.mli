@@ -82,17 +82,27 @@ val of_profile :
 
 (** Canonical form: procedures sorted by name, paths by path sum.  All
     functions below return canonical values; [merge] is commutative and
-    associative on them. *)
+    associative on them.  A value already canonical is returned as is,
+    after one linear check. *)
 val canonical : saved -> saved
 
 (** Total frequency and metric accumulators over all paths. *)
 val totals : saved -> int * int * int
 
-(** Sum two shards.  [Error d] (with [d] located at the offending procedure
-    or at ["<header>"]) if the program hashes, modes, PIC selections, a
-    procedure's potential-path counts or its feasible-path annotations
-    disagree. *)
+(** Sum two shards, in one walk of their canonical forms.  [Error d]
+    (with [d] located at the offending procedure or at ["<header>"]) if
+    the program hashes, modes, PIC selections, a procedure's
+    potential-path counts or its feasible-path annotations disagree. *)
 val merge : saved -> saved -> (saved, Pp_ir.Diag.t) result
+
+(** {!merge}, with the number of path records the result holds beyond
+    the first shard's: a caller that keeps a running record count adds
+    it instead of walking the result.  The first shard must already be
+    canonical (any value this module returned is); only the second is
+    canonicalized, so merging a shard into a running total walks the
+    shard, the total's procedure list and the procedures both carry,
+    not every record of the total. *)
+val merge_added : saved -> saved -> (saved * int, Pp_ir.Diag.t) result
 
 (** Fold {!merge} over a non-empty list. *)
 val merge_all : saved list -> (saved, Pp_ir.Diag.t) result

@@ -33,6 +33,7 @@ type agg = {
   max_records : int option;
   spill_dir : string option;
   mutable merged : Profile_io.saved option;
+  mutable resident : int;  (** path records in [merged] *)
   mutable spilled : int;  (** spill files written *)
   mutable evicted : int;  (** path records dropped under pressure *)
   mutable peak : int;  (** peak resident records *)
