@@ -19,6 +19,7 @@ module Event = Pp_machine.Event
 module Report = Pp_core.Report
 module Pgo = Pp_opt.Pgo
 module Pipeline = Pp_run.Pipeline
+module Json = Pp_telemetry.Json
 
 let budget = Pp_run.Matrix.default_budget
 
@@ -104,25 +105,19 @@ let run () =
            ("Inl", Report.Right);
          ]
        ~rows:table);
-  let json = Buffer.create 2048 in
-  Buffer.add_string json "[";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string json ",";
-      Buffer.add_string json
-        (Printf.sprintf
-           "\n  {\"workload\": \"%s\", \"cycles_base\": %d, \"cycles_cct\": \
-            %d, \"cycles_flat\": %d, \"dmiss_base\": %d, \"dmiss_cct\": \
-            %d, \"inlined_cct\": %d, \"reduction_cct_pct\": %.4f, \
-            \"reduction_flat_pct\": %.4f}"
-           (Pp_telemetry.Trace.json_escape r.name)
-           r.cycles_base r.cycles_cct r.cycles_flat r.dmiss_base r.dmiss_cct
-           r.inlined_cct
-           (pct r.cycles_base r.cycles_cct)
-           (pct r.cycles_base r.cycles_flat)))
-    rows;
-  Buffer.add_string json "\n]\n";
-  Pp_core.Crc32.write_atomic "BENCH_pgo.json" (Buffer.contents json);
+  let json r =
+    Json.
+      (Object
+         [ ("workload", String r.name); ("cycles_base", Int r.cycles_base);
+           ("cycles_cct", Int r.cycles_cct); ("cycles_flat", Int r.cycles_flat);
+           ("dmiss_base", Int r.dmiss_base); ("dmiss_cct", Int r.dmiss_cct);
+           ("inlined_cct", Int r.inlined_cct);
+           ("reduction_cct_pct", Fixed (4, pct r.cycles_base r.cycles_cct));
+           ("reduction_flat_pct", Fixed (4, pct r.cycles_base r.cycles_flat))
+         ])
+  in
+  Pp_core.Crc32.write_atomic "BENCH_pgo.json"
+    (Json.to_lines (List.map json rows));
   let mean =
     List.fold_left (fun a r -> a +. pct r.cycles_base r.cycles_cct) 0.0 rows
     /. float_of_int (List.length rows)

@@ -27,6 +27,7 @@ module Sampling = Pp_vm.Sampling
 module Profile = Pp_core.Profile
 module Profile_io = Pp_core.Profile_io
 module Sv = Pp_run.Serve
+module Json = Pp_telemetry.Json
 
 let budget = Pp_run.Matrix.default_budget
 let duties = [ 0.125; 0.25; 0.5; 1.0 ]
@@ -124,9 +125,7 @@ let run () =
   print_endline "== serve: sampled accuracy vs overhead frontier ==";
   Printf.printf "%-15s %6s %10s %8s %8s %8s %s\n" "workload" "duty"
     "overhead%" "rankcorr" "relerr" "peak" "";
-  let json = Buffer.create 4096 in
-  Buffer.add_string json "[";
-  let first = ref true in
+  let rows = ref [] in
   let violations = ref [] in
   List.iter
     (fun (w : W.t) ->
@@ -176,22 +175,22 @@ let run () =
                 "%s: rank correlation %.4f below floor %.2f at duty %.3f"
                 w.W.name corr corr_floor duty
               :: !violations;
-          if not !first then Buffer.add_string json ",";
-          first := false;
-          Buffer.add_string json
-            (Printf.sprintf
-               "\n\
-               \  {\"workload\": \"%s\", \"duty\": %.3f, \"baseline\": %d, \
-                \"instrumented\": %d, \"overhead_pct\": %.4f, \
-                \"rank_correlation\": %.4f, \"relative_error\": %.4f, \
-                \"peak_records\": %d, \"paths\": %d, \"trapped\": %b}"
-               (Pp_telemetry.Trace.json_escape w.W.name)
-               duty base instrs overhead corr err peak (List.length approx)
-               trapped))
+          rows :=
+            Json.
+              (Object
+                 [ ("workload", String w.W.name); ("duty", Fixed (3, duty));
+                   ("baseline", Int base); ("instrumented", Int instrs);
+                   ("overhead_pct", Fixed (4, overhead));
+                   ("rank_correlation", Fixed (4, corr));
+                   ("relative_error", Fixed (4, err));
+                   ("peak_records", Int peak);
+                   ("paths", Int (List.length approx));
+                   ("trapped", Bool trapped) ])
+            :: !rows)
         duties)
     (selected_workloads ());
-  Buffer.add_string json "\n]\n";
-  Pp_core.Crc32.write_atomic "BENCH_serve.json" (Buffer.contents json);
+  Pp_core.Crc32.write_atomic "BENCH_serve.json"
+    (Json.to_lines (List.rev !rows));
   Printf.printf "wrote BENCH_serve.json\n";
   match !violations with
   | [] -> ()

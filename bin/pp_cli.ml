@@ -35,6 +35,7 @@ module Serve = Pp_run.Serve
 module Diag = Pp_ir.Diag
 module Trace = Pp_telemetry.Trace
 module Metrics = Pp_telemetry.Metrics
+module Json = Pp_telemetry.Json
 module Overhead = Pp_run.Overhead
 module Predict_run = Pp_run.Predict_run
 module Pipeline = Pp_run.Pipeline
@@ -68,6 +69,11 @@ let exit_invalid d = raise (Quit (2, Diag.to_string d))
 let exit_degraded = 3
 let ok_or_exit = function Ok x -> x | Error msg -> exit_err msg
 let load ~file ~workload = ok_or_exit (Pipeline.load ~file ~workload)
+
+(* What a report calls its input, once [load] has accepted it. *)
+let input_name ~file ~workload =
+  Option.value file ~default:(Option.value workload ~default:"")
+
 let cli_error fmt = Diag.error (Diag.proc_loc "<cli>") fmt
 
 let load_profile path =
@@ -139,7 +145,7 @@ let telemetry_opt =
    An action that returns — success, a reported failure or a degraded
    verdict — writes the --telemetry dump first; a [Quit] or an escaping
    trap (exit 1) writes none. *)
-let command ?(telemetry = false) name ~doc body =
+let command name ~doc body =
   let run action telemetry =
     match !invalid with
     | Some d ->
@@ -162,7 +168,7 @@ let command ?(telemetry = false) name ~doc body =
             1)
   in
   Cmd.v (Cmd.info name ~doc)
-    Term.(const run $ body $ if telemetry then telemetry_opt else const None)
+    Term.(const run $ body $ telemetry_opt)
 
 (* --- common options --- *)
 
@@ -207,10 +213,7 @@ let engine =
 
 let flag names doc = Arg.(value & flag & info names ~doc)
 
-let json_report =
-  flag [ "json" ]
-    "Emit the report as a single-line JSON object (same conventions as \
-     'pp overhead --json')."
+let json_report = flag [ "json" ] "Print the report as one line of JSON."
 
 let jobs_arg ~default doc = positive_opt ~default [ "jobs"; "j" ] ~docv:"N" ~doc
 
@@ -329,7 +332,7 @@ let run_cmd =
                    resumed run's stdout is byte-identical to an \
                    uninterrupted one.")
   in
-  command "run" ~doc ~telemetry:true
+  command "run" ~doc
     Term.(const action $ engine $ shards $ jobs $ retries $ budget $ file
           $ workload_opt $ counters $ checkpoint_dir)
 
@@ -554,7 +557,7 @@ let profile_cmd =
              ~doc:"Write the path profile to FILE as a mergeable shard \
                    (see 'pp merge').")
   in
-  command "profile" ~doc ~telemetry:true
+  command "profile" ~doc
     Term.(
       const action $ engine $ budget $ top $ file $ workload_opt $ mode_arg ()
       $ pic0 $ pic1 $ cct_out $ dot_out $ profile_out $ duty_opt
@@ -572,79 +575,95 @@ let describe_verdict cfg = function
       Printf.sprintf "contradicts constant branch at L%d (condition = %d)"
         block value
 
+(* [pp paths] numbers each procedure once, with its feasibility table
+   under --feasible or --table, and prints that as text or as JSON. *)
+let print_paths_text ~table reports =
+  let module F = Pp_analysis.Feasibility in
+  List.iter
+    (fun ((proc : Pp_ir.Proc.t), cfg, numbering) ->
+      match numbering with
+      | Error msg -> Printf.printf "%-20s unsupported: %s\n" proc.name msg
+      | Ok (bl, fs) -> (
+          let paths = Ball_larus.num_paths bl in
+          Printf.printf "%-20s blocks=%-4d backedges=%-3d potential paths="
+            proc.name (Pp_ir.Proc.num_blocks proc)
+            (List.length (Ball_larus.backedges bl));
+          match fs with
+          | None -> Printf.printf "%d\n" paths
+          | Some fs when not (F.enumerated fs) ->
+              Printf.printf "%-6d feasible=? (table too large to enumerate)\n"
+                paths
+          | Some fs ->
+              let nf = F.num_feasible fs in
+              Printf.printf "%-6d feasible=%-6d pruned=%d\n" paths nf
+                (paths - nf);
+              if table then
+                for sum = 0 to paths - 1 do
+                  let v = F.check fs sum in
+                  Printf.printf "%s\n"
+                    (Format.asprintf "  path %-5d %-10s %a" sum
+                       (if v = F.Feasible then "feasible" else "infeasible")
+                       Ball_larus.pp_path (Ball_larus.decode bl sum));
+                  if v <> F.Feasible then
+                    Printf.printf "             (%s)\n"
+                      (describe_verdict cfg v)
+                done
+              else
+                List.iter
+                  (fun sum ->
+                    Printf.printf "  infeasible path %d: %s\n" sum
+                      (describe_verdict cfg (F.check fs sum)))
+                  (F.infeasible_sums fs)))
+    reports
+
+let paths_json reports =
+  let module F = Pp_analysis.Feasibility in
+  let open Json in
+  let proc_json ((proc : Pp_ir.Proc.t), cfg, numbering) =
+    let name = ("proc", String proc.name) in
+    match numbering with
+    | Error msg -> Object [ name; ("unsupported", String msg) ]
+    | Ok (bl, fs) ->
+        let paths = Ball_larus.num_paths bl in
+        let feasibility =
+          match fs with
+          | None -> []
+          | Some fs when not (F.enumerated fs) -> [ ("feasible", Null) ]
+          | Some fs ->
+              let nf = F.num_feasible fs in
+              let pruned sum =
+                let why = describe_verdict cfg (F.check fs sum) in
+                Object [ ("path", Int sum); ("reason", String why) ]
+              in
+              [ ("feasible", Int nf); ("pruned", Int (paths - nf));
+                ("infeasible", List (List.map pruned (F.infeasible_sums fs))) ]
+        in
+        Object
+          ([ name; ("blocks", Int (Pp_ir.Proc.num_blocks proc));
+             ("backedges", Int (List.length (Ball_larus.backedges bl)));
+             ("potential_paths", Int paths) ]
+          @ feasibility)
+  in
+  to_string (Object [ ("procs", List (List.map proc_json reports)) ])
+
 let paths_cmd =
   let doc =
     "Static path-numbering report: potential (and statically feasible) \
      paths per procedure."
   in
   let action file workload feasible table dot_proc json () =
-    let module F = Pp_analysis.Feasibility in
     let prog = load ~file ~workload in
-    let buf = Buffer.create 1024 in
-    let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-    let esc = Trace.json_escape in
-    if json then add "{\"procs\":[";
-    Array.iteri
-      (fun i (p : Pp_ir.Proc.t) ->
-        let name = p.Pp_ir.Proc.name in
-        if json && i > 0 then add ",";
-        let cfg = Pp_ir.Cfg.of_proc p in
-        match Ball_larus.build cfg with
-        | exception Ball_larus.Unsupported msg ->
-            if json then
-              add "{\"proc\":\"%s\",\"unsupported\":\"%s\"}" (esc name)
-                (esc msg)
-            else add "%-20s unsupported: %s\n" name msg
-        | bl -> (
-            let blocks = Pp_ir.Proc.num_blocks p
-            and backedges = List.length (Ball_larus.backedges bl)
-            and paths = Ball_larus.num_paths bl in
-            if json then
-              add
-                "{\"proc\":\"%s\",\"blocks\":%d,\"backedges\":%d,\"potential_paths\":%d"
-                (esc name) blocks backedges paths
-            else
-              add "%-20s blocks=%-4d backedges=%-3d potential paths=" name
-                blocks backedges;
-            (match if feasible || table then Some (F.analyze cfg bl) else None with
-            | None -> if not json then add "%d\n" paths
-            | Some fs when not (F.enumerated fs) ->
-                if json then add ",\"feasible\":null"
-                else add "%-6d feasible=? (table too large to enumerate)\n" paths
-            | Some fs when json ->
-                let nf = F.num_feasible fs in
-                add ",\"feasible\":%d,\"pruned\":%d,\"infeasible\":[" nf
-                  (paths - nf);
-                List.iteri
-                  (fun j sum ->
-                    if j > 0 then add ",";
-                    add "{\"path\":%d,\"reason\":\"%s\"}" sum
-                      (esc (describe_verdict cfg (F.check fs sum))))
-                  (F.infeasible_sums fs);
-                add "]"
-            | Some fs ->
-                let nf = F.num_feasible fs in
-                add "%-6d feasible=%-6d pruned=%d\n" paths nf (paths - nf);
-                if table then
-                  for sum = 0 to paths - 1 do
-                    let v = F.check fs sum in
-                    add "%s\n"
-                      (Format.asprintf "  path %-5d %-10s %a" sum
-                         (if v = F.Feasible then "feasible" else "infeasible")
-                         Ball_larus.pp_path (Ball_larus.decode bl sum));
-                    if v <> F.Feasible then
-                      add "             (%s)\n" (describe_verdict cfg v)
-                  done
-                else
-                  List.iter
-                    (fun sum ->
-                      add "  infeasible path %d: %s\n" sum
-                        (describe_verdict cfg (F.check fs sum)))
-                    (F.infeasible_sums fs));
-            if json then add "}"))
-      prog.Pp_ir.Program.procs;
-    if json then add "]}";
-    print_string (Buffer.contents buf);
+    let number proc =
+      let cfg = Pp_ir.Cfg.of_proc proc in
+      match Ball_larus.build cfg with
+      | exception Ball_larus.Unsupported msg -> (proc, cfg, Error msg)
+      | bl when feasible || table ->
+          (proc, cfg, Ok (bl, Some (Pp_analysis.Feasibility.analyze cfg bl)))
+      | bl -> (proc, cfg, Ok (bl, None))
+    in
+    let reports = List.map number (Array.to_list prog.Pp_ir.Program.procs) in
+    if json then print_string (paths_json reports)
+    else print_paths_text ~table reports;
     if not json then
       Option.iter
         (fun name ->
@@ -845,6 +864,35 @@ let check_cmd =
 
 (* --- pp prove --- *)
 
+let prove_json ~file ~workload ~budget prog results =
+  let open Json in
+  let diag (d : Diag.t) =
+    let severity = if d.severity = Diag.Error then "error" else "warning" in
+    let pos = function Diag.Instr i -> Int i | Terminator -> String "term" in
+    Object
+      [ ("severity", String severity); ("proc", String d.loc.proc);
+        ("block", Option.fold ~none:Null ~some:(fun l -> Int l) d.loc.block);
+        ("pos", Option.fold ~none:Null ~some:pos d.loc.position);
+        ("message", String d.message) ]
+  in
+  let mode_json (mode, result) =
+    let mode = ("mode", String (Instrument.mode_name mode)) in
+    match result with
+    | Error msg ->
+        Object
+          [ mode; ("status", String "unsupported"); ("message", String msg) ]
+    | Ok diags ->
+        Object
+          [ mode; ("status", String (if diags = [] then "ok" else "failed"));
+            ("procedures", Int (Array.length prog.Pp_ir.Program.procs));
+            ("errors", List (List.map diag diags)) ]
+  in
+  to_string
+    (Object
+       [ ("program", String (input_name ~file ~workload));
+         ("budget", Int budget);
+         ("modes", List (List.map mode_json results)) ])
+
 let prove_cmd =
   let doc =
     "Certify instrumentation by abstract interpretation: interval + \
@@ -884,50 +932,7 @@ let prove_cmd =
         modes
     in
     if json then begin
-      let buf = Buffer.create 1024 in
-      let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-      add "{\"program\":\"%s\",\"budget\":%d,\"modes\":["
-        (Trace.json_escape
-           (match (file, workload) with
-           | _, Some w -> w
-           | Some f, None -> f
-           | None, None -> ""))
-        budget;
-      List.iteri
-        (fun i (mode, result) ->
-          if i > 0 then add ",";
-          match result with
-          | Error msg ->
-              add "{\"mode\":\"%s\",\"status\":\"unsupported\",\"message\":\"%s\"}"
-                (Instrument.mode_name mode)
-                (Trace.json_escape msg)
-          | Ok diags ->
-              add "{\"mode\":\"%s\",\"status\":\"%s\",\"procedures\":%d,\"errors\":["
-                (Instrument.mode_name mode)
-                (if diags = [] then "ok" else "failed")
-                (Array.length prog.Pp_ir.Program.procs);
-              List.iteri
-                (fun j (d : Diag.t) ->
-                  if j > 0 then add ",";
-                  add "{\"severity\":\"%s\",\"proc\":\"%s\","
-                    (match d.Diag.severity with
-                    | Diag.Error -> "error"
-                    | Diag.Warning -> "warning")
-                    (Trace.json_escape d.Diag.loc.Diag.proc);
-                  (match d.Diag.loc.Diag.block with
-                  | Some l -> add "\"block\":%d," l
-                  | None -> add "\"block\":null,");
-                  (match d.Diag.loc.Diag.position with
-                  | Some (Diag.Instr i) -> add "\"pos\":%d," i
-                  | Some Diag.Terminator -> add "\"pos\":\"term\","
-                  | None -> add "\"pos\":null,");
-                  add "\"message\":\"%s\"}"
-                    (Trace.json_escape d.Diag.message))
-                diags;
-              add "]}")
-        results;
-      add "]}";
-      print_string (Buffer.contents buf);
+      print_string (prove_json ~file ~workload ~budget prog results);
       modes_status results
     end
     else report_modes ~ok:"certified" ~failed:"NOT CERTIFIED" prog results
@@ -1014,7 +1019,7 @@ let bench_cmd =
       "Restrict to base plus this mode (repeatable; default: base and all \
        five)."
   in
-  command "bench" ~doc ~telemetry:true
+  command "bench" ~doc
     Term.(const action $ engine $ jobs $ budget $ timeout $ workloads $ modes)
 
 (* --- pp merge --- *)
@@ -1107,7 +1112,7 @@ let merge_cmd =
     Arg.(non_empty & pos_all string []
          & info [] ~docv:"SHARD" ~doc:"Profile shards to merge.")
   in
-  command "merge" ~doc ~telemetry:true
+  command "merge" ~doc
     Term.(const action $ out $ cct_mode $ stats $ inputs)
 
 (* --- pp serve --- *)
@@ -1326,7 +1331,7 @@ let serve_cmd =
             context-flow)."
       ()
   in
-  command "serve" ~doc ~telemetry:true
+  command "serve" ~doc
     Term.(
       const action $ engine $ snapshot_every $ socket $ expect $ out_opt
       $ max_records $ spill_dir $ snapshot_out $ send $ corrupt_after $ drive
@@ -1409,12 +1414,7 @@ let overhead_cmd =
   in
   let action engine jobs budget file workload modes json_flag out () =
     let prog = load ~file ~workload in
-    let program =
-      match (file, workload) with
-      | Some f, _ -> f
-      | None, Some w -> w
-      | None, None -> "<none>"
-    in
+    let program = input_name ~file ~workload in
     let modes = resolve_modes modes in
     let report = Overhead.compute ~budget ~engine ~jobs ~modes ~program prog in
     print_string
@@ -1438,7 +1438,6 @@ let overhead_cmd =
     jobs_arg ~default:1
       "Measure modes concurrently (the report is byte-identical at any N)."
   in
-  let json_flag = flag [ "json" ] "Print the report as JSON instead of text." in
   let out =
     Arg.(value & opt (some string) None
          & info [ "o"; "out" ] ~docv:"FILE"
@@ -1447,7 +1446,7 @@ let overhead_cmd =
   in
   command "overhead" ~doc
     Term.(const action $ engine $ jobs $ budget $ file $ workload_opt $ modes
-          $ json_flag $ out)
+          $ json_report $ out)
 
 (* --- pp predict --- *)
 
@@ -1487,8 +1486,7 @@ let predict_cmd =
             prog)
         modes
     in
-    if json_flag then
-      Predict_run.render_json Format.std_formatter outcomes
+    if json_flag then print_endline (Predict_run.to_json outcomes)
     else begin
       List.iter
         (fun (o : Predict_run.outcome) ->
@@ -1526,7 +1524,6 @@ let predict_cmd =
                    must end REFUTED (exit 2) -- this is how CI proves the \
                    certifier can catch a wrong model.")
   in
-  let json_flag = flag [ "json" ] "Print all outcomes as one JSON document." in
   let table =
     flag [ "table" ]
       "Print the full predicted-vs-measured per-path table for each mode \
@@ -1539,7 +1536,7 @@ let predict_cmd =
   in
   command "predict" ~doc
     Term.(const action $ engine $ budget $ slack $ file $ workload_opt $ modes
-          $ inject $ json_flag $ table)
+          $ inject $ json_report $ table)
 
 (* --- pp chaos --- *)
 
@@ -1662,7 +1659,7 @@ let chaos_cmd =
              ~doc:"Directory for the shard files (created if needed; \
                    existing shard files are removed first).")
   in
-  command "chaos" ~doc ~telemetry:true
+  command "chaos" ~doc
     Term.(
       const action $ engine $ shards $ jobs $ retries $ budget $ timeout $ file
       $ workload_opt $ mode $ seed $ kind $ dir)
@@ -1716,21 +1713,25 @@ let optimize_cmd =
     and im_b = counter Event.Icache_misses base
     and im_o = counter Event.Icache_misses opt in
     if json_flag then
-      Printf.printf
-        "{\"source\":\"%s\",\"cycles_before\":%d,\"cycles_after\":%d,\
-         \"dcache_misses_before\":%d,\"dcache_misses_after\":%d,\
-         \"icache_misses_before\":%d,\"icache_misses_after\":%d,\
-         \"inlined_sites\":%d,\"merged_blocks\":%d,\
-         \"reordered_procs\":%d,\"moved_globals\":%d,\
-         \"data_dropped\":%b,\"size_before_slots\":%d,\
-         \"size_after_slots\":%d}\n"
-        (match source with `Cct -> "cct" | `Flat -> "flat")
-        base.Interp.cycles opt.Interp.cycles dm_b dm_o im_b im_o
-        (List.length report.Pp_opt.Pgo.inlined)
-        report.Pp_opt.Pgo.merged_blocks report.Pp_opt.Pgo.reordered_procs
-        report.Pp_opt.Pgo.moved_globals report.Pp_opt.Pgo.data_dropped
-        report.Pp_opt.Pgo.size_before_slots
-        report.Pp_opt.Pgo.size_after_slots
+      let source = match source with `Cct -> "cct" | `Flat -> "flat" in
+      print_endline
+        Json.(
+          to_string
+            (Object
+               [ ("source", String source);
+                 ("cycles_before", Int base.Interp.cycles);
+                 ("cycles_after", Int opt.Interp.cycles);
+                 ("dcache_misses_before", Int dm_b);
+                 ("dcache_misses_after", Int dm_o);
+                 ("icache_misses_before", Int im_b);
+                 ("icache_misses_after", Int im_o);
+                 ("inlined_sites", Int (List.length report.Pp_opt.Pgo.inlined));
+                 ("merged_blocks", Int report.merged_blocks);
+                 ("reordered_procs", Int report.reordered_procs);
+                 ("moved_globals", Int report.moved_globals);
+                 ("data_dropped", Bool report.data_dropped);
+                 ("size_before_slots", Int report.size_before_slots);
+                 ("size_after_slots", Int report.size_after_slots) ]))
     else begin
       Format.printf "%a@." Pp_opt.Pgo.pp_report report;
       Printf.printf "cycles          %12d -> %-12d (%+.2f%%)\n"
@@ -1787,7 +1788,6 @@ let optimize_cmd =
              ~doc:"Write the optimized program as textual IR (.ppir), \
                    reloadable by every other subcommand.")
   in
-  let json_flag = flag [ "json" ] "Print the report as one JSON object." in
   let certify =
     flag [ "certify" ]
       "After optimizing, re-certify the transformed program: instrument it \
@@ -1812,7 +1812,7 @@ let optimize_cmd =
   command "optimize" ~doc
     Term.(
       const action $ engine $ budget $ inline_budget $ file $ workload_opt
-      $ source $ out_file $ json_flag $ certify $ no_layout $ no_split
+      $ source $ out_file $ json_report $ certify $ no_layout $ no_split
       $ no_straighten $ no_inline $ no_data)
 
 (* --- pp workloads --- *)

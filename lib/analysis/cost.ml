@@ -317,25 +317,21 @@ let render (r : report) =
   Buffer.contents buf
 
 let to_json (r : report) =
-  let buf = Buffer.create 1024 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "{\"mode\":\"%s\",\"rows\":[" (Instrument.mode_name r.mode);
-  List.iteri
-    (fun i row ->
-      if i > 0 then add ",";
-      add "{\"proc\":\"%s\",\"blocks\":%d,\"npaths\":%d,"
-        (Pp_telemetry.Trace.json_escape row.proc) row.blocks row.npaths;
-      (match row.nfeasible with
-      | Some n -> add "\"nfeasible\":%d," n
-      | None -> add "\"nfeasible\":null,");
-      add
-        "\"probe_sites\":%d,\"added_slots\":%d,\"est_path\":%.6g,\"est_ctx\":%.6g,"
-        row.probe_sites row.added_slots row.est_path row.est_ctx;
-      match row.measured with
-      | Some m ->
-          add "\"measured\":{\"invocations\":%d,\"probes\":%d}}"
-            m.invocations m.probes
-      | None -> add "\"measured\":null}")
-    r.rows;
-  add "]}";
-  Buffer.contents buf
+  let open Pp_telemetry.Json in
+  let opt f = Option.fold ~none:Null ~some:f and int n = Int n in
+  let measured m =
+    Object [ ("invocations", Int m.invocations); ("probes", Int m.probes) ]
+  in
+  let row_json row =
+    Object
+      [ ("proc", String row.proc); ("blocks", Int row.blocks);
+        ("npaths", Int row.npaths); ("nfeasible", opt int row.nfeasible);
+        ("probe_sites", Int row.probe_sites);
+        ("added_slots", Int row.added_slots);
+        ("est_path", Sig (6, row.est_path)); ("est_ctx", Sig (6, row.est_ctx));
+        ("measured", opt measured row.measured) ]
+  in
+  to_string
+    (Object
+       [ ("mode", String (Instrument.mode_name r.mode));
+         ("rows", List (List.map row_json r.rows)) ])

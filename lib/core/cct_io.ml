@@ -108,6 +108,7 @@ let of_string ~codec text =
       let fields = Cursor.fields c in
       if fields >= 4 && Cursor.field_is c 0 "cct" && Cursor.field_is c 1 "1"
       then begin
+        if Option.is_some !cct then fail lineno "duplicate cct header";
         declared := (lineno, int 2);
         (* Defer creation until the root's data arrives. *)
         cct := Some (`Header (Cursor.field_is c 3 "1"))

@@ -72,7 +72,7 @@ let end_line w =
   Writer.newline w
 
 let line w l =
-  if String.contains l '\n' then invalid_arg "Crc32.tag: embedded newline";
+  if String.contains l '\n' then invalid_arg "Crc32.line: embedded newline";
   Writer.string w l;
   end_line w
 

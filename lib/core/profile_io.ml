@@ -19,6 +19,7 @@ type saved = {
 }
 
 let program_hash prog = Digest.to_hex (Digest.string (Marshal.to_string prog []))
+let hash_fits_header h = not (String.contains h ' ' || String.contains h '\n')
 
 let sort_paths paths = List.sort (fun (a, _) (b, _) -> compare a b) paths
 

@@ -68,6 +68,10 @@ type saved = {
 (** Digest of a program's structure; shards of the same binary agree. *)
 val program_hash : Pp_ir.Program.t -> string
 
+(** Whether the version-2 header can carry [h] as its program hash: it
+    holds no space and no newline, as every {!program_hash} does. *)
+val hash_fits_header : string -> bool
+
 (** Strip the numbering from an in-memory profile (path sums alone suffice
     to merge; decoding needs the program anyway).  [feasible] attaches the
     static analyzer's per-procedure feasible-path counts; [coverage]

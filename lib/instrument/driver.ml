@@ -93,9 +93,9 @@ let run session =
   Trace.with_span session.trace "execute" (fun () ->
       Engine.run session.engine)
 
-let run_baseline ?max_instructions ?(pics = default_pics) ?engine prog =
+let run_baseline ?max_instructions ?engine prog =
   let eng = Engine.create ?kind:engine ?max_instructions prog in
-  let pic0, pic1 = pics in
+  let pic0, pic1 = default_pics in
   Interp.select_pics (Engine.vm eng) ~pic0 ~pic1;
   Engine.run eng
 

@@ -73,11 +73,10 @@ val prepare :
 (** Execute to completion.  @raise Pp_vm.Interp.Trap *)
 val run : session -> Pp_vm.Interp.result
 
-(** Execute the {e uninstrumented} program under the same machine model —
-    the paper's sampled baseline. *)
+(** Execute the {e uninstrumented} program under the same machine model,
+    counting {!default_pics} — the paper's sampled baseline. *)
 val run_baseline :
   ?max_instructions:int ->
-  ?pics:Event.t * Event.t ->
   ?engine:Pp_vm.Engine.kind ->
   Pp_ir.Program.t ->
   Pp_vm.Interp.result

@@ -242,51 +242,38 @@ let render r =
 
 (* {2 JSON} *)
 
-let json_escape = Pp_telemetry.Trace.json_escape
-
 let to_json r =
-  let buf = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let obj name kvs =
-    String.concat ","
-      (List.map
-         (fun (k, v) -> Printf.sprintf "\"%s\":%d" (json_escape (name k)) v)
-         kvs)
-  in
+  let open Pp_telemetry.Json in
+  let obj name kvs = Object (List.map (fun (k, v) -> (name k, Int v)) kvs) in
   let counters = obj Event.name in
-  add "{\"program\":\"%s\"," (json_escape r.program);
-  (match r.budget with
-  | Some b -> add "\"budget\":%d," b
-  | None -> add "\"budget\":null,");
-  add "\"penalties\":{%s}," (counters r.penalties);
-  add "\"baseline\":{\"cycles\":%d,\"instructions\":%d,\"counters\":{%s}},"
-    (count r.base Event.Cycles)
-    (count r.base Event.Instructions)
-    (counters r.base);
-  add "\"modes\":[";
-  List.iteri
-    (fun i row ->
-      if i > 0 then add ",";
-      add
-        "{\"mode\":\"%s\",\"cycles\":%d,\"instructions\":%d,\"delta_cycles\":%d,\"delta_instructions\":%d,"
-        (json_escape row.mode)
-        (count row.counters Event.Cycles)
-        (count row.counters Event.Instructions)
-        (delta r row Event.Cycles)
-        (delta r row Event.Instructions);
-      add "\"overhead_pct\":%.4f,"
-        (pct (delta r row Event.Cycles) (count r.base Event.Cycles));
-      add "\"issue\":{%s}," (obj category_name row.direct);
-      add "\"perturbation\":{%s}," (counters (perturbation r row));
-      add "\"counters\":{%s}}" (counters row.counters))
-    r.rows;
-  add "],\"failures\":[";
-  List.iteri
-    (fun i (m, why) ->
-      if i > 0 then add ",";
-      add "{\"mode\":\"%s\",\"reason\":\"%s\"}" (json_escape m)
-        (json_escape why))
-    r.failures;
-  add "],\"attribution_check\":\"%s\"}"
-    (match check r with Ok () -> "ok" | Error _ -> "mismatch");
-  Buffer.contents buf
+  let cycles c = count c Event.Cycles in
+  let insts c = count c Event.Instructions in
+  let mode_json row =
+    let dc = delta r row Event.Cycles in
+    Object
+      [ ("mode", String row.mode); ("cycles", Int (cycles row.counters));
+        ("instructions", Int (insts row.counters)); ("delta_cycles", Int dc);
+        ("delta_instructions", Int (delta r row Event.Instructions));
+        ("overhead_pct", Fixed (4, pct dc (cycles r.base)));
+        ("issue", obj category_name row.direct);
+        ("perturbation", counters (perturbation r row));
+        ("counters", counters row.counters) ]
+  in
+  let failure (m, why) =
+    Object [ ("mode", String m); ("reason", String why) ]
+  in
+  to_string
+    (Object
+       [ ("program", String r.program);
+         ("budget", Option.fold ~none:Null ~some:(fun b -> Int b) r.budget);
+         ("penalties", counters r.penalties);
+         ( "baseline",
+           Object
+             [ ("cycles", Int (cycles r.base));
+               ("instructions", Int (insts r.base));
+               ("counters", counters r.base) ] );
+         ("modes", List (List.map mode_json r.rows));
+         ("failures", List (List.map failure r.failures));
+         ( "attribution_check",
+           String (match check r with Ok () -> "ok" | Error _ -> "mismatch") )
+       ])

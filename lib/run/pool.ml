@@ -20,27 +20,14 @@ type stats = {
   task_stats : task_stat list;
 }
 
-type backoff = {
-  base : float;
-  factor : float;
-  max_delay : float;
-  jitter : float;
-  seed : int;
-}
-
-let default_backoff =
-  { base = 0.05; factor = 2.0; max_delay = 1.0; jitter = 0.5; seed = 0 }
-
 (* Jittered exponential delay before retrying [task] after failed attempt
-   [attempt].  Deterministic: the jitter draw is a pure function of
-   (seed, task, attempt), so a chaos run's retry schedule replays
-   exactly. *)
-let delay_for b ~task ~attempt =
-  let raw =
-    Float.min b.max_delay (b.base *. (b.factor ** float_of_int (attempt - 1)))
-  in
-  let u = Pp_vm.Sampling.(unit_float (mix [ b.seed; task; attempt ])) in
-  Float.max 0.0 (raw *. (1.0 +. (b.jitter *. ((2.0 *. u) -. 1.0))))
+   [attempt]: a 50ms base, doubling, capped at 1s, then scaled by a jitter
+   in [1 +/- 0.5].  Deterministic: the jitter draw is a pure function of
+   (task, attempt), so a chaos run's retry schedule replays exactly. *)
+let delay_for ~task ~attempt =
+  let raw = Float.min 1.0 (0.05 *. (2.0 ** float_of_int (attempt - 1))) in
+  let u = Pp_vm.Sampling.(unit_float (mix [ 0; task; attempt ])) in
+  Float.max 0.0 (raw *. (1.0 +. (0.5 *. ((2.0 *. u) -. 1.0))))
 
 type job = {
   index : int;
@@ -253,8 +240,8 @@ let describe = function
   | Crashed msg -> "crashed: " ^ msg
   | Timed_out t -> Printf.sprintf "timed out after %.1fs" t
 
-let map_retry ?(jobs = 1) ?timeout ?(retries = 1) ?(backoff = default_backoff)
-    ?(sleep = Unix.sleepf) ?verify f xs =
+let map_retry ?(jobs = 1) ?timeout ?(retries = 1) ?(sleep = Unix.sleepf)
+    ?verify f xs =
   let t0 = Unix.gettimeofday () in
   let jobs = if can_fork then max 1 jobs else 1 in
   let retries = max 1 retries in
@@ -275,7 +262,7 @@ let map_retry ?(jobs = 1) ?timeout ?(retries = 1) ?(backoff = default_backoff)
          wall-clock bounded by the slowest backoff, not their sum. *)
       let d =
         List.fold_left
-          (fun acc i -> Float.max acc (delay_for backoff ~task:i ~attempt:(a - 1)))
+          (fun acc i -> Float.max acc (delay_for ~task:i ~attempt:(a - 1)))
           0.0 !pending
       in
       if d > 0.0 then sleep d

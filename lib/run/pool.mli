@@ -42,22 +42,6 @@ type stats = {
   task_stats : task_stat list;  (** in task order *)
 }
 
-(** Exponential-backoff schedule for {!map_retry}.  Before attempt
-    [a+1] of a task that failed attempt [a], the pool waits
-    [min max_delay (base *. factor ** (a-1))] seconds, scaled by a
-    deterministic jitter in [1 ± jitter] drawn from
-    [Pp_vm.Sampling.mix [seed; task; a]] — so a seeded chaos run's retry
-    schedule replays exactly.  Failed tasks of a round are retried
-    together after a single sleep (the longest delay any of them asks
-    for). *)
-type backoff = {
-  base : float;  (** first-retry delay, seconds *)
-  factor : float;  (** multiplier per additional attempt *)
-  max_delay : float;  (** cap on the un-jittered delay *)
-  jitter : float;  (** relative jitter amplitude in [0, 1] *)
-  seed : int;  (** jitter seed *)
-}
-
 (** [map ~jobs f xs] evaluates [f] over [xs] with at most [jobs]
     concurrent workers, returning outcomes in input order.
 
@@ -89,12 +73,15 @@ val map_stats :
   'b outcome list * stats
 
 (** [map_retry ~retries f xs] is {!map_stats} with a per-task attempt
-    budget: a task whose outcome is [Crashed] or [Timed_out] is rerun —
-    after the {!backoff} delay (default: a 50ms base, doubling, capped
-    at 1s, ±50% jitter, seed 0) — up to [retries] times total (default 1,
-    i.e. no retry; values [< 1] are clamped to 1).  A task that exhausts
-    the budget is {e quarantined}: its last failure stands in the
-    outcome list and [stats.quarantined] counts it.
+    budget: a task whose outcome is [Crashed] or [Timed_out] is rerun up
+    to [retries] times total (default 1, i.e. no retry; values [< 1] are
+    clamped to 1).  Before attempt [a+1] of a task that failed attempt
+    [a], the pool waits [min 1.0 (0.05 *. 2.0 ** (a-1))] seconds, scaled
+    by a jitter in [1 ± 0.5] drawn from [Pp_vm.Sampling.mix [0; task; a]],
+    so a chaos run's retry schedule replays exactly; a round's failed
+    tasks are retried together after one sleep, the longest any asks for.
+    A task that exhausts the budget is {e quarantined}: its last failure
+    stands in the outcome list and [stats.quarantined] counts it.
 
     [f] receives the 1-based attempt number, so a task can (and chaos
     runs do) behave differently across attempts.
@@ -114,7 +101,6 @@ val map_retry :
   ?jobs:int ->
   ?timeout:float ->
   ?retries:int ->
-  ?backoff:backoff ->
   ?sleep:(float -> unit) ->
   ?verify:('a -> 'b -> (unit, string) result) ->
   (attempt:int -> 'a -> 'b) ->

@@ -678,38 +678,31 @@ let render_table ppf o =
     (List.length o.rows) o.windows o.confirmed o.vacuous o.refuted o.mean_slack;
   List.iter (fun a -> Format.fprintf ppf "anomaly: %s@." a) o.anomalies
 
-let render_json ppf outcomes =
-  let str s = "\"" ^ Pp_telemetry.Trace.json_escape s ^ "\"" in
-  let opt_int = function Some h -> string_of_int h | None -> "null" in
-  let sep ppf () = Format.fprintf ppf "," in
-  let pp_stat ppf s =
-    Format.fprintf ppf
-      "{\"metric\":%s,\"measured\":%d,\"lo\":%d,\"hi\":%s,\"verdict\":%s}"
-      (str s.metric) s.measured s.lo (opt_int s.hi) (str (verdict_name s.mverdict))
+let to_json outcomes =
+  let open Pp_telemetry.Json in
+  let opt f = Option.fold ~none:Null ~some:f in
+  let verdict v = String (verdict_name v) in
+  let stat s =
+    Object
+      [ ("metric", String s.metric); ("measured", Int s.measured);
+        ("lo", Int s.lo); ("hi", opt (fun h -> Int h) s.hi);
+        ("verdict", verdict s.mverdict) ]
   in
-  let pp_row ppf r =
-    Format.fprintf ppf
-      "{\"proc\":%s,\"sum\":%d,\"freq\":%d,\"path\":%s,\"verdict\":%s,\"metrics\":[%a]}"
-      (str r.proc) r.sum r.freq (str r.path_desc) (str (verdict_name r.rverdict))
-      (Format.pp_print_list ~pp_sep:sep pp_stat)
-      r.stats
+  let row r =
+    Object
+      [ ("proc", String r.proc); ("sum", Int r.sum); ("freq", Int r.freq);
+        ("path", String r.path_desc); ("verdict", verdict r.rverdict);
+        ("metrics", List (List.map stat r.stats)) ]
   in
-  let pp_outcome ppf o =
-    Format.fprintf ppf
-      "{\"mode\":%s,\"engine\":%s,\"inject\":%s,\"trapped\":%b,\"windows\":%d,@\n\
-      \ \"confirmed\":%d,\"vacuous\":%d,\"refuted\":%d,\"mean_slack\":%.4f,@\n\
-      \ \"anomalies\":[%a],@\n\
-      \ \"rows\":[%a]}"
-      (str (Instrument.mode_name o.mode))
-      (str (Engine.kind_name o.engine))
-      (match o.injected with Some i -> str i | None -> "null")
-      o.trapped o.windows o.confirmed o.vacuous o.refuted o.mean_slack
-      (Format.pp_print_list ~pp_sep:sep (fun ppf a ->
-           Format.pp_print_string ppf (str a)))
-      o.anomalies
-      (Format.pp_print_list ~pp_sep:sep pp_row)
-      o.rows
+  let outcome o =
+    Object
+      [ ("mode", String (Instrument.mode_name o.mode));
+        ("engine", String (Engine.kind_name o.engine));
+        ("inject", opt (fun i -> String i) o.injected);
+        ("trapped", Bool o.trapped); ("windows", Int o.windows);
+        ("confirmed", Int o.confirmed); ("vacuous", Int o.vacuous);
+        ("refuted", Int o.refuted); ("mean_slack", Fixed (4, o.mean_slack));
+        ("anomalies", List (List.map (fun a -> String a) o.anomalies));
+        ("rows", List (List.map row o.rows)) ]
   in
-  Format.fprintf ppf "{\"outcomes\":[%a]}@."
-    (Format.pp_print_list ~pp_sep:sep pp_outcome)
-    outcomes
+  to_string (Object [ ("outcomes", List (List.map outcome outcomes)) ])

@@ -128,5 +128,5 @@ val errors : outcome -> string list
 
 val render_table : Format.formatter -> outcome -> unit
 
-(** All outcomes as one JSON document. *)
-val render_json : Format.formatter -> outcome list -> unit
+(** All outcomes as one compact JSON document. *)
+val to_json : outcome list -> string

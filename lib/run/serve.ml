@@ -244,27 +244,29 @@ type state = {
 let reg = Metrics.default
 
 let json_snapshot st =
-  let live_hist name =
-    match List.assoc_opt name (Metrics.snapshot reg) with
-    | Some (Metrics.Histogram { count; sum; buckets }) ->
-        Printf.sprintf "{\"count\":%d,\"sum\":%d,\"buckets\":[%s]}" count sum
-          (String.concat ","
-             (List.map
-                (fun (k, n) -> Printf.sprintf "[%d,%d]" k n)
-                buckets))
-    | _ -> "{\"count\":0,\"sum\":0,\"buckets\":[]}"
+  let open Pp_telemetry.Json in
+  let count, sum, buckets =
+    match List.assoc_opt "serve.merge_us" (Metrics.snapshot reg) with
+    | Some (Metrics.Histogram { count; sum; buckets }) -> (count, sum, buckets)
+    | _ -> (0, 0, [])
   in
   let elapsed = Unix.gettimeofday () -. st.started in
   let done_ = st.accepted + st.salvaged + st.rejected in
-  Printf.sprintf
-    "{\"expected\":%d,\"accepted\":%d,\"salvaged\":%d,\"rejected\":%d,\
-     \"bytes\":%d,\"resident_records\":%d,\"peak_records\":%d,\
-     \"spilled\":%d,\"evicted_records\":%d,\"elapsed_s\":%.3f,\
-     \"ingest_rate_per_s\":%.3f,\"merge_us\":%s}"
-    st.expected st.accepted st.salvaged st.rejected st.bytes
-    st.agg.resident st.agg.peak st.agg.spilled st.agg.evicted elapsed
-    (if elapsed > 0.0 then float_of_int done_ /. elapsed else 0.0)
-    (live_hist "serve.merge_us")
+  let rate = if elapsed > 0.0 then float_of_int done_ /. elapsed else 0.0 in
+  let bucket (k, n) = List [ Int k; Int n ] in
+  to_string
+    (Object
+       [ ("expected", Int st.expected); ("accepted", Int st.accepted);
+         ("salvaged", Int st.salvaged); ("rejected", Int st.rejected);
+         ("bytes", Int st.bytes); ("resident_records", Int st.agg.resident);
+         ("peak_records", Int st.agg.peak); ("spilled", Int st.agg.spilled);
+         ("evicted_records", Int st.agg.evicted);
+         ("elapsed_s", Fixed (3, elapsed));
+         ("ingest_rate_per_s", Fixed (3, rate));
+         ( "merge_us",
+           Object
+             [ ("count", Int count); ("sum", Int sum);
+               ("buckets", List (List.map bucket buckets)) ] ) ])
 
 (* Merge one decoded frame into the service state.  Returns [false] when
    the connection must stop being read (protocol violation). *)
@@ -278,10 +280,13 @@ let ingest_frame st conn frame =
           false
       | None -> (
           conn.header <- Some h;
-          (* An incompatible stream is refused before any of its records
-             touch the table: the hello carries everything merge would
-             reject on. *)
+          (* A stream is refused before any of its records touch the
+             table if its hello carries what merge would reject on, or a
+             hash no shard header can hold. *)
           match st.agg.merged with
+          | _ when not (Profile_io.hash_fits_header h.Wire.program_hash) ->
+              conn.failed <- Some "program hash no shard header can carry";
+              false
           | Some acc
             when acc.Profile_io.program_hash <> h.Wire.program_hash
                  || acc.Profile_io.mode <> h.Wire.mode

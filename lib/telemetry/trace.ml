@@ -102,61 +102,27 @@ let balanced_events t =
 
 (* {2 Chrome trace_event export} *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let usec ts = ts *. 1e6
+let event_json e =
+  let open Json in
+  let fields name ph ts =
+    [ ("name", String name); ("cat", String "pp"); ("ph", String ph);
+      ("ts", Fixed (3, ts *. 1e6)); ("pid", Int 1); ("tid", Int 1) ]
+  in
+  Object
+    (match e with
+    | Begin { name; ts } -> fields name "B" ts
+    | End { name; ts } -> fields name "E" ts
+    | Counter { name; ts; values } ->
+        let args = List.map (fun (k, v) -> (k, Int v)) values in
+        fields name "C" ts @ [ ("args", Object args) ]
+    | Instant { name; ts } -> fields name "i" ts @ [ ("s", String "t") ])
 
 let to_chrome_json t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"traceEvents\":[";
-  let first = ref true in
-  let emit fmt =
-    Printf.ksprintf
-      (fun s ->
-        if !first then first := false else Buffer.add_char buf ',';
-        Buffer.add_string buf s)
-      fmt
-  in
-  List.iter
-    (fun e ->
-      match e with
-      | Begin { name; ts } ->
-          emit
-            "{\"name\":\"%s\",\"cat\":\"pp\",\"ph\":\"B\",\"ts\":%.3f,\"pid\":1,\"tid\":1}"
-            (json_escape name) (usec ts)
-      | End { name; ts } ->
-          emit
-            "{\"name\":\"%s\",\"cat\":\"pp\",\"ph\":\"E\",\"ts\":%.3f,\"pid\":1,\"tid\":1}"
-            (json_escape name) (usec ts)
-      | Counter { name; ts; values } ->
-          let args =
-            String.concat ","
-              (List.map
-                 (fun (k, v) -> Printf.sprintf "\"%s\":%d" (json_escape k) v)
-                 values)
-          in
-          emit
-            "{\"name\":\"%s\",\"cat\":\"pp\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":1,\"tid\":1,\"args\":{%s}}"
-            (json_escape name) (usec ts) args
-      | Instant { name; ts } ->
-          emit
-            "{\"name\":\"%s\",\"cat\":\"pp\",\"ph\":\"i\",\"ts\":%.3f,\"pid\":1,\"tid\":1,\"s\":\"t\"}"
-            (json_escape name) (usec ts))
-    (balanced_events t);
-  Buffer.add_string buf "],\"displayTimeUnit\":\"ms\"}";
-  Buffer.contents buf
+  let events = Seq.map event_json (List.to_seq (balanced_events t)) in
+  Json.(
+    to_string
+      (Object
+         [ ("traceEvents", Seq events); ("displayTimeUnit", String "ms") ]))
 
 (* {2 Compact text export} *)
 

@@ -49,11 +49,6 @@ val counter : t -> string -> (string * int) list -> unit
 
 val instant : t -> string -> unit
 
-(** The body of a JSON string literal: quote, backslash and newline
-    escaped, other control characters as [\u00XX].  Every [--json]
-    emitter in the repository uses this one convention. *)
-val json_escape : string -> string
-
 (** Chrome [trace_event] JSON ([{"traceEvents": [...]}]).  The exporter
     repairs ring truncation so the output always carries balanced B/E
     pairs: an [End] whose [Begin] was dropped is omitted, and a span still

@@ -12,6 +12,7 @@ module Wire = Pp_core.Profile_wire
 module Crc32 = Pp_core.Crc32
 module Cct = Pp_core.Cct
 module Cct_io = Pp_core.Cct_io
+module Cursor = Pp_core.Cursor
 module Serve = Pp_run.Serve
 module Event = Pp_machine.Event
 module Diag = Pp_ir.Diag
@@ -376,9 +377,17 @@ let check_encoders rng =
   same "Cct_io.escape" show_string (Cct_io.escape name) (Ref.Cct_io.escape name);
   let records = List.init (Random.State.int rng 4) (fun _ -> junk_record rng) in
   let records = if chance rng 0.05 then "a\nb" :: records else records in
+  (* The reference's line writer is called [tag]; ours is [line], and
+     each names itself in its error. *)
+  let renamed =
+    Result.map_error (fun e ->
+        if e = {|Invalid_argument("Crc32.tag: embedded newline")|} then
+          {|Invalid_argument("Crc32.line: embedded newline")|}
+        else e)
+  in
   same "Crc32.frame" (function Ok s -> show_string s | Error e -> e)
     (outcome (Crc32.frame "head") records)
-    (outcome (Ref.Crc32.frame "head") records)
+    (renamed (outcome (Ref.Crc32.frame "head") records))
 
 (* Merges of canonical shards: [merge], [merge_all] and the record count
    [merge_added] reports. *)
@@ -425,16 +434,56 @@ let check_shard_text what text =
     (Crc32.unframe ~record:(record lines) text, !lines)
     (Ref.Crc32.unframe ~record:(record ref_lines) text, !ref_lines)
 
+(* The second line the CCT decoder reads as a header, if any: its number
+   and the offset where it starts. *)
+let second_cct_header text =
+  let c = Cursor.create text in
+  let is_header () =
+    Cursor.trim c;
+    (not (Cursor.is_empty c))
+    && begin
+         Cursor.split c;
+         Cursor.fields c >= 4
+         && Cursor.field_is c 0 "cct"
+         && Cursor.field_is c 1 "1"
+       end
+  in
+  let rec go seen =
+    if not (Cursor.next_line c) then None
+    else
+      let start = Cursor.first c in
+      if not (is_header ()) then go seen
+      else if seen then Some (Cursor.line_no c, start)
+      else go true
+  in
+  go false
+
 let check_cct_text what text =
   let ours, theirs = cct_errors in
-  let a, b =
+  let decode =
     parse_outcome ~ours ~theirs
       (fun t -> ref_cct_text (Cct_io.of_string ~codec:Cct_io.metrics_codec t))
       (fun t ->
         ref_cct_text (Ref.Cct_io.of_string ~codec:Ref.Cct_io.metrics_codec t))
-      text
   in
-  same (what ^ ": Cct_io.of_string") show_any a b
+  let what = what ^ ": Cct_io.of_string" in
+  match second_cct_header text with
+  | None ->
+      let a, b = decode text in
+      same what show_any a b
+  | Some (h, start) ->
+      (* The reference reads on past a second header, where the decoder
+         stops.  Give the reference the lines before it and then an
+         unknown record: it fails at line [h] unless an earlier line
+         failed, and the decoder must fail in the same place. *)
+      let a, _ = decode text in
+      let expected =
+        match snd (decode (String.sub text 0 start ^ "?")) with
+        | Error (`Parse (l, _)) when l = h ->
+            Error (`Parse (h, "duplicate cct header"))
+        | b -> b
+      in
+      same what show_any a expected
 
 (* Feed [bytes] in random chunks, pulling frames after every feed. *)
 let read_stream read feed next rng bytes =

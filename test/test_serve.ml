@@ -341,6 +341,21 @@ let test_drive_failed_client () =
     (Some (merge_all_exn (shards 2)))
     v.Serve.merged
 
+(* A hello whose program hash no shard header can carry is refused
+   before any of its records merge: a newline would make the merged
+   profile unwritable, a space would write a shard merge refuses. *)
+let test_unwritable_hash_rejected () =
+  List.iter
+    (fun h ->
+      let v, _ =
+        Serve.drive ~socket:(temp_socket ())
+          [ (fun () -> { (shard 0) with Profile_io.program_hash = h }) ]
+          ()
+      in
+      Alcotest.(check int) (Printf.sprintf "%S rejected" h) 1 v.Serve.rejected;
+      Alcotest.(check (option saved_eq)) "nothing merged" None v.Serve.merged)
+    [ "ab\ncd"; "a b" ]
+
 let test_degraded_predicate () =
   let base =
     {
@@ -388,6 +403,8 @@ let suite =
       test_e2e_rejects_incompatible;
     Alcotest.test_case "drive: a failed client resolves, degraded" `Slow
       test_drive_failed_client;
+    Alcotest.test_case "drive: an unwritable program hash is rejected" `Slow
+      test_unwritable_hash_rejected;
     Alcotest.test_case "degraded verdict predicate" `Quick
       test_degraded_predicate;
   ]

@@ -8,6 +8,7 @@
 
 module Trace = Pp_telemetry.Trace
 module Metrics = Pp_telemetry.Metrics
+module Json = Pp_telemetry.Json
 module Overhead = Pp_run.Overhead
 module Pool = Pp_run.Pool
 module Driver = Pp_instrument.Driver
@@ -500,8 +501,71 @@ let test_no_telemetry_byte_identical () =
    and newline get short escapes; every other control byte, tab and CR
    included, is written as \u00XX. *)
 let test_json_escape () =
-  Alcotest.(check string) "escape forms" {|a\"b\\c\nd\u0009e\u000df\u0001|}
-    (Trace.json_escape "a\"b\\c\nd\te\rf\001")
+  Alcotest.(check string) "escape forms"
+    ("\"" ^ {|a\"b\\c\nd\u0009e\u000df\u0001|} ^ "\"")
+    (Json.to_string (Json.String "a\"b\\c\nd\te\rf\001"))
+
+(* Every constructor in both layouts.  The compact form is what every
+   --json report, trace and serve snapshot prints; the line layout is the
+   committed BENCH files'. *)
+let test_json_layouts () =
+  let row =
+    Json.Object
+      [
+        ("null", Json.Null);
+        ("bool", Json.Bool false);
+        ("int", Json.Int (-7));
+        ("fixed", Json.Fixed (4, 2.0 /. 3.0));
+        ("sig", Json.Sig (6, 1234567.0));
+        ("string", Json.String "a \"b\"");
+        ("list", Json.List [ Json.Int 1; Json.List [] ]);
+        ("seq", Json.Seq (List.to_seq [ Json.Bool true; Json.Object [] ]));
+      ]
+  in
+  Alcotest.(check string) "compact"
+    ({|{"null":null,"bool":false,"int":-7,"fixed":0.6667,|}
+   ^ {|"sig":1.23457e+06,"string":"a \"b\"","list":[1,[]],|}
+   ^ {|"seq":[true,{}]}|})
+    (Json.to_string row);
+  Alcotest.(check string) "lines"
+    ("[\n"
+   ^ {|  {"null": null, "bool": false, "int": -7, "fixed": 0.6667, |}
+   ^ {|"sig": 1.23457e+06, "string": "a \"b\"", "list": [1, []], |}
+   ^ {|"seq": [true, {}]},|} ^ "\n"
+   ^ {|  {"k": 0.500}|} ^ "\n]\n")
+    (Json.to_lines [ row; Json.Object [ ("k", Json.Fixed (3, 0.5)) ] ]);
+  Alcotest.(check string) "lines, no rows" "[\n]\n" (Json.to_lines [])
+
+(* A Chrome export pinned byte for byte: escaped names, a multi-value
+   counter with a negative value, a sub-microsecond timestamp, a nested
+   span and an outer span closed synthetically at export. *)
+let test_chrome_golden () =
+  let times = ref [ 10.0; 10.0000015; 10.25; 10.2500004; 11.0; 12.5 ] in
+  let clock () =
+    match !times with
+    | t :: rest ->
+        times := rest;
+        t
+    | [] -> 13.0
+  in
+  let tr = Trace.create ~clock () in
+  let j =
+    Trace.with_span tr "outer \"q\"" (fun () ->
+        Trace.counter tr "vm\tstats" [ ("cycles", 42); ("dmiss\n", -3) ];
+        Trace.instant tr "trap\\1";
+        Trace.with_span tr "inner" ignore;
+        Trace.to_chrome_json tr)
+  in
+  Alcotest.(check string) "chrome export"
+    ({|{"traceEvents":[|}
+   ^ {|{"name":"outer \"q\"","cat":"pp","ph":"B","ts":1.500,"pid":1,"tid":1},|}
+   ^ {|{"name":"vm\u0009stats","cat":"pp","ph":"C","ts":250000.000,"pid":1,"tid":1,"args":{"cycles":42,"dmiss\n":-3}},|}
+   ^ {|{"name":"trap\\1","cat":"pp","ph":"i","ts":250000.400,"pid":1,"tid":1,"s":"t"},|}
+   ^ {|{"name":"inner","cat":"pp","ph":"B","ts":1000000.000,"pid":1,"tid":1},|}
+   ^ {|{"name":"inner","cat":"pp","ph":"E","ts":2500000.000,"pid":1,"tid":1},|}
+   ^ {|{"name":"outer \"q\"","cat":"pp","ph":"E","ts":2500000.000,"pid":1,"tid":1}|}
+   ^ {|],"displayTimeUnit":"ms"}|})
+    j
 
 let suite =
   [
@@ -513,6 +577,10 @@ let suite =
     Alcotest.test_case "deterministic exports (fake clock)" `Quick
       test_trace_golden;
     Alcotest.test_case "json_escape forms" `Quick test_json_escape;
+    Alcotest.test_case "json: every constructor, both layouts" `Quick
+      test_json_layouts;
+    Alcotest.test_case "chrome export golden (fixed clock)" `Quick
+      test_chrome_golden;
     Alcotest.test_case "ring truncation repaired" `Quick
       test_truncation_repair;
     QCheck_alcotest.to_alcotest prop_spans_balanced;
