@@ -662,7 +662,7 @@ let paths_cmd =
       | bl -> (proc, cfg, Ok (bl, None))
     in
     let reports = List.map number (Array.to_list prog.Pp_ir.Program.procs) in
-    if json then print_string (paths_json reports)
+    if json then print_endline (paths_json reports)
     else print_paths_text ~table reports;
     if not json then
       Option.iter
@@ -727,9 +727,8 @@ let cost_cmd =
     match Pp_analysis.Cost.compute ~options ~mode ?profile prog with
     | Error d -> exit_invalid d
     | Ok report ->
-        print_string
-          ((if json then Pp_analysis.Cost.to_json else Pp_analysis.Cost.render)
-             report);
+        if json then print_endline (Pp_analysis.Cost.to_json report)
+        else print_string (Pp_analysis.Cost.render report);
         0
   in
   let optimize =
@@ -932,7 +931,7 @@ let prove_cmd =
         modes
     in
     if json then begin
-      print_string (prove_json ~file ~workload ~budget prog results);
+      print_endline (prove_json ~file ~workload ~budget prog results);
       modes_status results
     end
     else report_modes ~ok:"certified" ~failed:"NOT CERTIFIED" prog results
@@ -1417,8 +1416,8 @@ let overhead_cmd =
     let program = input_name ~file ~workload in
     let modes = resolve_modes modes in
     let report = Overhead.compute ~budget ~engine ~jobs ~modes ~program prog in
-    print_string
-      ((if json_flag then Overhead.to_json else Overhead.render) report);
+    if json_flag then print_endline (Overhead.to_json report)
+    else print_string (Overhead.render report);
     Option.iter
       (fun path -> Crc32.write_file path (Overhead.to_json report))
       out;

@@ -41,7 +41,32 @@ let vtop ?(taint = Taint.Clean) () =
   match taint with Taint.Clean -> any_clean | Taint.Tainted -> any_tainted
 
 let vnum ?taint itv cong = vmake ?taint Bnum itv cong
-let vconst ?taint n = vnum ?taint (Interval.const n) (Congruence.const n)
+
+(* Untainted constants in [const_lo, const_hi] come from one table, so a
+   re-executed [Iconst] or address offset yields the value it yielded
+   before and a merge sees the two registers as [==].  The table is built
+   on first use: code that never analyses pays nothing for it.  It is
+   published through an [Atomic], so a domain that reads it sees it
+   filled; two domains that both build it each publish a correct one. *)
+let const_lo = -64
+let const_hi = 1023
+let consts = Atomic.make [||]
+
+let fresh_const n = vnum (Interval.const n) (Congruence.const n)
+
+let vconst n =
+  if n < const_lo || n > const_hi then fresh_const n
+  else
+    let table = Atomic.get consts in
+    if Array.length table > 0 then table.(n - const_lo)
+    else begin
+      let table =
+        Array.init (const_hi - const_lo + 1) (fun k ->
+            fresh_const (k + const_lo))
+      in
+      Atomic.set consts table;
+      table.(n - const_lo)
+    end
 
 (* An unknown plain integer.  Used for values read back from program
    memory and call results; soundness of calling these non-pointers rests
@@ -65,32 +90,32 @@ let vequal a b =
      && Congruence.equal a.cong b.cong
      && Taint.equal a.taint b.taint
 
-(* Joins and widenings return [a] itself whenever the result equals it
-   (both are idempotent, so equal inputs settle at once): a fixpoint's
-   environments then share their settled values physically, and a merge
-   tells what changed by [==] alone.  A result equal to [a] is found
-   component by component before any record is built: when [b]'s
-   interval lies inside [a]'s, join and widening both give [a]'s own. *)
-let unchanged a v = if vequal a v then a else v
-
+(* A join or widening returns whichever operand equals its result — [a]
+   first, then [b] — and builds a record only for a value neither holds
+   (both are idempotent, so equal inputs settle at once).  A fixpoint's
+   environments then share their settled values physically, a merge tells
+   what changed by [==] alone, and an entry that took [next]'s register
+   meets the same record again the next time that register arrives. *)
 let vbound ~widen a b =
   if a == b then a
   else
     let taint = Taint.join a.taint b.taint in
     if base_equal a.base b.base then
       let i =
-        if Interval.leq b.itv a.itv then a.itv
-        else if widen then Interval.widen a.itv b.itv
-        else Interval.join a.itv b.itv
+        if widen then Interval.widen a.itv b.itv else Interval.join a.itv b.itv
       in
       let c =
         if widen then Congruence.widen a.cong b.cong
         else Congruence.join a.cong b.cong
       in
-      if i == a.itv && Congruence.equal c a.cong && Taint.equal taint a.taint
-      then a
+      if i == a.itv && Congruence.equal c a.cong && taint == a.taint then a
+      else if
+        Interval.equal i b.itv && Congruence.equal c b.cong && taint == b.taint
+      then b
       else { base = a.base; itv = i; cong = c; taint }
-    else unchanged a (vtop ~taint ())
+    else
+      let t = vtop ~taint () in
+      if vequal a t then a else if vequal b t then b else t
 
 let vjoin a b = vbound ~widen:false a b
 let vwiden a b = vbound ~widen:true a b
@@ -122,10 +147,15 @@ let copy_env e =
     escaped = e.escaped;
   }
 
+(* The hull of two escape ranges; like the joins, it returns an operand
+   that equals the result, [a] first. *)
 let hull_join a b =
   match (a, b) with
   | None, x | x, None -> x
-  | Some (l1, h1), Some (l2, h2) -> Some (min l1 l2, max h1 h2)
+  | Some (l1, h1), Some (l2, h2) ->
+      if l1 <= l2 && h2 <= h1 then a
+      else if l2 <= l1 && h1 <= h2 then b
+      else Some (Int.min l1 l2, Int.max h1 h2)
 
 (* [join_env ~widen old next] is [old] joined with [next] — then, when
    [widen], widened against [old] — or [None] when that leaves [old] as
@@ -147,19 +177,23 @@ let join_ivals ~widen old next =
   let rec scan i =
     if i = n then old
     else
-      let a = old.(i) in
-      let j = join_value ~widen a next.(i) in
-      if j == a then scan (i + 1)
-      else begin
-        let r = Array.copy old in
-        r.(i) <- j;
-        for k = i + 1 to n - 1 do
-          let a = old.(k) in
-          let j = join_value ~widen a next.(k) in
-          if j != a then r.(k) <- j
-        done;
-        r
-      end
+      let a = old.(i) and b = next.(i) in
+      if a == b then scan (i + 1)
+      else
+        let j = join_value ~widen a b in
+        if j == a then scan (i + 1)
+        else begin
+          let r = Array.copy old in
+          r.(i) <- j;
+          for k = i + 1 to n - 1 do
+            let a = old.(k) and b = next.(k) in
+            if a != b then begin
+              let j = join_value ~widen a b in
+              if j != a then r.(k) <- j
+            end
+          done;
+          r
+        end
   in
   scan 0
 
@@ -191,8 +225,9 @@ let join_env ~widen old next =
   let ftaints = join_taints old.ftaints next.ftaints in
   let frame = join_frame ~widen old.frame next.frame in
   let escaped =
+    (* [hull_join] returns [old.escaped] itself when the hull is unchanged *)
     match (old.escaped, hull_join old.escaped next.escaped) with
-    | o, j when o = j -> o
+    | o, j when o == j -> o
     | Some _, _ when widen ->
         (* the hull can otherwise grow one slot per iteration *)
         Some (min_int, max_int)
@@ -238,41 +273,59 @@ let names n = function Some m -> m = n | None -> false
 
 (* ---- transfer functions ---- *)
 
+(* The unknown boolean, one per taint. *)
+let bool_clean = vnum (Interval.make 0 1) Congruence.top
+let bool_tainted = vnum ~taint:Taint.Tainted (Interval.make 0 1) Congruence.top
+
+(* A computed plain integer, taken from the shared values when it is one
+   of them — a clean constant of the table, the unknown or the unknown
+   boolean — so that a re-executed block yields the record it yielded
+   before. *)
+let num_value taint itv cong =
+  let lo = Interval.lo itv and hi = Interval.hi itv in
+  if lo = hi then
+    if taint == Taint.Clean && lo >= const_lo && lo <= const_hi then
+      let v = vconst lo in
+      if Congruence.equal v.cong cong then v
+      else { base = Bnum; itv; cong; taint }
+    else { base = Bnum; itv; cong; taint }
+  else if not (Congruence.equal cong Congruence.top) then
+    { base = Bnum; itv; cong; taint }
+  else if Interval.is_top itv then vunknown ~taint ()
+  else if lo = 0 && hi = 1 then
+    match taint with Taint.Clean -> bool_clean | Taint.Tainted -> bool_tainted
+  else { base = Bnum; itv; cong; taint }
+
+let offset op base a b taint =
+  let itv, no_wrap = Interval.binop_report op a.itv b.itv in
+  if no_wrap then
+    { base; itv; cong = Congruence.binop ~no_wrap op a.cong b.cong; taint }
+  else vtop ~taint ()
+
 let vbinop op a b =
   let taint = Taint.join a.taint b.taint in
-  let num () =
-    let itv, no_wrap = Interval.binop_report op a.itv b.itv in
-    let cong = Congruence.binop ~no_wrap op a.cong b.cong in
-    { base = Bnum; itv; cong; taint }
-  in
-  let offset base =
-    let itv, no_wrap = Interval.binop_report op a.itv b.itv in
-    if no_wrap then
-      { base; itv; cong = Congruence.binop ~no_wrap op a.cong b.cong; taint }
-    else vtop ~taint ()
-  in
   match (op, a.base, b.base) with
   | _, Bany, _ | _, _, Bany -> vtop ~taint ()
-  | _, Bnum, Bnum -> num ()
-  | I.Add, (Bglobal _ | Bframe), Bnum -> offset a.base
-  | I.Add, Bnum, (Bglobal _ | Bframe) ->
+  | _, Bnum, Bnum ->
       let itv, no_wrap = Interval.binop_report op a.itv b.itv in
-      if no_wrap then
-        { base = b.base; itv;
-          cong = Congruence.binop ~no_wrap op a.cong b.cong; taint }
-      else vtop ~taint ()
-  | I.Sub, (Bglobal _ | Bframe), Bnum -> offset a.base
-  | I.Sub, Bglobal g1, Bglobal g2 when g1 = g2 -> offset Bnum
-  | I.Sub, Bframe, Bframe -> offset Bnum
+      num_value taint itv (Congruence.binop ~no_wrap op a.cong b.cong)
+  | I.Add, (Bglobal _ | Bframe), Bnum -> offset op a.base a b taint
+  | I.Add, Bnum, (Bglobal _ | Bframe) -> offset op b.base a b taint
+  | I.Sub, (Bglobal _ | Bframe), Bnum -> offset op a.base a b taint
+  | I.Sub, Bglobal g1, Bglobal g2 when g1 = g2 -> offset op Bnum a b taint
+  | I.Sub, Bframe, Bframe -> offset op Bnum a b taint
   | _ -> vtop ~taint ()
 
 let vcmp c a b =
   let taint = Taint.join a.taint b.taint in
   match (a.base, b.base) with
   | Bnum, Bnum ->
-      vmake ~taint Bnum (Interval.cmp c a.itv b.itv)
+      num_value taint (Interval.cmp c a.itv b.itv)
         (Congruence.cmp c a.cong b.cong)
-  | _ -> vnum ~taint (Interval.make 0 1) Congruence.top
+  | _ -> (
+      match taint with
+      | Taint.Clean -> bool_clean
+      | Taint.Tainted -> bool_tainted)
 
 let in_fresh_slots conf itv =
   let lo, hi = conf.policy.Taint.fresh_slots in
@@ -300,12 +353,11 @@ let loaded conf env ~base ~off =
             Option.value (Imap.find_opt c env.frame)
               ~default:(vunknown ())
           in
-          let v =
-            if names c conf.policy.Taint.path_slot then
-              { v with taint = Taint.Tainted }
-            else v
+          let taint =
+            if names c conf.policy.Taint.path_slot then Taint.Tainted
+            else Taint.join v.taint a.taint
           in
-          { v with taint = Taint.join v.taint a.taint }
+          if taint == v.taint then v else { v with taint }
       | None ->
           let taint =
             match conf.policy.Taint.path_slot with
@@ -326,7 +378,7 @@ let escape env v =
 
 let set conf env r v =
   env.ivals.(r) <-
-    (if names r conf.policy.Taint.path_reg then
+    (if names r conf.policy.Taint.path_reg && v.taint == Taint.Clean then
        { v with taint = Taint.Tainted }
      else v)
 
@@ -382,11 +434,11 @@ let exec conf env (instr : I.t) =
   | I.Icmp_imm (c, rd, rs, n) ->
       set conf env rd (vcmp c (get rs) (vconst n))
   | I.Fbinop (_, fd, fs1, fs2) -> fset env fd (Taint.join (ft fs1) (ft fs2))
-  | I.Fcmp (_, rd, fs1, fs2) ->
+  | I.Fcmp (_, rd, fs1, fs2) -> (
       set conf env rd
-        (vnum
-           ~taint:(Taint.join (ft fs1) (ft fs2))
-           (Interval.make 0 1) Congruence.top)
+        (match Taint.join (ft fs1) (ft fs2) with
+        | Taint.Clean -> bool_clean
+        | Taint.Tainted -> bool_tainted))
   | I.Itof (fd, rs) -> fset env fd (get rs).taint
   | I.Ftoi (rd, fs) -> set conf env rd (vunknown ~taint:(ft fs) ())
   | I.Load (rd, rb, off) -> set conf env rd (loaded conf env ~base:rb ~off)
@@ -509,7 +561,7 @@ let analyze ?conf (cfg : Cfg.t) =
   for _ = 1 to descend do
     List.iter
       (fun l ->
-        if entries.(l) <> None then begin
+        if Option.is_some entries.(l) then begin
           let incoming =
             ref (if l = p.Proc.entry then [ entry0 conf p ] else [])
           in

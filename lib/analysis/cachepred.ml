@@ -227,6 +227,52 @@ let may_add tgt may =
   | Top_frame -> if may.frtop then may else { may with frtop = true }
   | Top -> if may.top then may else { may with top = true }
 
+(* A read of [tgt] by separate steps: hit test, ageing of the affected
+   sets, insertion, may update.  [step] takes it for every target but one
+   exact line, and the tests check {!read_line} against it.  After the
+   read the referenced line is resident (hit or fill), so an exactly
+   named target enters must at age 0. *)
+let read geom s tgt =
+  let hit = must_hit geom s tgt in
+  let s = age_affected geom s tgt ~evict:(not hit) in
+  let s =
+    match tgt with
+    | Line l -> { s with m_abs = add_line geom l s.m_abs }
+    | Frame o -> { s with m_fr = IMap.add o 0 s.m_fr }
+    | Lines _ | Top_prof | Top_frame | Top -> s
+  in
+  let may = may_add tgt s.may in
+  if may == s.may then s else { s with may }
+
+(* [read geom s (Line l)] and its classification, from one lookup of
+   [l]'s set: the hit test, the ageing of the set and the insertion of
+   [l] at age 0 share it, and the line's may bit is read once for the
+   classification and the may update.  A read that changes nothing (a
+   hit on a line whose set is already at its ages) returns [s] itself. *)
+let read_line geom s l =
+  let set = Model.set_of_line geom l in
+  let aw = geom.Config.associativity in
+  let inner = IMap.find_opt set s.m_abs in
+  let hit = match inner with Some m -> IMap.mem l m | None -> false in
+  let evict = not hit in
+  let m_abs =
+    match inner with
+    | None -> IMap.add set (IMap.singleton l 0) s.m_abs
+    | Some m ->
+        IMap.add set
+          (IMap.add l 0 (age_map ~aw ~evict ~skip:(Int.equal l) m))
+          s.m_abs
+  in
+  let m_fr =
+    if IMap.is_empty s.m_fr then s.m_fr
+    else age_map ~aw ~evict ~skip:skip_none s.m_fr
+  in
+  let seen = ISet.mem l s.may.abs in
+  let may = if seen then s.may else { s.may with abs = ISet.add l s.may.abs } in
+  let c = if hit then Hit else if s.may.top || seen then Unknown else Miss in
+  if m_abs == s.m_abs && m_fr == s.m_fr && may == s.may then (c, s)
+  else (c, { m_abs; m_fr; may })
+
 let step geom s access =
   match access with
   | Havoc -> havoc s
@@ -241,25 +287,19 @@ let step geom s access =
       | Line l when must_line geom s l ->
           { s with m_abs = add_line geom l s.m_abs }
       | _ -> s)
-  | Read tgt ->
-      let hit = must_hit geom s tgt in
-      let s = age_affected geom s tgt ~evict:(not hit) in
-      (* After a read the referenced line is resident (hit or fill), so an
-         exactly named target enters must at age 0. *)
-      let s =
-        match tgt with
-        | Line l -> { s with m_abs = add_line geom l s.m_abs }
-        | Frame o -> { s with m_fr = IMap.add o 0 s.m_fr }
-        | Lines _ | Top_prof | Top_frame | Top -> s
-      in
-      let may = may_add tgt s.may in
-      if may == s.may then s else { s with may }
+  | Read (Line l) -> snd (read_line geom s l)
+  | Read tgt -> read geom s tgt
   | Read_maybe tgt ->
       (* May or may not execute: its possible fill ages neighbours, but
          nothing becomes guaranteed-resident. *)
       let s = age_affected geom s tgt ~evict:true in
       let may = may_add tgt s.may in
       if may == s.may then s else { s with may }
+
+let classify_step geom s access =
+  match access with
+  | Read (Line l) -> read_line geom s l
+  | _ -> (classify geom s access, step geom s access)
 
 type solution = { block_in : state array; block_out : state array }
 

@@ -64,11 +64,23 @@ type state
     machine); otherwise nothing is known ([may] is top). *)
 val entry : cold:bool -> state
 
-val classify : Config.cache_geometry -> state -> access -> classification
-
 (** Transfer of one access.  [step] refines ages and residency exactly as
     the LRU set the access maps to would. *)
 val step : Config.cache_geometry -> state -> access -> state
+
+(** [classify_step geom s a] classifies [a] in [s] — [Hit] when must
+    guarantees it, [Miss] when may rules every candidate line out — and
+    returns the {!step} after it.  A [Read (Line l)] looks [l]'s set up
+    once for both: the hit test, the ageing of the set and the insertion
+    of [l] share that lookup. *)
+val classify_step :
+  Config.cache_geometry -> state -> access -> classification * state
+
+(** The read of a target by its separate steps — hit test, ageing of the
+    affected sets, insertion, may update — each looking its set up again.
+    [step] takes this path for every target but one exact line. *)
+val read : Config.cache_geometry -> state -> target -> state
+[@@test_only "the unfused read that the one-lookup [Read (Line l)] step is checked against"]
 
 (** {2 Per-procedure fixpoint}
 

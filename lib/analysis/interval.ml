@@ -2,6 +2,10 @@ module I = Pp_ir.Instr
 
 type t = { lo : int; hi : int }
 
+(* Int-specialised: Stdlib's [min]/[max] are polymorphic compares. *)
+let min (a : int) b = if a <= b then a else b
+let max (a : int) b = if a >= b then a else b
+
 let top = { lo = min_int; hi = max_int }
 let const n = { lo = n; hi = n }
 
@@ -16,33 +20,33 @@ let is_const t = if t.lo = t.hi then Some t.lo else None
 let equal (a : t) (b : t) = a.lo = b.lo && a.hi = b.hi
 let mem n t = t.lo <= n && n <= t.hi
 let leq a b = b.lo <= a.lo && a.hi <= b.hi
-let join a b = { lo = min a.lo b.lo; hi = max a.hi b.hi }
+
+(* A join or widening returns an operand itself when the result equals
+   it, so abstract values built from it can stay shared. *)
+let join a b =
+  if leq b a then a
+  else if leq a b then b
+  else { lo = min a.lo b.lo; hi = max a.hi b.hi }
 
 let widen old next =
-  {
-    lo = (if next.lo < old.lo then min_int else old.lo);
-    hi = (if next.hi > old.hi then max_int else old.hi);
-  }
-
-(* Overflow-checked machine arithmetic: [None] when the mathematical result
-   does not fit in an OCaml int, i.e. when the VM would silently wrap.
-   Because ints are bounded, [min_int, max_int] is genuinely top — no
-   sentinel encoding is needed, and a wrapping transfer simply returns
-   [top] (saturating would be unsound). *)
-let add_ovf a b =
-  let s = a + b in
-  if (a >= 0) = (b >= 0) && (s >= 0) <> (a >= 0) then None else Some s
-
-let sub_ovf a b =
-  let d = a - b in
-  if (a >= 0) <> (b >= 0) && (d >= 0) <> (a >= 0) then None else Some d
-
-let mul_ovf a b =
-  if a = 0 || b = 0 then Some 0
-  else if (a = min_int && b = -1) || (b = min_int && a = -1) then None
+  if leq next old then old
   else
-    let p = a * b in
-    if p / b = a then Some p else None
+    {
+      lo = (if next.lo < old.lo then min_int else old.lo);
+      hi = (if next.hi > old.hi then max_int else old.hi);
+    }
+
+(* Overflow checks of machine arithmetic: [true] when the mathematical
+   result ([s], [d], the product) does not fit in an OCaml int, i.e. when
+   the VM would silently wrap.  Because ints are bounded, [min_int,
+   max_int] is genuinely top — no sentinel encoding is needed, and a
+   wrapping transfer simply returns [top] (saturating would be unsound). *)
+let add_wraps a b s = (a >= 0) = (b >= 0) && (s >= 0) <> (a >= 0)
+let sub_wraps a b d = (a >= 0) <> (b >= 0) && (d >= 0) <> (a >= 0)
+
+let mul_wraps a b =
+  a <> 0 && b <> 0
+  && ((a = min_int && b = -1) || (b = min_int && a = -1) || a * b / b <> a)
 
 let hull = function
   | [] -> invalid_arg "Interval.hull"
@@ -52,22 +56,29 @@ let hull = function
         { lo = v; hi = v } vs
 
 let add a b =
-  match (add_ovf a.lo b.lo, add_ovf a.hi b.hi) with
-  | Some lo, Some hi -> ({ lo; hi }, true)
-  | _ -> (top, false)
+  let lo = a.lo + b.lo and hi = a.hi + b.hi in
+  if add_wraps a.lo b.lo lo || add_wraps a.hi b.hi hi then (top, false)
+  else ({ lo; hi }, true)
 
 let sub a b =
-  match (sub_ovf a.lo b.hi, sub_ovf a.hi b.lo) with
-  | Some lo, Some hi -> ({ lo; hi }, true)
-  | _ -> (top, false)
+  let lo = a.lo - b.hi and hi = a.hi - b.lo in
+  if sub_wraps a.lo b.hi lo || sub_wraps a.hi b.lo hi then (top, false)
+  else ({ lo; hi }, true)
 
-let mul a b =
-  let corners =
-    [ mul_ovf a.lo b.lo; mul_ovf a.lo b.hi; mul_ovf a.hi b.lo;
-      mul_ovf a.hi b.hi ]
-  in
-  if List.mem None corners then (top, false)
-  else (hull (List.filter_map Fun.id corners), true)
+(* The hull of the corner products [n * x], [n] a bound of [a] and [x] one
+   of [x1], [x2]; top and [false] when one wraps. *)
+let scale_hull a x1 x2 =
+  if
+    mul_wraps a.lo x1 || mul_wraps a.lo x2 || mul_wraps a.hi x1
+    || mul_wraps a.hi x2
+  then (top, false)
+  else
+    let p1 = a.lo * x1 and p2 = a.lo * x2 and p3 = a.hi * x1
+    and p4 = a.hi * x2 in
+    ( { lo = min (min p1 p2) (min p3 p4); hi = max (max p1 p2) (max p3 p4) },
+      true )
+
+let mul a b = scale_hull a b.lo b.hi
 
 (* Truncated division.  The only wrapping case is min_int / -1; a zero
    divisor traps (no value flows), so divisor corners are the extreme
@@ -130,16 +141,7 @@ let shl a b =
   (* a lsl c = a * 2^c; 1 lsl 62 already wraps to min_int in 63-bit ints. *)
   if chi >= 62 then
     if a.lo = 0 && a.hi = 0 then (const 0, true) else (top, false)
-  else
-    let corners =
-      List.concat_map
-        (fun c ->
-          let p = 1 lsl c in
-          [ mul_ovf a.lo p; mul_ovf a.hi p ])
-        [ clo; chi ]
-    in
-    if List.mem None corners then (top, false)
-    else (hull (List.filter_map Fun.id corners), true)
+  else scale_hull a (1 lsl clo) (1 lsl chi)
 
 let shr a b =
   let clo, chi = shift_counts b in

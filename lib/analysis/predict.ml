@@ -78,19 +78,27 @@ let i_access_of = function
 (* ------------------------------------------------------------------ *)
 (* The walk's accumulator *)
 
+(* Upper bounds accrue as plain counts, [unbounded] once an unbounded
+   contribution was added: the walk adds to one at most micro events,
+   and a sum of [int option]s would allocate at each. *)
 type acc = {
   mutable ni_lo : int;
-  mutable ni_hi : int option;  (* instructions *)
+  mutable ni_hi : int;  (* instructions *)
   mutable rm_lo : int;
-  mutable rm_hi : int option;  (* dcache read misses *)
+  mutable rm_hi : int;  (* dcache read misses *)
   mutable wm_lo : int;
-  mutable wm_hi : int option;  (* dcache write misses *)
+  mutable wm_hi : int;  (* dcache write misses *)
   mutable im_lo : int;
-  mutable im_hi : int option;  (* icache misses *)
-  mutable st_hi : int option;  (* stall cycles; the lower bound is 0 *)
+  mutable im_hi : int;  (* icache misses *)
+  mutable st_hi : int;  (* stall cycles; the lower bound is 0 *)
   mutable rm_once : int;
   mutable im_once : int;
 }
+
+let unbounded = -1
+let add_hi h k = if h < 0 || k < 0 then unbounded else h + k
+let hi_of = function Some k -> k | None -> unbounded
+let bound h = if h < 0 then None else Some h
 
 (* The walk's state at one block boundary. *)
 type snapshot = {
@@ -108,6 +116,16 @@ type trail = { mutable snaps : snapshot array; mutable depth : int }
 (* ------------------------------------------------------------------ *)
 (* Per-procedure context *)
 
+(* Memo keys: (icache?, loop index, line). *)
+module Persist_tbl = Hashtbl.Make (struct
+  type t = bool * int * int
+
+  let equal (i, l, n) (i', l', n') = Bool.equal i i' && l = l' && n = n'
+  let hash (i, l, n) = Int.hash ((((n * 31) + l) * 2) + Bool.to_int i)
+end)
+
+module Int_tbl = Hashtbl.Make (Int)
+
 type pctx = {
   pname : string;
   inst : Proc.t;
@@ -123,9 +141,9 @@ type pctx = {
   dsol : C.solution;
   isol : C.solution;
   loops : Loops.t;  (* over the instrumented graph *)
-  persist_memo : (bool * int * int, bool) Hashtbl.t;
+  persist_memo : bool Persist_tbl.t;
       (* (icache?, loop index, line) -> cannot be evicted from the body *)
-  trails : (int, trail) Hashtbl.t;
+  trails : trail Int_tbl.t;
       (* by path source: -1 from the entry, else the backedge's id *)
 }
 
@@ -197,7 +215,7 @@ let stub_fetches ~geom_i ~op_addr ~slots emit ~certain ~count_lo ~count_hi =
     let seen = ref [] in
     for i = 0 to n - 1 do
       let l = line_of_slot i in
-      if not (List.mem l !seen) then begin
+      if not (List.exists (Int.equal l) !seen) then begin
         seen := l :: !seen;
         emit (Mi (acc l))
       end
@@ -364,14 +382,14 @@ let block_micros t ~wbound ~ab (inst : Proc.t) (b : Block.t) =
 let acc_create () =
   {
     ni_lo = 0;
-    ni_hi = Some 0;
+    ni_hi = 0;
     rm_lo = 0;
-    rm_hi = Some 0;
+    rm_hi = 0;
     wm_lo = 0;
-    wm_hi = Some 0;
+    wm_hi = 0;
     im_lo = 0;
-    im_hi = Some 0;
-    st_hi = Some 0;
+    im_hi = 0;
+    st_hi = 0;
     rm_once = 0;
     im_once = 0;
   }
@@ -385,28 +403,29 @@ let step_micro t acc ws ~live ~persist m =
   match m with
   | Mi a ->
       let gi = t.config.Config.icache in
-      if live then begin
-        let c = C.classify gi ws.i a in
+      if not live then ws.i <- C.step gi ws.i a
+      else begin
+        let c, next = C.classify_step gi ws.i a in
+        ws.i <- next;
         match a with
         | C.Read tgt -> (
             match c with
             | C.Hit -> ()
             | C.Miss ->
                 acc.im_lo <- acc.im_lo + 1;
-                acc.im_hi <- acc.im_hi +? Some 1
+                acc.im_hi <- add_hi acc.im_hi 1
             | C.Unknown ->
                 if persist ~icache:true tgt then
                   acc.im_once <- acc.im_once + 1
-                else acc.im_hi <- acc.im_hi +? Some 1)
+                else acc.im_hi <- add_hi acc.im_hi 1)
         | C.Read_maybe _ ->
-            if c <> C.Hit then acc.im_hi <- acc.im_hi +? Some 1
+            if c <> C.Hit then acc.im_hi <- add_hi acc.im_hi 1
         | C.Write _ | C.Havoc -> ()
-      end;
-      ws.i <- C.step gi ws.i a
+      end
   | Mcount (lo, hi) ->
       if live then begin
         acc.ni_lo <- acc.ni_lo + lo;
-        acc.ni_hi <- acc.ni_hi +? hi
+        acc.ni_hi <- add_hi acc.ni_hi (hi_of hi)
       end
   | Md (write, certain, tgt) ->
       let gd = t.config.Config.dcache in
@@ -416,37 +435,38 @@ let step_micro t acc ws ~live ~persist m =
         else if write then C.Write tgt
         else C.Read tgt
       in
-      if live then begin
-        let c = C.classify gd ws.d a in
+      if not live then ws.d <- C.step gd ws.d a
+      else begin
+        let c, next = C.classify_step gd ws.d a in
+        ws.d <- next;
         if write then begin
-          acc.st_hi <- acc.st_hi +? Some t.store_bound;
+          acc.st_hi <- add_hi acc.st_hi t.store_bound;
           (match (certain, c) with
           | true, C.Miss ->
               acc.wm_lo <- acc.wm_lo + 1;
-              acc.wm_hi <- acc.wm_hi +? Some 1
+              acc.wm_hi <- add_hi acc.wm_hi 1
           | true, C.Unknown | false, (C.Miss | C.Unknown) ->
-              acc.wm_hi <- acc.wm_hi +? Some 1
+              acc.wm_hi <- add_hi acc.wm_hi 1
           | _, C.Hit -> ())
         end
         else
           match (certain, c) with
           | true, C.Miss ->
               acc.rm_lo <- acc.rm_lo + 1;
-              acc.rm_hi <- acc.rm_hi +? Some 1
+              acc.rm_hi <- add_hi acc.rm_hi 1
           | true, C.Unknown ->
               if persist ~icache:false tgt then
                 acc.rm_once <- acc.rm_once + 1
-              else acc.rm_hi <- acc.rm_hi +? Some 1
-          | false, (C.Miss | C.Unknown) -> acc.rm_hi <- acc.rm_hi +? Some 1
+              else acc.rm_hi <- add_hi acc.rm_hi 1
+          | false, (C.Miss | C.Unknown) -> acc.rm_hi <- add_hi acc.rm_hi 1
           | _, C.Hit -> ()
-      end;
-      ws.d <- C.step gd ws.d a
+      end
   | Mdslack n ->
-      if live then acc.rm_hi <- acc.rm_hi +? n;
+      if live then acc.rm_hi <- add_hi acc.rm_hi (hi_of n);
       ws.d <- C.step t.config.Config.dcache ws.d C.Havoc
-  | Mislack n -> if live then acc.im_hi <- acc.im_hi +? n
-  | Mfp n -> if live then acc.st_hi <- acc.st_hi +? Some (n * t.fp_bound)
-  | Mbr -> if live then acc.st_hi <- acc.st_hi +? Some t.br_bound
+  | Mislack n -> if live then acc.im_hi <- add_hi acc.im_hi (hi_of n)
+  | Mfp n -> if live then acc.st_hi <- add_hi acc.st_hi (n * t.fp_bound)
+  | Mbr -> if live then acc.st_hi <- add_hi acc.st_hi t.br_bound
   | Mcall _ ->
       ws.d <- C.step t.config.Config.dcache ws.d C.Havoc;
       ws.i <- C.step t.config.Config.icache ws.i C.Havoc
@@ -528,19 +548,22 @@ let body_blocks ctx li =
     (Loops.loops ctx.loops).(li).Loops.body
 
 let persistent_in ctx ~icache geom li line =
-  match Hashtbl.find_opt ctx.persist_memo (icache, li, line) with
+  match Persist_tbl.find_opt ctx.persist_memo (icache, li, line) with
   | Some r -> r
   | None ->
       let events = if icache then ctx.i_events else ctx.d_events in
       let body_events = List.map (fun v -> events.(v)) (body_blocks ctx li) in
       let r = C.persistent geom ~body_events (C.Line line) in
-      Hashtbl.add ctx.persist_memo (icache, li, line) r;
+      Persist_tbl.add ctx.persist_memo (icache, li, line) r;
       r
 
 (* ------------------------------------------------------------------ *)
 (* Context construction *)
 
-let has_numbering ctx = ctx.bl <> None
+let has_numbering ctx = Option.is_some ctx.bl
+
+let runs_cold t proc =
+  match t.cold_main with Some m -> String.equal m proc | None -> false
 
 let build_pctx t ~wbound (orig : Proc.t) (inst : Proc.t) =
   let ocfg = Cfg.of_proc orig in
@@ -558,7 +581,7 @@ let build_pctx t ~wbound (orig : Proc.t) (inst : Proc.t) =
   let d_events = pick d_access_of and i_events = pick i_access_of in
   let nblocks = Proc.num_blocks inst in
   let succs b = Block.successors (Proc.block inst b) in
-  let cold = t.cold_main = Some orig.Proc.name in
+  let cold = runs_cold t orig.Proc.name in
   let dsol =
     C.solve t.config.Config.dcache ~nblocks ~entry:inst.Proc.entry ~succs
       ~events:(fun b -> d_events.(b)) ~cold
@@ -582,8 +605,8 @@ let build_pctx t ~wbound (orig : Proc.t) (inst : Proc.t) =
     dsol;
     isol;
     loops;
-    persist_memo = Hashtbl.create 32;
-    trails = Hashtbl.create 8;
+    persist_memo = Persist_tbl.create 32;
+    trails = Int_tbl.create 8;
   }
 
 let create ?(config = Config.default) ~original ~instrumented () =
@@ -681,13 +704,13 @@ let segment_cost t ctx ~block ~start ~stop =
   done;
   {
     t_cycles =
-      acc.ni_hi
-      +? scale t.config.Config.icache_miss_penalty acc.im_hi
-      +? scale t.config.Config.dcache_miss_penalty acc.rm_hi
-      +? acc.st_hi;
-    t_dmiss = acc.rm_hi +? acc.wm_hi;
-    t_imiss = acc.im_hi;
-    t_stalls = acc.st_hi;
+      bound acc.ni_hi
+      +? scale t.config.Config.icache_miss_penalty (bound acc.im_hi)
+      +? scale t.config.Config.dcache_miss_penalty (bound acc.rm_hi)
+      +? bound acc.st_hi;
+    t_dmiss = bound acc.rm_hi +? bound acc.wm_hi;
+    t_imiss = bound acc.im_hi;
+    t_stalls = bound acc.st_hi;
   }
 
 let segments_of_ctx t ctx =
@@ -824,11 +847,11 @@ let copy_acc a = { a with ni_lo = a.ni_lo }
    so consecutive sums share long prefixes. *)
 let walk_shared t ctx ~key ~dstate ~istate ~persist labels =
   let tr =
-    match Hashtbl.find_opt ctx.trails key with
+    match Int_tbl.find_opt ctx.trails key with
     | Some tr -> tr
     | None ->
         let tr = { snaps = [||]; depth = 0 } in
-        Hashtbl.add ctx.trails key tr;
+        Int_tbl.add ctx.trails key tr;
         tr
   in
   let rec shared k = function
@@ -903,7 +926,7 @@ let predict t ~proc ~sum =
   let trav = Ball_larus.traverse bl sum in
   let path = trav.Ball_larus.path in
   let labels = path_labels ctx trav in
-  let cold = t.cold_main = Some proc in
+  let cold = runs_cold t proc in
   let dstate, istate, header, loop =
     match path.Ball_larus.source with
     | Ball_larus.From_entry ->
@@ -942,16 +965,19 @@ let predict t ~proc ~sum =
   let cycles =
     mk
       (acc.ni_lo + (ic_pen * acc.im_lo) + (dc_pen * acc.rm_lo))
-      (acc.ni_hi +? scale ic_pen acc.im_hi +? scale dc_pen acc.rm_hi
-      +? acc.st_hi)
+      (bound acc.ni_hi
+      +? scale ic_pen (bound acc.im_hi)
+      +? scale dc_pen (bound acc.rm_hi)
+      +? bound acc.st_hi)
   in
   {
     per_exec =
       {
         cycles;
-        dmiss = mk (acc.rm_lo + acc.wm_lo) (acc.rm_hi +? acc.wm_hi);
-        imiss = mk acc.im_lo acc.im_hi;
-        stalls = mk 0 acc.st_hi;
+        dmiss =
+          mk (acc.rm_lo + acc.wm_lo) (bound acc.rm_hi +? bound acc.wm_hi);
+        imiss = mk acc.im_lo (bound acc.im_hi);
+        stalls = mk 0 (bound acc.st_hi);
       };
     dmiss_once = acc.rm_once;
     imiss_once = acc.im_once;

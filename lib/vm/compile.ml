@@ -61,9 +61,10 @@ type t = { st : Interp.t; cprocs : cproc array }
    [Interp.exec_proc] — including not restoring [sp] or the call stack
    when a trap propagates. *)
 let call_proc st (cp : cproc) ~iargs ~fargs =
-  let p = cp.image.Interp.proc in
-  let iregs = Array.make (max p.Proc.niregs 1) 0 in
-  let fregs = Array.make (max p.Proc.nfregs 1) 0.0 in
+  let image = cp.image in
+  let p = image.Interp.proc in
+  let iregs = Array.make image.Interp.nregs_i 0 in
+  let fregs = Array.make image.Interp.nregs_f 0.0 in
   List.iteri (fun i v -> iregs.(i) <- v) iargs;
   List.iteri (fun i v -> fregs.(i) <- v) fargs;
   let saved_sp = Interp.stack_pointer st in
@@ -72,7 +73,7 @@ let call_proc st (cp : cproc) ~iargs ~fargs =
     Interp.trap "stack overflow in %s" p.Proc.name;
   Interp.set_stack_pointer st fp;
   Interp.push_activation st p.Proc.name;
-  Machine.fp_frame (Interp.machine st) ~nregs:(max p.Proc.nfregs 1);
+  Machine.fp_frame (Interp.machine st) ~nregs:image.Interp.nregs_f;
   let v = cp.blocks.(p.Proc.entry) { iregs; fregs; fp; trap_ix = 0 } in
   Interp.set_stack_pointer st saved_sp;
   Interp.pop_activation st;
@@ -84,9 +85,10 @@ let call_proc st (cp : cproc) ~iargs ~fargs =
    equivalent: stalls never change register contents. *)
 let call_proc_from st (cp : cproc) ~(caller : frame) ~(args_a : int array)
     ~(fas_a : int array) =
-  let p = cp.image.Interp.proc in
-  let iregs = Array.make (max p.Proc.niregs 1) 0 in
-  let fregs = Array.make (max p.Proc.nfregs 1) 0.0 in
+  let image = cp.image in
+  let p = image.Interp.proc in
+  let iregs = Array.make image.Interp.nregs_i 0 in
+  let fregs = Array.make image.Interp.nregs_f 0.0 in
   for i = 0 to Array.length args_a - 1 do
     iregs.(i) <- caller.iregs.(args_a.(i))
   done;
@@ -99,7 +101,7 @@ let call_proc_from st (cp : cproc) ~(caller : frame) ~(args_a : int array)
     Interp.trap "stack overflow in %s" p.Proc.name;
   Interp.set_stack_pointer st fp;
   Interp.push_activation st p.Proc.name;
-  Machine.fp_frame (Interp.machine st) ~nregs:(max p.Proc.nfregs 1);
+  Machine.fp_frame (Interp.machine st) ~nregs:image.Interp.nregs_f;
   let v = cp.blocks.(p.Proc.entry) { iregs; fregs; fp; trap_ix = 0 } in
   Interp.set_stack_pointer st saved_sp;
   Interp.pop_activation st;

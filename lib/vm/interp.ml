@@ -39,6 +39,8 @@ type image = {
   addrs : int array array;  (* per block, per instruction index *)
   term_addr : int array;  (* per block *)
   frame_bytes : int;  (* linkage area + local arrays *)
+  nregs_i : int;  (* register file lengths, at least 1, fixed per proc *)
+  nregs_f : int;
   entries : entry array;  (* per block *)
 }
 
@@ -103,6 +105,8 @@ let build_image layout (p : Proc.t) =
     addrs;
     term_addr;
     frame_bytes = Layout.linkage_bytes + (p.frame_words * Layout.word);
+    nregs_i = Int.max p.niregs 1;
+    nregs_f = Int.max p.nfregs 1;
     entries =
       Array.init nb (fun elabel ->
           { eproc = p.name; elabel; fire = no_probe });
@@ -314,9 +318,8 @@ let block_entered e ~fp ~iregs =
 (* Execute one procedure activation; returns its value. *)
 let rec exec_proc t image ~iargs ~fargs =
   let p = image.proc in
-  let niregs = p.Proc.niregs and nfregs = p.Proc.nfregs in
-  let iregs = Array.make (max niregs 1) 0 in
-  let fregs = Array.make (max nfregs 1) 0.0 in
+  let iregs = Array.make image.nregs_i 0 in
+  let fregs = Array.make image.nregs_f 0.0 in
   List.iteri (fun i v -> iregs.(i) <- v) iargs;
   List.iteri (fun i v -> fregs.(i) <- v) fargs;
   let fp = t.sp - image.frame_bytes in
@@ -324,7 +327,7 @@ let rec exec_proc t image ~iargs ~fargs =
   let saved_sp = t.sp in
   t.sp <- fp;
   t.call_stack <- p.Proc.name :: t.call_stack;
-  Machine.fp_frame t.machine ~nregs:(max nfregs 1);
+  Machine.fp_frame t.machine ~nregs:image.nregs_f;
   let mach = t.machine in
   let rec run_block label =
     if t.hot.hooks then block_entered image.entries.(label) ~fp ~iregs;

@@ -131,6 +131,8 @@ type image = {
   addrs : int array array;  (** per block, per instruction index *)
   term_addr : int array;  (** per block *)
   frame_bytes : int;  (** linkage area + local arrays *)
+  nregs_i : int;  (** integer register file length, at least 1 *)
+  nregs_f : int;  (** float register file length, at least 1 *)
   entries : entry array;  (** per block *)
 }
 

@@ -154,7 +154,7 @@ let agree c ~where cs rs =
     (fun t ->
       List.iter
         (fun a ->
-          let x = C.classify c.geom cs (c_access a)
+          let x = fst (C.classify_step c.geom cs (c_access a))
           and y = R.classify c.geom rs (r_access a) in
           if not (same_class x y) then
             QCheck.Test.fail_reportf "%s: %s classifies %s, reference %s"
@@ -241,6 +241,58 @@ let prop_absorbs_matches_join =
         states;
       true)
 
+(* [step] reads one exact line through a single lookup of its set; the
+   state after it equals the read by separate steps — hit test, ageing
+   of the affected sets, insertion, may update — and its classification
+   equals that of the same target under the general classifier (which
+   [Read_maybe] takes), on states reached by random walks and joins and
+   on every line the case names. *)
+let prop_fused_read =
+  QCheck.Test.make ~count:400 ~name:"fused line read == separate steps"
+    (QCheck.make ~print:print_case case_gen)
+    (fun c ->
+      let run st accs =
+        List.fold_left (fun st a -> C.step c.geom st (c_access a)) st accs
+      in
+      let e = C.entry ~cold:c.cold in
+      let a = run e c.left and b = run e c.right in
+      let j = C.join a b in
+      let states = [ e; a; b; j; run j c.rest; C.entry ~cold:false ] in
+      let lines =
+        List.concat_map
+          (function
+            | Read t | Read_maybe t | Write t -> (
+                match t with
+                | Line l -> [ l ]
+                | Lines ls -> ls
+                | Frame _ | Tprof | Tframe | Top -> [])
+            | Havoc -> [])
+          (List.map (fun t -> Read t) c.probes @ c.left @ c.right @ c.rest)
+        |> List.sort_uniq Int.compare
+      in
+      List.iteri
+        (fun i s ->
+          List.iter
+            (fun l ->
+              let read = C.Read (C.Line l) in
+              let cls, fused = C.classify_step c.geom s read in
+              let general =
+                fst (C.classify_step c.geom s (C.Read_maybe (C.Line l)))
+              in
+              if C.view fused <> C.view (C.read c.geom s (C.Line l)) then
+                QCheck.Test.fail_reportf "state %d, read line %d: %s" i l
+                  "state differs from the separate steps";
+              if C.view (C.step c.geom s read) <> C.view fused then
+                QCheck.Test.fail_reportf "state %d, read line %d: %s" i l
+                  "step differs from classify_step";
+              if cls <> general then
+                QCheck.Test.fail_reportf
+                  "state %d, read line %d: classified %s, general %s" i l
+                  (class_name cls) (class_name general))
+            lines)
+        states;
+      true)
+
 (* The solver keeps each block's out-state from its last worklist run
    instead of transferring every block again: for every workload, mode,
    procedure and both caches, each kept out-state equals a fresh transfer
@@ -279,6 +331,7 @@ let suite =
   [
     QCheck_alcotest.to_alcotest prop_matches_reference;
     QCheck_alcotest.to_alcotest prop_absorbs_matches_join;
+    QCheck_alcotest.to_alcotest prop_fused_read;
     Alcotest.test_case "kept out-states == fresh transfer, workloads x modes"
       `Slow test_kept_outs_fresh;
   ]

@@ -249,6 +249,59 @@ let test_order_independent () =
     (answers (List.rev queries));
   Alcotest.(check (list string)) "shuffled" ascending (answers shuffled)
 
+(* Minor words allocated by [Absint.analyze] (default config, every
+   instrumented procedure) and by [Predict.create], summed over the 18
+   workloads x 5 modes.  Both keep a value or cache state that a step
+   leaves unchanged physically shared instead of rebuilding it, which
+   shows in these totals long before it shows in a timing: the bounds are
+   the totals measured when the sharing went in, plus 5%.  The figures
+   are a property of the code and the compiler, not of the host. *)
+let absint_minor_words = 11_380_002.
+let predict_minor_words = 21_533_750.
+
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. w0
+
+let test_allocation () =
+  let absint = ref 0. and predict = ref 0. in
+  let runs =
+    List.concat_map
+      (fun (w : Workload.t) ->
+        let prog = Workload.compile w in
+        List.map
+          (fun mode ->
+            let instrumented, _ =
+              Instrument.run ~pruner:Feasibility.pruner ~mode prog
+            in
+            (prog, instrumented))
+          Instrument.all_modes)
+      Registry.all
+  in
+  (* one run first: the shared constant table is built on first use *)
+  ignore (predictor ~mode:Instrument.Flow_hw (workload "li_like"));
+  List.iter
+    (fun (prog, (instrumented : Pp_ir.Program.t)) ->
+      let cfgs = Array.map Pp_ir.Cfg.of_proc instrumented.procs in
+      let analyze c = ignore (Pp_analysis.Absint.analyze c) in
+      absint := !absint +. minor_words (fun () -> Array.iter analyze cfgs);
+      predict :=
+        !predict
+        +. minor_words (fun () ->
+               Predict.create ~original:prog ~instrumented ()))
+    runs;
+  Printf.printf "minor words: Absint.analyze %.0f, Predict.create %.0f\n%!"
+    !absint !predict;
+  Alcotest.(check int) "90 programs" 90 (List.length runs);
+  let within name words pinned =
+    if words > pinned *. 1.05 then
+      Alcotest.failf "%s allocates %.0f minor words, over %.0f + 5%%" name
+        words pinned
+  in
+  within "Absint.analyze" !absint absint_minor_words;
+  within "Predict.create" !predict predict_minor_words
+
 let suite =
   [
     Alcotest.test_case "soundness: workloads x modes" `Slow test_soundness;
@@ -258,4 +311,6 @@ let suite =
     Alcotest.test_case "bounds pinned, workloads x modes" `Slow test_pinned;
     Alcotest.test_case "bounds independent of query order" `Quick
       test_order_independent;
+    Alcotest.test_case "minor words pinned, workloads x modes" `Slow
+      test_allocation;
   ]
