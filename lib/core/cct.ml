@@ -24,7 +24,10 @@ type 'a t = {
   merge_call_sites : bool;
   make_data : proc:string -> nsites:int -> 'a;
   root_node : 'a node;
-  mutable stack : 'a node list;  (* activation stack; head = current *)
+  mutable stack : 'a node array;
+      (* activation stack, [stack.(0 .. top)] live, [stack.(top)] current:
+         an array, so an enter allocates nothing *)
+  mutable top : int;
   mutable nodes_rev : 'a node list;  (* allocation order, reversed *)
   mutable n_nodes : int;
 }
@@ -47,7 +50,8 @@ let create ?(merge_call_sites = false) ~make_data () =
     merge_call_sites;
     make_data;
     root_node;
-    stack = [ root_node ];
+    stack = Array.make 16 root_node;
+    top = 0;
     nodes_rev = [ root_node ];
     n_nodes = 1;
   }
@@ -55,11 +59,9 @@ let create ?(merge_call_sites = false) ~make_data () =
 let root t = t.root_node
 
 let current t =
-  match t.stack with
-  | node :: _ -> node
-  | [] -> assert false
+  Array.unsafe_get t.stack t.top
 
-let depth t = List.length t.stack - 1
+let depth t = t.top
 
 let slot_index t (cr : 'a node) site =
   let idx = if t.merge_call_sites then 0 else site in
@@ -78,9 +80,9 @@ let enter t ~proc ~nsites ~site ~kind =
   let cr = current t in
   let idx = slot_index t cr site in
   let slot = cr.slots.(idx) in
-  let existing =
+  let edge =
     match slot with
-    | e :: _ when e.target.node_proc = proc -> Some e
+    | e :: _ when e.target.node_proc = proc -> e
     | _ -> (
         match List.find_opt (fun e -> e.target.node_proc = proc) slot with
         | Some e ->
@@ -88,56 +90,60 @@ let enter t ~proc ~nsites ~site ~kind =
                construction does for indirect-call lists; an edge already
                at the front stays where it is. *)
             cr.slots.(idx) <- e :: List.filter (fun e' -> e' != e) slot;
-            Some e
-        | None -> None)
-  in
-  let edge =
-    match existing with
-    | Some e -> e
-    | None ->
-        let target, is_backedge =
-          match find_ancestor (Some cr) proc with
-          | Some ancestor -> (ancestor, true)
-          | None ->
-              let node =
-                {
-                  node_proc = proc;
-                  node_nsites = nsites;
-                  node_parent = Some cr;
-                  node_depth = cr.node_depth + 1;
-                  node_id = t.n_nodes;
-                  node_data = t.make_data ~proc ~nsites;
-                  slots =
-                    Array.make
-                      (if t.merge_call_sites then 1 else max 1 nsites)
-                      [];
-                }
-              in
-              t.nodes_rev <- node :: t.nodes_rev;
-              t.n_nodes <- t.n_nodes + 1;
-              (node, false)
-        in
-        let e = { site; target; is_backedge; kind; calls = 0 } in
-        cr.slots.(idx) <- e :: cr.slots.(idx);
-        e
+            e
+        | None ->
+            let target, is_backedge =
+              match find_ancestor (Some cr) proc with
+              | Some ancestor -> (ancestor, true)
+              | None ->
+                  let node =
+                    {
+                      node_proc = proc;
+                      node_nsites = nsites;
+                      node_parent = Some cr;
+                      node_depth = cr.node_depth + 1;
+                      node_id = t.n_nodes;
+                      node_data = t.make_data ~proc ~nsites;
+                      slots =
+                        Array.make
+                          (if t.merge_call_sites then 1 else max 1 nsites)
+                          [];
+                    }
+                  in
+                  t.nodes_rev <- node :: t.nodes_rev;
+                  t.n_nodes <- t.n_nodes + 1;
+                  (node, false)
+            in
+            let e = { site; target; is_backedge; kind; calls = 0 } in
+            cr.slots.(idx) <- e :: cr.slots.(idx);
+            e)
   in
   if edge.target.node_nsites <> nsites then
     invalid_arg
       (Printf.sprintf "Cct.enter: %s has %d sites, previously %d" proc nsites
          edge.target.node_nsites);
   edge.calls <- edge.calls + 1;
-  t.stack <- edge.target :: t.stack;
+  let top = t.top + 1 in
+  if top = Array.length t.stack then begin
+    let grown = Array.make (2 * top) t.root_node in
+    Array.blit t.stack 0 grown 0 top;
+    t.stack <- grown
+  end;
+  Array.unsafe_set t.stack top edge.target;
+  t.top <- top;
   edge.target
+
+let rec targets proc = function
+  | [] -> false
+  | e :: rest -> e.target.node_proc = proc || targets proc rest
 
 let has_edge t ~proc ~site =
   let cr = current t in
-  let idx = slot_index t cr site in
-  List.exists (fun e -> e.target.node_proc = proc) cr.slots.(idx)
+  targets proc cr.slots.(slot_index t cr site)
 
 let exit t =
-  match t.stack with
-  | [ _ ] | [] -> invalid_arg "Cct.exit: only the root is active"
-  | _ :: rest -> t.stack <- rest
+  if t.top = 0 then invalid_arg "Cct.exit: only the root is active";
+  t.top <- t.top - 1
 
 let unwind_to_depth t d =
   let cur = depth t in
@@ -246,7 +252,8 @@ let merge ~merge_data ta tb =
       merge_call_sites = ta.merge_call_sites;
       make_data = ta.make_data;
       root_node = root;
-      stack = [ root ];
+      stack = Array.make 16 root;
+      top = 0;
       nodes_rev = [ root ];
       n_nodes = 1;
     }

@@ -54,7 +54,6 @@ let prepare ?options ?pruner ?config ?max_instructions
             match info.Instrument.table with
             | Instrument.Hash_table { id } ->
                 Runtime.register_hash_table rt ~table:id
-                  ~proc:info.Instrument.proc
             | Instrument.Cct_table { id } ->
                 (* A statically pruned numbering certifies fewer possible
                    sums; per-record tables need only that many cells of
@@ -64,8 +63,7 @@ let prepare ?options ?pruner ?config ?max_instructions
                   | Some p -> Ball_larus.num_feasible p
                   | None -> info.Instrument.num_paths
                 in
-                Runtime.register_cct_table rt ~table:id
-                  ~proc:info.Instrument.proc ~npaths
+                Runtime.register_cct_table rt ~table:id ~npaths
             | Instrument.No_table | Instrument.Array_table _
             | Instrument.Edge_table _ ->
                 ())

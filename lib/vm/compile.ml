@@ -37,99 +37,124 @@ module Layout = Pp_ir.Layout
 module Machine = Pp_machine.Machine
 module Counters = Pp_machine.Counters
 
+(* One activation's register file.  Frames are pooled per procedure and
+   indexed by activation depth: a call takes the frame at its depth and
+   zeroes it, so it reads exactly like a fresh [Array.make], and nothing
+   is allocated per call. *)
 type frame = {
   iregs : int array;
   fregs : float array;
-  fp : int;
+  mutable fp : int;
   mutable trap_ix : int;
       (* index of the instruction whose semantic closure is mid-flight;
          maintained only by closures that can trap, read only when one
          does (to drive the event replay of the completed prefix) *)
 }
 
-type ret_value = Vint of int | Vfloat of float | Vvoid
+(* What a block closure returns: the kind of the procedure's return, the
+   value itself travelling through the engine's [rets] slot, unboxed. *)
+let ret_void = 0
+let ret_int = 1
+let ret_float = 2
+
+type rets = { mutable ri : int; rf : float array (* of length 1 *) }
 
 type cproc = {
   image : Interp.image;
-  mutable blocks : (frame -> ret_value) array;
+  mutable blocks : (frame -> int) array;
+  mutable pool : frame array;  (* [0 .. nframes - 1] allocated *)
+  mutable nframes : int;
+  mutable depth : int;  (* live activations; reset by {!run} *)
 }
 
 type t = { st : Interp.t; cprocs : cproc array }
 
-(* One procedure activation: allocate registers and the frame, run the
-   entry block (control then threads itself through tail calls).  Mirrors
-   [Interp.exec_proc] — including not restoring [sp] or the call stack
-   when a trap propagates. *)
-let call_proc st (cp : cproc) ~iargs ~fargs =
-  let image = cp.image in
-  let p = image.Interp.proc in
-  let iregs = Array.make image.Interp.nregs_i 0 in
-  let fregs = Array.make image.Interp.nregs_f 0.0 in
-  List.iteri (fun i v -> iregs.(i) <- v) iargs;
-  List.iteri (fun i v -> fregs.(i) <- v) fargs;
-  let saved_sp = Interp.stack_pointer st in
-  let fp = saved_sp - cp.image.Interp.frame_bytes in
-  if fp < Layout.stack_limit then
-    Interp.trap "stack overflow in %s" p.Proc.name;
-  Interp.set_stack_pointer st fp;
-  Interp.push_activation st p.Proc.name;
-  Machine.fp_frame (Interp.machine st) ~nregs:image.Interp.nregs_f;
-  let v = cp.blocks.(p.Proc.entry) { iregs; fregs; fp; trap_ix = 0 } in
-  Interp.set_stack_pointer st saved_sp;
-  Interp.pop_activation st;
-  v
+let no_frame = { iregs = [||]; fregs = [||]; fp = 0; trap_ix = 0 }
 
-(* [call_proc] with the arguments copied straight from the caller's
-   register arrays via compile-time index vectors — no per-call argument
-   lists.  Reading the argument registers after the [fp_use] stalls is
-   equivalent: stalls never change register contents. *)
+(* The first activation at depth [cp.nframes]: grow the pool array
+   geometrically (recursion to the stack limit would make one-slot growth
+   quadratic) and allocate the one frame. *)
+let add_frame (cp : cproc) =
+  let n = cp.nframes in
+  if n = Array.length cp.pool then begin
+    let pool = Array.make (max 4 (2 * n)) no_frame in
+    Array.blit cp.pool 0 pool 0 n;
+    cp.pool <- pool
+  end;
+  cp.pool.(n) <-
+    {
+      iregs = Array.make cp.image.Interp.nregs_i 0;
+      fregs = Array.make cp.image.Interp.nregs_f 0.0;
+      fp = 0;
+      trap_ix = 0;
+    };
+  cp.nframes <- n + 1
+
+(* One procedure activation: take and zero the frame at [cp]'s depth,
+   copy the arguments straight from the caller's register arrays via
+   compile-time index vectors, run the entry block (control then threads
+   itself through tail calls).  Reading the argument registers after the
+   [fp_use] stalls is equivalent: stalls never change register contents.
+   Mirrors [Interp.exec_proc] — including not restoring [sp], the call
+   stack or the depth when a trap propagates ({!run} resets the depth). *)
 let call_proc_from st (cp : cproc) ~(caller : frame) ~(args_a : int array)
     ~(fas_a : int array) =
   let image = cp.image in
   let p = image.Interp.proc in
-  let iregs = Array.make image.Interp.nregs_i 0 in
-  let fregs = Array.make image.Interp.nregs_f 0.0 in
+  let saved_sp = Interp.stack_pointer st in
+  let fp = saved_sp - image.Interp.frame_bytes in
+  if fp < Layout.stack_limit then
+    Interp.trap "stack overflow in %s" p.Proc.name;
+  let d = cp.depth in
+  if d = cp.nframes then add_frame cp;
+  let fr = Array.unsafe_get cp.pool d in
+  cp.depth <- d + 1;
+  let iregs = fr.iregs and fregs = fr.fregs in
+  for i = 0 to Array.length iregs - 1 do
+    Array.unsafe_set iregs i 0
+  done;
+  for i = 0 to Array.length fregs - 1 do
+    Array.unsafe_set fregs i 0.0
+  done;
+  fr.fp <- fp;
+  fr.trap_ix <- 0;
   for i = 0 to Array.length args_a - 1 do
     iregs.(i) <- caller.iregs.(args_a.(i))
   done;
   for i = 0 to Array.length fas_a - 1 do
     fregs.(i) <- caller.fregs.(fas_a.(i))
   done;
-  let saved_sp = Interp.stack_pointer st in
-  let fp = saved_sp - cp.image.Interp.frame_bytes in
-  if fp < Layout.stack_limit then
-    Interp.trap "stack overflow in %s" p.Proc.name;
   Interp.set_stack_pointer st fp;
   Interp.push_activation st p.Proc.name;
   Machine.fp_frame (Interp.machine st) ~nregs:image.Interp.nregs_f;
-  let v = cp.blocks.(p.Proc.entry) { iregs; fregs; fp; trap_ix = 0 } in
+  let k = cp.blocks.(p.Proc.entry) fr in
   Interp.set_stack_pointer st saved_sp;
   Interp.pop_activation st;
-  v
+  cp.depth <- d;
+  k
 
-let do_call st (cprocs : cproc array) ~callee_idx ~(fr : frame) ~args_a
+let do_call st (cprocs : cproc array) rets ~callee_idx ~(fr : frame) ~args_a
     ~fas_a ~ret =
   let mach = Interp.machine st in
   for i = 0 to Array.length fas_a - 1 do
     Machine.fp_use mach ~src:(Array.unsafe_get fas_a i)
   done;
-  let v = call_proc_from st cprocs.(callee_idx) ~caller:fr ~args_a ~fas_a in
-  match (ret, v) with
-  | I.Rnone, _ -> ()
-  | I.Rint rd, Vint n -> fr.iregs.(rd) <- n
-  | I.Rfloat fd, Vfloat x ->
-      fr.fregs.(fd) <- x;
+  let k = call_proc_from st cprocs.(callee_idx) ~caller:fr ~args_a ~fas_a in
+  match ret with
+  | I.Rnone -> ()
+  | I.Rint rd when k = ret_int -> fr.iregs.(rd) <- rets.ri
+  | I.Rfloat fd when k = ret_float ->
+      fr.fregs.(fd) <- Array.unsafe_get rets.rf 0;
       Machine.fp_define mach ~dst:fd
-  | I.Rint _, (Vfloat _ | Vvoid) | I.Rfloat _, (Vint _ | Vvoid) ->
-      Interp.trap "call return kind mismatch"
+  | I.Rint _ | I.Rfloat _ -> Interp.trap "call return kind mismatch"
 
 (* An observer runs on the precise tier, after the segment before it has
    flushed its events: calls (the callee fetches, loads and stalls
    between this block's events), profiling pseudo-ops (the runtime
    interleaves its own charged fetches/loads/stores and reads the PICs),
    and direct PIC access.  Any other instruction is batched ([None]). *)
-let precise_step st cprocs ~pname ~addr (instr : I.t) : (frame -> unit) option
-    =
+let precise_step st cprocs rets ~pname ~addr (instr : I.t) :
+    (frame -> unit) option =
   let mach = Interp.machine st in
   let counters = Machine.counters mach in
   match instr with
@@ -145,7 +170,7 @@ let precise_step st cprocs ~pname ~addr (instr : I.t) : (frame -> unit) option
           Some
             (fun fr ->
               Machine.fetch mach ~addr;
-              do_call st cprocs ~callee_idx ~fr ~args_a ~fas_a ~ret))
+              do_call st cprocs rets ~callee_idx ~fr ~args_a ~fas_a ~ret))
   | I.Callind { target; args; fargs = fas; ret; _ } ->
       let args_a = Array.of_list args and fas_a = Array.of_list fas in
       let nargs = Array.length args_a and nfas = Array.length fas_a in
@@ -153,12 +178,9 @@ let precise_step st cprocs ~pname ~addr (instr : I.t) : (frame -> unit) option
         (fun fr ->
           Machine.fetch mach ~addr;
           let a = fr.iregs.(target) in
-          let callee_idx =
-            match Interp.proc_index_of_addr st a with
-            | Some i -> i
-            | None ->
-                Interp.trap "indirect call to non-procedure address 0x%x" a
-          in
+          let callee_idx = Interp.proc_index_of_addr st a in
+          if callee_idx < 0 then
+            Interp.trap "indirect call to non-procedure address 0x%x" a;
           let callee = cprocs.(callee_idx).image.Interp.proc in
           if
             callee.Proc.iparams <> nargs
@@ -167,7 +189,7 @@ let precise_step st cprocs ~pname ~addr (instr : I.t) : (frame -> unit) option
           then
             Interp.trap "indirect call signature mismatch on %s"
               callee.Proc.name;
-          do_call st cprocs ~callee_idx ~fr ~args_a ~fas_a ~ret)
+          do_call st cprocs rets ~callee_idx ~fr ~args_a ~fas_a ~ret)
   | I.Hwread (rd, k) ->
       Some
         (fun fr ->
@@ -198,7 +220,7 @@ let precise_step st cprocs ~pname ~addr (instr : I.t) : (frame -> unit) option
    a [Proc.t] names only registers in [0 .. niregs-1] and
    [0 .. nfregs-1] (its counts are derived from a private copy of the
    code, and {!Pp_ir.Proc.make} rejects an index below zero or too large
-   for an array, so the count cannot overflow), {!call_proc} allocates
+   for an array, so the count cannot overflow), {!add_frame} allocates
    exactly that many, and [dyn] slots are in range by construction. *)
 let[@inline always] uget (a : int array) i = Array.unsafe_get a i
 let[@inline always] uset (a : int array) i v = Array.unsafe_set a i v
@@ -667,7 +689,7 @@ let segment_step mach { body; insts; dyn; flush; replay } : frame -> unit =
 (* ------------------------------------------------------------------ *)
 (* Block compilation.                                                  *)
 
-let compile_block st (cprocs : cproc array) (cp : cproc) label =
+let compile_block st (cprocs : cproc array) rets (cp : cproc) label =
   let image = cp.image in
   let p = image.Interp.proc in
   let pname = p.Proc.name in
@@ -690,7 +712,7 @@ let compile_block st (cprocs : cproc array) (cp : cproc) label =
   let tot = Counters.raw_totals (Machine.counters mach) in
   let ix_insts = Counters.ix Pp_machine.Event.Instructions in
   let maxi = Interp.max_instructions st in
-  let term_step : frame -> ret_value =
+  let term_step : frame -> int =
     match term with
     | Block.Jmp l -> fun fr -> (Array.unsafe_get blocks l) fr
     | Block.Br (r, tl, fl) ->
@@ -699,12 +721,16 @@ let compile_block st (cprocs : cproc array) (cp : cproc) label =
           Machine.branch mach ~addr:taddr ~taken;
           if taken then (Array.unsafe_get blocks tl) fr
           else (Array.unsafe_get blocks fl) fr
-    | Block.Ret Block.Ret_void -> fun _ -> Vvoid
-    | Block.Ret (Block.Ret_int r) -> fun fr -> Vint fr.iregs.(r)
+    | Block.Ret Block.Ret_void -> fun _ -> ret_void
+    | Block.Ret (Block.Ret_int r) ->
+        fun fr ->
+          rets.ri <- fr.iregs.(r);
+          ret_int
     | Block.Ret (Block.Ret_float f) ->
         fun fr ->
           Machine.fp_use mach ~src:f;
-          Vfloat fr.fregs.(f)
+          Array.unsafe_set rets.rf 0 fr.fregs.(f);
+          ret_float
   in
   let line_bytes =
     (Machine.config mach).Pp_machine.Config.icache.Pp_machine.Config.line_bytes
@@ -723,7 +749,8 @@ let compile_block st (cprocs : cproc array) (cp : cproc) label =
   in
   let observers =
     Array.mapi
-      (fun k instr -> precise_step st cprocs ~pname ~addr:addrs.(k) instr)
+      (fun k instr ->
+        precise_step st cprocs rets ~pname ~addr:addrs.(k) instr)
       code
   in
   if Array.exists Option.is_some observers then begin
@@ -801,28 +828,33 @@ let compile_block st (cprocs : cproc array) (cp : cproc) label =
           Machine.fetch_term mach ~addr:taddr ~probe:term_probe;
           term_step fr
 
-let compile_proc st cprocs (cp : cproc) =
+let compile_proc st cprocs rets (cp : cproc) =
   let nb = Array.length cp.image.Interp.code in
   cp.blocks <-
     Array.make (max nb 1) (fun _ ->
         Interp.trap "compiled block invoked before compilation");
   for label = 0 to nb - 1 do
-    cp.blocks.(label) <- compile_block st cprocs cp label
+    cp.blocks.(label) <- compile_block st cprocs rets cp label
   done
 
 let create st =
   let cprocs =
     Array.map
-      (fun image -> { image; blocks = [||] })
+      (fun image ->
+        { image; blocks = [||]; pool = [||]; nframes = 0; depth = 0 })
       (Interp.images st)
   in
-  Array.iter (fun cp -> compile_proc st cprocs cp) cprocs;
+  let rets = { ri = 0; rf = [| 0.0 |] } in
+  Array.iter (fun cp -> compile_proc st cprocs rets cp) cprocs;
   { st; cprocs }
 
 let run t =
   let st = t.st in
-  let v = call_proc st t.cprocs.(Interp.main_index st) ~iargs:[] ~fargs:[] in
-  (match v with
-  | Vvoid -> ()
-  | Vint _ | Vfloat _ -> Interp.trap "main returned a value");
+  (* A trap leaves every depth it unwound through raised. *)
+  Array.iter (fun cp -> cp.depth <- 0) t.cprocs;
+  let k =
+    call_proc_from st t.cprocs.(Interp.main_index st) ~caller:no_frame
+      ~args_a:[||] ~fas_a:[||]
+  in
+  if k <> ret_void then Interp.trap "main returned a value";
   Interp.collect_result st

@@ -63,8 +63,10 @@ type t = {
   max_instructions : int;
   mutable sp : int;
   mutable output_rev : output_item list;
-  (* Stack sampling (7.2 comparison): outermost-last while running. *)
-  mutable call_stack : string list;
+  (* Stack sampling (7.2 comparison): the live activations' procedure
+     names, outermost first, in [call_stack.(0 .. call_depth - 1)]. *)
+  mutable call_stack : string array;
+  mutable call_depth : int;
   mutable sample_interval : int;  (* 0 = off *)
   mutable next_sample : int;
   samples : (string list, int ref) Hashtbl.t;
@@ -170,7 +172,8 @@ let create ?(config = Pp_machine.Config.default)
     max_instructions;
     sp = Layout.stack_base;
     output_rev = [];
-    call_stack = [];
+    call_stack = Array.make 16 "";
+    call_depth = 0;
     sample_interval = 0;
     next_sample = 0;
     samples = Hashtbl.create 64;
@@ -215,13 +218,34 @@ let samples t =
   Hashtbl.fold (fun k v acc -> (List.rev k, !v) :: acc) t.samples []
   |> List.sort compare
 
+(* The sampled stack as a bucket key, innermost first: built only when a
+   sample is taken. *)
+let stack_key t =
+  let rec build i acc =
+    if i = t.call_depth then acc else build (i + 1) (t.call_stack.(i) :: acc)
+  in
+  build 0 []
+
 let take_samples t =
   while t.sample_interval > 0 && Machine.now t.machine >= t.next_sample do
-    (match Hashtbl.find_opt t.samples t.call_stack with
+    let key = stack_key t in
+    (match Hashtbl.find_opt t.samples key with
     | Some r -> incr r
-    | None -> Hashtbl.replace t.samples t.call_stack (ref 1));
+    | None -> Hashtbl.replace t.samples key (ref 1));
     t.next_sample <- t.next_sample + t.sample_interval
   done
+
+let push_activation t name =
+  let d = t.call_depth in
+  if d = Array.length t.call_stack then begin
+    let grown = Array.make (2 * d) "" in
+    Array.blit t.call_stack 0 grown 0 d;
+    t.call_stack <- grown
+  end;
+  Array.unsafe_set t.call_stack d name;
+  t.call_depth <- d + 1
+
+let pop_activation t = if t.call_depth > 0 then t.call_depth <- t.call_depth - 1
 
 let set_telemetry t ~trace ~interval =
   if interval <= 0 then invalid_arg "Interp.set_telemetry: interval <= 0";
@@ -326,7 +350,7 @@ let rec exec_proc t image ~iargs ~fargs =
   if fp < Layout.stack_limit then trap "stack overflow in %s" p.Proc.name;
   let saved_sp = t.sp in
   t.sp <- fp;
-  t.call_stack <- p.Proc.name :: t.call_stack;
+  push_activation t p.Proc.name;
   Machine.fp_frame t.machine ~nregs:image.nregs_f;
   let mach = t.machine in
   let rec run_block label =
@@ -358,9 +382,7 @@ let rec exec_proc t image ~iargs ~fargs =
   in
   let v = run_block p.Proc.entry in
   t.sp <- saved_sp;
-  (match t.call_stack with
-  | _ :: rest -> t.call_stack <- rest
-  | [] -> ());
+  pop_activation t;
   v
 
 and exec_instr t image iregs fregs fp addr instr =
@@ -547,18 +569,16 @@ let run t =
 let images t = t.images
 let main_index t = t.main_index
 let proc_index t name = Hashtbl.find_opt t.index_of name
-let proc_index_of_addr t addr = Hashtbl.find_opt t.index_of_addr addr
+
+let proc_index_of_addr t addr =
+  match Hashtbl.find t.index_of_addr addr with
+  | i -> i
+  | exception Not_found -> -1
+
 let max_instructions t = t.max_instructions
 let stack_pointer t = t.sp
 let set_stack_pointer t sp = t.sp <- sp
 let push_output t item = t.output_rev <- item :: t.output_rev
-let push_activation t name = t.call_stack <- name :: t.call_stack
-
-let pop_activation t =
-  match t.call_stack with
-  | _ :: rest -> t.call_stack <- rest
-  | [] -> ()
-
 let hot t = t.hot
 
 let block_epilogue t =

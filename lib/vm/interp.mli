@@ -91,7 +91,10 @@ val set_sampling : t -> Sampling.t -> unit
     and returns the {e inner stage}, which runs on every entry of that
     block with the activation's frame base ([fp] plus linkage, i.e. the
     address [Frameaddr r, 0] would produce) and the {e live} integer
-    register array (do not mutate).  Both engines share the staged
+    register array (do not mutate).  The array is valid only during the
+    call and must not be retained: the compiled engine reuses an
+    activation's register file for a later activation at the same call
+    depth.  Copy what must outlive the call.  Both engines share the staged
     closures, and a probe installed after a first {!Engine.run} fires on
     the next one.  Installing a probe replaces any earlier one.
 
@@ -145,8 +148,9 @@ val main_index : t -> int
 (** Procedure index by name, as {!run} resolves direct calls. *)
 val proc_index : t -> string -> int option
 
-(** Procedure index by code address, as {!run} resolves indirect calls. *)
-val proc_index_of_addr : t -> int -> int option
+(** Procedure index by code address, as {!run} resolves indirect calls;
+    [-1] when no procedure starts there.  Allocates nothing. *)
+val proc_index_of_addr : t -> int -> int
 
 (** The run's instruction budget. *)
 val max_instructions : t -> int

@@ -43,18 +43,18 @@ let create specs =
     last = (if Array.length segments > 0 then segments.(0) else no_segment);
   }
 
-let find t addr =
-  (* Few segments: a linear scan beats building an interval tree. *)
-  let n = Array.length t.segments in
-  let rec scan i =
-    if i >= n then
-      raise (Fault (Printf.sprintf "unmapped address 0x%x" addr))
-    else
-      let s = t.segments.(i) in
-      if addr >= s.base && addr < s.base + Bytes.length s.bytes then s
-      else scan (i + 1)
-  in
-  scan 0
+(* Few segments: a linear scan beats building an interval tree.  A
+   top-level loop, not a local closure: a switch between segments (the
+   stack and a global table, say) then allocates nothing. *)
+let rec scan segments addr i =
+  if i >= Array.length segments then
+    raise (Fault (Printf.sprintf "unmapped address 0x%x" addr))
+  else
+    let s = segments.(i) in
+    if addr >= s.base && addr < s.base + Bytes.length s.bytes then s
+    else scan segments addr (i + 1)
+
+let find t addr = scan t.segments addr 0
 
 let check_aligned addr =
   if addr land 7 <> 0 then

@@ -43,11 +43,11 @@ val create :
 
 (** Declare a hash-mode path table before the run (assigned by the
     instrumenter to procedures with too many potential paths). *)
-val register_hash_table : t -> table:int -> proc:string -> unit
+val register_hash_table : t -> table:int -> unit
 
 (** Declare a flow×context path table (per-record tables are allocated
     lazily; [npaths] sizes their simulated footprint). *)
-val register_cct_table : t -> table:int -> proc:string -> npaths:int -> unit
+val register_cct_table : t -> table:int -> npaths:int -> unit
 
 (** {2 Hooks called by the interpreter}
 

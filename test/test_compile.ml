@@ -304,7 +304,7 @@ let loop_program ~start body =
 (* Both tiers, base run, on [machine]; hash table 0 belongs to [main]. *)
 let check_observer_case ~machine prog =
   let setup vm =
-    Runtime.register_hash_table (Interp.runtime vm) ~table:0 ~proc:"main"
+    Runtime.register_hash_table (Interp.runtime vm) ~table:0
   in
   let reference =
     observe ~machine ~setup ~budget:1_000_000 ~kind:Engine.Interpreted
@@ -619,6 +619,222 @@ let test_engine_api () =
   Alcotest.(check string) "create/run parity" (render_result r2)
     (render_result r1)
 
+(* {2 Pooled frames}
+
+   A compiled call takes its register file from a per-procedure pool
+   indexed by activation depth and zeroes it, so it must read exactly
+   like the fresh arrays the interpreter allocates. *)
+
+(* [walk n] reads an integer and a float register before writing them,
+   then writes them and recurses to depth [n]: an activation handed a
+   frame an earlier one dirtied would print what that one wrote.  [main]
+   walks three times, so every depth is reused. *)
+let zeroing_program () =
+  let b =
+    Builder.create ~name:"walk" ~iparams:1 ~fparams:0
+      ~returns:Proc.Returns_int
+  in
+  let entry = Builder.new_block b in
+  let deeper = Builder.new_block b in
+  let leaf = Builder.new_block b in
+  Builder.switch_to b entry;
+  let u = reg b and c = reg b and m = reg b and r = reg b in
+  let f = Builder.new_freg b in
+  emit b (Instr.Print_int u);
+  emit b (Instr.Print_float f);
+  emit b (Instr.Ibinop_imm (Instr.Add, u, 0, 7));
+  emit b (Instr.Itof (f, u));
+  emit b (Instr.Icmp_imm (Instr.Gt, c, 0, 0));
+  Builder.terminate b (Block.Br (c, deeper, leaf));
+  Builder.switch_to b deeper;
+  emit b (Instr.Ibinop_imm (Instr.Sub, m, 0, 1));
+  Builder.emit_call b ~callee:"walk" ~args:[ m ] ~fargs:[] ~ret:(Instr.Rint r);
+  emit b (Instr.Ibinop (Instr.Add, r, r, u));
+  Builder.terminate b (Block.Ret (Block.Ret_int r));
+  Builder.switch_to b leaf;
+  Builder.terminate b (Block.Ret (Block.Ret_int u));
+  let walk = Builder.finish b in
+  let b =
+    Builder.create ~name:"main" ~iparams:0 ~fparams:0
+      ~returns:Proc.Returns_void
+  in
+  ignore (Builder.new_block b);
+  List.iter
+    (fun n ->
+      let a = reg b and x = reg b in
+      emit b (Instr.Iconst (a, n));
+      Builder.emit_call b ~callee:"walk" ~args:[ a ] ~fargs:[]
+        ~ret:(Instr.Rint x);
+      emit b (Instr.Print_int x))
+    [ 3; 2; 4 ];
+  Builder.terminate b (Block.Ret Block.Ret_void);
+  Program.make ~procs:[ Builder.finish b; walk ] ~globals:[] ~main:"main"
+
+let test_pooled_frames_zeroed () =
+  let prog = zeroing_program () in
+  check_engines ~what:"zeroing" ~configs:all_configs prog;
+  let probed kind =
+    let vm = Interp.create prog in
+    let buf = Buffer.create 1024 and dirty = ref 0 in
+    Interp.set_block_probe vm (fun ~proc ~label -> fun ~frame ~iregs ->
+        if proc = "walk" && label = 0 then
+          Array.iteri (fun i x -> if i > 0 && x <> 0 then incr dirty) iregs;
+        Buffer.add_string buf
+          (Printf.sprintf "%s:%d fp=%d [%s]\n" proc label frame
+             (String.concat ","
+                (Array.to_list (Array.map string_of_int iregs)))));
+    let r = Engine.run (Engine.of_vm ~kind vm) in
+    (List.map render_output r.Interp.output, Buffer.contents buf, !dirty)
+  in
+  let out, trace, dirty = probed Engine.Compiled in
+  Alcotest.(check int) "walk's registers read zero on entry" 0 dirty;
+  Alcotest.(check bool) "probe parity" true
+    ((out, trace, dirty) = probed Engine.Interpreted);
+  (* walk n returns (n + 7) + ... + 7 *)
+  let walk n sum =
+    List.concat (List.init (n + 1) (fun _ -> [ "0"; "0x0p+0" ])) @ [ sum ]
+  in
+  Alcotest.(check (list string)) "every read before a write prints zero"
+    (walk 3 "34" @ walk 2 "24" @ walk 4 "45")
+    out
+
+(* The first run traps three calls deep, leaving each of those
+   procedures' depth raised; [Compile.run] resets it.  The second and
+   third runs complete and allocate alike: a depth left raised would make
+   the second take fresh frames past the pooled ones. *)
+let trap_then_rerun_src =
+  "int g;\n\
+   int c(int n) { return 100 / (n - 1); }\n\
+   int b(int n) { return c(n) + 1; }\n\
+   int a(int n) { return b(n) + 1; }\n\
+   void main() { g = g + 1; g = a(g) + g; }\n"
+
+let test_trap_then_rerun () =
+  let prog = compile_mc "trap-rerun" trap_then_rerun_src in
+  let runs kind =
+    let eng = Engine.create ~kind prog in
+    let run () =
+      let w0 = Gc.minor_words () in
+      let obs =
+        match Engine.run eng with
+        | r -> "done " ^ render_result r
+        | exception Interp.Trap msg ->
+            Printf.sprintf "trap %S %s" msg
+              (render_result (Interp.collect_result (Engine.vm eng)))
+      in
+      (obs, Gc.minor_words () -. w0)
+    in
+    let first = run () in
+    let second = run () in
+    let third = run () in
+    (first, second, third)
+  in
+  let ((o1, _), (o2, w2), (o3, w3)) = runs Engine.Compiled in
+  let ((r1, _), (r2, _), (r3, _)) = runs Engine.Interpreted in
+  check_outcome ~prefix:"trap \"integer division by zero\"" o1;
+  check_outcome ~prefix:"done " o2;
+  Alcotest.(check (list string)) "engines agree, run by run" [ r1; r2; r3 ]
+    [ o1; o2; o3 ];
+  if w2 > w3 then
+    Alcotest.failf "the run after a trap allocated %.0f words, the next %.0f"
+      w2 w3
+
+(* Recursion to depth 3000 grows [sum]'s pool from 4 frames to 4096. *)
+let deep_recursion_src =
+  "int sum(int n) { int x; if (n == 0) { return 0; } x = n * 3;\n\
+  \  return x + sum(n - 1); }\n\
+   void main() { print(sum(3000)); print(sum(10)); print(sum(2999)); }\n"
+
+let test_deep_recursion () =
+  check_engines ~what:"deep-recursion" ~configs:all_configs
+    (compile_mc "deep-recursion" deep_recursion_src)
+
+(* {2 Allocation}
+
+   The minor words one [Compile.run] allocates, after [Compile.create]
+   has translated the program, for four call-dense workloads under base
+   and every mode.  A compiled call and a closed measurement window
+   allocate nothing, so a base run allocates well under one word per
+   call (what is left is the result and the program's output), and an
+   instrumented run only what its runtime structures grow by.  Each
+   figure is bounded by its pinned value + 5%: the figures are a property
+   of the code and the compiler, not of the host.  These are the release
+   profile's; the dev profile's (-opaque) read the same. *)
+let pinned_minor_words =
+  [
+    (* base, edge-freq, flow-freq, flow-hw, context-hw, context-flow *)
+    ("li_like", [ 35_362.; 41_456.; 44_509.; 52_134.; 40_156.; 41_848. ]);
+    ("gcc_like", [ 3_666.; 4_292.; 4_228.; 4_483.; 5_440.; 7_773. ]);
+    ("go_like", [ 622.; 720.; 774.; 849.; 2_019.; 4_238. ]);
+    ("m88k_like", [ 487.; 543.; 572.; 632.; 221_460.; 221_681. ]);
+  ]
+
+(* Calls a run makes (main's activation included), counted on a separate
+   probed run. *)
+let count_calls prog =
+  let vm = Interp.create prog in
+  let images = Interp.images vm in
+  let calls = ref 1 in
+  Interp.set_block_probe vm (fun ~proc ~label ->
+      let image =
+        List.find
+          (fun (im : Interp.image) -> im.Interp.proc.Proc.name = proc)
+          (Array.to_list images)
+      in
+      let n =
+        Array.fold_left
+          (fun n -> function Instr.Call _ | Instr.Callind _ -> n + 1 | _ -> n)
+          0 image.Interp.code.(label)
+      in
+      fun ~frame:_ ~iregs:_ -> calls := !calls + n);
+  ignore (Engine.run (Engine.of_vm ~kind:Engine.Compiled vm));
+  !calls
+
+let run_minor_words ~config prog =
+  let vm =
+    match config with
+    | Base ->
+        let vm = Interp.create prog in
+        let pic0, pic1 = Driver.default_pics in
+        Interp.select_pics vm ~pic0 ~pic1;
+        vm
+    | Mode mode -> (Driver.prepare ~mode prog).Driver.vm
+  in
+  let c = Pp_vm.Compile.create vm in
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Pp_vm.Compile.run c));
+  Gc.minor_words () -. w0
+
+let test_minor_words () =
+  let over = ref [] in
+  List.iter
+    (fun (name, pinned) ->
+      let prog =
+        match Registry.find name with
+        | Some w -> W.compile w
+        | None -> Alcotest.failf "unknown workload %s" name
+      in
+      let words =
+        List.map (fun config -> run_minor_words ~config prog) all_configs
+      in
+      let calls = count_calls prog in
+      Printf.printf "minor words %s (%d calls): %s\n%!" name calls
+        (String.concat " " (List.map (Printf.sprintf "%.0f") words));
+      let base = List.hd words in
+      if base >= float_of_int calls then
+        Alcotest.failf "%s base run: %.0f minor words over %d calls" name base
+          calls;
+      List.iter2
+        (fun config (w, p) ->
+          if w > p *. 1.05 then
+            over :=
+              Printf.sprintf "%s/%s: %.0f words, over %.0f + 5%%" name
+                (config_name config) w p
+              :: !over)
+        all_configs (List.combine words pinned))
+    pinned_minor_words;
+  if !over <> [] then Alcotest.fail (String.concat "; " (List.rev !over))
+
 let suite =
   List.map
     (fun name ->
@@ -660,4 +876,12 @@ let suite =
       Alcotest.test_case "block probe: installed after a run" `Quick
         test_block_probe_late;
       Alcotest.test_case "engine api" `Quick test_engine_api;
+      Alcotest.test_case "pooled frames: read before write is zero" `Quick
+        test_pooled_frames_zeroed;
+      Alcotest.test_case "pooled frames: rerun after a trap three calls deep"
+        `Quick test_trap_then_rerun;
+      Alcotest.test_case "pooled frames: recursion grows the pool" `Quick
+        test_deep_recursion;
+      Alcotest.test_case "compiled run: minor words pinned" `Slow
+        test_minor_words;
     ]

@@ -99,7 +99,7 @@ let test_runtime_costs_charged () =
 
 let test_runtime_hash_tables () =
   let _, rt = make_runtime () in
-  Runtime.register_hash_table rt ~table:0 ~proc:"p";
+  Runtime.register_hash_table rt ~table:0;
   Runtime.path_commit_hash rt ~table:0 ~key:5 ~hw:false ~op_addr:0x4000_0000;
   Runtime.path_commit_hash rt ~table:0 ~key:5 ~hw:false ~op_addr:0x4000_0000;
   Runtime.path_commit_hash rt ~table:0 ~key:9 ~hw:false ~op_addr:0x4000_0000;
@@ -116,7 +116,7 @@ let test_runtime_hash_hw_zeroes_pics () =
   let machine, rt = make_runtime () in
   let counters = Machine.counters machine in
   Counters.select counters ~pic0:Event.Instructions ~pic1:Event.Cycles;
-  Runtime.register_hash_table rt ~table:0 ~proc:"p";
+  Runtime.register_hash_table rt ~table:0;
   (* Accrue some events, commit with hw, and check the PICs were re-armed
      (the commit itself then accrues a little). *)
   Runtime.path_commit_hash rt ~table:0 ~key:1 ~hw:true ~op_addr:0x4000_0000;
@@ -141,8 +141,8 @@ let test_cost_model_consistency () =
   let module I = Pp_ir.Instr in
   let machine, rt = make_runtime () in
   let op_addr = 0x4000_0000 and fp = 0x1800 in
-  Runtime.register_hash_table rt ~table:0 ~proc:"main";
-  Runtime.register_cct_table rt ~table:1 ~proc:"main" ~npaths:4;
+  Runtime.register_hash_table rt ~table:0;
+  Runtime.register_cct_table rt ~table:1 ~npaths:4;
   Runtime.cct_enter rt ~proc_name:"main" ~nsites:1 ~op_addr ~fp;
   List.iter
     (fun (what, op, stub) ->
