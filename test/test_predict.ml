@@ -152,6 +152,50 @@ let test_inject () =
         (Predict_run.exit_code [ o ]))
     Predict_run.injects
 
+(* The oracle keeps a flat table for a numbering of at most 4096 paths
+   and an [Itbl] above it; no registry workload reaches the second.  [f]
+   tests 13 bits of its argument, so it has 8192 paths and each of the
+   300 calls takes a different one. *)
+let wide_program () =
+  let bit k =
+    Printf.sprintf "  if (x %% 2 == 1) { s = s + %d; }\n  x = x / 2;\n"
+      (k + 1)
+  in
+  Pp_minic.Compile.program ~name:"wide_paths"
+    ("int f(int x) {\n  int s;\n  s = 0;\n"
+    ^ String.concat "" (List.init 13 bit)
+    ^ "  return s;\n}\n\
+       void main() {\n\
+      \  int i;\n\
+      \  int t;\n\
+      \  t = 0;\n\
+      \  for (i = 0; i < 300; i = i + 1) { t = t + f(i * 27 + 5); }\n\
+      \  print(t);\n\
+       }\n")
+
+let test_sparse_commits () =
+  let prog = wide_program () in
+  let run engine = Predict_run.run ~engine ~mode:Instrument.Flow_hw prog in
+  let o = run Engine.Compiled in
+  check_sound ~ctx:"wide_paths/flow-hw" o;
+  let f = List.filter (fun (r : Predict_run.row) -> r.proc = "f") o.rows in
+  Alcotest.(check int) "one row per call" 300 (List.length f);
+  Alcotest.(check bool) "each path once" true
+    (List.for_all (fun (r : Predict_run.row) -> r.freq = 1) f);
+  Alcotest.(check bool) "sums past 4096 measured" true
+    (List.exists (fun (r : Predict_run.row) -> r.sum >= 4096) f);
+  (* The tables differ only in the header line, which names the engine. *)
+  let body o =
+    let s =
+      Format.asprintf "%a" (fun ppf -> Predict_run.render_table ppf) o
+    in
+    let i = String.index s '\n' in
+    String.sub s i (String.length s - i)
+  in
+  Alcotest.(check string) "engines certify identically"
+    (body (run Engine.Interpreted))
+    (body o)
+
 (* ------------------------------------------------------------------ *)
 (* Exact outputs of the static predictor.                              *)
 
@@ -308,6 +352,8 @@ let suite =
     Alcotest.test_case "soundness: both engines" `Slow test_engines_agree;
     Alcotest.test_case "demo: hot path exact" `Quick test_demo_exact;
     Alcotest.test_case "demo: injected faults refuted" `Quick test_inject;
+    Alcotest.test_case "sparse commits: a numbering over 4096 paths" `Quick
+      test_sparse_commits;
     Alcotest.test_case "bounds pinned, workloads x modes" `Slow test_pinned;
     Alcotest.test_case "bounds independent of query order" `Quick
       test_order_independent;
