@@ -61,11 +61,10 @@ val has_edge : 'a t -> proc:string -> site:int -> bool
     @raise Invalid_argument when only the root is active. *)
 val exit : 'a t -> unit
 
-(** Non-local return (longjmp / exception): pop activations until [depth]
-    remain (the root is depth 0).  @raise Invalid_argument if deeper than
-    the current depth. *)
+(** Non-local return (longjmp / exception, or a trap that abandoned a
+    run): pop activations until [depth] remain (the root is depth 0).
+    @raise Invalid_argument if deeper than the current depth. *)
 val unwind_to_depth : 'a t -> int -> unit
-[@@test_only "PLDI'97 non-local returns; MiniC has no longjmp, so no production path unwinds yet"]
 
 (** {2 Node accessors} *)
 

@@ -180,16 +180,16 @@ let write_hot t addr =
     scan 0
   end
 
-(* One call per block instead of one per probe: [read_many t addrs n]
-   reads the first [n] addresses of [addrs] in order and returns how many
-   missed.  State evolves exactly as [n] successive [read]s; the common
-   geometries (direct-mapped, 2-way) get tight specialised loops. *)
+(* One call per group of probes instead of one per probe:
+   [read_many t addrs lo hi] reads [addrs.(lo..hi-1)] in order and returns
+   how many missed.  State evolves exactly as successive [read]s; the
+   common geometries (direct-mapped, 2-way) get tight specialised loops. *)
 
-let read_many_direct t addrs n =
+let read_many_direct t addrs lo hi =
   let tags = t.tags and stamp = t.stamp in
   let shift = t.line_shift and mask = t.set_mask in
   let clock = ref t.clock and misses = ref 0 in
-  for i = 0 to n - 1 do
+  for i = lo to hi - 1 do
     let line = Array.unsafe_get addrs i lsr shift in
     let set = line land mask in
     if Array.unsafe_get tags set <> line then begin
@@ -202,11 +202,11 @@ let read_many_direct t addrs n =
   t.clock <- !clock;
   !misses
 
-let read_many_2way t addrs n =
+let read_many_2way t addrs lo hi =
   let tags = t.tags and stamp = t.stamp in
   let shift = t.line_shift and mask = t.set_mask in
   let clock = ref t.clock and misses = ref 0 in
-  for i = 0 to n - 1 do
+  for i = lo to hi - 1 do
     let line = Array.unsafe_get addrs i lsr shift in
     let base = (line land mask) * 2 in
     let slot =
@@ -230,12 +230,12 @@ let read_many_2way t addrs n =
   t.clock <- !clock;
   !misses
 
-let read_many t addrs n =
-  if t.ways = 1 then read_many_direct t addrs n
-  else if t.ways = 2 then read_many_2way t addrs n
+let read_many t addrs lo hi =
+  if t.ways = 1 then read_many_direct t addrs lo hi
+  else if t.ways = 2 then read_many_2way t addrs lo hi
   else begin
     let misses = ref 0 in
-    for i = 0 to n - 1 do
+    for i = lo to hi - 1 do
       if not (read_hot t (Array.unsafe_get addrs i)) then incr misses
     done;
     !misses

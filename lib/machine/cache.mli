@@ -29,10 +29,12 @@ val read_hot : t -> int -> bool
 (** Allocation-free [write]; observable behaviour identical to {!write}. *)
 val write_hot : t -> int -> bool
 
-(** [read_many t addrs n] reads [addrs.(0..n-1)] in order and returns the
-    number of misses; state evolves exactly as [n] successive {!read}s.
-    One call per compiled block instead of one per probe. *)
-val read_many : t -> int array -> int -> int
+(** [read_many t addrs lo hi] reads [addrs.(lo..hi-1)] in order and
+    returns the number of misses; state evolves exactly as [hi - lo]
+    successive {!read}s.  One call per group of a compiled segment's
+    probes instead of one per probe.  The caller keeps [0 <= lo] and
+    [hi <= Array.length addrs]: the loops do not check bounds. *)
+val read_many : t -> int array -> int -> int -> int
 
 (** [line t addr] numbers the cache line holding [addr]: two addresses
     share a line iff their [line]s are equal. *)

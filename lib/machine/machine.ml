@@ -93,14 +93,11 @@ let fetch t ~addr =
     badd tot ix_cycles cy
   end
 
-(* Each data and FP event is a fixed count bump plus a dynamic half —
-   cache probe, stall and clock.  The entry points below do both; the
-   batched [block_step] runs only the dynamic half, [block_static]
-   having applied the counts in bulk. *)
-
-let[@inline] load_dynamic t addr =
+let load t ~addr =
+  let tot = t.totals in
+  badd tot ix_loads 1;
+  badd tot ix_dcreads 1;
   if not (Cache.read_hot t.dcache addr) then begin
-    let tot = t.totals in
     badd tot ix_dcreadmiss 1;
     badd tot ix_dcmiss 1;
     let p = t.dc_pen in
@@ -108,11 +105,10 @@ let[@inline] load_dynamic t addr =
     badd tot ix_cycles p
   end
 
-let load t ~addr =
-  let tot = t.totals in
-  badd tot ix_loads 1;
-  badd tot ix_dcreads 1;
-  load_dynamic t addr
+(* A store and an FP issue are a fixed count bump plus a dynamic half —
+   cache probe, stall and clock.  The entry points below do both; the
+   batched [block_ordered] runs only the dynamic half, having applied
+   the counts in bulk. *)
 
 let[@inline] store_dynamic t addr =
   let hit = Cache.write_hot t.dcache addr in
@@ -155,26 +151,122 @@ let fp_frame t ~nregs =
   Fp_unit.ensure t.fp ~nregs;
   Fp_unit.clear t.fp
 
-(* Batched per-block event replay for the compiled engine.
+(* Batched per-segment event replay for the compiled engine.
 
-   A fetch run covers consecutive instruction slots with no intervening
-   machine event; it is applied as bulk counter bumps plus one icache
-   probe per distinct cache line.  Skipped probes are repeats of the line
-   just read with no other icache access in between, so they would always
-   hit and touch a line that is already most-recent: tags, relative LRU
-   order and the miss count are exactly those of per-slot probes.  All
-   clock-sensitive events (stores, FP issue/use) stay individual and in
-   original program order, so store-buffer and scoreboard stalls see the
-   same [now] as the per-instruction interpreter. *)
+   A segment's machine events arrive as [block_op]s in program order and
+   are planned once, at compile time.  Only stores (the store buffer's
+   [now]) and FP issue/use/define read the clock.  Fetches and loads only
+   add cycles, each to its own cache — the icache and dcache keep
+   separate LRU clocks — so between two clock-reading events the
+   fetches' cycles, the icache probes (in program order) and the dcache
+   loads (in program order) commute with each other and can be applied
+   in one step just before the event.  A plan is that sequence of groups.
+
+   Within a segment only fetches touch the icache, so a fetch to the line
+   fetched just before would hit a line that is already the most recent
+   in its set: one probe per change of line (a {e leader}) leaves tags,
+   relative LRU order and the miss count exactly as a probe per fetch. *)
 type block_op =
-  | Bfetch of { count : int; leaders : int array }
-      (** [count] instruction fetches; [leaders] holds the first address
-          of each distinct icache line in the run, in order *)
-  | Bload of int  (** data read; operand index into the dynamic buffer *)
-  | Bstore of int  (** data write; operand index into the dynamic buffer *)
+  | Bfetch of int
+  | Bload of int
+  | Bstore of int
   | Bfp_issue of { cls : Fp_unit.op_class; dst : int; s1 : int; s2 : int }
   | Bfp_use of int
   | Bfp_define of int
+
+(* The clock-reading event that closes a group; [Tail] closes the
+   segment's last group. *)
+type event =
+  | Store of int
+  | Fp_issue of { cls : Fp_unit.op_class; dst : int; s1 : int; s2 : int }
+  | Fp_use of int
+  | Fp_define of int
+  | Tail
+
+(* Before [event]: [fetches] fetch cycles, the icache leaders
+   [leaders.(leaders_lo .. leaders_hi - 1)] and the loads
+   [dyn.(loads_lo .. loads_hi - 1)]. *)
+type group = {
+  fetches : int;
+  leaders_lo : int;
+  leaders_hi : int;
+  loads_lo : int;
+  loads_hi : int;
+  event : event;
+}
+
+type ordered = {
+  insts : int;
+  loads : int;
+  stores : int;
+  fpops : int;
+  leaders : int array;
+  groups : group array;
+}
+
+type plan =
+  | Bulk of { fetches : int; leaders : int array; nloads : int }
+  | Ordered of ordered
+
+let plan t ops =
+  let lb = t.config.Config.icache.Config.line_bytes in
+  let leaders_rev = ref [] and nleaders = ref 0 and last_line = ref min_int in
+  let insts = ref 0 and loads = ref 0 and stores = ref 0 and fpops = ref 0 in
+  let groups_rev = ref [] in
+  let fetches = ref 0 and leaders_lo = ref 0 and loads_lo = ref 0 in
+  let close event =
+    groups_rev :=
+      {
+        fetches = !fetches;
+        leaders_lo = !leaders_lo;
+        leaders_hi = !nleaders;
+        loads_lo = !loads_lo;
+        loads_hi = !loads;
+        event;
+      }
+      :: !groups_rev;
+    fetches := 0;
+    leaders_lo := !nleaders;
+    loads_lo := !loads
+  in
+  List.iter
+    (function
+      | Bfetch addr ->
+          let line = addr / lb in
+          if line <> !last_line then begin
+            leaders_rev := addr :: !leaders_rev;
+            incr nleaders;
+            last_line := line
+          end;
+          incr insts;
+          incr fetches
+      | Bload slot ->
+          if slot <> !loads then
+            invalid_arg "Machine.plan: load slots must count up from 0";
+          incr loads
+      | Bstore slot ->
+          incr stores;
+          close (Store slot)
+      | Bfp_issue { cls; dst; s1; s2 } ->
+          incr fpops;
+          close (Fp_issue { cls; dst; s1; s2 })
+      | Bfp_use src -> close (Fp_use src)
+      | Bfp_define dst -> close (Fp_define dst))
+    ops;
+  let leaders = Array.of_list (List.rev !leaders_rev) in
+  if !groups_rev = [] then Bulk { fetches = !insts; leaders; nloads = !loads }
+  else begin
+    if !fetches > 0 || !loads > !loads_lo then close Tail;
+    Ordered
+      {
+        insts = !insts;
+        loads = !loads;
+        stores = !stores;
+        fpops = !fpops;
+        leaders;
+        groups = Array.of_list (List.rev !groups_rev);
+      }
+  end
 
 (* Read lines [first..last] of [ic] in order; the number of misses. *)
 let probe_lines ic ~lb first last =
@@ -250,7 +342,7 @@ let block_bulk t ~fetches ~leaders ~dyn ~nloads =
   badd tot ix_insts fetches;
   badd tot ix_icrefs fetches;
   let cycles = ref fetches in
-  let im = Cache.read_many t.icache leaders (Array.length leaders) in
+  let im = Cache.read_many t.icache leaders 0 (Array.length leaders) in
   if im > 0 then begin
     badd tot ix_icmiss im;
     cycles := !cycles + (im * t.ic_pen)
@@ -258,7 +350,7 @@ let block_bulk t ~fetches ~leaders ~dyn ~nloads =
   if nloads > 0 then begin
     badd tot ix_loads nloads;
     badd tot ix_dcreads nloads;
-    let dm = Cache.read_many t.dcache dyn nloads in
+    let dm = Cache.read_many t.dcache dyn 0 nloads in
     if dm > 0 then begin
       badd tot ix_dcreadmiss dm;
       badd tot ix_dcmiss dm;
@@ -289,49 +381,52 @@ let fetch_term t ~addr ~probe =
     badd tot ix_cycles 1
   end
 
-(* Static event totals of an ordered block or segment, applied in one
-   call: counters are only read at block boundaries (the epilogue's
-   budget check and telemetry) and by observers (calls, runtime stubs,
-   PIC access), and the compiled tier flushes a segment before every
-   observer, so the fixed per-event bumps commute with the ordered probe
-   walk below even though the clock does not. *)
-let block_static t ~insts ~loads ~stores ~fpops =
+(* An ordered plan: the static event bumps in one go — counters are only
+   read at block boundaries and by observers (calls, runtime stubs, PIC
+   access), and the compiled tier flushes a segment before every
+   observer, so they commute with the clock — then each group's fetch
+   cycles, icache leaders and dcache loads in one step before its
+   clock-reading event. *)
+let block_ordered t p ~dyn =
   let tot = t.totals in
-  badd tot ix_insts insts;
-  badd tot ix_icrefs insts;
-  if loads > 0 then begin
-    badd tot ix_loads loads;
-    badd tot ix_dcreads loads
+  badd tot ix_insts p.insts;
+  badd tot ix_icrefs p.insts;
+  if p.loads > 0 then begin
+    badd tot ix_loads p.loads;
+    badd tot ix_dcreads p.loads
   end;
-  if stores > 0 then begin
-    badd tot ix_stores stores;
-    badd tot ix_dcwrites stores
+  if p.stores > 0 then begin
+    badd tot ix_stores p.stores;
+    badd tot ix_dcwrites p.stores
   end;
-  if fpops > 0 then badd tot ix_fpops fpops
-
-(* The ordered walk for batched blocks with clock-reading events: probes,
-   stalls and the clock advance in program order.  The static event bumps
-   are NOT applied here — the caller pairs this with [block_static]. *)
-let block_step t ops ~dyn =
-  let tot = t.totals in
-  for i = 0 to Array.length ops - 1 do
-    match Array.unsafe_get ops i with
-    | Bfetch { count; leaders } ->
-        let cycles = ref count in
-        let penalty = t.ic_pen in
-        for j = 0 to Array.length leaders - 1 do
-          if not (Cache.read_hot t.icache (Array.unsafe_get leaders j))
-          then begin
-            badd tot ix_icmiss 1;
-            cycles := !cycles + penalty
-          end
-        done;
-        t.cycles <- t.cycles + !cycles;
-        badd tot ix_cycles !cycles
-    | Bload s -> load_dynamic t (Array.unsafe_get dyn s)
-    | Bstore s -> store_dynamic t (Array.unsafe_get dyn s)
-    | Bfp_issue { cls; dst; s1; s2 } -> fp_issue_dynamic t ~cls ~dst ~s1 ~s2
-    | Bfp_use src -> fp_use t ~src
-    | Bfp_define dst -> fp_define t ~dst
+  if p.fpops > 0 then badd tot ix_fpops p.fpops;
+  let leaders = p.leaders and groups = p.groups in
+  for i = 0 to Array.length groups - 1 do
+    let g = Array.unsafe_get groups i in
+    let cycles = ref g.fetches in
+    if g.leaders_hi > g.leaders_lo then begin
+      let m = Cache.read_many t.icache leaders g.leaders_lo g.leaders_hi in
+      if m > 0 then begin
+        badd tot ix_icmiss m;
+        cycles := !cycles + (m * t.ic_pen)
+      end
+    end;
+    if g.loads_hi > g.loads_lo then begin
+      let m = Cache.read_many t.dcache dyn g.loads_lo g.loads_hi in
+      if m > 0 then begin
+        badd tot ix_dcreadmiss m;
+        badd tot ix_dcmiss m;
+        cycles := !cycles + (m * t.dc_pen)
+      end
+    end;
+    if !cycles > 0 then begin
+      t.cycles <- t.cycles + !cycles;
+      badd tot ix_cycles !cycles
+    end;
+    match g.event with
+    | Store s -> store_dynamic t (Array.unsafe_get dyn s)
+    | Fp_issue { cls; dst; s1; s2 } -> fp_issue_dynamic t ~cls ~dst ~s1 ~s2
+    | Fp_use src -> fp_use t ~src
+    | Fp_define dst -> fp_define t ~dst
+    | Tail -> ()
   done
-

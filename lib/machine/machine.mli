@@ -46,45 +46,51 @@ val fp_define : t -> dst:int -> unit
     across calls). *)
 val fp_frame : t -> nregs:int -> unit
 
-(** {2 Batched per-block events}
+(** {2 Batched per-segment events}
 
-    The compiled engine reports a basic block's machine events as one
-    pre-compiled op sequence instead of a call per instruction.  The op
-    list preserves original program order for every clock-sensitive event
-    (stores, FP issue/use), so stalls observe the same cycle clock as
-    per-instruction reporting; runs of consecutive fetches are fused into
-    bulk counter bumps with one icache probe per distinct line, which is
-    state-equivalent because the skipped probes re-touch the line probed
-    immediately before.  Counters, cycles and cache/predictor state after
-    {!block_static} + {!block_step} are bit-identical to the equivalent
-    sequence of {!fetch}/{!load}/{!store}/FP calls. *)
+    The compiled engine reports a segment's machine events — a maximal
+    run of a block's instructions that calls, profiling pseudo-ops and
+    PIC access do not interrupt — as one plan, built once at compile
+    time, instead of a call per instruction.  Only stores and FP
+    issue/use/define read the cycle clock; fetches and loads only add
+    cycles, each to its own cache.  So the plan cuts the segment into
+    groups, each closed by one clock-reading event, and applies a group's
+    fetch cycles, its icache probes (one per change of line, in program
+    order) and its dcache loads (in program order) in one step before its
+    event.  Counters, cycles and cache, store-buffer and FP-scoreboard
+    state after the flush are bit-identical to the equivalent sequence of
+    {!fetch}/{!load}/{!store}/FP calls. *)
 
+(** A segment's events in program order, as the interpreter reports
+    them.  A load or store operand is a slot of the [dyn] array the
+    flush is given: the segment's loads take slots [0, 1, 2, ...] in
+    program order (so each group's loads are one contiguous range), its
+    stores any slots after them. *)
 type block_op =
-  | Bfetch of { count : int; leaders : int array }
-      (** [count] instruction fetches; [leaders] holds the first address
-          of each distinct icache line in the run, in order *)
-  | Bload of int
-      (** data read; the operand is [dyn.(i)] at {!block_step} time *)
-  | Bstore of int
-      (** data write; the operand is [dyn.(i)] at {!block_step} time *)
+  | Bfetch of int  (** instruction fetch at this code address *)
+  | Bload of int  (** data read of [dyn.(slot)] *)
+  | Bstore of int  (** data write of [dyn.(slot)] *)
   | Bfp_issue of { cls : Fp_unit.op_class; dst : int; s1 : int; s2 : int }
   | Bfp_use of int
   | Bfp_define of int
 
-(** [block_static t ~insts ~loads ~stores ~fpops] applies an ordered
-    block's (or segment's) fixed event-count bumps in one call.  Counters
-    are only read at block boundaries and by observers, which the
-    compiled tier runs only after flushing the segment before them, so
-    these bumps commute with the probe walk of {!block_step} even though
-    the clock does not. *)
-val block_static :
-  t -> insts:int -> loads:int -> stores:int -> fpops:int -> unit
+(** The grouped form of a segment with a clock-reading event. *)
+type ordered
 
-(** [block_step t ops ~dyn] applies the ops in order; [dyn] carries the
-    load/store addresses this execution of the block computed.  The walk
-    covers only the dynamic part — cache probes, stalls and the cycle
-    clock; pair it with {!block_static} for the fixed event counts. *)
-val block_step : t -> block_op array -> dyn:int array -> unit
+type plan =
+  | Bulk of { fetches : int; leaders : int array; nloads : int }
+      (** only fetches and loads: apply with {!block_bulk} *)
+  | Ordered of ordered  (** apply with {!block_ordered} *)
+
+(** [plan t ops] groups a segment's events for [t]'s icache line size.
+    The first fetch always probes: whatever ran before the segment (a
+    call, a runtime stub) may have touched the icache.
+    @raise Invalid_argument if the load slots do not count up from 0. *)
+val plan : t -> block_op list -> plan
+
+(** [block_ordered t p ~dyn] applies an ordered plan; [dyn] carries the
+    load/store addresses this execution of the segment computed. *)
+val block_ordered : t -> ordered -> dyn:int array -> unit
 
 (** Whole-block fast form for batched blocks whose events are only
     fetches and data reads.  Nothing in such a block reads the cycle
@@ -92,7 +98,8 @@ val block_step : t -> block_op array -> dyn:int array -> unit
     icache is probed once per distinct line of the block's body
     ([leaders], in program order) and the dcache once per load
     ([dyn.(0..nloads-1)], in program order).  Resulting counters, cycles
-    and cache state are bit-identical to the per-instruction calls. *)
+    and cache state are bit-identical to the per-instruction calls.
+    {!plan} gives a segment this form when it qualifies. *)
 val block_bulk :
   t -> fetches:int -> leaders:int array -> dyn:int array -> nloads:int -> unit
 

@@ -4,8 +4,8 @@
     {!Interp.t} into one pre-compiled closure per basic block: operands
     resolved to register-array slots at compile time, direct-threaded
     successor dispatch (a block's terminator tail-calls the next block's
-    closure), and machine-model events batched per block through
-    {!Pp_machine.Machine.block_step}.  Calls, profiling pseudo-ops and
+    closure), and machine-model events batched per segment through a
+    {!Pp_machine.Machine.plan} built at compile time.  Calls, profiling pseudo-ops and
     PIC access split a block into batched segments and run on a precise
     per-instruction tier; counters are flushed before every such
     observer, and a trapping segment replays the machine events of its

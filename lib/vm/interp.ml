@@ -553,7 +553,13 @@ let collect_result t =
       Counters.total (Machine.counters t.machine) Event.Instructions;
   }
 
+let start_run t =
+  t.sp <- Layout.stack_base;
+  t.call_depth <- 0;
+  Runtime.reset_activations t.runtime
+
 let run t =
+  start_run t;
   let v = exec_proc t t.images.(t.main_index) ~iargs:[] ~fargs:[] in
   (match v with
   | Vvoid -> ()

@@ -158,6 +158,11 @@ val max_instructions : t -> int
 val stack_pointer : t -> int
 val set_stack_pointer : t -> int -> unit
 
+(** Start a run from the stack base: [sp], the sampled call stack and
+    the runtime's shadow stack and CCT cursor, wherever a trapped run left
+    them.  Both engines call it first. *)
+val start_run : t -> unit
+
 (** Append one item to the program output. *)
 val push_output : t -> output_item -> unit
 

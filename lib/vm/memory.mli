@@ -4,7 +4,12 @@
     Floats are stored exactly (IEEE bits); integers are stored as 64-bit
     two's-complement and read back as OCaml ints (workloads stay well inside
     63 bits).  Code addresses are never mapped here — instruction fetch only
-    meets the I-cache model. *)
+    meets the I-cache model.
+
+    {!read_int} and {!write_int} inline a fast path for an aligned word
+    inside the segment accessed last and leave everything else — the
+    alignment check, the segment lookup and each [Fault] — to one
+    out-of-line checked path; both engines call the same accessors. *)
 
 exception Fault of string
 (** Unmapped address, misalignment, or a read/write crossing a segment. *)

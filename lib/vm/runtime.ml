@@ -78,6 +78,12 @@ let create ?(merge_call_sites = false) ~machine ~memory:_ ~prof_base () =
 
 let alloc t words = alloc_from t.cursor words
 
+let reset_activations t =
+  t.gcsp_site <- -1;
+  t.gcsp_indirect <- false;
+  t.shadow_depth <- 0;
+  Cct.unwind_to_depth t.cct 0
+
 (* Dynamic instruction charges execute within the stub's code footprint,
    wrapping around like a loop inside it. *)
 let charge_fetches t ~op_addr ~slots ~count =

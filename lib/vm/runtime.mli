@@ -41,6 +41,11 @@ val create :
   unit ->
   t
 
+(** Return to the CCT root with no pending call site and an empty shadow
+    stack: a run that trapped leaves its activations on both stacks, and
+    the next run must not start inside them. *)
+val reset_activations : t -> unit
+
 (** Declare a hash-mode path table before the run (assigned by the
     instrumenter to procedures with too many potential paths). *)
 val register_hash_table : t -> table:int -> unit

@@ -44,6 +44,112 @@ let test_memory_segments_disjoint () =
   | exception Memory.Fault _ -> ()
   | _ -> Alcotest.fail "expected overlap rejection"
 
+(* {2 Split accessors == the reference reader}
+
+   Every integer access is an inlined fast path (an aligned word in the
+   last-used segment) in front of the checked slow path.  Drive the
+   accessors and the reader they replaced ([Memory_ref], kept verbatim)
+   through the same random accesses — aligned, misaligned, unmapped,
+   around and across a segment's end (into an adjacent segment, when
+   there is one), switching between the data and stack segments — and
+   require the same value or the same [Fault] message at every step. *)
+
+let prop_memory_equals_reference =
+  QCheck.Test.make ~count:200 ~long_factor:50
+    ~name:"memory accessors == reference reader"
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed; 41 |] in
+      let words () = 8 * (1 + Random.State.int rng 32) in
+      let data = ("data", 0x2_0000, words ()) in
+      let stack = ("stack", 0x1000_0000, words ()) in
+      (* Half the time a heap segment starts where data ends. *)
+      let specs =
+        if Random.State.bool rng then
+          let _, base, size = data in
+          [ data; stack; ("heap", base + size, words ()) ]
+        else [ data; stack ]
+      in
+      let segs = Array.of_list specs in
+      let m = Memory.create specs and r = Memory_ref.create specs in
+      let addr () =
+        let _, base, size = segs.(Random.State.int rng (Array.length segs)) in
+        match Random.State.int rng 6 with
+        | 0 | 1 -> base + (8 * Random.State.int rng (size / 8))
+        | 2 -> base + Random.State.int rng size
+        | 3 -> base + size - 8 + Random.State.int rng 16
+        | 4 -> base - 8 + Random.State.int rng 8
+        | _ -> Random.State.int rng 0x2000_0000
+      in
+      let outcome f g =
+        let ours =
+          match f () with v -> "ok " ^ v | exception Memory.Fault e -> e
+        in
+        let theirs =
+          match g () with v -> "ok " ^ v | exception Memory_ref.Fault e -> e
+        in
+        (ours, theirs)
+      in
+      let bits x = Int64.to_string (Int64.bits_of_float x) in
+      let fa = [| 0.0 |] and fb = [| 0.0 |] in
+      for step = 1 to 120 do
+        let a = addr () in
+        let v =
+          if Random.State.bool rng then Random.State.full_int rng max_int
+          else -Random.State.int rng 1_000_000
+        in
+        let x = Int64.float_of_bits (Random.State.int64 rng Int64.max_int) in
+        let what, (ours, theirs) =
+          match Random.State.int rng 6 with
+          | 0 ->
+              ( "read_int",
+                outcome
+                  (fun () -> string_of_int (Memory.read_int m a))
+                  (fun () -> string_of_int (Memory_ref.read_int r a)) )
+          | 1 ->
+              ( "write_int",
+                outcome
+                  (fun () -> Memory.write_int m a v; "")
+                  (fun () -> Memory_ref.write_int r a v; "") )
+          | 2 ->
+              ( "read_float",
+                outcome
+                  (fun () -> bits (Memory.read_float m a))
+                  (fun () -> bits (Memory_ref.read_float r a)) )
+          | 3 ->
+              ( "write_float",
+                outcome
+                  (fun () -> Memory.write_float m a x; "")
+                  (fun () -> Memory_ref.write_float r a x; "") )
+          | 4 ->
+              ( "read_float_into",
+                outcome
+                  (fun () -> Memory.read_float_into m a fa 0; bits fa.(0))
+                  (fun () -> Memory_ref.read_float_into r a fb 0; bits fb.(0))
+              )
+          | _ ->
+              fa.(0) <- x;
+              fb.(0) <- x;
+              ( "write_float_from",
+                outcome
+                  (fun () -> Memory.write_float_from m a fa 0; "")
+                  (fun () -> Memory_ref.write_float_from r a fb 0; "") )
+        in
+        if ours <> theirs then
+          QCheck.Test.fail_reportf "step %d, %s 0x%x: %S, reference %S" step
+            what a ours theirs
+      done;
+      (* Every word of every segment ends up the same. *)
+      Array.iter
+        (fun (_, base, size) ->
+          for w = 0 to (size / 8) - 1 do
+            let a = base + (8 * w) in
+            if Memory.read_int m a <> Memory_ref.read_int r a then
+              QCheck.Test.fail_reportf "word 0x%x differs" a
+          done)
+        segs;
+      true)
+
 let make_runtime () =
   let machine = Machine.create Pp_machine.Config.default in
   let memory = Memory.create [ ("stack", 0x1000, 0x1000) ] in
@@ -213,6 +319,7 @@ let suite =
     Alcotest.test_case "memory faults" `Quick test_memory_faults;
     Alcotest.test_case "segments must be disjoint" `Quick
       test_memory_segments_disjoint;
+    QCheck_alcotest.to_alcotest prop_memory_equals_reference;
     Alcotest.test_case "runtime CCT protocol" `Quick test_runtime_cct_protocol;
     Alcotest.test_case "runtime charges costs" `Quick
       test_runtime_costs_charged;
